@@ -4,8 +4,8 @@ the side-by-side report of the disputed averages.
 The exact engine folds over every discrete branch of a control round: the
 16 encoding-bit tuples, Eve's measurement or selection branches, and the
 four Bell outcomes, all weighted by exact dyadic rationals.  The Monte
-Carlo estimator runs the same physics through the round simulator and is
-used only as a statistical cross-check.
+Carlo estimator samples the same finite tree with the round simulator's
+float arithmetic and is used only as a statistical cross-check.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .attacks import (
     CoinIZ,
     DisturbPauli,
@@ -25,6 +27,7 @@ from .attacks import (
     Passive,
     Route,
     UniformAll4,
+    tap_branches,
 )
 from .exactstate import (
     ExactState,
@@ -34,12 +37,34 @@ from .exactstate import (
     exact_bell,
     measure_t_branches,
 )
-from .protocol import Mode, RoundConfig, expected_outcome, run_round
-from .qcore import Convention, PauliCode, RandomSource, label_map
+# run_round is not called here, but stays a module attribute: the benchmark's
+# tracer (bench/tracer.py) wraps it at this lookup site.
+from .protocol import (
+    Mode,
+    RoundConfig,
+    control_detected,
+    expected_outcome,
+    run_round,
+)
+from .qcore import (
+    Convention,
+    InvariantError,
+    PauliCode,
+    RandomSource,
+    apply_pauli_t,
+    bell_cumulative,
+    bell_state,
+    branch_index,
+    label_map,
+)
 
 BitTuple = tuple[int, int, int, int]
 
 ALL_BIT_TUPLES: tuple[BitTuple, ...] = tuple(product((0, 1), repeat=4))
+
+#: rounds whose draws :func:`monte_carlo` takes and resolves at once; its
+#: memory grows with this, not with the number of rounds
+MC_CHUNK_ROUNDS = 2048
 
 
 @dataclass(frozen=True)
@@ -126,7 +151,7 @@ def _home_branch(state: ExactState) -> str:
         return "a"
     if home0 == 0:
         return "b"
-    raise ValueError("home qubit not definite after intercept")
+    raise InvariantError("home qubit not definite after intercept")
 
 
 def _tap(
@@ -260,6 +285,60 @@ def paper_case_table() -> DetectionReport:
     )
 
 
+def _round_table(
+    attack: EveStrategy,
+    outcome_convention: Convention,
+    expectation_convention: Convention,
+    comparison: str,
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup arrays that resolve a control round from its uniform draws.
+
+    Node ``b * B + t`` is bit tuple ``ALL_BIT_TUPLES[b]`` with Eve's tap
+    branch t, of B per tuple.  Returns B; the tap thresholds, shape
+    (16, B - 1); the Bell thresholds, shape (16 B, 3); and the detected
+    flag of each Bell outcome slot, shape (16 B, 4).  A node's Bell slot is
+    the number of its thresholds at or below the draw: the cumulative
+    weights but the last, padded with +inf, which keeps measure_bell's
+    fallback to the last nonzero label.  Every float comes from the scalar
+    functions the round simulator uses, so no rounding differs.
+    """
+    prepared = bell_state(Convention.OPERATOR_ENCODING, 0, 0)
+    tap_thresholds, bell_thresholds, detected = [], [], []
+    for k, l, i, j in ALL_BIT_TUPLES:
+        config = RoundConfig(
+            bob_bits=(k, l),
+            alice_bits=(i, j),
+            mode=Mode.CONTROL,
+            outcome_convention=outcome_convention,
+            expectation_convention=expectation_convention,
+            comparison=comparison,
+        )
+        thresholds, states = tap_branches(
+            attack, Route.B_TO_A, apply_pauli_t(prepared, PauliCode(k, l))
+        )
+        finals = []
+        # a strategy taps one route, so at most one of the two taps draws
+        for state in states:
+            more, leaves = tap_branches(
+                attack, Route.A_TO_B, apply_pauli_t(state, PauliCode(i, j))
+            )
+            thresholds += more
+            finals += leaves
+        tap_thresholds.append(thresholds)
+        for state in finals:
+            entries = list(bell_cumulative(state, outcome_convention))
+            accs = [acc for acc, _label, _w in entries[:-1]]
+            bell_thresholds.append(accs + [math.inf] * (3 - len(accs)))
+            flags = [control_detected(config, label) for _acc, label, _w in entries]
+            detected.append(flags + [False] * (4 - len(flags)))
+    return (
+        len(finals),
+        np.array(tap_thresholds),
+        np.array(bell_thresholds),
+        np.array(detected),
+    )
+
+
 def monte_carlo(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -271,33 +350,34 @@ def monte_carlo(
     """Detection frequency over n simulated control rounds, fixed seed.
 
     One sequential stream drives both the encoding bits and the round
-    randomness, so the estimate is fully determined by (seed, n).
+    randomness, so the estimate is fully determined by (seed, n).  Each
+    round takes consecutive draws: four for the bits (k, l, i, j), each 1
+    when its draw is below 1/2; one for Eve's tap when her strategy draws
+    (intercept, uniform4, coin-iz); and one for the Bell measurement.
+    That is 5 draws a round for passive and fixed-Pauli strategies, 6 for
+    the rest, exactly as :func:`run_round` consumes them, so the estimate
+    is the one the round-by-round loop gives.  Rounds are resolved
+    ``MC_CHUNK_ROUNDS`` at a time by lookups in a table of the round's
+    finite tree, so memory is bounded by the chunk, whatever n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = RandomSource(seed)
-    draw = rng.random
-    # the per-bit-tuple configs are a small finite set; build them once
-    configs = {
-        bits: RoundConfig(
-            bob_bits=bits[:2],
-            alice_bits=bits[2:],
-            mode=Mode.CONTROL,
-            outcome_convention=outcome_convention,
-            expectation_convention=expectation_convention,
-            comparison=comparison,
-        )
-        for bits in ALL_BIT_TUPLES
-    }
+    branches, tap_thresholds, bell_thresholds, detected = _round_table(
+        attack, outcome_convention, expectation_convention, comparison
+    )
+    draws = 5 if branches == 1 else 6
+    bit_values = np.array([8, 4, 2, 1])
     detections = 0
-    for _ in range(n):
-        bits = (
-            int(draw() < 0.5),
-            int(draw() < 0.5),
-            int(draw() < 0.5),
-            int(draw() < 0.5),
-        )
-        detections += run_round(configs[bits], attack, rng).detected
+    for start in range(0, n, MC_CHUNK_ROUNDS):
+        rounds = min(MC_CHUNK_ROUNDS, n - start)
+        u = rng.uniforms(rounds * draws).reshape(rounds, draws)
+        bits = (u[:, :4] < 0.5) @ bit_values
+        node = bits * branches
+        if branches > 1:
+            node += branch_index(tap_thresholds[bits].T, u[:, 4])
+        slot = branch_index(bell_thresholds[node].T, u[:, -1])
+        detections += int(np.count_nonzero(detected[node, slot]))
     mean = detections / n
     return McEstimate(
         mean=mean,

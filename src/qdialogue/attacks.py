@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .qcore import (
     ALG_TOL,
@@ -19,7 +19,10 @@ from .qcore import (
     RandomSource,
     TwoQubitState,
     apply_pauli_t,
+    branch_index,
+    collapse_t,
     measure_t_computational,
+    t0_probability,
 )
 
 
@@ -28,7 +31,10 @@ class Route(Enum):
     A_TO_B = "a2b"
 
 
-# Disturbance-operator selection rules.
+# Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
+# picks from and the ``thresholds`` of its uniform draw: a draw u picks
+# ``codes[branch_index(thresholds, u)]``.  A rule without thresholds does
+# not draw.
 
 @dataclass(frozen=True)
 class Fixed:
@@ -37,19 +43,32 @@ class Fixed:
     u: int
     v: int
 
+    thresholds: ClassVar[tuple[float, ...]] = ()
+
     def __post_init__(self) -> None:
         if self.u not in (0, 1) or self.v not in (0, 1):
             raise ValueError("Fixed selection bits must be 0/1")
+
+    @property
+    def codes(self) -> tuple[tuple[int, int], ...]:
+        return ((self.u, self.v),)
 
 
 @dataclass(frozen=True)
 class UniformAll4:
     """Draw (u, v) uniformly from all four codes."""
 
+    codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (0, 1), (1, 0), (1, 1))
+    # 4u is exact in binary, so the count of quarters at or below u is floor(4u)
+    thresholds: ClassVar[tuple[float, ...]] = (0.25, 0.5, 0.75)
+
 
 @dataclass(frozen=True)
 class CoinIZ:
     """Draw uniformly from {identity, sigma_z} -- the message-scrambling coin."""
+
+    codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (1, 1))
+    thresholds: ClassVar[tuple[float, ...]] = (0.5,)
 
 
 Selection = Union[Fixed, UniformAll4, CoinIZ]
@@ -107,15 +126,33 @@ EveRecord = Optional[Union[MeasuredBranch, AppliedPauli]]
 
 
 def _draw_selection(selection: Selection, rand: RandomSource) -> tuple[int, int]:
-    if isinstance(selection, Fixed):
-        return selection.u, selection.v
-    u = rand.random()
-    if isinstance(selection, UniformAll4):
-        idx = min(3, int(u * 4.0))
-        return idx >> 1, idx & 1
-    if isinstance(selection, CoinIZ):
-        return (0, 0) if u < 0.5 else (1, 1)
-    raise TypeError(f"unknown selection {selection!r}")
+    if not selection.thresholds:
+        return selection.codes[0]
+    return selection.codes[branch_index(selection.thresholds, rand.random())]
+
+
+def tap_branches(
+    strategy: EveStrategy, route: Route, state: TwoQubitState
+) -> tuple[tuple[float, ...], tuple[TwoQubitState, ...]]:
+    """Every state Eve can forward at a tap, and the thresholds of her draw.
+
+    With draw u, :func:`apply_eve` forwards
+    ``states[branch_index(thresholds, u)]``.  A tap that does not draw
+    returns no thresholds and one state.
+    """
+    if isinstance(strategy, InterceptMeasure):
+        if strategy.route is route:
+            p0 = t0_probability(state)
+            return (p0,), (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
+    elif isinstance(strategy, DisturbPauli):
+        if strategy.route is route:
+            sel = strategy.selection
+            return sel.thresholds, tuple(
+                apply_pauli_t(state, PauliCode(u, v)) for u, v in sel.codes
+            )
+    elif not isinstance(strategy, Passive):
+        raise TypeError(f"unknown strategy {strategy!r}")
+    return (), (state,)
 
 
 def apply_eve(

@@ -70,7 +70,7 @@ def _add_attack_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--route", choices=("b2a", "a2b"), default=None,
                    help="tap route (default: b2a for intercept, a2b for disturb)")
     p.add_argument("--selection", choices=("fixed", "uniform4", "coin-iz"),
-                   default="uniform4")
+                   default=None, help="disturb only (default: uniform4)")
     p.add_argument("--uv", metavar="BB", default=None,
                    help="bits for --selection fixed, e.g. 11")
 
@@ -87,7 +87,12 @@ def _add_format_flag(p: argparse.ArgumentParser, choices=("json", "csv", "text")
 
 
 def _build_attack(args: argparse.Namespace) -> EveStrategy:
+    if args.attack != "disturb" and (args.selection is not None
+                                     or args.uv is not None):
+        raise UsageError("--selection and --uv need --attack disturb")
     if args.attack == "none":
+        if args.route is not None:
+            raise UsageError("--route needs --attack intercept or disturb")
         return Passive()
     route = args.route
     if args.attack == "intercept":
@@ -96,6 +101,8 @@ def _build_attack(args: argparse.Namespace) -> EveStrategy:
         if args.uv is None or len(args.uv) != 2 or set(args.uv) - set("01"):
             raise UsageError("--selection fixed requires --uv BB with bits 0/1")
         selection = Fixed(int(args.uv[0]), int(args.uv[1]))
+    elif args.uv is not None:
+        raise UsageError("--uv needs --selection fixed")
     elif args.selection == "coin-iz":
         selection = CoinIZ()
     else:
@@ -206,16 +213,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QDLG_SEED")
-    if env is not None:
+def _resolve_source(args: argparse.Namespace) -> RandomSource:
+    """The random source seeded by --seed, else QDLG_SEED, else 0."""
+    seed, origin = args.seed, "--seed"
+    if seed is None:
+        env, origin = os.environ.get("QDLG_SEED", "0"), "QDLG_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"QDLG_SEED must be an integer, got {env!r}") from exc
-    return 0
+    try:
+        return RandomSource(seed)
+    except ValueError as exc:
+        raise UsageError(f"{origin}: {exc}") from exc
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -224,8 +234,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if not 0.0 <= args.control_fraction <= 1.0:
         raise UsageError("--control-fraction must be in [0, 1]")
     attack = _build_attack(args)
-    seed = _resolve_seed(args)
-    bit_source = RandomSource(seed)
+    bit_source = _resolve_source(args)
+    seed = bit_source.seed
     stats = run_session(
         args.rounds,
         args.control_fraction,
@@ -271,7 +281,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         raise UsageError("--bits must be four 0/1 characters: ijkl")
     i, j, k, l = (int(b) for b in bits)
     attack = _build_attack(args)
-    seed = _resolve_seed(args)
+    source = _resolve_source(args)
     config = RoundConfig(
         bob_bits=(k, l),
         alice_bits=(i, j),
@@ -280,7 +290,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         expectation_convention=_CONVENTIONS[args.expected_labels],
         comparison=args.comparison,
     )
-    t = run_round(config, attack, RandomSource(seed))
+    t = run_round(config, attack, source)
     record = None
     if t.eve_record is not None:
         record = {
@@ -309,7 +319,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         "decoded_bob_bits": list(t.decoded_bob_bits) if t.decoded_bob_bits else None,
         "detected": t.detected,
     }
-    _emit_json(_envelope("round", payload, args, seed=seed))
+    _emit_json(_envelope("round", payload, args, seed=source.seed))
     return 0
 
 

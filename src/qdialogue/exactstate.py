@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qcore import BELL_LABEL_ORDER, BellLabel, Convention, PauliCode, _ACTION
+from .qcore import (
+    BELL_LABEL_ORDER,
+    BellLabel,
+    Convention,
+    InvariantError,
+    PauliCode,
+    _ACTION,
+)
 
 Gaussian = tuple[int, int]
 
@@ -105,7 +112,7 @@ def measure_t_branches(state: ExactState) -> list[tuple[Fraction, ExactState, in
         else:
             # prob must be 1 / 2**m for exact renormalization
             if prob.numerator != 1 or prob.denominator & (prob.denominator - 1):
-                raise ValueError(f"non-dyadic collapse probability {prob}")
+                raise InvariantError(f"non-dyadic collapse probability {prob}")
             m = prob.denominator.bit_length() - 1
             collapsed = ExactState(kept, state.half - m)
         branches.append((prob, collapsed, outcome))

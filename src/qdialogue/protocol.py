@@ -106,6 +106,21 @@ def _to_convention(label: BellLabel, convention: Convention) -> BellLabel:
     return label if label.convention is convention else label_map(label)
 
 
+def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
+    """Whether a control-round outcome flags Eve: scored under the
+    configured comparison rule, it differs from the label Bob expects."""
+    k, l = config.bob_bits
+    i, j = config.alice_bits
+    expected = expected_outcome(i, j, k, l, config.expectation_convention)
+    scored = outcome
+    if (
+        config.comparison == "converted"
+        and outcome.convention is not config.expectation_convention
+    ):
+        scored = label_map(outcome)
+    return scored.k != expected.k or scored.l != expected.l
+
+
 def run_round(
     config: RoundConfig, eve: EveStrategy, rand: RandomSource
 ) -> RoundTranscript:
@@ -129,14 +144,7 @@ def run_round(
         decoded_alice = (ok ^ k, ol ^ l)
         decoded_bob = (ok ^ i, ol ^ j)
     else:
-        expected = expected_outcome(i, j, k, l, config.expectation_convention)
-        scored = outcome
-        if (
-            config.comparison == "converted"
-            and outcome.convention is not config.expectation_convention
-        ):
-            scored = label_map(outcome)
-        detected = scored.k != expected.k or scored.l != expected.l
+        detected = control_detected(config, outcome)
 
     return RoundTranscript(
         config=config,

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -327,7 +328,8 @@ class RandomSource:
 
     Identical seeds give bit-identical streams.  Child streams for round
     ``index`` are derived by reseeding with SHA-256 of ``"seed:index"``,
-    so parallel evaluation order cannot change results.
+    so parallel evaluation order cannot change results.  Seeds are integers
+    in [0, 2**64), the width of a child seed; others raise ValueError.
     """
 
     GENERATOR_ID = "mt19937:python-random:sha256-substreams"
@@ -335,15 +337,53 @@ class RandomSource:
     __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._rng = random.Random(self.seed)
+        seed = int(seed)
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
+        self._rng = random.Random(seed)
 
     def random(self) -> float:
         return self._rng.random()
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` values of :meth:`random`, bit for bit, as a
+        float64 array; the stream advances exactly as ``count`` calls would.
+
+        ``random()`` builds each double from two consecutive 32-bit Mersenne
+        Twister words a, b as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+        ``getrandbits`` returns the same words, first word least
+        significant, so each little-endian 64-bit word holds one pair as
+        ``b << 32 | a``.  The 53-bit integer converts to float exactly.
+        """
+        pairs = np.frombuffer(
+            self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
+            dtype="<u8",
+        )
+        # in place, to hold fewer chunk-sized temporaries at once
+        mantissa = pairs & 0xFFFFFFFF
+        mantissa >>= 5
+        mantissa <<= 26
+        mantissa |= pairs >> 38
+        return mantissa * (1.0 / 9007199254740992.0)
+
     def child(self, index: int) -> "RandomSource":
         digest = hashlib.sha256(f"{self.seed}:{index}".encode()).digest()
         return RandomSource(int.from_bytes(digest[:8], "big"))
+
+
+def branch_index(thresholds, u):
+    """The branch a uniform draw ``u`` selects: how many ``thresholds`` lie
+    at or below it.
+
+    ``u`` may be a float or an array of draws, and each threshold a float or
+    an array with one value per draw, so the round simulator and the bulk
+    Monte Carlo engine resolve draws through the same comparisons.
+    """
+    index = 0
+    for t in thresholds:
+        index = index + (u >= t)
+    return index
 
 
 def measure_t_computational(
@@ -352,34 +392,64 @@ def measure_t_computational(
     """Born-rule measurement of the travel qubit in the computational basis.
 
     Returns (outcome bit, collapsed renormalized state, outcome probability).
+    The outcome is 0 iff the draw lies below :func:`t0_probability`.
     """
+    p0 = t0_probability(state)
+    outcome = 0 if rand.random() < p0 else 1
+    collapsed, prob = collapse_t(state, outcome, p0)
+    return outcome, collapsed, prob
+
+
+def t0_probability(state: TwoQubitState) -> float:
+    """Born probability that the travel qubit measures 0."""
+    a0, _a1, a2, _a3 = state.amp
+    return (a0.real * a0.real + a0.imag * a0.imag
+            + a2.real * a2.real + a2.imag * a2.imag)
+
+
+def collapse_t(
+    state: TwoQubitState, outcome: int, p0: float
+) -> tuple[TwoQubitState, float]:
+    """The renormalized state after the travel qubit measured ``outcome``,
+    and that outcome's probability, given ``p0 = t0_probability(state)``."""
     a0, a1, a2, a3 = state.amp
-    p0 = (a0.real * a0.real + a0.imag * a0.imag
-          + a2.real * a2.real + a2.imag * a2.imag)
-    if rand.random() < p0:
+    if outcome == 0:
         scale = p0 ** -0.5
-        return 0, TwoQubitState._unsafe((a0 * scale, 0j, a2 * scale, 0j)), p0
+        return TwoQubitState._unsafe((a0 * scale, 0j, a2 * scale, 0j)), p0
     p1 = 1.0 - p0
     scale = p1 ** -0.5
-    return 1, TwoQubitState._unsafe((0j, a1 * scale, 0j, a3 * scale)), p1
+    return TwoQubitState._unsafe((0j, a1 * scale, 0j, a3 * scale)), p1
+
+
+def bell_cumulative(
+    state: TwoQubitState, convention: Convention
+) -> Iterator[tuple[float, BellLabel, float]]:
+    """(cumulative weight, label, Born weight) of every label with a nonzero
+    weight, in ``BELL_LABEL_ORDER``, computed as they are consumed.
+
+    A Bell measurement with draw u yields the first entry whose cumulative
+    weight exceeds u, and the last entry when rounding leaves u above all.
+    """
+    a = state.amp
+    acc = 0.0
+    for (k, l), b in _BELL_CONJ_ORDERED[convention]:
+        c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
+        w = c.real * c.real + c.imag * c.imag
+        if w > 0.0:
+            acc += w
+            yield acc, _BELL_LABELS[(convention, k, l)], w
 
 
 def measure_bell(
     state: TwoQubitState, convention: Convention, rand: RandomSource
 ) -> tuple[BellLabel, float]:
     """Bell measurement under a convention: draws a label by its Born weight."""
-    a = state.amp
     u = rand.random()
-    acc = 0.0
     last = (_BELL_LABELS[(convention, 0, 0)], 0.0)
-    for (k, l), b in _BELL_CONJ_ORDERED[convention]:
-        c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
-        w = c.real * c.real + c.imag * c.imag
-        if w > 0.0:
-            acc += w
-            last = (_BELL_LABELS[(convention, k, l)], w)
-            if u < acc:
-                break
+    for acc, label, w in bell_cumulative(state, convention):
+        last = (label, w)
+        if u < acc:
+            break
     return last
 
 

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Criterion 6 simulates about 12 million rounds; expect a few minutes of
-runtime on one core.
+Criterion 6 simulates about 12 million Monte Carlo rounds.
 """
 
 import math

@@ -1,5 +1,6 @@
 """Exact enumeration engine, case table, Monte Carlo, and claims report."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from oracle import oracle_detection
+from qdialogue import analysis
 from qdialogue.analysis import (
     ALL_BIT_TUPLES,
     CaseDescriptor,
+    McEstimate,
     compare_claims,
     enumerate_exact,
     message_error_rate,
@@ -32,11 +35,43 @@ from qdialogue.exactstate import (
     exact_bell,
     measure_t_branches,
 )
-from qdialogue.qcore import Convention, PauliCode, bell_state
+from qdialogue.protocol import Mode, RoundConfig, run_round
+from qdialogue.qcore import Convention, PauliCode, RandomSource, bell_state
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
 HALF = Fraction(1, 2)
+
+#: passive, intercept on both routes, disturb on both routes with every rule
+ALL_STRATEGIES = [Passive(), InterceptMeasure(Route.B_TO_A),
+                  InterceptMeasure(Route.A_TO_B)] + [
+    DisturbPauli(route, sel)
+    for route in Route
+    for sel in (Fixed(0, 0), Fixed(0, 1), Fixed(1, 0), Fixed(1, 1),
+                UniformAll4(), CoinIZ())
+]
+ALL_COMBOS = list(product((OE, PP), (OE, PP), ("converted", "strict-paper")))
+#: the last seed is above 2**32, so all of MT19937's seed words are used
+MC_SEEDS = (0, 7, 2**40 + 3)
+
+
+def scalar_detections(attack, oc, ec, comparison, n, seed):
+    """Running detection counts of the reference loop: one ``run_round``
+    per control round on one stream, bits drawn first."""
+    rng = RandomSource(seed)
+    counts, detections = [], 0
+    for _ in range(n):
+        k, l, i, j = (int(rng.random() < 0.5) for _ in range(4))
+        config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc, ec, comparison)
+        detections += run_round(config, attack, rng).detected
+        counts.append(detections)
+    return counts
+
+
+def scalar_estimate(detections, n, seed):
+    mean = detections / n
+    return McEstimate(mean, math.sqrt(mean * (1.0 - mean) / n), n, seed,
+                      RandomSource.GENERATOR_ID)
 
 
 class TestExactState:
@@ -231,6 +266,36 @@ class TestMonteCarlo:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
             monte_carlo(Passive(), n=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(Passive(), n=10, seed=seed)
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_bit_identical_to_scalar_reference(self, attack):
+        # n = 1, a small odd n, and (on the last seed) a run crossing a chunk
+        # boundary; each also resolved in chunks of 16 rounds
+        for (oc, ec, comp), seed in product(ALL_COMBOS, MC_SEEDS):
+            ns = [1, 37]
+            if seed == MC_SEEDS[-1]:
+                ns.append(analysis.MC_CHUNK_ROUNDS + 5)
+            counts = scalar_detections(attack, oc, ec, comp, ns[-1], seed)
+            for n in ns:
+                want = scalar_estimate(counts[n - 1], n, seed)
+                assert monte_carlo(attack, oc, ec, comp, n=n, seed=seed) == want
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(analysis, "MC_CHUNK_ROUNDS", 16)
+                    assert monte_carlo(attack, oc, ec, comp, n=n, seed=seed) == want
+
+    @pytest.mark.parametrize("seed", MC_SEEDS)
+    def test_chunked_uniforms_replay_the_stream(self, seed):
+        bulk, scalar = RandomSource(seed), RandomSource(seed)
+        for count in (1, 5, 6 * analysis.MC_CHUNK_ROUNDS):
+            assert bulk.uniforms(count).tolist() == [
+                scalar.random() for _ in range(count)
+            ]
+            assert bulk._rng.getstate() == scalar._rng.getstate()
 
 
 class TestMessageErrors:

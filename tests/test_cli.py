@@ -5,11 +5,13 @@ Regenerate golden files with ``QDLG_UPDATE_GOLDEN=1 pytest tests/test_cli.py``.
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qdialogue.cli import run_cli
+from qdialogue.exactstate import ExactState
 from qdialogue.qcore import InvariantError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -67,6 +69,19 @@ class TestExact:
         )
         assert code == 1 and "--uv" in err
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--attack", "intercept", "--selection", "fixed", "--uv", "11"),
+         "--selection"),
+        (("--attack", "intercept", "--uv", "10"), "--uv"),
+        (("--attack", "none", "--route", "a2b"), "--route"),
+        (("--attack", "none", "--selection", "coin-iz"), "--selection"),
+        (("--attack", "disturb", "--uv", "1"), "--uv"),
+        (("--attack", "disturb", "--selection", "coin-iz", "--uv", "11"), "--uv"),
+    ])
+    def test_contradictory_flags_are_usage_errors(self, capsys, flags, named):
+        code, out, err = invoke(capsys, "exact", *flags)
+        assert code == 1 and named in err and out == ""
+
 
 class TestTable:
     def test_rows_and_average(self, capsys):
@@ -117,6 +132,24 @@ class TestMc:
         monkeypatch.setenv("QDLG_SEED", "not-a-number")
         code, _, err = invoke(capsys, "mc", "--attack", "none", "--rounds", "50")
         assert code == 1 and "QDLG_SEED" in err
+
+    @pytest.mark.parametrize("command", [
+        ("mc", "--rounds", "10"),
+        ("round", "--bits", "0000"),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_usage_error(self, capsys, command, seed):
+        code, out, err = invoke(capsys, *command, "--seed", seed)
+        assert code == 1 and "--seed" in err and out == ""
+
+    def test_out_of_range_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QDLG_SEED", "-1")
+        code, out, err = invoke(capsys, "mc", "--attack", "none", "--rounds", "50")
+        assert code == 1 and "QDLG_SEED" in err and out == ""
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = invoke(capsys, "mc", "--rounds", "10", "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
 
     def test_golden(self, capsys):
         _, out, _ = invoke(
@@ -188,3 +221,19 @@ class TestExitCodes:
         monkeypatch.setattr("qdialogue.cli.enumerate_exact", boom)
         code, _, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "invariant" in err
+
+    def test_indefinite_home_qubit_exits_two(self, capsys, monkeypatch):
+        # an intercept branch that leaves both home amplitudes nonzero
+        mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
+        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+                            lambda state: [(Fraction(1), mixed, 0)])
+        code, out, err = invoke(capsys, "exact", "--attack", "intercept")
+        assert code == 2 and "home qubit" in err and out == ""
+
+    def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
+        # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
+        skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
+        monkeypatch.setattr("qdialogue.analysis.apply_pauli_t_exact",
+                            lambda state, code: skewed)
+        code, out, err = invoke(capsys, "exact", "--attack", "intercept")
+        assert code == 2 and "non-dyadic" in err and out == ""

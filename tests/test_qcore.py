@@ -309,6 +309,12 @@ class TestRandomSource:
         assert c1.seed == again.seed and c1.random() == again.random()
         assert c1.seed != c2.seed
 
+    def test_seed_range(self):
+        assert RandomSource(2**64 - 1).seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                RandomSource(seed)
+
 
 class TestValidation:
     def test_rejects_unnormalized(self):
