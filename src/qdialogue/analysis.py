@@ -1,11 +1,12 @@
 """Exact detection-probability enumeration, Monte Carlo cross-checks, and
 the side-by-side report of the disputed averages.
 
-The exact engine folds over every discrete branch of a control round: the
-16 encoding-bit tuples, Eve's measurement or selection branches, and the
-four Bell outcomes, all weighted by exact dyadic rationals.  The Monte
-Carlo estimator samples the same finite tree with the round simulator's
-float arithmetic and is used only as a statistical cross-check.
+One exact walk yields every leaf of a round's tree: the 16 encoding-bit
+tuples, the branches of Eve's tap action, and the four Bell outcomes, all
+weighted by exact dyadic rationals.  :func:`enumerate_exact` folds the
+protocol's detection rule over the leaves and :func:`message_error_rate`
+its message decoder.  The Monte Carlo estimator samples the same tree with
+the round simulator's float arithmetic, as a statistical cross-check.
 """
 
 from __future__ import annotations
@@ -13,22 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .attacks import (
-    CoinIZ,
-    DisturbPauli,
-    EveStrategy,
-    Fixed,
-    InterceptMeasure,
-    Passive,
-    Route,
-    UniformAll4,
-    tap_branches,
-)
+from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route, tap_branches
 from .exactstate import (
     ExactState,
     _gabs2,
@@ -40,10 +32,11 @@ from .exactstate import (
 # run_round is not called here, but stays a module attribute: the benchmark's
 # tracer (bench/tracer.py) wraps it at this lookup site.
 from .protocol import (
+    Comparison,
     Mode,
     RoundConfig,
     control_detected,
-    expected_outcome,
+    decode_message,
     run_round,
 )
 from .qcore import (
@@ -55,7 +48,6 @@ from .qcore import (
     bell_cumulative,
     bell_state,
     branch_index,
-    label_map,
 )
 
 BitTuple = tuple[int, int, int, int]
@@ -98,7 +90,7 @@ class DetectionReport:
     attack: EveStrategy
     outcome_convention: Convention
     expectation_convention: Convention
-    comparison: str
+    comparison: Comparison
     per_case: dict[CaseDescriptor, Fraction] = field(default_factory=dict)
     branch_averages: dict[str, Fraction] = field(default_factory=dict)
     average: Fraction = Fraction(0)
@@ -133,15 +125,12 @@ class ClaimsReport:
     explanation: str
 
 
-def _selection_branches(strategy: DisturbPauli) -> list[tuple[Fraction, int, int]]:
-    sel = strategy.selection
-    if isinstance(sel, Fixed):
-        return [(Fraction(1), sel.u, sel.v)]
-    if isinstance(sel, UniformAll4):
-        return [(Fraction(1, 4), u, v) for u in (0, 1) for v in (0, 1)]
-    if isinstance(sel, CoinIZ):
-        return [(Fraction(1, 2), 0, 0), (Fraction(1, 2), 1, 1)]
-    raise TypeError(f"unknown selection {sel!r}")
+@lru_cache(maxsize=None)
+def _draw_weights(thresholds: tuple[float, ...]) -> tuple[Fraction, ...]:
+    """Exact probability of each branch of a uniform draw: the gaps between
+    its thresholds, which are dyadic, so Fraction holds them exactly."""
+    bounds = (0, *map(Fraction, thresholds), 1)
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _home_branch(state: ExactState) -> str:
@@ -154,64 +143,72 @@ def _home_branch(state: ExactState) -> str:
     raise InvariantError("home qubit not definite after intercept")
 
 
-def _tap(
-    attack: EveStrategy, route: Route, branches: list
-) -> list[tuple[Fraction, ExactState, str, Optional[tuple[int, int]]]]:
+def _tap(attack: EveStrategy, route: Route, branches: list) -> list:
     """Expand every branch through one channel tap."""
-    if isinstance(attack, InterceptMeasure) and attack.route is route:
-        out = []
-        for prob, state, _branch, sel in branches:
-            for p, collapsed, _t in measure_t_branches(state):
-                out.append((prob * p, collapsed, _home_branch(collapsed), sel))
-        return out
-    if isinstance(attack, DisturbPauli) and attack.route is route:
-        out = []
-        for prob, state, branch, _sel in branches:
-            for p, u, v in _selection_branches(attack):
-                disturbed = apply_pauli_t_exact(state, PauliCode(u, v))
-                out.append((prob * p, disturbed, branch, (u, v)))
-        return out
-    return branches
+    action = attack.tap(route)
+    if action is None:
+        return branches
+    if action is MEASURE:
+        return [
+            (prob * p, collapsed, _home_branch(collapsed), sel)
+            for prob, state, _branch, sel in branches
+            for p, collapsed, _t in measure_t_branches(state)
+        ]
+    choices = tuple(zip(_draw_weights(action.thresholds), action.codes))
+    return [
+        (prob * w, apply_pauli_t_exact(state, PauliCode(u, v)), branch, (u, v))
+        for prob, state, branch, _sel in branches
+        for w, (u, v) in choices
+    ]
 
 
-def _final_branches(
-    attack: EveStrategy, bits: BitTuple
-) -> list[tuple[Fraction, ExactState, str, Optional[tuple[int, int]]]]:
-    """All post-protocol branches for one encoding-bit tuple.
+def _leaves(
+    attack: EveStrategy, bits: BitTuple, convention: Convention
+) -> Iterator[tuple[Fraction, str, Optional[tuple[int, int]], dict]]:
+    """The exact walk: every leaf of one encoding-bit tuple's round, grouped
+    by Eve branch.
 
-    Yields (probability, final state, eve branch tag, applied (u, v) or None).
+    Yields (Eve-branch probability, eve branch tag, applied (u, v) or None,
+    Born weight of each Bell outcome under ``convention``).
     """
     i, j, k, l = bits
-    state = apply_pauli_t_exact(
-        exact_bell(Convention.OPERATOR_ENCODING, 0, 0), PauliCode(k, l)
-    )
-    branches = [(Fraction(1), state, "none", None)]
-    branches = _tap(attack, Route.B_TO_A, branches)
-    branches = [
-        (p, apply_pauli_t_exact(s, PauliCode(i, j)), br, sel)
-        for p, s, br, sel in branches
-    ]
-    return _tap(attack, Route.A_TO_B, branches)
+    branches = [(Fraction(1), exact_bell(Convention.OPERATOR_ENCODING, 0, 0),
+                 "none", None)]
+    # each leg: the sender encodes, then Eve taps it
+    for code, route in ((PauliCode(k, l), Route.B_TO_A),
+                        (PauliCode(i, j), Route.A_TO_B)):
+        branches = _tap(attack, route, [
+            (p, apply_pauli_t_exact(s, code), br, sel) for p, s, br, sel in branches
+        ])
+    for prob, state, branch, sel in branches:
+        yield prob, branch, sel, bell_weights_exact(state, convention)
+
+
+def _control_config(bits: BitTuple, outcome_convention: Convention,
+                    expectation_convention: Convention,
+                    comparison: Comparison) -> RoundConfig:
+    """The control round with encoding bits (i, j, k, l)."""
+    i, j, k, l = bits
+    return RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_convention,
+                       expectation_convention, comparison)
 
 
 def enumerate_exact(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
     expectation_convention: Convention = Convention.OPERATOR_ENCODING,
-    comparison: str = "converted",
+    comparison: Comparison = Comparison.CONVERTED,
     case_order: Optional[Iterable[BitTuple]] = None,
 ) -> DetectionReport:
     """Exhaustive exact control-round analysis of one attack.
 
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
-    weight.  The detection indicator follows the configured comparison
-    rule.  Everything stays in dyadic rational arithmetic; ``case_order``
-    only permutes the fold (results are order-independent, which the test
-    suite asserts).
+    weight, and folds :func:`protocol.control_detected` over the leaves.
+    Everything stays in dyadic rational arithmetic; ``case_order`` only
+    permutes the fold (results are order-independent, which the test suite
+    asserts).
     """
-    if comparison not in ("converted", "strict-paper"):
-        raise ValueError(f"unknown comparison rule {comparison!r}")
     bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
     if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
         raise ValueError("case_order must be a permutation of all 16 bit tuples")
@@ -220,48 +217,36 @@ def enumerate_exact(
     tot_mass: dict[CaseDescriptor, Fraction] = {}
     sel_det: dict[tuple[int, int], Fraction] = {}
     sel_tot: dict[tuple[int, int], Fraction] = {}
-    overall = Fraction(0)
     case_weight = Fraction(1, len(bit_tuples))
 
     for bits in bit_tuples:
         i, j, k, l = bits
-        expected = expected_outcome(i, j, k, l, expectation_convention)
-        for prob, state, branch, sel in _final_branches(attack, bits):
-            weights = bell_weights_exact(state, outcome_convention)
-            detected = Fraction(0)
-            for outcome, w in weights.items():
-                if not w:
-                    continue
-                if comparison == "strict-paper":
-                    hit = outcome.bits() != expected.bits()
-                else:
-                    conv = (
-                        outcome
-                        if outcome.convention is expectation_convention
-                        else label_map(outcome)
-                    )
-                    hit = conv.bits() != expected.bits()
-                if hit:
-                    detected += w
+        config = _control_config(
+            bits, outcome_convention, expectation_convention, comparison
+        )
+        for prob, branch, sel, weights in _leaves(attack, bits, outcome_convention):
+            detected = sum(
+                w for outcome, w in weights.items()
+                if w and control_detected(config, outcome)
+            )
             key = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
             mass = case_weight * prob
-            det_mass[key] = det_mass.get(key, Fraction(0)) + mass * detected
-            tot_mass[key] = tot_mass.get(key, Fraction(0)) + mass
-            overall += mass * detected
+            hit = mass * detected
+            det_mass[key] = det_mass.get(key, 0) + hit
+            tot_mass[key] = tot_mass.get(key, 0) + mass
             if sel is not None:
-                sel_det[sel] = sel_det.get(sel, Fraction(0)) + mass * detected
-                sel_tot[sel] = sel_tot.get(sel, Fraction(0)) + mass
+                sel_det[sel] = sel_det.get(sel, 0) + hit
+                sel_tot[sel] = sel_tot.get(sel, 0) + mass
 
     report = DetectionReport(
         attack=attack,
         outcome_convention=outcome_convention,
         expectation_convention=expectation_convention,
-        comparison=comparison,
-        average=overall,
+        comparison=config.comparison,
+        average=sum(det_mass.values()),
     )
     report.per_case = {key: det_mass[key] / tot_mass[key] for key in det_mass}
-    branches = sorted({key.eve_branch for key in det_mass})
-    for br in branches:
+    for br in sorted({key.eve_branch for key in det_mass}):
         det = sum(det_mass[c] for c in det_mass if c.eve_branch == br)
         tot = sum(tot_mass[c] for c in tot_mass if c.eve_branch == br)
         report.branch_averages[br] = det / tot
@@ -281,7 +266,7 @@ def paper_case_table() -> DetectionReport:
         InterceptMeasure(Route.B_TO_A),
         outcome_convention=Convention.PARITY_PHASE,
         expectation_convention=Convention.OPERATOR_ENCODING,
-        comparison="strict-paper",
+        comparison=Comparison.STRICT_PAPER,
     )
 
 
@@ -289,7 +274,7 @@ def _round_table(
     attack: EveStrategy,
     outcome_convention: Convention,
     expectation_convention: Convention,
-    comparison: str,
+    comparison: Comparison,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Lookup arrays that resolve a control round from its uniform draws.
 
@@ -305,25 +290,17 @@ def _round_table(
     prepared = bell_state(Convention.OPERATOR_ENCODING, 0, 0)
     tap_thresholds, bell_thresholds, detected = [], [], []
     for k, l, i, j in ALL_BIT_TUPLES:
-        config = RoundConfig(
-            bob_bits=(k, l),
-            alice_bits=(i, j),
-            mode=Mode.CONTROL,
-            outcome_convention=outcome_convention,
-            expectation_convention=expectation_convention,
-            comparison=comparison,
+        config = _control_config(
+            (i, j, k, l), outcome_convention, expectation_convention, comparison
         )
-        thresholds, states = tap_branches(
-            attack, Route.B_TO_A, apply_pauli_t(prepared, PauliCode(k, l))
-        )
-        finals = []
-        # a strategy taps one route, so at most one of the two taps draws
-        for state in states:
-            more, leaves = tap_branches(
-                attack, Route.A_TO_B, apply_pauli_t(state, PauliCode(i, j))
-            )
-            thresholds += more
-            finals += leaves
+        thresholds, finals = (), [prepared]
+        # each leg as in the exact walk; a strategy taps one leg, so at most
+        # one of the two taps draws
+        for code, route in ((PauliCode(k, l), Route.B_TO_A),
+                            (PauliCode(i, j), Route.A_TO_B)):
+            taps = [tap_branches(attack, route, apply_pauli_t(s, code)) for s in finals]
+            thresholds += taps[0][0]
+            finals = [leaf for _thresholds, leaves in taps for leaf in leaves]
         tap_thresholds.append(thresholds)
         for state in finals:
             entries = list(bell_cumulative(state, outcome_convention))
@@ -343,7 +320,7 @@ def monte_carlo(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
     expectation_convention: Convention = Convention.OPERATOR_ENCODING,
-    comparison: str = "converted",
+    comparison: Comparison = Comparison.CONVERTED,
     n: int = 100_000,
     seed: int = 0,
 ) -> McEstimate:
@@ -390,36 +367,33 @@ def monte_carlo(
 
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
-    labels, converted comparison), from the same enumeration engine."""
+    labels), folding :func:`protocol.decode_message` over the leaves of the
+    same exact walk."""
     conv = Convention.OPERATOR_ENCODING
-    alice_pair = Fraction(0)
-    bob_pair = Fraction(0)
-    per_bit = {key: Fraction(0) for key in
-               ("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1")}
+    names = ("alice_to_bob", "bob_to_alice",
+             "alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1")
+    errors = dict.fromkeys(names, Fraction(0))
     case_weight = Fraction(1, 16)
     for bits in ALL_BIT_TUPLES:
         i, j, k, l = bits
-        for prob, state, _branch, _sel in _final_branches(attack, bits):
-            for outcome, w in bell_weights_exact(state, conv).items():
+        config = RoundConfig(bob_bits=(k, l), alice_bits=(i, j))
+        for prob, _branch, _sel, weights in _leaves(attack, bits, conv):
+            mass = case_weight * prob
+            for outcome, w in weights.items():
                 if not w:
                     continue
-                mass = case_weight * prob * w
-                ok, ol = outcome.bits()
-                dec_alice = (ok ^ k, ol ^ l)
-                dec_bob = (ok ^ i, ol ^ j)
-                if dec_alice != (i, j):
-                    alice_pair += mass
-                if dec_bob != (k, l):
-                    bob_pair += mass
-                per_bit["alice_bit0"] += mass * (dec_alice[0] != i)
-                per_bit["alice_bit1"] += mass * (dec_alice[1] != j)
-                per_bit["bob_bit0"] += mass * (dec_bob[0] != k)
-                per_bit["bob_bit1"] += mass * (dec_bob[1] != l)
+                leaf = mass * w
+                alice, bob = decode_message(config, outcome)
+                wrong = (alice != (i, j), bob != (k, l),
+                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
+                for name, flag in zip(names, wrong):
+                    if flag:
+                        errors[name] += leaf
     return MessageErrorReport(
         attack=attack,
-        alice_to_bob=alice_pair,
-        bob_to_alice=bob_pair,
-        per_bit=per_bit,
+        alice_to_bob=errors.pop("alice_to_bob"),
+        bob_to_alice=errors.pop("bob_to_alice"),
+        per_bit=errors,
     )
 
 
@@ -441,7 +415,7 @@ def compare_claims() -> ClaimsReport:
         InterceptMeasure(Route.B_TO_A),
         outcome_convention=Convention.OPERATOR_ENCODING,
         expectation_convention=Convention.OPERATOR_ENCODING,
-        comparison="converted",
+        comparison=Comparison.CONVERTED,
     ).average
     return ClaimsReport(
         paper_claim=Fraction(3, 4),

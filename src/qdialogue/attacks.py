@@ -1,7 +1,10 @@
 """Eve's strategy catalog and her action at the two channel taps.
 
-A strategy carries its own route; :func:`apply_eve` is called at both taps
-every round and is a no-op when the tap does not match the strategy's route.
+A strategy carries its own route and answers ``tap(route)`` with what Eve
+does there: nothing, :data:`MEASURE`, or one of a selection's codes.
+:func:`apply_eve`, :func:`tap_branches` and the exact enumeration all
+dispatch on that action.
+
 Eve never learns whether the round is a control or a message round -- the
 interface has no mode parameter.
 """
@@ -34,7 +37,7 @@ class Route(Enum):
 # Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
 # picks from and the ``thresholds`` of its uniform draw: a draw u picks
 # ``codes[branch_index(thresholds, u)]``.  A rule without thresholds does
-# not draw.
+# not draw.  ``rule`` is the rule's name on the command line.
 
 @dataclass(frozen=True)
 class Fixed:
@@ -43,6 +46,7 @@ class Fixed:
     u: int
     v: int
 
+    rule: ClassVar[str] = "fixed"
     thresholds: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self) -> None:
@@ -58,6 +62,7 @@ class Fixed:
 class UniformAll4:
     """Draw (u, v) uniformly from all four codes."""
 
+    rule: ClassVar[str] = "uniform4"
     codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (0, 1), (1, 0), (1, 1))
     # 4u is exact in binary, so the count of quarters at or below u is floor(4u)
     thresholds: ClassVar[tuple[float, ...]] = (0.25, 0.5, 0.75)
@@ -67,6 +72,7 @@ class UniformAll4:
 class CoinIZ:
     """Draw uniformly from {identity, sigma_z} -- the message-scrambling coin."""
 
+    rule: ClassVar[str] = "coin-iz"
     codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (1, 1))
     thresholds: ClassVar[tuple[float, ...]] = (0.5,)
 
@@ -74,11 +80,25 @@ class CoinIZ:
 Selection = Union[Fixed, UniformAll4, CoinIZ]
 
 
+@dataclass(frozen=True)
+class Measure:
+    """Tap action: measure the travel qubit in the computational basis."""
+
+
+MEASURE = Measure()
+
+#: what Eve does at a tap: nothing, measure, or apply a selection's codes
+TapAction = Optional[Union[Measure, Selection]]
+
+
 # Strategies.
 
 @dataclass(frozen=True)
 class Passive:
     """No tampering."""
+
+    def tap(self, route: Route) -> TapAction:
+        return None
 
 
 @dataclass(frozen=True)
@@ -88,6 +108,9 @@ class InterceptMeasure:
 
     route: Route = Route.B_TO_A
 
+    def tap(self, route: Route) -> TapAction:
+        return MEASURE if route is self.route else None
+
 
 @dataclass(frozen=True)
 class DisturbPauli:
@@ -95,6 +118,9 @@ class DisturbPauli:
 
     route: Route = Route.A_TO_B
     selection: Selection = UniformAll4()
+
+    def tap(self, route: Route) -> TapAction:
+        return self.selection if route is self.route else None
 
 
 EveStrategy = Union[Passive, InterceptMeasure, DisturbPauli]
@@ -125,12 +151,6 @@ class AppliedPauli:
 EveRecord = Optional[Union[MeasuredBranch, AppliedPauli]]
 
 
-def _draw_selection(selection: Selection, rand: RandomSource) -> tuple[int, int]:
-    if not selection.thresholds:
-        return selection.codes[0]
-    return selection.codes[branch_index(selection.thresholds, rand.random())]
-
-
 def tap_branches(
     strategy: EveStrategy, route: Route, state: TwoQubitState
 ) -> tuple[tuple[float, ...], tuple[TwoQubitState, ...]]:
@@ -140,19 +160,15 @@ def tap_branches(
     ``states[branch_index(thresholds, u)]``.  A tap that does not draw
     returns no thresholds and one state.
     """
-    if isinstance(strategy, InterceptMeasure):
-        if strategy.route is route:
-            p0 = t0_probability(state)
-            return (p0,), (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
-    elif isinstance(strategy, DisturbPauli):
-        if strategy.route is route:
-            sel = strategy.selection
-            return sel.thresholds, tuple(
-                apply_pauli_t(state, PauliCode(u, v)) for u, v in sel.codes
-            )
-    elif not isinstance(strategy, Passive):
-        raise TypeError(f"unknown strategy {strategy!r}")
-    return (), (state,)
+    action = strategy.tap(route)
+    if action is None:
+        return (), (state,)
+    if action is MEASURE:
+        p0 = t0_probability(state)
+        return (p0,), (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
+    return action.thresholds, tuple(
+        apply_pauli_t(state, PauliCode(u, v)) for u, v in action.codes
+    )
 
 
 def apply_eve(
@@ -163,15 +179,14 @@ def apply_eve(
 ) -> tuple[TwoQubitState, EveRecord]:
     """Eve's action at a tap.  Returns the forwarded state and her record.
 
-    Passive strategies and route mismatches forward the state untouched with
-    record None.
+    A tap without an action forwards the state untouched with record None.
+    Only the branch the draw picks is computed.
     """
-    if isinstance(strategy, Passive):
+    action = strategy.tap(route)
+    if action is None:
         return state, None
 
-    if isinstance(strategy, InterceptMeasure):
-        if strategy.route is not route:
-            return state, None
+    if action is MEASURE:
         t_outcome, collapsed, _p = measure_t_computational(state, rand)
         a = collapsed.amp
         home0 = abs(a[0]) ** 2 + abs(a[1]) ** 2
@@ -186,10 +201,6 @@ def apply_eve(
             raise InvariantError("intercept left the home qubit undetermined")
         return collapsed, MeasuredBranch(branch, t_outcome)
 
-    if isinstance(strategy, DisturbPauli):
-        if strategy.route is not route:
-            return state, None
-        u, v = _draw_selection(strategy.selection, rand)
-        return apply_pauli_t(state, PauliCode(u, v)), AppliedPauli(u, v)
-
-    raise TypeError(f"unknown strategy {strategy!r}")
+    thresholds = action.thresholds
+    u, v = action.codes[branch_index(thresholds, rand.random()) if thresholds else 0]
+    return apply_pauli_t(state, PauliCode(u, v)), AppliedPauli(u, v)

@@ -61,9 +61,6 @@ def _flt(x: float) -> str:
     return f"{x:.6f}"
 
 
-_CONVENTIONS = {"oe": Convention.OPERATOR_ENCODING, "pp": Convention.PARITY_PHASE}
-
-
 def _add_attack_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=("none", "intercept", "disturb"),
                    default="none")
@@ -103,10 +100,8 @@ def _build_attack(args: argparse.Namespace) -> EveStrategy:
         selection = Fixed(int(args.uv[0]), int(args.uv[1]))
     elif args.uv is not None:
         raise UsageError("--uv needs --selection fixed")
-    elif args.selection == "coin-iz":
-        selection = CoinIZ()
     else:
-        selection = UniformAll4()
+        selection = CoinIZ() if args.selection == "coin-iz" else UniformAll4()
     return DisturbPauli(Route(route or "a2b"), selection)
 
 
@@ -116,13 +111,8 @@ def _attack_echo(attack: EveStrategy) -> dict:
     if isinstance(attack, InterceptMeasure):
         return {"type": "intercept", "route": attack.route.value}
     sel = attack.selection
-    if isinstance(sel, Fixed):
-        selection = {"rule": "fixed", "u": sel.u, "v": sel.v}
-    elif isinstance(sel, CoinIZ):
-        selection = {"rule": "coin-iz"}
-    else:
-        selection = {"rule": "uniform4"}
-    return {"type": "disturb", "route": attack.route.value, "selection": selection}
+    return {"type": "disturb", "route": attack.route.value,
+            "selection": {"rule": sel.rule, **vars(sel)}}
 
 
 def _envelope(command: str, payload, args: Optional[argparse.Namespace] = None,
@@ -196,8 +186,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     attack = _build_attack(args)
     report = enumerate_exact(
         attack,
-        outcome_convention=_CONVENTIONS[args.outcome_labels],
-        expectation_convention=_CONVENTIONS[args.expected_labels],
+        outcome_convention=Convention(args.outcome_labels),
+        expectation_convention=Convention(args.expected_labels),
         comparison=args.comparison,
     )
     _emit_report(report, args.format, "exact", args)
@@ -242,8 +232,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         bit_source,
         attack,
         conventions=(
-            _CONVENTIONS[args.outcome_labels],
-            _CONVENTIONS[args.expected_labels],
+            Convention(args.outcome_labels),
+            Convention(args.expected_labels),
         ),
         comparison=args.comparison,
     )
@@ -286,8 +276,8 @@ def _cmd_round(args: argparse.Namespace) -> int:
         bob_bits=(k, l),
         alice_bits=(i, j),
         mode=args.mode,
-        outcome_convention=_CONVENTIONS[args.outcome_labels],
-        expectation_convention=_CONVENTIONS[args.expected_labels],
+        outcome_convention=Convention(args.outcome_labels),
+        expectation_convention=Convention(args.expected_labels),
         comparison=args.comparison,
     )
     t = run_round(config, attack, source)
@@ -374,8 +364,8 @@ def _build_parser() -> _Parser:
     _add_convention_flags(p)
     p.add_argument("--bits", required=True, metavar="ijkl",
                    help="Alice's then Bob's bits, e.g. 1001")
-    p.add_argument("--mode", choices=(Mode.MESSAGE, Mode.CONTROL),
-                   default=Mode.MESSAGE)
+    p.add_argument("--mode", choices=[mode.value for mode in Mode],
+                   default=Mode.MESSAGE.value)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_round)
 

@@ -9,16 +9,20 @@ control rounds compare the outcome against the label expected in Eve's
 absence.  Eve cannot tell the two modes apart: the quantum evolution is
 identical, only post-measurement bookkeeping differs.
 
-The ``comparison`` switch on :class:`RoundConfig` decides how a measured
+The :class:`Comparison` rule on :class:`RoundConfig` decides how a measured
 label is tested against the expected one when the two conventions differ:
-``"converted"`` maps the outcome into the expectation convention first
-(self-consistent), ``"strict-paper"`` compares the raw index pairs as-is.
-That single switch is the entire 3/4-versus-1/2 dispute.
+``STRICT_PAPER`` compares the raw index pairs as-is, ``CONVERTED`` maps the
+outcome into the expectation convention first (self-consistent).
+That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode` and
+:class:`Comparison` also take their string values (``"strict-paper"``);
+only :class:`RoundConfig` checks them.  :func:`control_detected` and :func:`decode_message` are the
+one detection rule and the one decoder of every engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
@@ -35,31 +39,36 @@ from .qcore import (
     measure_bell,
 )
 
-COMPARISON_RULES = ("converted", "strict-paper")
-
-
-class Mode:
+class Mode(str, Enum):
     MESSAGE = "message"
     CONTROL = "control"
 
 
+class Comparison(str, Enum):
+    """How a control-round outcome is scored against the expected label."""
+
+    STRICT_PAPER = "strict-paper"
+    CONVERTED = "converted"
+
+
 @dataclass(frozen=True)
 class RoundConfig:
+    """One round's inputs; ``mode`` and ``comparison`` are stored as members."""
+
     bob_bits: tuple[int, int]
     alice_bits: tuple[int, int]
-    mode: str = Mode.MESSAGE
+    mode: Mode = Mode.MESSAGE
     outcome_convention: Convention = Convention.OPERATOR_ENCODING
     expectation_convention: Convention = Convention.OPERATOR_ENCODING
-    comparison: str = "converted"
+    comparison: Comparison = Comparison.CONVERTED
 
     def __post_init__(self) -> None:
         for bit in (*self.bob_bits, *self.alice_bits):
             if bit not in (0, 1):
                 raise ValueError("encoding bits must be 0/1")
-        if self.mode not in (Mode.MESSAGE, Mode.CONTROL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.comparison not in COMPARISON_RULES:
-            raise ValueError(f"unknown comparison rule {self.comparison!r}")
+        # an unknown value raises ValueError
+        object.__setattr__(self, "mode", Mode(self.mode))
+        object.__setattr__(self, "comparison", Comparison(self.comparison))
 
 
 @dataclass
@@ -102,23 +111,30 @@ def expected_outcome(
     return label_map(oe)
 
 
-def _to_convention(label: BellLabel, convention: Convention) -> BellLabel:
-    return label if label.convention is convention else label_map(label)
-
-
 def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
     """Whether a control-round outcome flags Eve: scored under the
     configured comparison rule, it differs from the label Bob expects."""
     k, l = config.bob_bits
     i, j = config.alice_bits
     expected = expected_outcome(i, j, k, l, config.expectation_convention)
-    scored = outcome
     if (
-        config.comparison == "converted"
+        config.comparison is Comparison.CONVERTED
         and outcome.convention is not config.expectation_convention
     ):
-        scored = label_map(outcome)
-    return scored.k != expected.k or scored.l != expected.l
+        outcome = label_map(outcome)
+    return outcome.k != expected.k or outcome.l != expected.l
+
+
+def decode_message(
+    config: RoundConfig, outcome: BellLabel
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(Alice's bits as Bob decodes them, Bob's bits as Alice decodes them)
+    from a message-round outcome, converted to the expectation convention."""
+    if outcome.convention is not config.expectation_convention:
+        outcome = label_map(outcome)
+    k, l = config.bob_bits
+    i, j = config.alice_bits
+    return (outcome.k ^ k, outcome.l ^ l), (outcome.k ^ i, outcome.l ^ j)
 
 
 def run_round(
@@ -139,10 +155,8 @@ def run_round(
 
     decoded_alice = decoded_bob = None
     detected = None
-    if config.mode == Mode.MESSAGE:
-        ok, ol = _to_convention(outcome, config.expectation_convention).bits()
-        decoded_alice = (ok ^ k, ol ^ l)
-        decoded_bob = (ok ^ i, ol ^ j)
+    if config.mode is Mode.MESSAGE:
+        decoded_alice, decoded_bob = decode_message(config, outcome)
     else:
         detected = control_detected(config, outcome)
 
@@ -189,7 +203,7 @@ def run_session(
         Convention.OPERATOR_ENCODING,
     ),
     rand: Optional[RandomSource] = None,
-    comparison: str = "converted",
+    comparison: Comparison = Comparison.CONVERTED,
 ) -> SessionStats:
     """Run a session of rounds with uniform random bits and random mode draws.
 
@@ -210,22 +224,26 @@ def run_session(
         round_seed=rand.seed,
     )
 
+    # a session has at most 32 distinct configs: 16 bit tuples x 2 modes
+    configs: dict[tuple[int, int, int, int, Mode], RoundConfig] = {}
     for r in range(n_rounds):
         k = int(bit_source.random() < 0.5)
         l = int(bit_source.random() < 0.5)
         i = int(bit_source.random() < 0.5)
         j = int(bit_source.random() < 0.5)
         mode = Mode.CONTROL if bit_source.random() < control_fraction else Mode.MESSAGE
-        config = RoundConfig(
-            bob_bits=(k, l),
-            alice_bits=(i, j),
-            mode=mode,
-            outcome_convention=outcome_conv,
-            expectation_convention=expectation_conv,
-            comparison=comparison,
-        )
+        config = configs.get((k, l, i, j, mode))
+        if config is None:
+            config = configs[k, l, i, j, mode] = RoundConfig(
+                bob_bits=(k, l),
+                alice_bits=(i, j),
+                mode=mode,
+                outcome_convention=outcome_conv,
+                expectation_convention=expectation_conv,
+                comparison=comparison,
+            )
         transcript = run_round(config, eve, rand.child(r))
-        if mode == Mode.CONTROL:
+        if mode is Mode.CONTROL:
             stats.control_rounds += 1
             stats.detections += bool(transcript.detected)
         else:

@@ -20,6 +20,7 @@ never as floats.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -329,7 +330,8 @@ class RandomSource:
     Identical seeds give bit-identical streams.  Child streams for round
     ``index`` are derived by reseeding with SHA-256 of ``"seed:index"``,
     so parallel evaluation order cannot change results.  Seeds are integers
-    in [0, 2**64), the width of a child seed; others raise ValueError.
+    in [0, 2**64), the width of a child seed: others raise ValueError, and
+    floats and bools raise TypeError rather than being truncated.
     """
 
     GENERATOR_ID = "mt19937:python-random:sha256-substreams"
@@ -337,7 +339,9 @@ class RandomSource:
     __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        if isinstance(seed, bool):
+            raise TypeError("seed must be an integer, not bool")
+        seed = operator.index(seed)
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed

@@ -1,10 +1,12 @@
-"""Independent brute-force oracle for detection probabilities.
+"""Independent brute-force oracle for detection and decode-error probabilities.
 
 Deliberately a separate code path from the package's exact engine: states
 are raw numpy amplitude vectors built from literal matrix products, label
 conversion is done by overlap search instead of a formula, expected labels
-come from simulating the undisturbed round, and probabilities are floats
-snapped to small rationals at the very end.
+come from simulating the undisturbed round, message bits are decoded by
+searching for the undisturbed round that lands on the measured state, and
+probabilities are floats snapped to small rationals at the very end.  Eve's
+strategies are dispatched on their classes, not through their taps.
 """
 
 from __future__ import annotations
@@ -116,22 +118,40 @@ def _snap(p: float) -> Fraction:
     return f
 
 
-def oracle_detection(attack, outcome_conv: str, expected_conv: str,
-                     comparison: str):
-    """Returns (average, per_case) as exact small rationals.
+def _clean(i: int, j: int, k: int, l: int) -> np.ndarray:
+    """The undisturbed round's final state: Bob encodes (k, l), Alice (i, j)."""
+    return _pauli_t(i, j) @ _pauli_t(k, l) @ bell_oe(0, 0)
 
-    per_case maps (m, n, branch_tag) -> conditional detection probability.
+
+def _walk(attack, i: int, j: int, k: int, l: int):
+    """Every final (probability, state, branch tag, applied (u, v)) of one
+    round with Bob's bits (k, l) and Alice's bits (i, j)."""
+    start = _pauli_t(k, l) @ bell_oe(0, 0)
+    branches = [(1.0, start, "none", None)]
+    branches = _tap_branches(attack, Route.B_TO_A, branches)
+    branches = [(p, _pauli_t(i, j) @ phi, br, sel) for p, phi, br, sel in branches]
+    return _tap_branches(attack, Route.A_TO_B, branches)
+
+
+def oracle_fold(attack, outcome_conv: str, expected_conv: str, comparison: str):
+    """Returns (average, per_case, per_selection) as exact small rationals.
+
+    per_case maps (m, n, branch_tag) -> conditional detection probability;
+    per_selection maps Eve's applied (u, v) -> conditional detection
+    probability, and is empty when she applies no Pauli.
     """
     out_basis = bell_basis(outcome_conv)
     exp_basis = bell_basis(expected_conv)
 
     det_mass: dict[tuple[int, int, str], float] = {}
     tot_mass: dict[tuple[int, int, str], float] = {}
+    sel_det: dict[tuple[int, int], float] = {}
+    sel_tot: dict[tuple[int, int], float] = {}
     total = 0.0
 
     for i, j, k, l in product((0, 1), repeat=4):
         # expected label: where the undisturbed round actually lands
-        clean = _pauli_t(i, j) @ _pauli_t(k, l) @ bell_oe(0, 0)
+        clean = _clean(i, j, k, l)
         hits = [
             kl for kl, v in exp_basis.items()
             if abs(abs(np.vdot(v, clean)) - 1.0) < 1e-9
@@ -139,13 +159,7 @@ def oracle_detection(attack, outcome_conv: str, expected_conv: str,
         assert len(hits) == 1
         expected = hits[0]
 
-        start = _pauli_t(k, l) @ bell_oe(0, 0)
-        branches = [(1.0, start, "none", None)]
-        branches = _tap_branches(attack, Route.B_TO_A, branches)
-        branches = [(p, _pauli_t(i, j) @ phi, br, sel) for p, phi, br, sel in branches]
-        branches = _tap_branches(attack, Route.A_TO_B, branches)
-
-        for p, phi, br, _sel in branches:
+        for p, phi, br, sel in _walk(attack, i, j, k, l):
             det = 0.0
             for kl, v in out_basis.items():
                 w = abs(np.vdot(v, phi)) ** 2
@@ -164,8 +178,61 @@ def oracle_detection(attack, outcome_conv: str, expected_conv: str,
             det_mass[key] = det_mass.get(key, 0.0) + mass * det
             tot_mass[key] = tot_mass.get(key, 0.0) + mass
             total += mass * det
+            if sel is not None:
+                sel_det[sel] = sel_det.get(sel, 0.0) + mass * det
+                sel_tot[sel] = sel_tot.get(sel, 0.0) + mass
 
     per_case = {
         key: _snap(det_mass[key] / tot_mass[key]) for key in det_mass
     }
-    return _snap(total), per_case
+    per_selection = {
+        sel: _snap(sel_det[sel] / sel_tot[sel]) for sel in sel_det
+    }
+    return _snap(total), per_case, per_selection
+
+
+def oracle_detection(attack, outcome_conv: str, expected_conv: str,
+                     comparison: str):
+    """Returns (average, per_case) of :func:`oracle_fold`."""
+    average, per_case, _per_selection = oracle_fold(
+        attack, outcome_conv, expected_conv, comparison
+    )
+    return average, per_case
+
+
+def _decode(outcome: np.ndarray, encode) -> tuple[int, int]:
+    """Overlap search: the bit pair whose undisturbed round, ``encode(a, b)``,
+    lands on the measured Bell state."""
+    hits = [
+        ab for ab in product((0, 1), repeat=2)
+        if abs(abs(np.vdot(outcome, encode(*ab))) - 1.0) < 1e-9
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def oracle_message_errors(attack) -> dict[str, Fraction]:
+    """Message-mode decode-error probabilities under operator-encoding
+    outcome labels, as exact small rationals.
+
+    Each party decodes the other's pair as the pair that would have sent an
+    undisturbed round to the measured Bell state.  Keys: ``alice_to_bob``
+    (Bob misreads Alice's pair), ``bob_to_alice``, and ``alice_bit0`` ...
+    ``bob_bit1`` for single bits.
+    """
+    names = ("alice_to_bob", "bob_to_alice",
+             "alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1")
+    errors = dict.fromkeys(names, 0.0)
+    for i, j, k, l in product((0, 1), repeat=4):
+        for p, phi, _br, _sel in _walk(attack, i, j, k, l):
+            for v in bell_basis("oe").values():
+                w = abs(np.vdot(v, phi)) ** 2
+                if w < 1e-15:
+                    continue
+                alice = _decode(v, lambda a, b: _clean(a, b, k, l))
+                bob = _decode(v, lambda a, b: _clean(i, j, a, b))
+                wrong = (alice != (i, j), bob != (k, l),
+                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
+                for name, flag in zip(names, wrong):
+                    errors[name] += p * w / 16.0 * flag
+    return {name: _snap(e) for name, e in errors.items()}

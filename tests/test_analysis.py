@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracle import oracle_detection
+from oracle import oracle_fold, oracle_message_errors
 from qdialogue import analysis
 from qdialogue.analysis import (
     ALL_BIT_TUPLES,
@@ -35,7 +35,7 @@ from qdialogue.exactstate import (
     exact_bell,
     measure_t_branches,
 )
-from qdialogue.protocol import Mode, RoundConfig, run_round
+from qdialogue.protocol import Comparison, Mode, RoundConfig, run_round
 from qdialogue.qcore import Convention, PauliCode, RandomSource, bell_state
 
 OE = Convention.OPERATOR_ENCODING
@@ -51,6 +51,16 @@ ALL_STRATEGIES = [Passive(), InterceptMeasure(Route.B_TO_A),
                 UniformAll4(), CoinIZ())
 ]
 ALL_COMBOS = list(product((OE, PP), (OE, PP), ("converted", "strict-paper")))
+#: the grid with the five strategies the oracle test first covered in front,
+#: so that their test ids keep their indices
+ORACLE_STRATEGIES = [
+    InterceptMeasure(Route.B_TO_A),
+    InterceptMeasure(Route.A_TO_B),
+    DisturbPauli(selection=UniformAll4()),
+    DisturbPauli(selection=CoinIZ()),
+    DisturbPauli(selection=Fixed(1, 0)),
+]
+ORACLE_STRATEGIES += [s for s in ALL_STRATEGIES if s not in ORACLE_STRATEGIES]
 #: the last seed is above 2**32, so all of MT19937's seed words are used
 MC_SEEDS = (0, 7, 2**40 + 3)
 
@@ -163,30 +173,15 @@ class TestEnumerateExact:
         assert report.average == HALF
         assert all(v == HALF for v in report.per_case.values())
 
-    @pytest.mark.parametrize(
-        "attack",
-        [
-            InterceptMeasure(Route.B_TO_A),
-            InterceptMeasure(Route.A_TO_B),
-            DisturbPauli(selection=UniformAll4()),
-            DisturbPauli(selection=CoinIZ()),
-            DisturbPauli(selection=Fixed(1, 0)),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "oc,ec,comp",
-        [
-            (OE, OE, "converted"),
-            (PP, PP, "converted"),
-            (PP, OE, "strict-paper"),
-            (OE, PP, "strict-paper"),
-        ],
-    )
+    @pytest.mark.parametrize("attack", ORACLE_STRATEGIES)
+    @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS)
     def test_agrees_with_brute_force_oracle(self, attack, oc, ec, comp):
         report = enumerate_exact(attack, oc, ec, comp)
-        avg, per_case = oracle_detection(attack, oc.value, ec.value, comp)
+        avg, per_case, per_selection = oracle_fold(attack, oc.value, ec.value, comp)
         assert report.average == avg
         assert {(c.m, c.n, c.eve_branch): v for c, v in report.per_case.items()} == per_case
+        # None exactly when Eve applies no Pauli
+        assert report.per_selection == (per_selection or None)
 
     def test_summation_order_independent(self):
         rng = random.Random(5)
@@ -198,6 +193,19 @@ class TestEnumerateExact:
             permuted = enumerate_exact(attack, PP, OE, "strict-paper", case_order=order)
             assert permuted.average == base.average
             assert permuted.per_case == base.per_case
+
+    def test_rejects_unknown_comparison(self):
+        with pytest.raises(ValueError):
+            enumerate_exact(Passive(), comparison="loose")
+
+    @pytest.mark.parametrize("comparison", list(Comparison))
+    def test_comparison_value_accepted(self, comparison):
+        attack = InterceptMeasure()
+        by_value = enumerate_exact(attack, PP, OE, comparison.value)
+        by_member = enumerate_exact(attack, PP, OE, comparison)
+        assert by_value.comparison is comparison
+        assert by_value.average == by_member.average
+        assert by_value.per_case == by_member.per_case
 
     def test_rejects_bad_case_order(self):
         with pytest.raises(ValueError):
@@ -272,6 +280,22 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="seed"):
             monte_carlo(Passive(), n=10, seed=seed)
 
+    @pytest.mark.parametrize("seed", [3.7, True])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(TypeError):
+            monte_carlo(InterceptMeasure(), n=50, seed=seed)
+
+    def test_rejects_unknown_comparison(self):
+        with pytest.raises(ValueError):
+            monte_carlo(Passive(), comparison="loose", n=10)
+
+    @pytest.mark.parametrize("comparison", list(Comparison))
+    def test_comparison_value_accepted(self, comparison):
+        attack = InterceptMeasure()
+        assert monte_carlo(attack, PP, OE, comparison.value, n=200, seed=1) == (
+            monte_carlo(attack, PP, OE, comparison, n=200, seed=1)
+        )
+
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_bit_identical_to_scalar_reference(self, attack):
         # n = 1, a small odd n, and (on the last seed) a run crossing a chunk
@@ -323,6 +347,14 @@ class TestMessageErrors:
         report = message_error_rate(DisturbPauli(selection=Fixed(1, 1)))
         assert report.alice_to_bob == 1
         assert all(v == 1 for v in report.per_bit.values())
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_agrees_with_brute_force_oracle(self, attack):
+        report = message_error_rate(attack)
+        want = oracle_message_errors(attack)
+        assert report.alice_to_bob == want.pop("alice_to_bob")
+        assert report.bob_to_alice == want.pop("bob_to_alice")
+        assert report.per_bit == want
 
 
 class TestCompareClaims:

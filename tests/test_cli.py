@@ -6,10 +6,21 @@ Regenerate golden files with ``QDLG_UPDATE_GOLDEN=1 pytest tests/test_cli.py``.
 import json
 import os
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from qdialogue import cli
+from qdialogue.attacks import (
+    CoinIZ,
+    DisturbPauli,
+    Fixed,
+    InterceptMeasure,
+    Passive,
+    Route,
+    UniformAll4,
+)
 from qdialogue.cli import run_cli
 from qdialogue.exactstate import ExactState
 from qdialogue.qcore import InvariantError
@@ -81,6 +92,61 @@ class TestExact:
     def test_contradictory_flags_are_usage_errors(self, capsys, flags, named):
         code, out, err = invoke(capsys, "exact", *flags)
         assert code == 1 and named in err and out == ""
+
+
+def expected_attack(attack, route, selection, uv):
+    """The strategy the attack flags select, or None where they contradict
+    each other (a usage error)."""
+    if attack != "disturb" and (selection or uv):
+        return None
+    if attack == "none":
+        return None if route else Passive()
+    if attack == "intercept":
+        return InterceptMeasure(Route(route or "b2a"))
+    if selection == "fixed":
+        if uv not in ("00", "01", "10", "11"):
+            return None
+        rule = Fixed(int(uv[0]), int(uv[1]))
+    elif uv:
+        return None
+    else:
+        rule = CoinIZ() if selection == "coin-iz" else UniformAll4()
+    return DisturbPauli(Route(route or "a2b"), rule)
+
+
+def echo_flags(echo: dict) -> list[str]:
+    """The attack flags that a JSON ``attack`` echo stands for."""
+    flags = ["--attack", echo["type"]]
+    if "route" in echo:
+        flags += ["--route", echo["route"]]
+    if "selection" in echo:
+        rule = echo["selection"]
+        flags += ["--selection", rule["rule"]]
+        if "u" in rule:
+            flags += ["--uv", f"{rule['u']}{rule['v']}"]
+    return flags
+
+
+@pytest.mark.parametrize("attack,route,selection,uv", list(product(
+    ("none", "intercept", "disturb"),
+    (None, "b2a", "a2b"),
+    (None, "fixed", "uniform4", "coin-iz"),
+    (None, "00", "01", "10", "11", "2", "011"),
+)))
+def test_attack_flags_exhaustive(capsys, attack, route, selection, uv):
+    flags = ["--attack", attack]
+    for name, value in (("--route", route), ("--selection", selection), ("--uv", uv)):
+        if value is not None:
+            flags += [name, value]
+    code, out, err = invoke(capsys, "exact", *flags, "--format", "json")
+    want = expected_attack(attack, route, selection, uv)
+    if want is None:
+        assert code == 1 and out == "" and "usage" in err
+        return
+    assert code == 0
+    echo = json.loads(out)["payload"]["attack"]
+    args = cli._build_parser().parse_args(["exact", *echo_flags(echo)])
+    assert cli._build_attack(args) == want
 
 
 class TestTable:

@@ -12,6 +12,7 @@ from qdialogue.attacks import (
     Route,
 )
 from qdialogue.protocol import (
+    Comparison,
     Mode,
     RoundConfig,
     expected_outcome,
@@ -181,6 +182,25 @@ class TestValidation:
     def test_bad_comparison(self):
         with pytest.raises(ValueError):
             RoundConfig((0, 0), (0, 0), comparison="loose")
+
+    def test_bad_comparison_in_session(self):
+        with pytest.raises(ValueError):
+            run_session(10, 0.5, RandomSource(0), Passive(), comparison="loose")
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("comparison", list(Comparison))
+    def test_values_become_members(self, mode, comparison):
+        config = RoundConfig((0, 1), (1, 0), mode.value, PP, OE, comparison.value)
+        assert config.mode is mode and config.comparison is comparison
+        assert config == RoundConfig((0, 1), (1, 0), mode, PP, OE, comparison)
+
+    @pytest.mark.parametrize("comparison", list(Comparison))
+    def test_session_accepts_comparison_value(self, comparison):
+        def session(rule):
+            return run_session(200, 0.5, RandomSource(4), InterceptMeasure(),
+                               (PP, OE), comparison=rule)
+
+        assert session(comparison.value) == session(comparison)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):

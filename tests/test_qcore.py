@@ -314,6 +314,11 @@ class TestRandomSource:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 RandomSource(seed)
+        assert RandomSource(np.int64(5)).seed == 5
+        # truncating would run one seed while callers echo another
+        for seed in (3.7, 3.0, True):
+            with pytest.raises(TypeError):
+                RandomSource(seed)
 
 
 class TestValidation:
