@@ -18,9 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route, tap_branches
+from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
 from .exactstate import (
     ExactState,
     _gabs2,
@@ -37,6 +35,7 @@ from .protocol import (
     RoundConfig,
     control_detected,
     decode_message,
+    round_tree,
     run_round,
 )
 from .qcore import (
@@ -44,9 +43,6 @@ from .qcore import (
     InvariantError,
     PauliCode,
     RandomSource,
-    apply_pauli_t,
-    bell_cumulative,
-    bell_state,
     branch_index,
 )
 
@@ -281,35 +277,26 @@ def _round_table(
     Node ``b * B + t`` is bit tuple ``ALL_BIT_TUPLES[b]`` with Eve's tap
     branch t, of B per tuple.  Returns B; the tap thresholds, shape
     (16, B - 1); the Bell thresholds, shape (16 B, 3); and the detected
-    flag of each Bell outcome slot, shape (16 B, 4).  A node's Bell slot is
-    the number of its thresholds at or below the draw: the cumulative
-    weights but the last, padded with +inf, which keeps measure_bell's
-    fallback to the last nonzero label.  Every float comes from the scalar
-    functions the round simulator uses, so no rounding differs.
+    flag of each Bell outcome slot, shape (16 B, 4).  The thresholds are
+    those of :func:`protocol.round_tree`, the leg walk the round simulator
+    samples, with the Bell thresholds padded with +inf so that every node
+    has three.
     """
-    prepared = bell_state(Convention.OPERATOR_ENCODING, 0, 0)
+    import numpy as np
+
     tap_thresholds, bell_thresholds, detected = [], [], []
     for k, l, i, j in ALL_BIT_TUPLES:
         config = _control_config(
             (i, j, k, l), outcome_convention, expectation_convention, comparison
         )
-        thresholds, finals = (), [prepared]
-        # each leg as in the exact walk; a strategy taps one leg, so at most
-        # one of the two taps draws
-        for code, route in ((PauliCode(k, l), Route.B_TO_A),
-                            (PauliCode(i, j), Route.A_TO_B)):
-            taps = [tap_branches(attack, route, apply_pauli_t(s, code)) for s in finals]
-            thresholds += taps[0][0]
-            finals = [leaf for _thresholds, leaves in taps for leaf in leaves]
-        tap_thresholds.append(thresholds)
-        for state in finals:
-            entries = list(bell_cumulative(state, outcome_convention))
-            accs = [acc for acc, _label, _w in entries[:-1]]
-            bell_thresholds.append(accs + [math.inf] * (3 - len(accs)))
-            flags = [control_detected(config, label) for _acc, label, _w in entries]
+        taps, branches = round_tree(attack, (k, l), (i, j), outcome_convention)
+        tap_thresholds.append(taps)
+        for thresholds, labels in branches:
+            bell_thresholds.append(thresholds + (math.inf,) * (3 - len(thresholds)))
+            flags = [control_detected(config, label) for label in labels]
             detected.append(flags + [False] * (4 - len(flags)))
     return (
-        len(finals),
+        len(branches),
         np.array(tap_thresholds),
         np.array(bell_thresholds),
         np.array(detected),
@@ -337,6 +324,8 @@ def monte_carlo(
     ``MC_CHUNK_ROUNDS`` at a time by lookups in a table of the round's
     finite tree, so memory is bounded by the chunk, whatever n is.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = RandomSource(seed)

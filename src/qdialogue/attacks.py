@@ -151,6 +151,21 @@ class AppliedPauli:
 EveRecord = Optional[Union[MeasuredBranch, AppliedPauli]]
 
 
+def _home_branch(collapsed: TwoQubitState) -> str:
+    """The intercept branch of a state collapsed by Eve's measurement: 'a'
+    when the home qubit is |0>, 'b' when it is |1>."""
+    a = collapsed.amp
+    home0 = abs(a[0]) ** 2 + abs(a[1]) ** 2
+    home1 = abs(a[2]) ** 2 + abs(a[3]) ** 2
+    if home1 <= ALG_TOL:
+        return "a"
+    if home0 <= ALG_TOL:
+        return "b"
+    # The protocol only feeds Eve maximally correlated states, so a
+    # t-measurement always leaves the home qubit definite.
+    raise InvariantError("intercept left the home qubit undetermined")
+
+
 def tap_branches(
     strategy: EveStrategy, route: Route, state: TwoQubitState
 ) -> tuple[tuple[float, ...], tuple[TwoQubitState, ...]]:
@@ -158,14 +173,19 @@ def tap_branches(
 
     With draw u, :func:`apply_eve` forwards
     ``states[branch_index(thresholds, u)]``.  A tap that does not draw
-    returns no thresholds and one state.
+    returns no thresholds and one state.  A measurement checks every
+    collapsed state as :func:`apply_eve` checks the one it draws, raising
+    InvariantError when the home qubit is left undetermined.
     """
     action = strategy.tap(route)
     if action is None:
         return (), (state,)
     if action is MEASURE:
         p0 = t0_probability(state)
-        return (p0,), (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
+        collapsed = (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
+        for branch in collapsed:
+            _home_branch(branch)
+        return (p0,), collapsed
     return action.thresholds, tuple(
         apply_pauli_t(state, PauliCode(u, v)) for u, v in action.codes
     )
@@ -188,18 +208,7 @@ def apply_eve(
 
     if action is MEASURE:
         t_outcome, collapsed, _p = measure_t_computational(state, rand)
-        a = collapsed.amp
-        home0 = abs(a[0]) ** 2 + abs(a[1]) ** 2
-        home1 = abs(a[2]) ** 2 + abs(a[3]) ** 2
-        if home1 <= ALG_TOL:
-            branch = "a"
-        elif home0 <= ALG_TOL:
-            branch = "b"
-        else:
-            # The protocol only feeds Eve maximally correlated states, so a
-            # t-measurement always leaves the home qubit definite.
-            raise InvariantError("intercept left the home qubit undetermined")
-        return collapsed, MeasuredBranch(branch, t_outcome)
+        return collapsed, MeasuredBranch(_home_branch(collapsed), t_outcome)
 
     thresholds = action.thresholds
     u, v = action.codes[branch_index(thresholds, rand.random()) if thresholds else 0]

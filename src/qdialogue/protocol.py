@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
-from .attacks import EveRecord, EveStrategy, Route, apply_eve
+from .attacks import EveRecord, EveStrategy, Route, apply_eve, tap_branches
 from .qcore import (
     BellLabel,
     Convention,
@@ -34,7 +35,9 @@ from .qcore import (
     RandomSource,
     TwoQubitState,
     apply_pauli_t,
+    bell_cumulative,
     bell_state,
+    branch_index,
     label_map,
     measure_bell,
 )
@@ -176,6 +179,40 @@ def run_round(
     )
 
 
+def round_tree(
+    eve: EveStrategy,
+    bob_bits: tuple[int, int],
+    alice_bits: tuple[int, int],
+    convention: Convention,
+) -> tuple[tuple[float, ...], tuple[tuple[tuple[float, ...], tuple[BellLabel, ...]], ...]]:
+    """Every way a round with these bits can go, in the round simulator's
+    floats: the one leg walk of the float engines.
+
+    Each leg as in :func:`run_round`: the sender encodes, then Eve's
+    :func:`attacks.tap_branches`.  Returns her tap thresholds and, per tap
+    branch, the Bell thresholds and labels under ``convention``.  With tap
+    draw u and Bell draw w, :func:`run_round` measures
+    ``labels[branch_index(bell_thresholds, w)]`` on branch
+    ``branch_index(tap_thresholds, u)``, drawing u only when there are tap
+    thresholds.  The Bell thresholds are the cumulative weights of the
+    nonzero labels but the last, so a draw that rounding leaves above every
+    cumulative weight falls on the last label, as in :func:`measure_bell`.
+    """
+    thresholds, finals = (), [bell_state(Convention.OPERATOR_ENCODING, 0, 0)]
+    # a strategy taps one leg, so at most one of the two taps draws
+    for code, route in ((PauliCode(*bob_bits), Route.B_TO_A),
+                        (PauliCode(*alice_bits), Route.A_TO_B)):
+        taps = [tap_branches(eve, route, apply_pauli_t(s, code)) for s in finals]
+        thresholds += taps[0][0]
+        finals = [leaf for _thresholds, leaves in taps for leaf in leaves]
+    branches = []
+    for state in finals:
+        entries = list(bell_cumulative(state, convention))
+        branches.append((tuple(acc for acc, _label, _w in entries[:-1]),
+                         tuple(label for _acc, label, _w in entries)))
+    return thresholds, tuple(branches)
+
+
 @dataclass
 class SessionStats:
     n_rounds: int
@@ -207,8 +244,19 @@ def run_session(
 ) -> SessionStats:
     """Run a session of rounds with uniform random bits and random mode draws.
 
-    Each round r runs on the child stream ``rand.child(r)``, so results do
-    not depend on evaluation order.  Deterministic for fixed seeds.
+    Each round takes five draws from ``bit_source``: the bits k, l, i, j,
+    each 1 when its draw is below 1/2, then control mode when the fifth is
+    below ``control_fraction``.  Round r then runs on the child stream
+    ``rand.child(r)``, so results do not depend on evaluation order: Eve's
+    tap draw when her strategy draws, then the Bell draw, exactly as
+    :func:`run_round` consumes them.  Deterministic for fixed seeds.
+
+    The rounds are not simulated one by one: each resolves its draws by
+    lookups in one :func:`round_tree` per bit tuple, built once per call,
+    and the session counts how often each (bits, tap branch, Bell slot,
+    mode) leaf is reached.  The stats fold :func:`control_detected` and
+    :func:`decode_message` over those counts, so they are the ones a loop
+    of :func:`run_round` calls gives.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -218,45 +266,60 @@ def run_session(
         rand = bit_source.child(-1)
 
     outcome_conv, expectation_conv = conventions
+    # node k l i j (bits read as a binary number, in draw order): the tap
+    # thresholds and, per tap branch, the Bell thresholds and the index of
+    # the branch's first leaf; the leaves of Bell slot s are at first + 2s
+    # (message) and first + 2s + 1 (control)
+    nodes, leaves = [], []
+    for k, l, i, j in product((0, 1), repeat=4):
+        message, control = (
+            RoundConfig((k, l), (i, j), mode, outcome_conv, expectation_conv,
+                        comparison)
+            for mode in (Mode.MESSAGE, Mode.CONTROL)
+        )
+        taps, branches = round_tree(eve, (k, l), (i, j), outcome_conv)
+        tap_nodes = []
+        for bell_thresholds, labels in branches:
+            tap_nodes.append((bell_thresholds, len(leaves)))
+            leaves += [(config, label) for label in labels
+                       for config in (message, control)]
+        nodes.append((taps, tap_nodes))
+
+    counts = [0] * len(leaves)
+    draw = bit_source.random
+    for r in range(n_rounds):
+        node = ((draw() < 0.5) * 8 + (draw() < 0.5) * 4
+                + (draw() < 0.5) * 2 + (draw() < 0.5))
+        control = draw() < control_fraction
+        child = rand.child(r)
+        taps, tap_nodes = nodes[node]
+        bell_thresholds, first = tap_nodes[
+            branch_index(taps, child.random()) if taps else 0
+        ]
+        counts[first + 2 * branch_index(bell_thresholds, child.random())
+               + control] += 1
+
     stats = SessionStats(
         n_rounds=n_rounds,
         bit_seed=bit_source.seed,
         round_seed=rand.seed,
     )
-
-    # a session has at most 32 distinct configs: 16 bit tuples x 2 modes
-    configs: dict[tuple[int, int, int, int, Mode], RoundConfig] = {}
-    for r in range(n_rounds):
-        k = int(bit_source.random() < 0.5)
-        l = int(bit_source.random() < 0.5)
-        i = int(bit_source.random() < 0.5)
-        j = int(bit_source.random() < 0.5)
-        mode = Mode.CONTROL if bit_source.random() < control_fraction else Mode.MESSAGE
-        config = configs.get((k, l, i, j, mode))
-        if config is None:
-            config = configs[k, l, i, j, mode] = RoundConfig(
-                bob_bits=(k, l),
-                alice_bits=(i, j),
-                mode=mode,
-                outcome_convention=outcome_conv,
-                expectation_convention=expectation_conv,
-                comparison=comparison,
-            )
-        transcript = run_round(config, eve, rand.child(r))
-        if mode is Mode.CONTROL:
-            stats.control_rounds += 1
-            stats.detections += bool(transcript.detected)
-        else:
-            stats.message_rounds += 1
-            da, db = transcript.decoded_alice_bits, transcript.decoded_bob_bits
-            if da != (i, j):
-                stats.alice_pair_errors += 1
-            if db != (k, l):
-                stats.bob_pair_errors += 1
-            stats.alice_bit_errors[0] += da[0] != i
-            stats.alice_bit_errors[1] += da[1] != j
-            stats.bob_bit_errors[0] += db[0] != k
-            stats.bob_bit_errors[1] += db[1] != l
+    for (config, outcome), count in zip(leaves, counts):
+        if not count:
+            continue
+        if config.mode is Mode.CONTROL:
+            stats.control_rounds += count
+            stats.detections += count * control_detected(config, outcome)
+            continue
+        stats.message_rounds += count
+        (k, l), (i, j) = config.bob_bits, config.alice_bits
+        da, db = decode_message(config, outcome)
+        stats.alice_pair_errors += count * (da != (i, j))
+        stats.bob_pair_errors += count * (db != (k, l))
+        stats.alice_bit_errors[0] += count * (da[0] != i)
+        stats.alice_bit_errors[1] += count * (da[1] != j)
+        stats.bob_bit_errors[0] += count * (db[0] != k)
+        stats.bob_bit_errors[1] += count * (db[1] != l)
 
     if stats.control_rounds:
         stats.detection_rate = stats.detections / stats.control_rounds

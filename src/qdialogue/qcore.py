@@ -27,8 +27,6 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 SQRT_HALF = 2.0 ** -0.5
 
 #: tolerance for algebraic identities (orthonormality, recomposition, norms)
@@ -164,6 +162,8 @@ class TwoQubitState:
         return sum(abs(a) ** 2 for a in self.amp)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.amp, dtype=complex)
 
     def __repr__(self) -> str:
@@ -202,6 +202,8 @@ def pauli_action_closed_form(code: PauliCode, basis_bit: int) -> tuple[Phase, in
 
 def pauli_matrix(code: PauliCode) -> np.ndarray:
     """2x2 matrix of C_{a,b}; column c holds the image of |c>."""
+    import numpy as np
+
     m = np.zeros((2, 2), dtype=complex)
     for c in (0, 1):
         phase, r = _ACTION[(code.a, code.b, c)]
@@ -360,6 +362,8 @@ class RandomSource:
         significant, so each little-endian 64-bit word holds one pair as
         ``b << 32 | a``.  The 53-bit integer converts to float exactly.
         """
+        import numpy as np
+
         pairs = np.frombuffer(
             self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
             dtype="<u8",

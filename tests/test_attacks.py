@@ -16,9 +16,13 @@ from qdialogue.attacks import (
     UniformAll4,
     apply_eve,
 )
+from qdialogue.analysis import monte_carlo
+from qdialogue.protocol import Mode, RoundConfig, run_round, run_session
 from qdialogue.qcore import (
     ALG_TOL,
+    SQRT_HALF,
     Convention,
+    InvariantError,
     PauliCode,
     RandomSource,
     TwoQubitState,
@@ -29,6 +33,8 @@ from qdialogue.qcore import (
 )
 
 OE = Convention.OPERATOR_ENCODING
+#: a travel-qubit collapse that leaves the home qubit in superposition
+HOME_UNDETERMINED = TwoQubitState((SQRT_HALF, 0, SQRT_HALF, 0))
 
 
 def collapsed_product(h_bit, code, t_in):
@@ -153,3 +159,27 @@ class TestDisturbPauli:
                 s = apply_pauli_t(s, PauliCode(u, v))
             want = bell_state(OE, i ^ k ^ u, j ^ l ^ v)
             assert equal_up_to_global_phase(s, want, ALG_TOL)
+
+
+class TestHomeQubitInvariant:
+    """An intercept collapse that leaves the home qubit undetermined raises
+    InvariantError on the sampled path and on the table path alike."""
+
+    @pytest.fixture
+    def broken_collapse(self, monkeypatch):
+        monkeypatch.setattr("qdialogue.attacks.collapse_t",
+                            lambda state, outcome, p0: (HOME_UNDETERMINED, 0.5))
+        monkeypatch.setattr("qdialogue.attacks.measure_t_computational",
+                            lambda state, rand: (0, HOME_UNDETERMINED, 0.5))
+
+    @pytest.mark.usefixtures("broken_collapse")
+    @pytest.mark.parametrize("route", list(Route))
+    def test_every_engine_raises(self, route):
+        attack = InterceptMeasure(route)
+        with pytest.raises(InvariantError, match="home qubit"):
+            run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL), attack,
+                      RandomSource(0))
+        with pytest.raises(InvariantError, match="home qubit"):
+            run_session(50, 0.5, RandomSource(0), attack)
+        with pytest.raises(InvariantError, match="home qubit"):
+            monte_carlo(attack, n=50, seed=0)

@@ -5,6 +5,8 @@ Regenerate golden files with ``QDLG_UPDATE_GOLDEN=1 pytest tests/test_cli.py``.
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -23,9 +25,23 @@ from qdialogue.attacks import (
 )
 from qdialogue.cli import run_cli
 from qdialogue.exactstate import ExactState
-from qdialogue.qcore import InvariantError
+from qdialogue.qcore import SQRT_HALF, InvariantError, TwoQubitState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
+
+#: every subcommand's invocation with a golden file, and that file
+GOLDEN_INVOCATIONS = [
+    (("exact", "--attack", "disturb", "--selection", "uniform4"),
+     "exact_disturb_uniform4.json"),
+    (("exact", "--attack", "intercept", "--format", "csv"), "exact_intercept.csv"),
+    (("table",), "table.txt"),
+    (("mc", "--attack", "disturb", "--selection", "coin-iz", "--rounds", "400",
+      "--seed", "11", "--control-fraction", "0.5"), "mc_disturb_coiniz.json"),
+    (("round", "--bits", "0111", "--attack", "intercept", "--mode", "control",
+      "--seed", "3"), "round_intercept.json"),
+    (("compare",), "compare.json"),
+]
 
 
 def invoke(capsys, *argv):
@@ -296,6 +312,16 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
 
+    def test_indefinite_home_qubit_in_session_exits_two(self, capsys, monkeypatch):
+        # the float table path checks every intercept collapse
+        mixed = TwoQubitState((SQRT_HALF, 0, SQRT_HALF, 0))
+        monkeypatch.setattr("qdialogue.attacks.collapse_t",
+                            lambda state, outcome, p0: (mixed, 0.5))
+        code, out, err = invoke(capsys, "mc", "--attack", "intercept",
+                                "--rounds", "20", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "home qubit" in err and "Traceback" not in err
+
     def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
         # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
         skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
@@ -303,3 +329,20 @@ class TestExitCodes:
                             lambda state, code: skewed)
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "non-dyadic" in err and out == ""
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_INVOCATIONS,
+                         ids=[argv[0] + ":" + name for argv, name in GOLDEN_INVOCATIONS])
+def test_goldens_without_numpy(argv, golden):
+    """Every subcommand runs in a fresh interpreter where importing numpy
+    fails, and prints its golden output."""
+    program = ("import sys\n"
+               "sys.modules['numpy'] = None\n"
+               "from qdialogue.cli import main\n"
+               "main()\n")
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", program, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / golden).read_text()

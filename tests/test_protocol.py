@@ -1,5 +1,6 @@
 """Round choreography: determinism without Eve, decoding, mode blindness."""
 
+import copy
 from itertools import product
 
 import pytest
@@ -15,14 +16,65 @@ from qdialogue.protocol import (
     Comparison,
     Mode,
     RoundConfig,
+    SessionStats,
     expected_outcome,
     run_round,
     run_session,
 )
 from qdialogue.qcore import ALG_TOL, BellLabel, Convention, RandomSource, label_map
+from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
+
+
+def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
+                       rand=None, comparison=Comparison.CONVERTED):
+    """The SessionStats of the first n rounds, for each n in ``ns``, from the
+    reference loop: one ``run_round`` per round on ``rand.child(r)``, with
+    the bits and the mode drawn from ``bit_source`` first."""
+    if rand is None:
+        rand = bit_source.child(-1)
+    outcome_conv, expectation_conv = conventions
+    stats = SessionStats(n_rounds=0, bit_seed=bit_source.seed, round_seed=rand.seed)
+    snapshots = []
+    configs = {}
+    for r in range(max(ns)):
+        k = int(bit_source.random() < 0.5)
+        l = int(bit_source.random() < 0.5)
+        i = int(bit_source.random() < 0.5)
+        j = int(bit_source.random() < 0.5)
+        mode = Mode.CONTROL if bit_source.random() < control_fraction else Mode.MESSAGE
+        config = configs.get((k, l, i, j, mode))
+        if config is None:
+            config = configs[k, l, i, j, mode] = RoundConfig(
+                (k, l), (i, j), mode, outcome_conv, expectation_conv, comparison
+            )
+        transcript = run_round(config, eve, rand.child(r))
+        if mode is Mode.CONTROL:
+            stats.control_rounds += 1
+            stats.detections += bool(transcript.detected)
+        else:
+            stats.message_rounds += 1
+            da, db = transcript.decoded_alice_bits, transcript.decoded_bob_bits
+            if da != (i, j):
+                stats.alice_pair_errors += 1
+            if db != (k, l):
+                stats.bob_pair_errors += 1
+            stats.alice_bit_errors[0] += da[0] != i
+            stats.alice_bit_errors[1] += da[1] != j
+            stats.bob_bit_errors[0] += db[0] != k
+            stats.bob_bit_errors[1] += db[1] != l
+        if r + 1 in ns:
+            snapshot = copy.deepcopy(stats)
+            snapshot.n_rounds = r + 1
+            if snapshot.control_rounds:
+                snapshot.detection_rate = snapshot.detections / snapshot.control_rounds
+                snapshot.survival_probability = (
+                    (1.0 - snapshot.detection_rate) ** snapshot.control_rounds
+                )
+            snapshots.append(snapshot)
+    return snapshots
 
 
 class TestExpectedOutcome:
@@ -172,6 +224,39 @@ class TestSession:
         stats = run_session(10, 0.0, RandomSource(77), Passive())
         assert stats.bit_seed == 77
         assert stats.generator_id == RandomSource.GENERATOR_ID
+
+
+class TestSessionTable:
+    """``run_session`` resolves rounds by lookup; the reference loop runs
+    ``run_round`` per round.  The two must agree exactly."""
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_equals_reference_loop(self, attack):
+        # n = 1 and a small odd n over every convention/comparison combo,
+        # seed and control fraction; 300 mixed rounds on the last seed
+        for (oc, ec, comp), seed, fraction in product(
+            ALL_COMBOS, MC_SEEDS, (0.0, 1.0, 0.5)
+        ):
+            ns = (1, 37, 300) if (seed, fraction) == (MC_SEEDS[-1], 0.5) else (1, 37)
+            want = reference_sessions(ns, fraction, RandomSource(seed), attack,
+                                      (oc, ec), comparison=comp)
+            for n, expected in zip(ns, want):
+                got = run_session(n, fraction, RandomSource(seed), attack,
+                                  (oc, ec), comparison=comp)
+                assert got == expected
+
+    @pytest.mark.parametrize("attack", [
+        InterceptMeasure(Route.A_TO_B),
+        DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
+    ], ids=repr)
+    def test_explicit_round_source(self, attack):
+        for seed in MC_SEEDS:
+            want, = reference_sessions((120,), 0.5, RandomSource(seed), attack,
+                                       (PP, OE), RandomSource(seed + 1),
+                                       "strict-paper")
+            got = run_session(120, 0.5, RandomSource(seed), attack, (PP, OE),
+                              RandomSource(seed + 1), "strict-paper")
+            assert got == want and got.round_seed == seed + 1
 
 
 class TestValidation:
