@@ -132,8 +132,13 @@ def decode_message(
     config: RoundConfig, outcome: BellLabel
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """(Alice's bits as Bob decodes them, Bob's bits as Alice decodes them)
-    from a message-round outcome, converted to the expectation convention."""
-    if outcome.convention is not config.expectation_convention:
+    from a message-round outcome.
+
+    The XOR composition law holds for operator-encoding labels only, so a
+    parity-phase outcome is converted first; the expectation convention
+    plays no part in decoding.
+    """
+    if outcome.convention is Convention.PARITY_PHASE:
         outcome = label_map(outcome)
     k, l = config.bob_bits
     i, j = config.alice_bits

@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
+from qdialogue.analysis import message_error_rate
 from qdialogue.attacks import (
+    CoinIZ,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
@@ -112,6 +114,14 @@ class TestNoEveRounds:
         t = run_round(config, Passive(), RandomSource(5))
         assert t.detected is False
         assert t.decoded_alice_bits is None and t.decoded_bob_bits is None
+
+    @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
+    def test_decoding_under_every_label_pair(self, oc, ec):
+        for i, j, k, l in product((0, 1), repeat=4):
+            config = RoundConfig((k, l), (i, j), Mode.MESSAGE, oc, ec)
+            t = run_round(config, Passive(), RandomSource(1))
+            assert t.decoded_alice_bits == (i, j)
+            assert t.decoded_bob_bits == (k, l)
 
     def test_example_round(self):
         config = RoundConfig(bob_bits=(0, 1), alice_bits=(1, 0))
@@ -224,6 +234,43 @@ class TestSession:
         stats = run_session(10, 0.0, RandomSource(77), Passive())
         assert stats.bit_seed == 77
         assert stats.generator_id == RandomSource.GENERATOR_ID
+
+
+class TestSessionDecoding:
+    """Message rounds decode in operator-encoding labels, whatever the label
+    conventions of the outcome and the expectation."""
+
+    @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
+    @pytest.mark.parametrize("comparison", list(Comparison))
+    def test_passive_session_has_no_errors(self, oc, ec, comparison):
+        stats = run_session(400, 0.0, RandomSource(1), Passive(), (oc, ec),
+                            comparison=comparison)
+        assert stats.message_rounds == 400
+        assert stats.alice_pair_errors == 0 and stats.bob_pair_errors == 0
+        assert stats.alice_bit_errors == [0, 0] and stats.bob_bit_errors == [0, 0]
+
+    @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
+    @pytest.mark.parametrize("attack", [InterceptMeasure(Route.B_TO_A),
+                                        DisturbPauli(Route.A_TO_B, CoinIZ())],
+                             ids=repr)
+    def test_error_rates_track_exact_rates(self, attack, oc, ec):
+        stats = run_session(2000, 0.0, RandomSource(5), attack, (oc, ec))
+        exact = message_error_rate(attack)
+        observed = {
+            "alice_to_bob": stats.alice_pair_errors,
+            "bob_to_alice": stats.bob_pair_errors,
+            "alice_bit0": stats.alice_bit_errors[0],
+            "alice_bit1": stats.alice_bit_errors[1],
+            "bob_bit0": stats.bob_bit_errors[0],
+            "bob_bit1": stats.bob_bit_errors[1],
+        }
+        want = {"alice_to_bob": exact.alice_to_bob,
+                "bob_to_alice": exact.bob_to_alice, **exact.per_bit}
+        m = stats.message_rounds
+        for name, count in observed.items():
+            p = float(want[name])
+            se = (p * (1.0 - p) / m) ** 0.5
+            assert abs(count / m - p) <= 5.0 * se, name
 
 
 class TestSessionTable:
