@@ -6,7 +6,10 @@ tuples, the branches of Eve's tap action, and the four Bell outcomes, all
 weighted by exact dyadic rationals.  :func:`enumerate_exact` folds the
 protocol's detection rule over the leaves and :func:`message_error_rate`
 its message decoder.  The Monte Carlo estimator samples the same tree with
-the round simulator's float arithmetic, as a statistical cross-check.
+the round simulator's float arithmetic, as a statistical cross-check: its
+table is built from :func:`protocol.round_tree`, the float leg walk that
+:func:`protocol.run_session` samples too, and resolved with numpy, which
+only this estimator imports.
 """
 
 from __future__ import annotations

@@ -277,17 +277,16 @@ def run_session(
     # (message) and first + 2s + 1 (control)
     nodes, leaves = [], []
     for k, l, i, j in product((0, 1), repeat=4):
-        message, control = (
+        configs = [
             RoundConfig((k, l), (i, j), mode, outcome_conv, expectation_conv,
                         comparison)
             for mode in (Mode.MESSAGE, Mode.CONTROL)
-        )
+        ]
         taps, branches = round_tree(eve, (k, l), (i, j), outcome_conv)
         tap_nodes = []
         for bell_thresholds, labels in branches:
             tap_nodes.append((bell_thresholds, len(leaves)))
-            leaves += [(config, label) for label in labels
-                       for config in (message, control)]
+            leaves += [(config, label) for label in labels for config in configs]
         nodes.append((taps, tap_nodes))
 
     counts = [0] * len(leaves)

@@ -14,7 +14,10 @@ Conventions fixed project-wide:
   physical states.  ``label_map`` bridges them.
 
 Phases that are fourth roots of unity are kept exact (:class:`Phase`),
-never as floats.
+never as floats.  numpy is imported only by the functions that return
+arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`,
+:meth:`RandomSource.uniforms`), so the exact path and the round simulator
+run without it.
 """
 
 from __future__ import annotations
