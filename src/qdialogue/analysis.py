@@ -295,7 +295,7 @@ def _round_table(
         taps, branches = round_tree(attack, (k, l), (i, j), outcome_convention)
         tap_thresholds.append(taps)
         for thresholds, labels in branches:
-            bell_thresholds.append(thresholds + (math.inf,) * (3 - len(thresholds)))
+            bell_thresholds.append(thresholds + [math.inf] * (3 - len(thresholds)))
             flags = [control_detected(config, label) for label in labels]
             detected.append(flags + [False] * (4 - len(flags)))
     return (

@@ -189,7 +189,7 @@ def round_tree(
     bob_bits: tuple[int, int],
     alice_bits: tuple[int, int],
     convention: Convention,
-) -> tuple[tuple[float, ...], tuple[tuple[tuple[float, ...], tuple[BellLabel, ...]], ...]]:
+) -> tuple[tuple[float, ...], list[tuple[list[float], list[BellLabel]]]]:
     """Every way a round with these bits can go, in the round simulator's
     floats: the one leg walk of the float engines.
 
@@ -213,9 +213,9 @@ def round_tree(
     branches = []
     for state in finals:
         entries = list(bell_cumulative(state, convention))
-        branches.append((tuple(acc for acc, _label, _w in entries[:-1]),
-                         tuple(label for _acc, label, _w in entries)))
-    return thresholds, tuple(branches)
+        branches.append(([acc for acc, _label, _w in entries[:-1]],
+                         [label for _acc, label, _w in entries]))
+    return thresholds, branches
 
 
 @dataclass
