@@ -17,6 +17,10 @@ That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode` and
 :class:`Comparison` also take their string values (``"strict-paper"``);
 only :class:`RoundConfig` checks them.  :func:`control_detected` and :func:`decode_message` are the
 one detection rule and the one decoder of every engine.
+
+:func:`run_round` simulates one round and records every state;
+:func:`round_tree` lists every way a round can go in the same floats, and
+:func:`run_session` resolves each of its rounds by lookups in those trees.
 """
 
 from __future__ import annotations
