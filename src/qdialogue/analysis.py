@@ -7,7 +7,7 @@ weighted by exact dyadic rationals.  :func:`enumerate_exact` folds the
 protocol's detection rule over the leaves and :func:`message_error_rate`
 its message decoder.  The Monte Carlo estimator samples the same tree with
 the round simulator's float arithmetic, as a statistical cross-check: its
-table is built from :func:`protocol.round_tree`, the float leg walk that
+table is built from :func:`protocol.round_trees`, the float leg walk that
 :func:`protocol.run_session` samples too, and resolved with numpy, which
 only this estimator imports.
 """
@@ -38,7 +38,7 @@ from .protocol import (
     RoundConfig,
     control_detected,
     decode_message,
-    round_tree,
+    round_trees,
     run_round,
 )
 from .qcore import (
@@ -281,18 +281,19 @@ def _round_table(
     branch t, of B per tuple.  Returns B; the tap thresholds, shape
     (16, B - 1); the Bell thresholds, shape (16 B, 3); and the detected
     flag of each Bell outcome slot, shape (16 B, 4).  The thresholds are
-    those of :func:`protocol.round_tree`, the leg walk the round simulator
+    those of :func:`protocol.round_trees`, the leg walk the round simulator
     samples, with the Bell thresholds padded with +inf so that every node
     has three.
     """
     import numpy as np
 
     tap_thresholds, bell_thresholds, detected = [], [], []
-    for k, l, i, j in ALL_BIT_TUPLES:
+    for (k, l, i, j), (taps, branches) in zip(
+        ALL_BIT_TUPLES, round_trees(attack, outcome_convention)
+    ):
         config = _control_config(
             (i, j, k, l), outcome_convention, expectation_convention, comparison
         )
-        taps, branches = round_tree(attack, (k, l), (i, j), outcome_convention)
         tap_thresholds.append(taps)
         for thresholds, labels in branches:
             bell_thresholds.append(thresholds + [math.inf] * (3 - len(thresholds)))

@@ -19,7 +19,7 @@ only :class:`RoundConfig` checks them.  :func:`control_detected` and :func:`deco
 one detection rule and the one decoder of every engine.
 
 :func:`run_round` simulates one round and records every state;
-:func:`round_tree` lists every way a round can go in the same floats, and
+:func:`round_trees` lists every way a round can go in the same floats, and
 :func:`run_session` resolves each of its rounds by lookups in those trees.
 """
 
@@ -188,38 +188,45 @@ def run_round(
     )
 
 
-def round_tree(
-    eve: EveStrategy,
-    bob_bits: tuple[int, int],
-    alice_bits: tuple[int, int],
-    convention: Convention,
-) -> tuple[tuple[float, ...], list[tuple[list[float], list[BellLabel]]]]:
-    """Every way a round with these bits can go, in the round simulator's
-    floats: the one leg walk of the float engines.
+def round_trees(
+    eve: EveStrategy, convention: Convention
+) -> list[tuple[tuple[float, ...], list[tuple[list[float], list[BellLabel]]]]]:
+    """Every way a round can go, in the round simulator's floats: the one
+    leg walk of the float engines.  One entry per bit tuple (k, l, i, j),
+    at index 8k + 4l + 2i + j, the order the bits are drawn in.
 
-    Each leg as in :func:`run_round`: the sender encodes, then Eve's
-    :func:`attacks.tap_branches`.  Returns her tap thresholds and, per tap
-    branch, the Bell thresholds and labels under ``convention``.  With tap
-    draw u and Bell draw w, :func:`run_round` measures
-    ``labels[branch_index(bell_thresholds, w)]`` on branch
-    ``branch_index(tap_thresholds, u)``, drawing u only when there are tap
-    thresholds.  The Bell thresholds are the cumulative weights of the
-    nonzero labels but the last, so a draw that rounding leaves above every
-    cumulative weight falls on the last label, as in :func:`measure_bell`.
+    Each leg as in :func:`run_round`: Bob encodes (k, l) and Eve's
+    :func:`attacks.tap_branches` acts on the outbound leg, then Alice
+    encodes (i, j) and Eve acts on the return leg.  An entry holds Eve's
+    tap thresholds and, per tap branch, the Bell thresholds and labels
+    under ``convention``.  With tap draw u and Bell draw w,
+    :func:`run_round` measures ``labels[branch_index(bell_thresholds, w)]``
+    on branch ``branch_index(tap_thresholds, u)``, drawing u only when there
+    are tap thresholds.  The Bell thresholds are the cumulative weights of
+    the nonzero labels but the last, so a draw that rounding leaves above
+    every cumulative weight falls on the last label, as in
+    :func:`measure_bell`.
     """
-    thresholds, finals = (), [bell_state(Convention.OPERATOR_ENCODING, 0, 0)]
-    # a strategy taps one leg, so at most one of the two taps draws
-    for code, route in ((PauliCode(*bob_bits), Route.B_TO_A),
-                        (PauliCode(*alice_bits), Route.A_TO_B)):
-        taps = [tap_branches(eve, route, apply_pauli_t(s, code)) for s in finals]
-        thresholds += taps[0][0]
-        finals = [leaf for _thresholds, leaves in taps for leaf in leaves]
-    branches = []
-    for state in finals:
-        entries = list(bell_cumulative(state, convention))
-        branches.append(([acc for acc, _label, _w in entries[:-1]],
-                         [label for _acc, label, _w in entries]))
-    return thresholds, branches
+    prepared = bell_state(Convention.OPERATOR_ENCODING, 0, 0)
+    codes = [PauliCode(a, b) for a, b in product((0, 1), repeat=2)]
+    trees = []
+    for bob_code in codes:
+        outbound, forwarded = tap_branches(
+            eve, Route.B_TO_A, apply_pauli_t(prepared, bob_code)
+        )
+        for alice_code in codes:
+            taps = [tap_branches(eve, Route.A_TO_B, apply_pauli_t(s, alice_code))
+                    for s in forwarded]
+            # a strategy taps one leg, so at most one of the two taps draws
+            thresholds = outbound + taps[0][0]
+            branches = []
+            for _thresholds, finals in taps:
+                for state in finals:
+                    entries = list(bell_cumulative(state, convention))
+                    branches.append(([acc for acc, _label, _w in entries[:-1]],
+                                     [label for _acc, label, _w in entries]))
+            trees.append((thresholds, branches))
+    return trees
 
 
 @dataclass
@@ -261,9 +268,9 @@ def run_session(
     :func:`run_round` consumes them.  Deterministic for fixed seeds.
 
     The rounds are not simulated one by one: each resolves its draws by
-    lookups in one :func:`round_tree` per bit tuple, built once per call,
-    and the session counts how often each (bits, tap branch, Bell slot,
-    mode) leaf is reached.  The stats fold :func:`control_detected` and
+    lookups in the :func:`round_trees`, built once per call, and the
+    session counts how often each (bits, tap branch, Bell slot, mode) leaf
+    is reached.  The stats fold :func:`control_detected` and
     :func:`decode_message` over those counts, so they are the ones a loop
     of :func:`run_round` calls gives.
     """
@@ -280,13 +287,13 @@ def run_session(
     # the branch's first leaf; the leaves of Bell slot s are at first + 2s
     # (message) and first + 2s + 1 (control)
     nodes, leaves = [], []
-    for k, l, i, j in product((0, 1), repeat=4):
+    for (k, l, i, j), (taps, branches) in zip(product((0, 1), repeat=4),
+                                             round_trees(eve, outcome_conv)):
         configs = [
             RoundConfig((k, l), (i, j), mode, outcome_conv, expectation_conv,
                         comparison)
             for mode in (Mode.MESSAGE, Mode.CONTROL)
         ]
-        taps, branches = round_tree(eve, (k, l), (i, j), outcome_conv)
         tap_nodes = []
         for bell_thresholds, labels in branches:
             tap_nodes.append((bell_thresholds, len(leaves)))
