@@ -268,9 +268,9 @@ def run_session(
     :func:`run_round` consumes them.  Deterministic for fixed seeds.
 
     The rounds are not simulated one by one: each resolves its draws by
-    lookups in the :func:`round_trees`, built once per call, and the
-    session counts how often each (bits, tap branch, Bell slot, mode) leaf
-    is reached.  The stats fold :func:`control_detected` and
+    lookups in the trees of :func:`round_trees`, built once per call, and
+    the session counts how often each (bits, tap branch, Bell slot, mode)
+    leaf is reached.  The stats fold :func:`control_detected` and
     :func:`decode_message` over those counts, so they are the ones a loop
     of :func:`run_round` calls gives.
     """
