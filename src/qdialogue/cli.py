@@ -43,12 +43,17 @@ from .qcore import Convention, InvariantError, RandomSource
 
 
 class UsageError(Exception):
-    pass
+    """Bad command-line input; ``parser`` is the parser that rejected it,
+    if argparse did."""
+
+    def __init__(self, message: str, parser: Optional[argparse.ArgumentParser] = None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        raise UsageError(message)
+        raise UsageError(message, self)
 
 
 def _frac(f: Fraction) -> str:
@@ -344,11 +349,11 @@ def _build_parser() -> _Parser:
     _add_attack_flags(p)
     _add_convention_flags(p)
     _add_format_flag(p)
-    p.set_defaults(func=_cmd_exact)
+    p.set_defaults(func=_cmd_exact, parser=p)
 
     p = sub.add_parser("table", help="published intercept-measure case table")
     _add_format_flag(p)
-    p.set_defaults(func=_cmd_table, format="text")
+    p.set_defaults(func=_cmd_table, format="text", parser=p)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo session")
     _add_attack_flags(p)
@@ -357,7 +362,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rounds", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--control-fraction", type=float, default=1.0)
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_mc, parser=p)
 
     p = sub.add_parser("round", help="single-round transcript dump")
     _add_attack_flags(p)
@@ -367,25 +372,29 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=[mode.value for mode in Mode],
                    default=Mode.MESSAGE.value)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_round)
+    p.set_defaults(func=_cmd_round, parser=p)
 
     p = sub.add_parser("compare", help="side-by-side claims report")
     _add_format_flag(p, choices=("json", "text"))
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, parser=p)
 
     return parser
 
 
 def run_cli(argv) -> int:
     parser = _build_parser()
+    usage = parser  # the failing subcommand's parser, once one is known
     try:
-        args = parser.parse_args(list(argv))
+        args, extras = parser.parse_known_args(list(argv))
+        usage = args.parser
+        if extras:
+            usage.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        (exc.parser or usage).print_usage(sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

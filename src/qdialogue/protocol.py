@@ -25,6 +25,7 @@ one detection rule and the one decoder of every engine.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -265,7 +266,10 @@ def run_session(
     below ``control_fraction``.  Round r then runs on the child stream
     ``rand.child(r)``, so results do not depend on evaluation order: Eve's
     tap draw when her strategy draws, then the Bell draw, exactly as
-    :func:`run_round` consumes them.  Deterministic for fixed seeds.
+    :func:`run_round` consumes them.  Deterministic for fixed seeds.  The
+    streams are the children's by definition, but no child source is
+    built: one generator per call is reseeded with
+    :meth:`RandomSource.child_seed` for each round.
 
     The rounds are not simulated one by one: each resolves its draws by
     lookups in the trees of :func:`round_trees`, built once per call, and
@@ -302,16 +306,22 @@ def run_session(
 
     counts = [0] * len(leaves)
     draw = bit_source.random
+    child_seed = rand.child_seed
+    # round r draws rand.child(r)'s stream from one reseeded generator; given
+    # an int, random.Random.seed only type-checks it and clears the gauss
+    # cache around the Mersenne Twister seeding, which is called directly
+    child = random.Random()
+    reseed, child_draw = super(random.Random, child).seed, child.random
     for r in range(n_rounds):
         node = ((draw() < 0.5) * 8 + (draw() < 0.5) * 4
                 + (draw() < 0.5) * 2 + (draw() < 0.5))
         control = draw() < control_fraction
-        child = rand.child(r)
+        reseed(child_seed(r))
         taps, tap_nodes = nodes[node]
         bell_thresholds, first = tap_nodes[
-            branch_index(taps, child.random()) if taps else 0
+            branch_index(taps, child_draw()) if taps else 0
         ]
-        counts[first + 2 * branch_index(bell_thresholds, child.random())
+        counts[first + 2 * branch_index(bell_thresholds, child_draw())
                + control] += 1
 
     stats = SessionStats(

@@ -332,16 +332,19 @@ def label_map(label: BellLabel) -> BellLabel:
 class RandomSource:
     """Seedable uniform-[0,1) stream (Mersenne Twister via random.Random).
 
-    Identical seeds give bit-identical streams.  Child streams for round
-    ``index`` are derived by reseeding with SHA-256 of ``"seed:index"``,
-    so parallel evaluation order cannot change results.  Seeds are integers
-    in [0, 2**64), the width of a child seed: others raise ValueError, and
-    floats and bools raise TypeError rather than being truncated.
+    Identical seeds give bit-identical streams.  Child stream ``index`` is
+    Mersenne Twister seeded with :meth:`child_seed`, derived from SHA-256 of
+    ``"seed:index"``, so parallel evaluation order cannot change results.
+    :meth:`child` wraps that stream in a new source;
+    :func:`protocol.run_session` reaches the same streams by reseeding one
+    generator per call.  Seeds are integers in [0, 2**64), the width of a
+    child seed: others raise ValueError, and floats and bools raise
+    TypeError rather than being truncated.
     """
 
     GENERATOR_ID = "mt19937:python-random:sha256-substreams"
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("seed", "_rng", "_prefix")
 
     def __init__(self, seed: int):
         if isinstance(seed, bool):
@@ -351,6 +354,7 @@ class RandomSource:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
+        self._prefix = hashlib.sha256(f"{seed}:".encode())
 
     def random(self) -> float:
         return self._rng.random()
@@ -378,9 +382,16 @@ class RandomSource:
         mantissa |= pairs >> 38
         return mantissa * (1.0 / 9007199254740992.0)
 
+    def child_seed(self, index: int) -> int:
+        """The seed of child stream ``index``: the first 8 bytes, big-endian,
+        of SHA-256 of ``"seed:index"``.  The ``"seed:"`` prefix is hashed
+        once per source and copied for each index."""
+        digest = self._prefix.copy()
+        digest.update(f"{index}".encode())
+        return int.from_bytes(digest.digest()[:8], "big")
+
     def child(self, index: int) -> "RandomSource":
-        digest = hashlib.sha256(f"{self.seed}:{index}".encode()).digest()
-        return RandomSource(int.from_bytes(digest[:8], "big"))
+        return RandomSource(self.child_seed(index))
 
 
 def branch_index(thresholds, u):

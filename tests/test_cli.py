@@ -296,6 +296,25 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0 and "exact" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("round", "--bits", "01"),          # rejected by the command
+        ("exact", "--frobnicate"),          # unknown to the subcommand
+        ("mc", "--rounds", "x"),            # rejected by argparse
+        ("table", "--format", "xml"),
+        ("compare", "--format", "csv"),
+        ("mc", "--attack", "none", "--uv", "11"),
+    ])
+    def test_usage_error_shows_subcommand_usage(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"usage: qdialogue {argv[0]} [-h]" in err
+
+    @pytest.mark.parametrize("argv", [(), ("bogus",)])
+    def test_top_level_error_shows_top_level_usage(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "usage: qdialogue [-h] [--version]" in err
+
     def test_invariant_violation_exits_two(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise InvariantError("snapshot lost normalization")
@@ -346,3 +365,4 @@ def test_goldens_without_numpy(argv, golden):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
+

@@ -1,6 +1,7 @@
 """Round choreography: determinism without Eve, decoding, mode blindness."""
 
 import copy
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -304,6 +305,35 @@ class TestSessionTable:
             got = run_session(120, 0.5, RandomSource(seed), attack, (PP, OE),
                               RandomSource(seed + 1), "strict-paper")
             assert got == want and got.round_seed == seed + 1
+
+
+class TestSessionStreams:
+    """Rounds reach their child streams by reseeding one generator, so a
+    session builds at most one source: the default round source."""
+
+    @staticmethod
+    def count_sources(monkeypatch):
+        calls = Counter()
+        for name in ("__init__", "child"):
+            method = getattr(RandomSource, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(RandomSource, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("attack", [Passive(), InterceptMeasure(),
+                                        DisturbPauli(selection=CoinIZ())], ids=repr)
+    def test_one_child_per_session(self, monkeypatch, attack):
+        bits, rounds = RandomSource(3), RandomSource(4)
+        calls = self.count_sources(monkeypatch)
+        run_session(300, 0.5, bits, attack)
+        assert calls == {"__init__": 1, "child": 1}
+        calls.clear()
+        run_session(300, 0.5, bits, attack, rand=rounds)
+        assert not calls
 
 
 class TestValidation:

@@ -309,6 +309,31 @@ class TestRandomSource:
         assert c1.seed == again.seed and c1.random() == again.random()
         assert c1.seed != c2.seed
 
+    #: child seeds per parent seed, at indices -1, 0, 1 and 1999, frozen at
+    #: the derivation GENERATOR_ID names
+    CHILD_SEEDS = {
+        0: (997040296996427668, 12426054289685354689,
+            17227200041832915037, 10008628102887744597),
+        7: (7825412269004710582, 17725994237439495539,
+            15537646209016443107, 5728807303212833491),
+        2**40 + 3: (8034739248301797521, 7980578700046006412,
+                    8247978811280894110, 16342618095496934607),
+        2**64 - 1: (12620796993025269960, 11846742035748648892,
+                    12939514725974779477, 2137968402039253336),
+    }
+
+    @pytest.mark.parametrize("seed", list(CHILD_SEEDS))
+    def test_child_seeds_frozen(self, seed):
+        source = RandomSource(seed)
+        for index, want in zip((-1, 0, 1, 1999), self.CHILD_SEEDS[seed]):
+            assert source.child(index).seed == want
+            assert source.child_seed(index) == want
+
+    def test_child_stream_frozen(self):
+        child = RandomSource(7).child(1999)
+        assert (child.random(), child.random()) == (0.28419116538611955,
+                                                    0.9788204915908097)
+
     def test_seed_range(self):
         assert RandomSource(2**64 - 1).seed == 2**64 - 1
         for seed in (-1, 2**64):
