@@ -120,15 +120,13 @@ def _attack_echo(attack: EveStrategy) -> dict:
             "selection": {"rule": sel.rule, **vars(sel)}}
 
 
-def _envelope(command: str, payload, args: Optional[argparse.Namespace] = None,
+def _envelope(command: str, payload, conventions: Optional[tuple] = None,
               seed: Optional[int] = None) -> dict:
     env = {"tool_version": __version__, "command": command, "payload": payload}
-    if args is not None and hasattr(args, "comparison"):
-        env["conventions"] = {
-            "outcome_labels": args.outcome_labels,
-            "expected_labels": args.expected_labels,
-            "comparison": args.comparison,
-        }
+    if conventions is not None:
+        env["conventions"] = dict(zip(
+            ("outcome_labels", "expected_labels", "comparison"), conventions
+        ))
     if seed is not None:
         env["seed"] = seed
         env["generator_id"] = RandomSource.GENERATOR_ID
@@ -154,8 +152,11 @@ def _report_rows(report: DetectionReport) -> list[dict]:
     return rows
 
 
-def _emit_report(report: DetectionReport, fmt: str, command: str,
-                 args: argparse.Namespace) -> None:
+def _convention_flags(args: argparse.Namespace) -> tuple[str, str, str]:
+    return args.outcome_labels, args.expected_labels, args.comparison
+
+
+def _emit_report(report: DetectionReport, fmt: str, command: str) -> None:
     if fmt == "json":
         payload = {
             "attack": _attack_echo(report.attack),
@@ -169,7 +170,10 @@ def _emit_report(report: DetectionReport, fmt: str, command: str,
             payload["per_selection"] = {
                 f"{u}{v}": _frac(d) for (u, v), d in report.per_selection.items()
             }
-        _emit_json(_envelope(command, payload, args))
+        conventions = (report.outcome_convention.value,
+                       report.expectation_convention.value,
+                       report.comparison.value)
+        _emit_json(_envelope(command, payload, conventions))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["branch", "m", "n", "J", "numerator", "denominator"])
@@ -195,16 +199,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         expectation_convention=Convention(args.expected_labels),
         comparison=args.comparison,
     )
-    _emit_report(report, args.format, "exact", args)
+    _emit_report(report, args.format, "exact")
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    report = paper_case_table()
-    # fixed convention echo for the table
-    args.outcome_labels, args.expected_labels = "pp", "oe"
-    args.comparison = "strict-paper"
-    _emit_report(report, args.format, "table", args)
+    _emit_report(paper_case_table(), args.format, "table")
     return 0
 
 
@@ -262,7 +262,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         print(f"survival probability {_flt(stats.survival_probability)}")
         print(f"seed = {seed} generator = {stats.generator_id}")
     else:
-        _emit_json(_envelope("mc", payload, args, seed=seed))
+        _emit_json(_envelope("mc", payload, _convention_flags(args), seed=seed))
     return 0
 
 
@@ -314,7 +314,8 @@ def _cmd_round(args: argparse.Namespace) -> int:
         "decoded_bob_bits": list(t.decoded_bob_bits) if t.decoded_bob_bits else None,
         "detected": t.detected,
     }
-    _emit_json(_envelope("round", payload, args, seed=source.seed))
+    _emit_json(_envelope("round", payload, _convention_flags(args),
+                         seed=source.seed))
     return 0
 
 
@@ -385,9 +386,13 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     usage = parser  # the failing subcommand's parser, once one is known
     try:
-        args, extras = parser.parse_known_args(list(argv))
+        argv = list(argv)
+        args, extras = parser.parse_known_args(argv)
         usage = args.parser
         if extras:
+            # extras before the subcommand token are the top level's
+            if set(extras) & set(argv[:argv.index(args.subcommand)]):
+                usage = parser
             usage.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
     except SystemExit as exc:  # --help / --version

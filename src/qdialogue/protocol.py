@@ -20,12 +20,13 @@ one detection rule and the one decoder of every engine.
 
 :func:`run_round` simulates one round and records every state;
 :func:`round_trees` lists every way a round can go in the same floats, and
-:func:`run_session` resolves each of its rounds by lookups in those trees.
+:func:`run_session` resolves each of its rounds by lookups in those trees,
+taking the draws a loop of :func:`run_round` on one stream takes.
 """
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -42,7 +43,6 @@ from .qcore import (
     apply_pauli_t,
     bell_cumulative,
     bell_state,
-    branch_index,
     label_map,
     measure_bell,
 )
@@ -243,7 +243,6 @@ class SessionStats:
     detection_rate: float = 0.0
     survival_probability: float = 1.0
     bit_seed: int = 0
-    round_seed: int = 0
     generator_id: str = RandomSource.GENERATOR_ID
 
 
@@ -256,20 +255,19 @@ def run_session(
         Convention.OPERATOR_ENCODING,
         Convention.OPERATOR_ENCODING,
     ),
-    rand: Optional[RandomSource] = None,
     comparison: Comparison = Comparison.CONVERTED,
 ) -> SessionStats:
     """Run a session of rounds with uniform random bits and random mode draws.
 
-    Each round takes five draws from ``bit_source``: the bits k, l, i, j,
-    each 1 when its draw is below 1/2, then control mode when the fifth is
-    below ``control_fraction``.  Round r then runs on the child stream
-    ``rand.child(r)``, so results do not depend on evaluation order: Eve's
-    tap draw when her strategy draws, then the Bell draw, exactly as
-    :func:`run_round` consumes them.  Deterministic for fixed seeds.  The
-    streams are the children's by definition, but no child source is
-    built: one generator per call is reseeded with
-    :meth:`RandomSource.child_seed` for each round.
+    Every draw comes from the one sequential stream ``bit_source``, round
+    after round.  A round takes the bits k, l, i, j, each 1 when its draw is
+    below 1/2; then, only when ``0 < control_fraction < 1``, the mode draw,
+    control when it is below ``control_fraction`` (fraction 0 is always
+    message, 1 always control); then Eve's tap draw when her strategy draws;
+    then the Bell draw.  The last two are taken as :func:`run_round`
+    consumes them, so the session is a loop of :func:`run_round` on
+    ``bit_source``, and at fraction 1 it is the stream layout of
+    :func:`analysis.monte_carlo`.  Deterministic for a fixed seed.
 
     The rounds are not simulated one by one: each resolves its draws by
     lookups in the trees of :func:`round_trees`, built once per call, and
@@ -282,8 +280,6 @@ def run_session(
         raise ValueError("n_rounds must be >= 1")
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
-    if rand is None:
-        rand = bit_source.child(-1)
 
     outcome_conv, expectation_conv = conventions
     # node k l i j (bits read as a binary number, in draw order): the tap
@@ -306,29 +302,20 @@ def run_session(
 
     counts = [0] * len(leaves)
     draw = bit_source.random
-    child_seed = rand.child_seed
-    # round r draws rand.child(r)'s stream from one reseeded generator; given
-    # an int, random.Random.seed only type-checks it and clears the gauss
-    # cache around the Mersenne Twister seeding, which is called directly
-    child = random.Random()
-    reseed, child_draw = super(random.Random, child).seed, child.random
-    for r in range(n_rounds):
+    mixed = 0.0 < control_fraction < 1.0
+    control = control_fraction == 1.0
+    # the thresholds ascend, so bisect_right counts those at or below a
+    # draw, as branch_index does, without a Python-level call
+    for _ in range(n_rounds):
         node = ((draw() < 0.5) * 8 + (draw() < 0.5) * 4
                 + (draw() < 0.5) * 2 + (draw() < 0.5))
-        control = draw() < control_fraction
-        reseed(child_seed(r))
+        if mixed:
+            control = draw() < control_fraction
         taps, tap_nodes = nodes[node]
-        bell_thresholds, first = tap_nodes[
-            branch_index(taps, child_draw()) if taps else 0
-        ]
-        counts[first + 2 * branch_index(bell_thresholds, child_draw())
-               + control] += 1
+        bell_thresholds, first = tap_nodes[bisect_right(taps, draw()) if taps else 0]
+        counts[first + 2 * bisect_right(bell_thresholds, draw()) + control] += 1
 
-    stats = SessionStats(
-        n_rounds=n_rounds,
-        bit_seed=bit_source.seed,
-        round_seed=rand.seed,
-    )
+    stats = SessionStats(n_rounds=n_rounds, bit_seed=bit_source.seed)
     for (config, outcome), count in zip(leaves, counts):
         if not count:
             continue

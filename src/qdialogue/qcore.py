@@ -22,7 +22,6 @@ run without it.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import random
 from dataclasses import dataclass
@@ -332,19 +331,19 @@ def label_map(label: BellLabel) -> BellLabel:
 class RandomSource:
     """Seedable uniform-[0,1) stream (Mersenne Twister via random.Random).
 
-    Identical seeds give bit-identical streams.  Child stream ``index`` is
-    Mersenne Twister seeded with :meth:`child_seed`, derived from SHA-256 of
-    ``"seed:index"``, so parallel evaluation order cannot change results.
-    :meth:`child` wraps that stream in a new source;
-    :func:`protocol.run_session` reaches the same streams by reseeding one
-    generator per call.  Seeds are integers in [0, 2**64), the width of a
-    child seed: others raise ValueError, and floats and bools raise
-    TypeError rather than being truncated.
+    Identical seeds give bit-identical streams.  Every engine draws from one
+    such stream in sequence, so a result depends on the order of its draws:
+    :func:`protocol.run_session` and :func:`analysis.monte_carlo` document
+    theirs.  :meth:`child` gives an independent stream ``index``, Mersenne
+    Twister seeded with :meth:`child_seed`, derived from SHA-256 of
+    ``"seed:index"``; no engine uses it.  Seeds are integers in [0, 2**64),
+    the width of a child seed: others raise ValueError, and floats and bools
+    raise TypeError rather than being truncated.
     """
 
-    GENERATOR_ID = "mt19937:python-random:sha256-substreams"
+    GENERATOR_ID = "mt19937:python-random:single-stream"
 
-    __slots__ = ("seed", "_rng", "_prefix")
+    __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int):
         if isinstance(seed, bool):
@@ -354,7 +353,6 @@ class RandomSource:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
-        self._prefix = hashlib.sha256(f"{seed}:".encode())
 
     def random(self) -> float:
         return self._rng.random()
@@ -384,11 +382,11 @@ class RandomSource:
 
     def child_seed(self, index: int) -> int:
         """The seed of child stream ``index``: the first 8 bytes, big-endian,
-        of SHA-256 of ``"seed:index"``.  The ``"seed:"`` prefix is hashed
-        once per source and copied for each index."""
-        digest = self._prefix.copy()
-        digest.update(f"{index}".encode())
-        return int.from_bytes(digest.digest()[:8], "big")
+        of SHA-256 of ``"seed:index"``."""
+        import hashlib
+
+        digest = hashlib.sha256(f"{self.seed}:{index}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
 
     def child(self, index: int) -> "RandomSource":
         return RandomSource(self.child_seed(index))
@@ -465,14 +463,16 @@ def bell_cumulative(
 def measure_bell(
     state: TwoQubitState, convention: Convention, rand: RandomSource
 ) -> tuple[BellLabel, float]:
-    """Bell measurement under a convention: draws a label by its Born weight."""
+    """Bell measurement under a convention: draws a label by its Born weight,
+    the last nonzero one when rounding leaves the draw above every cumulative
+    weight.  Weights that sum below ``1 - ALG_TOL`` raise InvariantError."""
     u = rand.random()
-    last = (_BELL_LABELS[(convention, 0, 0)], 0.0)
-    for acc, label, w in bell_cumulative(state, convention):
-        last = (label, w)
-        if u < acc:
-            break
-    return last
+    entries = list(bell_cumulative(state, convention))
+    total = entries[-1][0] if entries else 0.0
+    if total < 1.0 - ALG_TOL:
+        raise InvariantError(f"Bell weights sum to {total!r}, not 1")
+    _acc, label, w = next((e for e in entries if u < e[0]), entries[-1])
+    return label, w
 
 
 def equal_up_to_global_phase(

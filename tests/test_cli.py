@@ -309,7 +309,11 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert f"usage: qdialogue {argv[0]} [-h]" in err
 
-    @pytest.mark.parametrize("argv", [(), ("bogus",)])
+    @pytest.mark.parametrize("argv", [
+        (), ("bogus",),
+        ("--bogus", "exact"),                # unknown before the subcommand
+        ("--seed=3", "mc", "--bogus"),
+    ])
     def test_top_level_error_shows_top_level_usage(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
@@ -341,6 +345,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "home qubit" in err and "Traceback" not in err
 
+    def test_lost_bell_weight_in_round_exits_two(self, capsys, monkeypatch):
+        # the prepared pair with one of its two amplitudes dropped
+        dropped = TwoQubitState._unsafe((0j, SQRT_HALF + 0j, 0j, 0j))
+        monkeypatch.setattr("qdialogue.protocol.bell_state",
+                            lambda convention, k, l: dropped)
+        code, out, err = invoke(capsys, "round", "--bits", "0111", "--seed", "3")
+        assert code == 2 and out == ""
+        assert "Bell weights" in err and "Traceback" not in err
+
     def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
         # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
         skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
@@ -366,3 +379,15 @@ def test_goldens_without_numpy(argv, golden):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
 
+
+def test_cli_import_loads_neither_hashlib_nor_numpy():
+    """The CLI module imports in a fresh interpreter without hashlib (only
+    child streams use it) or numpy (only the bulk Monte Carlo engine)."""
+    program = ("import sys\n"
+               "import qdialogue.cli\n"
+               "print(sorted({'hashlib', 'numpy'} & set(sys.modules)))\n")
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -38,6 +38,8 @@ SUBCOMMAND_FLAGS = {
     "compare": ("--format",),
 }
 JUNK = ("", "-", "--", "x", "--bogus", "exact", "--seed=3")
+#: unknown flags given before the subcommand
+TOP_LEVEL_JUNK = ("--bogus", "--seed=3", "-x")
 
 
 @st.composite
@@ -49,6 +51,8 @@ def argvs(draw) -> list[str]:
                                 + JUNK + ("-h", "--version")))
     known = SUBCOMMAND_FLAGS.get(head, ())
     argv = [head]
+    if known and not draw(st.integers(0, 5)):  # a flag the top level lacks
+        argv.insert(0, draw(st.sampled_from(TOP_LEVEL_JUNK)))
     if head == "round" and draw(st.integers(0, 4)):  # --bits is required
         argv += ["--bits", draw(st.sampled_from(sum(FLAG_VALUES["--bits"], ())))]
     for _ in range(draw(st.integers(0, 6))):
@@ -77,8 +81,12 @@ def _run_captured(argv: list[str]) -> tuple[int, str, str]:
 @given(argvs())
 def test_argv_fuzz(argv):
     """Any mix of subcommands, flags and junk exits 0 or 1 without a
-    traceback, and a repeat prints the same stdout."""
+    traceback, a repeat prints the same stdout, and an unknown flag before
+    the subcommand is reported with the top-level usage."""
     code, out, err = _run_captured(argv)
     assert code in (0, 1), (argv, err)
     assert "Traceback" not in err
     assert _run_captured(argv)[:2] == (code, out)
+    # unknown flags before the subcommand are the top level's to report
+    if f"unrecognized arguments: {argv[0]}" in err and argv[0] in TOP_LEVEL_JUNK:
+        assert "usage: qdialogue [-h] [--version]" in err, argv

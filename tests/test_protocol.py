@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from qdialogue.analysis import message_error_rate
+from qdialogue.analysis import message_error_rate, monte_carlo
 from qdialogue.attacks import (
     CoinIZ,
     DisturbPauli,
@@ -32,14 +32,13 @@ PP = Convention.PARITY_PHASE
 
 
 def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
-                       rand=None, comparison=Comparison.CONVERTED):
+                       comparison=Comparison.CONVERTED):
     """The SessionStats of the first n rounds, for each n in ``ns``, from the
-    reference loop: one ``run_round`` per round on ``rand.child(r)``, with
-    the bits and the mode drawn from ``bit_source`` first."""
-    if rand is None:
-        rand = bit_source.child(-1)
+    reference loop: one ``run_round`` per round on ``bit_source``, after the
+    bits and, at a fraction strictly between 0 and 1, the mode drawn from
+    the same stream."""
     outcome_conv, expectation_conv = conventions
-    stats = SessionStats(n_rounds=0, bit_seed=bit_source.seed, round_seed=rand.seed)
+    stats = SessionStats(n_rounds=0, bit_seed=bit_source.seed)
     snapshots = []
     configs = {}
     for r in range(max(ns)):
@@ -47,13 +46,17 @@ def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
         l = int(bit_source.random() < 0.5)
         i = int(bit_source.random() < 0.5)
         j = int(bit_source.random() < 0.5)
-        mode = Mode.CONTROL if bit_source.random() < control_fraction else Mode.MESSAGE
+        if 0.0 < control_fraction < 1.0:
+            control = bit_source.random() < control_fraction
+        else:
+            control = control_fraction == 1.0
+        mode = Mode.CONTROL if control else Mode.MESSAGE
         config = configs.get((k, l, i, j, mode))
         if config is None:
             config = configs[k, l, i, j, mode] = RoundConfig(
                 (k, l), (i, j), mode, outcome_conv, expectation_conv, comparison
             )
-        transcript = run_round(config, eve, rand.child(r))
+        transcript = run_round(config, eve, bit_source)
         if mode is Mode.CONTROL:
             stats.control_rounds += 1
             stats.detections += bool(transcript.detected)
@@ -276,16 +279,17 @@ class TestSessionDecoding:
 
 class TestSessionTable:
     """``run_session`` resolves rounds by lookup; the reference loop runs
-    ``run_round`` per round.  The two must agree exactly."""
+    ``run_round`` per round on the same stream.  The two must agree
+    exactly."""
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_equals_reference_loop(self, attack):
         # n = 1 and a small odd n over every convention/comparison combo,
-        # seed and control fraction; 300 mixed rounds on the last seed
+        # seed and control fraction; 300 rounds on the last seed
         for (oc, ec, comp), seed, fraction in product(
             ALL_COMBOS, MC_SEEDS, (0.0, 1.0, 0.5)
         ):
-            ns = (1, 37, 300) if (seed, fraction) == (MC_SEEDS[-1], 0.5) else (1, 37)
+            ns = (1, 37, 300) if seed == MC_SEEDS[-1] else (1, 37)
             want = reference_sessions(ns, fraction, RandomSource(seed), attack,
                                       (oc, ec), comparison=comp)
             for n, expected in zip(ns, want):
@@ -297,24 +301,33 @@ class TestSessionTable:
         InterceptMeasure(Route.A_TO_B),
         DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
     ], ids=repr)
-    def test_explicit_round_source(self, attack):
+    def test_explicit_comparison(self, attack):
         for seed in MC_SEEDS:
             want, = reference_sessions((120,), 0.5, RandomSource(seed), attack,
-                                       (PP, OE), RandomSource(seed + 1),
-                                       "strict-paper")
+                                       (PP, OE), "strict-paper")
             got = run_session(120, 0.5, RandomSource(seed), attack, (PP, OE),
-                              RandomSource(seed + 1), "strict-paper")
-            assert got == want and got.round_seed == seed + 1
+                              "strict-paper")
+            assert got == want
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_control_session_is_monte_carlo(self, attack):
+        # at fraction 1 both engines read the one stream in the same layout
+        n = 2053
+        for (oc, ec, comp), seed in product(ALL_COMBOS, MC_SEEDS):
+            stats = run_session(n, 1.0, RandomSource(seed), attack, (oc, ec),
+                                comparison=comp)
+            estimate = monte_carlo(attack, oc, ec, comp, n=n, seed=seed)
+            assert stats.detections == round(estimate.mean * n)
 
 
 class TestSessionStreams:
-    """Rounds reach their child streams by reseeding one generator, so a
-    session builds at most one source: the default round source."""
+    """A session draws from its one source: it builds no other and derives
+    no child stream."""
 
     @staticmethod
     def count_sources(monkeypatch):
         calls = Counter()
-        for name in ("__init__", "child"):
+        for name in ("__init__", "child", "child_seed"):
             method = getattr(RandomSource, name)
 
             def counted(self, *args, _name=name, _method=method):
@@ -326,13 +339,10 @@ class TestSessionStreams:
 
     @pytest.mark.parametrize("attack", [Passive(), InterceptMeasure(),
                                         DisturbPauli(selection=CoinIZ())], ids=repr)
-    def test_one_child_per_session(self, monkeypatch, attack):
-        bits, rounds = RandomSource(3), RandomSource(4)
+    def test_no_source_per_session(self, monkeypatch, attack):
+        bits = RandomSource(3)
         calls = self.count_sources(monkeypatch)
         run_session(300, 0.5, bits, attack)
-        assert calls == {"__init__": 1, "child": 1}
-        calls.clear()
-        run_session(300, 0.5, bits, attack, rand=rounds)
         assert not calls
 
 

@@ -11,6 +11,7 @@ from qdialogue.qcore import (
     BELL_LABEL_ORDER,
     BellLabel,
     Convention,
+    InvariantError,
     PauliCode,
     Phase,
     RandomSource,
@@ -270,6 +271,26 @@ class TestMeasurement:
             seen_oe.add(label.bits())
         assert seen_pp == {(0, 1), (1, 1)}
         assert seen_oe == {(0, 0), (1, 1)}
+
+    def test_bell_measurement_rejects_lost_weight(self):
+        # amplitude 2 of the (0, 0) pair dropped: the weights sum to 1/2
+        a = bell_state(OE, 0, 0).amp
+        dropped = TwoQubitState._unsafe((a[0], a[1], 0j, a[3]))
+        for conv, seed in product((OE, PP), range(10)):
+            with pytest.raises(InvariantError):
+                measure_bell(dropped, conv, RandomSource(seed))
+
+    def test_bell_measurement_rounding_falls_on_last_label(self):
+        # weights that rounding leaves just below 1, and a draw above them
+        scale = 1.0 - 1e-14
+        state = TwoQubitState._unsafe(tuple(scale * x for x in bell_state(OE, 1, 0).amp))
+
+        class TopDraw:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        label, p = measure_bell(state, OE, TopDraw())
+        assert label.bits() == (1, 0) and abs(p - 1.0) <= ALG_TOL
 
     @pytest.mark.parametrize("conv", [OE, PP])
     def test_born_weights_sum_to_one_randomized(self, conv):
