@@ -2,12 +2,13 @@
 the side-by-side report of the disputed averages.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
-tuples, the branches of Eve's tap action, and the four Bell outcomes, all
-weighted by exact dyadic rationals.  :func:`enumerate_exact` folds the
+tuples, the branches of Eve's tap action, and the four Bell outcomes, each
+mass an int over a power of two.  :func:`enumerate_exact` folds the
 protocol's detection rule over the leaves and :func:`message_error_rate`
-its message decoder.  The Monte Carlo estimator samples the same tree with
-the round simulator's float arithmetic, as a statistical cross-check: its
-table is built from :func:`protocol.round_trees`, the float leg walk that
+its message decoder, in ints; ``Fraction``s appear only at the end of each
+fold.  The Monte Carlo estimator samples the same tree with the round
+simulator's float arithmetic, as a statistical cross-check: its table is
+built from :func:`protocol.round_trees`, the float leg walk that
 :func:`protocol.run_session` samples too, and resolved with numpy, which
 only this estimator imports.
 """
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from operator import mul
+from typing import Iterable, Optional
 
 from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
 from .exactstate import (
@@ -42,6 +44,8 @@ from .protocol import (
     run_round,
 )
 from .qcore import (
+    BELL_LABEL_ORDER,
+    BellLabel,
     Convention,
     InvariantError,
     PauliCode,
@@ -52,6 +56,9 @@ from .qcore import (
 BitTuple = tuple[int, int, int, int]
 
 ALL_BIT_TUPLES: tuple[BitTuple, ...] = tuple(product((0, 1), repeat=4))
+
+#: the code of each (a, b) bit pair
+_CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
 
 #: rounds whose draws :func:`monte_carlo` takes and resolves at once; its
 #: memory grows with this, not with the number of rounds
@@ -124,72 +131,95 @@ class ClaimsReport:
     explanation: str
 
 
+def _over_power_of_two(probs: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Dyadic probabilities as (e, their integer numerators over 2**e)."""
+    probs = tuple(probs)
+    top = max((p.denominator for p in probs), default=1)
+    if top & (top - 1) or any(top % p.denominator for p in probs):
+        raise InvariantError(f"non-dyadic branch probability in {probs}")
+    return top.bit_length() - 1, tuple(p.numerator * top // p.denominator for p in probs)
+
+
 @lru_cache(maxsize=None)
-def _draw_weights(thresholds: tuple[float, ...]) -> tuple[Fraction, ...]:
+def _draw_weights(thresholds: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
     """Exact probability of each branch of a uniform draw: the gaps between
-    its thresholds, which are dyadic, so Fraction holds them exactly."""
+    its thresholds, which are dyadic, as floats are."""
     bounds = (0, *map(Fraction, thresholds), 1)
-    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    return _over_power_of_two(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _home_branch(state: ExactState) -> str:
-    home0 = _gabs2(state.z[0]) + _gabs2(state.z[1])
-    home1 = _gabs2(state.z[2]) + _gabs2(state.z[3])
-    if home1 == 0:
-        return "a"
-    if home0 == 0:
-        return "b"
-    raise InvariantError("home qubit not definite after intercept")
+    home0, home1 = (_gabs2(state.z[h]) + _gabs2(state.z[h + 1]) for h in (0, 2))
+    if home0 and home1:
+        raise InvariantError("home qubit not definite after intercept")
+    return "b" if home1 else "a"
 
 
-def _tap(attack: EveStrategy, route: Route, branches: list) -> list:
-    """Expand every branch through one channel tap."""
+def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[int, list]:
+    """Expand every branch through one channel tap.  Branch masses are ints
+    over 2**exp; returns the new exponent and the new branches."""
     action = attack.tap(route)
     if action is None:
-        return branches
+        return exp, branches
     if action is MEASURE:
-        return [
-            (prob * p, collapsed, _home_branch(collapsed), sel)
-            for prob, state, _branch, sel in branches
-            for p, collapsed, _t in measure_t_branches(state)
-        ]
-    choices = tuple(zip(_draw_weights(action.thresholds), action.codes))
-    return [
-        (prob * w, apply_pauli_t_exact(state, PauliCode(u, v)), branch, (u, v))
-        for prob, state, branch, _sel in branches
-        for w, (u, v) in choices
-    ]
+        split = [(mass, p, collapsed, sel)
+                 for mass, state, _branch, sel in branches
+                 for p, collapsed, _t in measure_t_branches(state)]
+        e, weights = _over_power_of_two(p for _, p, _, _ in split)
+        return exp + e, [(mass * w, collapsed, _home_branch(collapsed), sel)
+                         for w, (mass, _p, collapsed, sel) in zip(weights, split)]
+    e, weights = _draw_weights(action.thresholds)
+    choices = [(w, _CODES[uv], uv) for w, uv in zip(weights, action.codes)]
+    return exp + e, [(mass * w, apply_pauli_t_exact(state, code), branch, uv)
+                     for mass, state, branch, _sel in branches
+                     for w, code, uv in choices]
 
 
-def _leaves(
-    attack: EveStrategy, bits: BitTuple, convention: Convention
-) -> Iterator[tuple[Fraction, str, Optional[tuple[int, int]], dict]]:
-    """The exact walk: every leaf of one encoding-bit tuple's round, grouped
-    by Eve branch.
+def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
+            convention: Convention) -> tuple[int, list]:
+    """The exact walk: every leaf of each encoding-bit tuple's round, in
+    order, grouped by Eve branch.
 
-    Yields (Eve-branch probability, eve branch tag, applied (u, v) or None,
-    Born weight of each Bell outcome under ``convention``).
+    Returns (D, leaves), a leaf being (bit tuple, Eve branch tag, applied
+    (u, v) or None, masses): its Eve branch's probability times the Born
+    weight of each Bell outcome under ``convention``, in
+    ``BELL_LABEL_ORDER``, as ints over 2**D.
     """
-    i, j, k, l = bits
-    branches = [(Fraction(1), exact_bell(Convention.OPERATOR_ENCODING, 0, 0),
-                 "none", None)]
-    # each leg: the sender encodes, then Eve taps it
-    for code, route in ((PauliCode(k, l), Route.B_TO_A),
-                        (PauliCode(i, j), Route.A_TO_B)):
-        branches = _tap(attack, route, [
-            (p, apply_pauli_t_exact(s, code), br, sel) for p, s, br, sel in branches
-        ])
-    for prob, state, branch, sel in branches:
-        yield prob, branch, sel, bell_weights_exact(state, convention)
+    start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
+    walked = []
+    for bits in bit_tuples:
+        i, j, k, l = bits
+        exp, branches = 0, [(1, start, "none", None)]
+        # each leg: the sender encodes, then Eve taps it
+        for code, route in ((_CODES[k, l], Route.B_TO_A), (_CODES[i, j], Route.A_TO_B)):
+            exp, branches = _tap(attack, route, exp, [
+                (m, apply_pauli_t_exact(s, code), br, sel) for m, s, br, sel in branches
+            ])
+        if sum(m for m, *_ in branches) != 1 << exp:
+            raise InvariantError(f"Eve's branches of bit tuple {bits} do not sum to 1")
+        for mass, state, branch, sel in branches:
+            weights = bell_weights_exact(state, convention)
+            if sum(weights) != 2 << state.half:
+                raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to 1")
+            walked.append((exp + state.half + 1, mass, bits, branch, sel, weights))
+    top = max(e for e, *_ in walked)
+    return top, [(bits, branch, sel, tuple(w * (mass << top - e) for w in weights))
+                 for e, mass, bits, branch, sel, weights in walked]
 
 
-def _control_config(bits: BitTuple, outcome_convention: Convention,
-                    expectation_convention: Convention,
-                    comparison: Comparison) -> RoundConfig:
-    """The control round with encoding bits (i, j, k, l)."""
-    i, j, k, l = bits
-    return RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_convention,
-                       expectation_convention, comparison)
+@lru_cache(maxsize=None)
+def _detection_flags(outcome_convention: Convention,
+                     expectation_convention: Convention,
+                     comparison: Comparison) -> dict[BitTuple, tuple[bool, ...]]:
+    """Per bit tuple (i, j, k, l), whether each Bell outcome of its control
+    round, in ``BELL_LABEL_ORDER``, flags Eve."""
+    flags = {}
+    for i, j, k, l in ALL_BIT_TUPLES:
+        config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_convention,
+                             expectation_convention, comparison)
+        flags[i, j, k, l] = tuple(control_detected(config, BellLabel(*kl, outcome_convention))
+                                  for kl in BELL_LABEL_ORDER)
+    return flags
 
 
 def enumerate_exact(
@@ -204,55 +234,40 @@ def enumerate_exact(
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
     weight, and folds :func:`protocol.control_detected` over the leaves.
-    Everything stays in dyadic rational arithmetic; ``case_order`` only
-    permutes the fold (results are order-independent, which the test suite
-    asserts).
+    The fold sums integer masses over one power of two and builds the
+    report's ``Fraction``s at its end; ``case_order`` only permutes the
+    fold (results are order-independent, which the test suite asserts).
     """
     bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
     if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
         raise ValueError("case_order must be a permutation of all 16 bit tuples")
+    comparison = Comparison(comparison)
+    flags = _detection_flags(outcome_convention, expectation_convention, comparison)
+    exp, leaves = _leaves(attack, bit_tuples, outcome_convention)
 
-    det_mass: dict[CaseDescriptor, Fraction] = {}
-    tot_mass: dict[CaseDescriptor, Fraction] = {}
-    sel_det: dict[tuple[int, int], Fraction] = {}
-    sel_tot: dict[tuple[int, int], Fraction] = {}
-    case_weight = Fraction(1, len(bit_tuples))
-
-    for bits in bit_tuples:
-        i, j, k, l = bits
-        config = _control_config(
-            bits, outcome_convention, expectation_convention, comparison
-        )
-        for prob, branch, sel, weights in _leaves(attack, bits, outcome_convention):
-            detected = sum(
-                w for outcome, w in weights.items()
-                if w and control_detected(config, outcome)
-            )
-            key = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
-            mass = case_weight * prob
-            hit = mass * detected
-            det_mass[key] = det_mass.get(key, 0) + hit
-            tot_mass[key] = tot_mass.get(key, 0) + mass
-            if sel is not None:
-                sel_det[sel] = sel_det.get(sel, 0) + hit
-                sel_tot[sel] = sel_tot.get(sel, 0) + mass
+    # (detected mass, total mass) per case and per applied (u, v)
+    cases: dict[tuple[int, int, str], tuple[int, int]] = {}
+    selections: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j, k, l), branch, sel, masses in leaves:
+        hit, mass = sum(map(mul, masses, flags[i, j, k, l])), sum(masses)
+        det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
+        cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
+        if sel is not None:
+            det, tot = selections.get(sel, (0, 0))
+            selections[sel] = (det + hit, tot + mass)
 
     report = DetectionReport(
-        attack=attack,
-        outcome_convention=outcome_convention,
-        expectation_convention=expectation_convention,
-        comparison=config.comparison,
-        average=sum(det_mass.values()),
+        attack, outcome_convention, expectation_convention, comparison,
+        per_case={CaseDescriptor(m, n, m ^ n, br): Fraction(det, tot)
+                  for (m, n, br), (det, tot) in cases.items()},
+        # every bit tuple weighs 1 / 16
+        average=Fraction(sum(det for det, _ in cases.values()), len(bit_tuples) << exp),
     )
-    report.per_case = {key: det_mass[key] / tot_mass[key] for key in det_mass}
-    for br in sorted({key.eve_branch for key in det_mass}):
-        det = sum(det_mass[c] for c in det_mass if c.eve_branch == br)
-        tot = sum(tot_mass[c] for c in tot_mass if c.eve_branch == br)
-        report.branch_averages[br] = det / tot
-    if sel_tot:
-        report.per_selection = {
-            uv: sel_det[uv] / sel_tot[uv] for uv in sorted(sel_tot)
-        }
+    for br in sorted({br for _, _, br in cases}):
+        dets, tots = zip(*(v for (_, _, b), v in cases.items() if b == br))
+        report.branch_averages[br] = Fraction(sum(dets), sum(tots))
+    if selections:
+        report.per_selection = {uv: Fraction(*selections[uv]) for uv in sorted(selections)}
     return report
 
 
@@ -287,17 +302,17 @@ def _round_table(
     """
     import numpy as np
 
+    table = _detection_flags(outcome_convention, expectation_convention,
+                             Comparison(comparison))
     tap_thresholds, bell_thresholds, detected = [], [], []
     for (k, l, i, j), (taps, branches) in zip(
         ALL_BIT_TUPLES, round_trees(attack, outcome_convention)
     ):
-        config = _control_config(
-            (i, j, k, l), outcome_convention, expectation_convention, comparison
-        )
         tap_thresholds.append(taps)
         for thresholds, labels in branches:
             bell_thresholds.append(thresholds + [math.inf] * (3 - len(thresholds)))
-            flags = [control_detected(config, label) for label in labels]
+            flags = [table[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
+                     for label in labels]
             detected.append(flags + [False] * (4 - len(flags)))
     return (
         len(branches),
@@ -361,33 +376,23 @@ def monte_carlo(
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
     labels), folding :func:`protocol.decode_message` over the leaves of the
-    same exact walk."""
+    same exact walk, in integer masses until the end."""
     conv = Convention.OPERATOR_ENCODING
-    names = ("alice_to_bob", "bob_to_alice",
-             "alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1")
-    errors = dict.fromkeys(names, Fraction(0))
-    case_weight = Fraction(1, 16)
-    for bits in ALL_BIT_TUPLES:
-        i, j, k, l = bits
+    exp, leaves = _leaves(attack, ALL_BIT_TUPLES, conv)
+    errors = [0] * 6
+    for (i, j, k, l), _branch, _sel, masses in leaves:
         config = RoundConfig(bob_bits=(k, l), alice_bits=(i, j))
-        for prob, _branch, _sel, weights in _leaves(attack, bits, conv):
-            mass = case_weight * prob
-            for outcome, w in weights.items():
-                if not w:
-                    continue
-                leaf = mass * w
-                alice, bob = decode_message(config, outcome)
+        for (kk, ll), mass in zip(BELL_LABEL_ORDER, masses):
+            if mass:
+                alice, bob = decode_message(config, BellLabel(kk, ll, conv))
                 wrong = (alice != (i, j), bob != (k, l),
                          alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
-                for name, flag in zip(names, wrong):
-                    if flag:
-                        errors[name] += leaf
-    return MessageErrorReport(
-        attack=attack,
-        alice_to_bob=errors.pop("alice_to_bob"),
-        bob_to_alice=errors.pop("bob_to_alice"),
-        per_bit=errors,
-    )
+                errors = [e + mass * flag for e, flag in zip(errors, wrong)]
+    # every bit tuple weighs 1 / 16
+    alice_to_bob, bob_to_alice, *per_bit = (Fraction(e, 16 << exp) for e in errors)
+    return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(
+        zip(("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1"), per_bit)
+    ))
 
 
 _CLAIMS_EXPLANATION = (

@@ -2,9 +2,11 @@
 
 Every state reached in the protocol has amplitudes of the form
 z / sqrt(2)**half with z a Gaussian integer, so a state is a 4-tuple of
-(re, im) integer pairs plus one shared square-root-of-two exponent.  All
-probabilities come out as exact dyadic rationals; no floating point enters
-this path anywhere.
+(re, im) integer pairs plus one shared square-root-of-two exponent.  Every
+probability is dyadic: :func:`bell_weights_exact` returns a Bell
+measurement's Born weights as integer numerators over 2**(half + 1), and
+the exact walk in :mod:`qdialogue.analysis` carries every mass as an int
+over a power of two.  No floating point enters this path anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from fractions import Fraction
 
 from .qcore import (
     BELL_LABEL_ORDER,
-    BellLabel,
     Convention,
     InvariantError,
     PauliCode,
@@ -24,18 +25,6 @@ from .qcore import (
 Gaussian = tuple[int, int]
 
 _ZERO: Gaussian = (0, 0)
-
-
-def _gmul(x: Gaussian, y: Gaussian) -> Gaussian:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gconj(x: Gaussian) -> Gaussian:
-    return (x[0], -x[1])
-
-
-def _gadd(x: Gaussian, y: Gaussian) -> Gaussian:
-    return (x[0] + y[0], x[1] + y[1])
 
 
 def _gabs2(x: Gaussian) -> int:
@@ -63,30 +52,30 @@ def exact_bell(convention: Convention, k: int, l: int) -> ExactState:
     if convention is Convention.OPERATOR_ENCODING:
         p1, r1 = _ACTION[(k, l, 1)]
         p0, r0 = _ACTION[(k, l, 0)]
-        z[r1] = _gadd(z[r1], p1.as_gaussian())
-        z[2 + r0] = _gadd(z[2 + r0], p0.as_gaussian())
+        z[r1] = p1.as_gaussian()
+        z[2 + r0] = p0.as_gaussian()
     else:
         z[l] = (1, 0)
         z[2 + (1 ^ l)] = ((-1) ** k, 0)
     return ExactState(tuple(z), 1)
 
 
-_EXACT_BELL = {
-    (conv, k, l): exact_bell(conv, k, l)
-    for conv in Convention
-    for k in (0, 1)
-    for l in (0, 1)
+#: per code (a, b), the (Gaussian phase, target bit) of C_{a,b} on |0> and
+#: |1>; C_{a,b} permutes the basis, so the two targets differ
+_PAULI_T = {
+    (a, b): tuple((p.as_gaussian(), r) for p, r in (_ACTION[a, b, 0], _ACTION[a, b, 1]))
+    for a in (0, 1) for b in (0, 1)
 }
 
 
 def apply_pauli_t_exact(state: ExactState, code: PauliCode) -> ExactState:
-    z = state.z
+    ((p0, q0), r0), ((p1, q1), r1) = _PAULI_T[(code.a, code.b)]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = state.z
     out: list[Gaussian] = [_ZERO] * 4
-    for t_bit in (0, 1):
-        phase, r = _ACTION[(code.a, code.b, t_bit)]
-        g = phase.as_gaussian()
-        out[r] = _gadd(out[r], _gmul(g, z[t_bit]))
-        out[2 + r] = _gadd(out[2 + r], _gmul(g, z[2 + t_bit]))
+    out[r0] = (p0 * x0 - q0 * y0, p0 * y0 + q0 * x0)
+    out[r1] = (p1 * x1 - q1 * y1, p1 * y1 + q1 * x1)
+    out[2 + r0] = (p0 * x2 - q0 * y2, p0 * y2 + q0 * x2)
+    out[2 + r1] = (p1 * x3 - q1 * y3, p1 * y3 + q1 * x3)
     return ExactState(tuple(out), state.half)
 
 
@@ -98,37 +87,43 @@ def measure_t_branches(state: ExactState) -> list[tuple[Fraction, ExactState, in
     keeps renormalization inside the Gaussian-integer ring.
     """
     branches = []
-    denom = 2 ** state.half
     for outcome in (0, 1):
-        kept = tuple(
-            state.z[x] if (x & 1) == outcome else _ZERO for x in range(4)
-        )
-        weight = sum(_gabs2(g) for g in kept)
-        if weight == 0:
-            continue
-        prob = Fraction(weight, denom)
-        if prob == 1:
-            collapsed = ExactState(kept, state.half)
-        else:
+        kept = tuple(g if (x & 1) == outcome else _ZERO for x, g in enumerate(state.z))
+        weight = sum(map(_gabs2, kept))
+        if weight:
+            prob = Fraction(weight, 2 ** state.half)
             # prob must be 1 / 2**m for exact renormalization
             if prob.numerator != 1 or prob.denominator & (prob.denominator - 1):
                 raise InvariantError(f"non-dyadic collapse probability {prob}")
             m = prob.denominator.bit_length() - 1
-            collapsed = ExactState(kept, state.half - m)
-        branches.append((prob, collapsed, outcome))
+            branches.append((prob, ExactState(kept, state.half - m), outcome))
     return branches
+
+
+#: per convention, each Bell state's conjugated nonzero amplitudes as
+#: (basis index, re, im) terms, in BELL_LABEL_ORDER
+_BELL_CONJ_EXACT = {
+    conv: tuple(
+        tuple((x, re, -im) for x, (re, im) in enumerate(exact_bell(conv, k, l).z)
+              if re or im)
+        for k, l in BELL_LABEL_ORDER
+    )
+    for conv in Convention
+}
 
 
 def bell_weights_exact(
     state: ExactState, convention: Convention
-) -> dict[BellLabel, Fraction]:
-    """Exact Born weights of a Bell measurement under a convention."""
-    out = {}
-    denom = 2 ** (state.half + 1)
-    for k, l in BELL_LABEL_ORDER:
-        basis = _EXACT_BELL[(convention, k, l)]
-        inner = _ZERO
-        for x in range(4):
-            inner = _gadd(inner, _gmul(_gconj(basis.z[x]), state.z[x]))
-        out[BellLabel(k, l, convention)] = Fraction(_gabs2(inner), denom)
-    return out
+) -> tuple[int, int, int, int]:
+    """Exact Born weights of a Bell measurement under a convention: integer
+    numerators over 2 ** (state.half + 1), in ``BELL_LABEL_ORDER``."""
+    z = state.z
+    out = []
+    for terms in _BELL_CONJ_EXACT[convention]:
+        re = im = 0
+        for x, p, q in terms:
+            a, b = z[x]
+            re += p * a - q * b
+            im += p * b + q * a
+        out.append(re * re + im * im)
+    return tuple(out)

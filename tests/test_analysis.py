@@ -2,8 +2,11 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from qdialogue import analysis
 from qdialogue.analysis import (
     ALL_BIT_TUPLES,
     CaseDescriptor,
+    DetectionReport,
     McEstimate,
+    MessageErrorReport,
     compare_claims,
     enumerate_exact,
     message_error_rate,
@@ -21,6 +26,7 @@ from qdialogue.analysis import (
     paper_case_table,
 )
 from qdialogue.attacks import (
+    MEASURE,
     CoinIZ,
     DisturbPauli,
     Fixed,
@@ -30,13 +36,31 @@ from qdialogue.attacks import (
     UniformAll4,
 )
 from qdialogue.exactstate import (
+    ExactState,
+    _gabs2,
     apply_pauli_t_exact,
     bell_weights_exact,
     exact_bell,
     measure_t_branches,
 )
-from qdialogue.protocol import Comparison, Mode, RoundConfig, run_round
-from qdialogue.qcore import Convention, PauliCode, RandomSource, bell_state
+from qdialogue.protocol import (
+    Comparison,
+    Mode,
+    RoundConfig,
+    control_detected,
+    decode_message,
+    run_round,
+)
+from qdialogue.qcore import (
+    _ACTION,
+    BELL_LABEL_ORDER,
+    BellLabel,
+    Convention,
+    InvariantError,
+    PauliCode,
+    RandomSource,
+    bell_state,
+)
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
@@ -84,6 +108,179 @@ def scalar_estimate(detections, n, seed):
                       RandomSource.GENERATOR_ID)
 
 
+# The exact engine in Fraction arithmetic, as it was before its leaf walk and
+# folds moved to integer masses over a power of two: the reference that the
+# integer engine must reproduce field by field, dict key order included.
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def reference_apply_pauli_t(state, code):
+    out = [(0, 0)] * 4
+    for t_bit in (0, 1):
+        phase, r = _ACTION[(code.a, code.b, t_bit)]
+        g = phase.as_gaussian()
+        for h in (0, 2):
+            x, y = out[h + r]
+            gx, gy = _gmul(g, state.z[h + t_bit])
+            out[h + r] = (x + gx, y + gy)
+    return ExactState(tuple(out), state.half)
+
+
+def reference_bell_weights(state, convention):
+    out = {}
+    for k, l in BELL_LABEL_ORDER:
+        basis = exact_bell(convention, k, l)
+        re = im = 0
+        for x in range(4):
+            gx, gy = _gmul((basis.z[x][0], -basis.z[x][1]), state.z[x])
+            re, im = re + gx, im + gy
+        out[BellLabel(k, l, convention)] = Fraction(re * re + im * im,
+                                                    2 ** (state.half + 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_draw_weights(thresholds):
+    bounds = (0, *map(Fraction, thresholds), 1)
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+def reference_home_branch(state):
+    home0 = _gabs2(state.z[0]) + _gabs2(state.z[1])
+    home1 = _gabs2(state.z[2]) + _gabs2(state.z[3])
+    if home1 == 0:
+        return "a"
+    if home0 == 0:
+        return "b"
+    raise InvariantError("home qubit not definite after intercept")
+
+
+def reference_tap(attack, route, branches):
+    action = attack.tap(route)
+    if action is None:
+        return branches
+    if action is MEASURE:
+        return [
+            (prob * p, collapsed, reference_home_branch(collapsed), sel)
+            for prob, state, _branch, sel in branches
+            for p, collapsed, _t in measure_t_branches(state)
+        ]
+    choices = tuple(zip(reference_draw_weights(action.thresholds), action.codes))
+    return [
+        (prob * w, reference_apply_pauli_t(state, PauliCode(u, v)), branch, (u, v))
+        for prob, state, branch, _sel in branches
+        for w, (u, v) in choices
+    ]
+
+
+def reference_leaves(attack, bits, convention):
+    i, j, k, l = bits
+    branches = [(Fraction(1), exact_bell(OE, 0, 0), "none", None)]
+    for code, route in ((PauliCode(k, l), Route.B_TO_A),
+                        (PauliCode(i, j), Route.A_TO_B)):
+        branches = reference_tap(attack, route, [
+            (p, reference_apply_pauli_t(s, code), br, sel)
+            for p, s, br, sel in branches
+        ])
+    for prob, state, branch, sel in branches:
+        yield prob, branch, sel, reference_bell_weights(state, convention)
+
+
+def reference_enumerate_exact(attack, outcome_convention=OE,
+                              expectation_convention=OE,
+                              comparison=Comparison.CONVERTED, case_order=None):
+    bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
+    det_mass, tot_mass, sel_det, sel_tot = {}, {}, {}, {}
+    case_weight = Fraction(1, len(bit_tuples))
+    for bits in bit_tuples:
+        i, j, k, l = bits
+        config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_convention,
+                             expectation_convention, comparison)
+        for prob, branch, sel, weights in reference_leaves(attack, bits,
+                                                           outcome_convention):
+            detected = sum(
+                w for outcome, w in weights.items()
+                if w and control_detected(config, outcome)
+            )
+            key = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
+            mass = case_weight * prob
+            hit = mass * detected
+            det_mass[key] = det_mass.get(key, 0) + hit
+            tot_mass[key] = tot_mass.get(key, 0) + mass
+            if sel is not None:
+                sel_det[sel] = sel_det.get(sel, 0) + hit
+                sel_tot[sel] = sel_tot.get(sel, 0) + mass
+    report = DetectionReport(
+        attack=attack,
+        outcome_convention=outcome_convention,
+        expectation_convention=expectation_convention,
+        comparison=config.comparison,
+        average=sum(det_mass.values()),
+    )
+    report.per_case = {key: det_mass[key] / tot_mass[key] for key in det_mass}
+    for br in sorted({key.eve_branch for key in det_mass}):
+        det = sum(det_mass[c] for c in det_mass if c.eve_branch == br)
+        tot = sum(tot_mass[c] for c in tot_mass if c.eve_branch == br)
+        report.branch_averages[br] = det / tot
+    if sel_tot:
+        report.per_selection = {
+            uv: sel_det[uv] / sel_tot[uv] for uv in sorted(sel_tot)
+        }
+    return report
+
+
+def reference_message_error_rate(attack):
+    names = ("alice_to_bob", "bob_to_alice",
+             "alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1")
+    errors = dict.fromkeys(names, Fraction(0))
+    case_weight = Fraction(1, 16)
+    for bits in ALL_BIT_TUPLES:
+        i, j, k, l = bits
+        config = RoundConfig(bob_bits=(k, l), alice_bits=(i, j))
+        for prob, _branch, _sel, weights in reference_leaves(attack, bits, OE):
+            mass = case_weight * prob
+            for outcome, w in weights.items():
+                if not w:
+                    continue
+                leaf = mass * w
+                alice, bob = decode_message(config, outcome)
+                wrong = (alice != (i, j), bob != (k, l),
+                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
+                for name, flag in zip(names, wrong):
+                    if flag:
+                        errors[name] += leaf
+    return MessageErrorReport(
+        attack=attack,
+        alice_to_bob=errors.pop("alice_to_bob"),
+        bob_to_alice=errors.pop("bob_to_alice"),
+        per_bit=errors,
+    )
+
+
+def assert_same_report(report, want):
+    """Equal field by field, every Fraction a Fraction, dicts in one order."""
+    assert report == want
+    for name in ("per_case", "branch_averages", "per_selection", "per_bit"):
+        got, expected = getattr(report, name, None), getattr(want, name, None)
+        assert list(got or ()) == list(expected or ())
+        assert all(type(v) is Fraction for v in (got or {}).values())
+    for name in ("average", "alice_to_bob", "bob_to_alice"):
+        if hasattr(want, name):
+            assert type(getattr(report, name)) is Fraction
+
+
+@dataclass(frozen=True)
+class StubSelection:
+    """A selection rule with any codes and draw thresholds."""
+
+    codes: tuple
+    thresholds: tuple
+
+    rule: ClassVar[str] = "stub"
+
+
 class TestExactState:
     @pytest.mark.parametrize("conv", [OE, PP])
     @pytest.mark.parametrize("k,l", list(product((0, 1), repeat=2)))
@@ -112,8 +309,9 @@ class TestExactState:
     def test_bell_weights_exact_dyadic(self):
         state = apply_pauli_t_exact(exact_bell(OE, 0, 0), PauliCode(0, 1))
         weights = bell_weights_exact(state, OE)
-        assert sum(weights.values()) == 1
-        assert {w for w in weights.values() if w} == {Fraction(1)}
+        # integer numerators over 2 ** (half + 1): one outcome holds them all
+        assert sum(weights) == 2 ** (state.half + 1)
+        assert [w for w in weights if w] == [2 ** (state.half + 1)]
 
 
 class TestPaperCaseTable:
@@ -355,6 +553,83 @@ class TestMessageErrors:
         assert report.alice_to_bob == want.pop("alice_to_bob")
         assert report.bob_to_alice == want.pop("bob_to_alice")
         assert report.per_bit == want
+
+
+class TestFractionReference:
+    """The integer walk against the Fraction engine it replaced."""
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_detection_reports_equal_reference(self, attack):
+        shuffled = random.Random(repr(attack)).sample(ALL_BIT_TUPLES, 16)
+        for oc, ec, comp in ALL_COMBOS:
+            for order in (None, shuffled, ALL_BIT_TUPLES[::-1]):
+                assert_same_report(
+                    enumerate_exact(attack, oc, ec, comp, case_order=order),
+                    reference_enumerate_exact(attack, oc, ec, comp, case_order=order),
+                )
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_message_reports_equal_reference(self, attack):
+        assert_same_report(message_error_rate(attack),
+                           reference_message_error_rate(attack))
+
+    @pytest.mark.parametrize("route", list(Route))
+    def test_no_rounding_with_a_third(self, route):
+        # the float nearest 1/3 splits the draw into gaps over 2**54
+        attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1)), (1 / 3,)))
+        flipped = 1 - Fraction(1 / 3)
+        assert flipped.denominator == 2 ** 54
+        for oc, ec, comp in ALL_COMBOS:
+            assert_same_report(enumerate_exact(attack, oc, ec, comp),
+                               reference_enumerate_exact(attack, oc, ec, comp))
+        report = enumerate_exact(attack)
+        assert report.average == flipped
+        assert report.per_selection == {(0, 0): 0, (0, 1): 1}
+        assert_same_report(message_error_rate(attack),
+                           reference_message_error_rate(attack))
+
+
+class TestConservation:
+    """Each leaf's Bell weights and each bit tuple's Eve branches must carry
+    all of their probability."""
+
+    @staticmethod
+    def drop_first_weight(state, convention):
+        weights = list(bell_weights_exact(state, convention))
+        weights[next(x for x, w in enumerate(weights) if w)] = 0
+        return tuple(weights)
+
+    @pytest.mark.parametrize("attack", [Passive(), InterceptMeasure(),
+                                        DisturbPauli(selection=UniformAll4())],
+                             ids=repr)
+    def test_lost_bell_weight_raises(self, monkeypatch, attack):
+        monkeypatch.setattr(analysis, "bell_weights_exact", self.drop_first_weight)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            enumerate_exact(attack)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            message_error_rate(attack)
+
+    def test_lost_measurement_branch_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "measure_t_branches",
+                            lambda state: measure_t_branches(state)[:1])
+        for route in Route:
+            with pytest.raises(InvariantError, match="Eve's branches"):
+                enumerate_exact(InterceptMeasure(route))
+            with pytest.raises(InvariantError, match="Eve's branches"):
+                message_error_rate(InterceptMeasure(route))
+
+    @pytest.mark.parametrize("route", list(Route))
+    def test_lost_draw_branch_raises(self, route):
+        # two draw branches but one code: the second branch's weight is lost
+        attack = DisturbPauli(route, StubSelection(((0, 1),), (0.5,)))
+        with pytest.raises(InvariantError, match="Eve's branches"):
+            enumerate_exact(attack)
+
+    def test_non_dyadic_threshold_raises(self):
+        attack = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)),
+                                                      (Fraction(1, 3),)))
+        with pytest.raises(InvariantError, match="non-dyadic"):
+            enumerate_exact(attack)
 
 
 class TestCompareClaims:

@@ -362,6 +362,30 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "non-dyadic" in err and out == ""
 
+    def test_lost_bell_weight_in_exact_exits_two(self, capsys, monkeypatch):
+        # every leaf loses the weight of its first nonzero Bell outcome
+        from qdialogue.exactstate import bell_weights_exact
+
+        def dropped(state, convention):
+            weights = list(bell_weights_exact(state, convention))
+            weights[next(x for x, w in enumerate(weights) if w)] = 0
+            return tuple(weights)
+
+        monkeypatch.setattr("qdialogue.analysis.bell_weights_exact", dropped)
+        code, out, err = invoke(capsys, "exact", "--attack", "disturb")
+        assert code == 2 and out == ""
+        assert "Bell weights" in err and "Traceback" not in err
+
+    def test_lost_tap_branch_in_exact_exits_two(self, capsys, monkeypatch):
+        # Eve's measurement keeps only its first outcome
+        from qdialogue.exactstate import measure_t_branches
+
+        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+                            lambda state: measure_t_branches(state)[:1])
+        code, out, err = invoke(capsys, "exact", "--attack", "intercept")
+        assert code == 2 and out == ""
+        assert "Eve's branches" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("argv,golden", GOLDEN_INVOCATIONS,
                          ids=[argv[0] + ":" + name for argv, name in GOLDEN_INVOCATIONS])
