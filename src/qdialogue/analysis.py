@@ -16,12 +16,11 @@ only this estimator imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Iterable, Optional
 
 from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
 from .exactstate import (
@@ -47,9 +46,11 @@ from .qcore import (
     BELL_LABEL_ORDER,
     BellLabel,
     Convention,
+    FrozenValue,
     InvariantError,
     PauliCode,
     RandomSource,
+    Value,
     branch_index,
 )
 
@@ -65,8 +66,7 @@ _CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
 MC_CHUNK_ROUNDS = 2048
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
+class CaseDescriptor(FrozenValue):
     """One of the four (m, n) cases, per Eve branch.
 
     m = i xor k, n = j xor l, parity = m xor n; eve_branch is 'a'/'b' for
@@ -74,14 +74,15 @@ class CaseDescriptor:
     measurement branch.
     """
 
-    m: int
-    n: int
-    parity: int
-    eve_branch: str = "none"
+    __slots__ = ("m", "n", "parity", "eve_branch")
 
-    def __post_init__(self) -> None:
-        if self.parity != self.m ^ self.n:
+    def __init__(self, m: int, n: int, parity: int, eve_branch: str = "none"):
+        if parity != m ^ n:
             raise ValueError("parity must equal m xor n")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "eve_branch", eve_branch)
 
     ROMAN = {(0, 0): "i", (0, 1): "ii", (1, 0): "iii", (1, 1): "iv"}
 
@@ -89,46 +90,76 @@ class CaseDescriptor:
         return self.ROMAN[(self.m, self.n)]
 
 
-@dataclass
-class DetectionReport:
-    """Exact per-case and average detection probabilities."""
+class DetectionReport(Value):
+    """Exact per-case and average detection probabilities.  ``per_case`` and
+    ``branch_averages`` each default to a new empty dict."""
 
-    attack: EveStrategy
-    outcome_convention: Convention
-    expectation_convention: Convention
-    comparison: Comparison
-    per_case: dict[CaseDescriptor, Fraction] = field(default_factory=dict)
-    branch_averages: dict[str, Fraction] = field(default_factory=dict)
-    average: Fraction = Fraction(0)
-    per_selection: Optional[dict[tuple[int, int], Fraction]] = None
+    __slots__ = ("attack", "outcome_convention", "expectation_convention",
+                 "comparison", "per_case", "branch_averages", "average",
+                 "per_selection")
 
-
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    standard_error: float
-    n: int
-    seed: int
-    generator_id: str
-
-
-@dataclass(frozen=True)
-class MessageErrorReport:
-    """Exact pair- and bit-level decode error probabilities (message mode)."""
-
-    attack: EveStrategy
-    alice_to_bob: Fraction   # Bob mis-decodes Alice's pair
-    bob_to_alice: Fraction   # Alice mis-decodes Bob's pair
-    per_bit: dict[str, Fraction]
+    def __init__(
+        self,
+        attack: EveStrategy,
+        outcome_convention: Convention,
+        expectation_convention: Convention,
+        comparison: Comparison,
+        per_case: dict[CaseDescriptor, Fraction] | None = None,
+        branch_averages: dict[str, Fraction] | None = None,
+        average: Fraction = Fraction(0),
+        per_selection: dict[tuple[int, int], Fraction] | None = None,
+    ):
+        self.attack = attack
+        self.outcome_convention = outcome_convention
+        self.expectation_convention = expectation_convention
+        self.comparison = comparison
+        self.per_case = {} if per_case is None else per_case
+        self.branch_averages = {} if branch_averages is None else branch_averages
+        self.average = average
+        self.per_selection = per_selection
 
 
-@dataclass(frozen=True)
-class ClaimsReport:
-    paper_claim: Fraction
-    cai_claim: Fraction
-    strict_paper_average: Fraction
-    consistent_value: Fraction
-    explanation: str
+class McEstimate(FrozenValue):
+    __slots__ = ("mean", "standard_error", "n", "seed", "generator_id")
+
+    def __init__(self, mean: float, standard_error: float, n: int, seed: int,
+                 generator_id: str):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "generator_id", generator_id)
+
+
+class MessageErrorReport(FrozenValue):
+    """Exact pair- and bit-level decode error probabilities (message mode).
+
+    ``alice_to_bob``: Bob mis-decodes Alice's pair; ``bob_to_alice``: Alice
+    mis-decodes Bob's pair.
+    """
+
+    __slots__ = ("attack", "alice_to_bob", "bob_to_alice", "per_bit")
+
+    def __init__(self, attack: EveStrategy, alice_to_bob: Fraction,
+                 bob_to_alice: Fraction, per_bit: dict[str, Fraction]):
+        object.__setattr__(self, "attack", attack)
+        object.__setattr__(self, "alice_to_bob", alice_to_bob)
+        object.__setattr__(self, "bob_to_alice", bob_to_alice)
+        object.__setattr__(self, "per_bit", per_bit)
+
+
+class ClaimsReport(FrozenValue):
+    __slots__ = ("paper_claim", "cai_claim", "strict_paper_average",
+                 "consistent_value", "explanation")
+
+    def __init__(self, paper_claim: Fraction, cai_claim: Fraction,
+                 strict_paper_average: Fraction, consistent_value: Fraction,
+                 explanation: str):
+        object.__setattr__(self, "paper_claim", paper_claim)
+        object.__setattr__(self, "cai_claim", cai_claim)
+        object.__setattr__(self, "strict_paper_average", strict_paper_average)
+        object.__setattr__(self, "consistent_value", consistent_value)
+        object.__setattr__(self, "explanation", explanation)
 
 
 def _over_power_of_two(probs: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -227,7 +258,7 @@ def enumerate_exact(
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
     expectation_convention: Convention = Convention.OPERATOR_ENCODING,
     comparison: Comparison = Comparison.CONVERTED,
-    case_order: Optional[Iterable[BitTuple]] = None,
+    case_order: Iterable[BitTuple] | None = None,
 ) -> DetectionReport:
     """Exhaustive exact control-round analysis of one attack.
 

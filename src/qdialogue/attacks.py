@@ -11,12 +11,11 @@ interface has no mode parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Optional, Union
 
 from .qcore import (
     ALG_TOL,
+    FrozenValue,
     InvariantError,
     PauliCode,
     RandomSource,
@@ -39,97 +38,105 @@ class Route(Enum):
 # ``codes[branch_index(thresholds, u)]``.  A rule without thresholds does
 # not draw.  ``rule`` is the rule's name on the command line.
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(FrozenValue):
     """Always apply C_{u,v}."""
 
-    u: int
-    v: int
+    __slots__ = ("u", "v")
 
-    rule: ClassVar[str] = "fixed"
-    thresholds: ClassVar[tuple[float, ...]] = ()
+    rule = "fixed"
+    thresholds: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.u not in (0, 1) or self.v not in (0, 1):
+    def __init__(self, u: int, v: int):
+        if u not in (0, 1) or v not in (0, 1):
             raise ValueError("Fixed selection bits must be 0/1")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @property
     def codes(self) -> tuple[tuple[int, int], ...]:
         return ((self.u, self.v),)
 
 
-@dataclass(frozen=True)
-class UniformAll4:
+class UniformAll4(FrozenValue):
     """Draw (u, v) uniformly from all four codes."""
 
-    rule: ClassVar[str] = "uniform4"
-    codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (0, 1), (1, 0), (1, 1))
+    __slots__ = ()
+
+    rule = "uniform4"
+    codes: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
     # 4u is exact in binary, so the count of quarters at or below u is floor(4u)
-    thresholds: ClassVar[tuple[float, ...]] = (0.25, 0.5, 0.75)
+    thresholds: tuple[float, ...] = (0.25, 0.5, 0.75)
 
 
-@dataclass(frozen=True)
-class CoinIZ:
+class CoinIZ(FrozenValue):
     """Draw uniformly from {identity, sigma_z} -- the message-scrambling coin."""
 
-    rule: ClassVar[str] = "coin-iz"
-    codes: ClassVar[tuple[tuple[int, int], ...]] = ((0, 0), (1, 1))
-    thresholds: ClassVar[tuple[float, ...]] = (0.5,)
+    __slots__ = ()
+
+    rule = "coin-iz"
+    codes: tuple[tuple[int, int], ...] = ((0, 0), (1, 1))
+    thresholds: tuple[float, ...] = (0.5,)
 
 
-Selection = Union[Fixed, UniformAll4, CoinIZ]
+Selection = Fixed | UniformAll4 | CoinIZ
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(FrozenValue):
     """Tap action: measure the travel qubit in the computational basis."""
+
+    __slots__ = ()
 
 
 MEASURE = Measure()
 
 #: what Eve does at a tap: nothing, measure, or apply a selection's codes
-TapAction = Optional[Union[Measure, Selection]]
+TapAction = Measure | Selection | None
 
 
 # Strategies.
 
-@dataclass(frozen=True)
-class Passive:
+class Passive(FrozenValue):
     """No tampering."""
+
+    __slots__ = ()
 
     def tap(self, route: Route) -> TapAction:
         return None
 
 
-@dataclass(frozen=True)
-class InterceptMeasure:
+class InterceptMeasure(FrozenValue):
     """Measure the travel qubit in the computational basis at one tap and
     forward the collapsed qubit."""
 
-    route: Route = Route.B_TO_A
+    __slots__ = ("route",)
+
+    def __init__(self, route: Route = Route.B_TO_A):
+        object.__setattr__(self, "route", route)
 
     def tap(self, route: Route) -> TapAction:
         return MEASURE if route is self.route else None
 
 
-@dataclass(frozen=True)
-class DisturbPauli:
+class DisturbPauli(FrozenValue):
     """Apply a (possibly random) Pauli to the travel qubit at one tap."""
 
-    route: Route = Route.A_TO_B
-    selection: Selection = UniformAll4()
+    __slots__ = ("route", "selection")
+
+    def __init__(self, route: Route = Route.A_TO_B,
+                 selection: Selection = UniformAll4()):
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "selection", selection)
 
     def tap(self, route: Route) -> TapAction:
         return self.selection if route is self.route else None
 
 
-EveStrategy = Union[Passive, InterceptMeasure, DisturbPauli]
+EveStrategy = Passive | InterceptMeasure | DisturbPauli
 
 
 # Records of what Eve did in a round.
 
-@dataclass(frozen=True)
-class MeasuredBranch:
+class MeasuredBranch(FrozenValue):
     """Intercept-measure outcome.
 
     ``branch`` is 'a' when the home qubit collapsed to |0>, 'b' when it
@@ -138,17 +145,22 @@ class MeasuredBranch:
     naive reading, which is why both are recorded.
     """
 
-    branch: str
-    t_outcome: int
+    __slots__ = ("branch", "t_outcome")
+
+    def __init__(self, branch: str, t_outcome: int):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "t_outcome", t_outcome)
 
 
-@dataclass(frozen=True)
-class AppliedPauli:
-    u: int
-    v: int
+class AppliedPauli(FrozenValue):
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
-EveRecord = Optional[Union[MeasuredBranch, AppliedPauli]]
+EveRecord = MeasuredBranch | AppliedPauli | None
 
 
 def _home_branch(collapsed: TwoQubitState) -> str:

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .analysis import (
@@ -46,7 +45,7 @@ class UsageError(Exception):
     """Bad command-line input; ``parser`` is the parser that rejected it,
     if argparse did."""
 
-    def __init__(self, message: str, parser: Optional[argparse.ArgumentParser] = None):
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
         super().__init__(message)
         self.parser = parser
 
@@ -110,6 +109,11 @@ def _build_attack(args: argparse.Namespace) -> EveStrategy:
     return DisturbPauli(Route(route or "a2b"), selection)
 
 
+def _fields(value) -> dict:
+    """A value class instance's fields by name, in declaration order."""
+    return {name: getattr(value, name) for name in value.__slots__}
+
+
 def _attack_echo(attack: EveStrategy) -> dict:
     if isinstance(attack, Passive):
         return {"type": "none"}
@@ -117,11 +121,11 @@ def _attack_echo(attack: EveStrategy) -> dict:
         return {"type": "intercept", "route": attack.route.value}
     sel = attack.selection
     return {"type": "disturb", "route": attack.route.value,
-            "selection": {"rule": sel.rule, **vars(sel)}}
+            "selection": {"rule": sel.rule, **_fields(sel)}}
 
 
-def _envelope(command: str, payload, conventions: Optional[tuple] = None,
-              seed: Optional[int] = None) -> dict:
+def _envelope(command: str, payload, conventions: tuple | None = None,
+              seed: int | None = None) -> dict:
     env = {"tool_version": __version__, "command": command, "payload": payload}
     if conventions is not None:
         env["conventions"] = dict(zip(
@@ -288,9 +292,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
     t = run_round(config, attack, source)
     record = None
     if t.eve_record is not None:
-        record = {
-            k2: v for k2, v in vars(t.eve_record).items()
-        } | {"kind": type(t.eve_record).__name__}
+        record = _fields(t.eve_record) | {"kind": type(t.eve_record).__name__}
     payload = {
         "attack": _attack_echo(attack),
         "mode": args.mode,

@@ -11,12 +11,12 @@ over a power of two.  No floating point enters this path anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qcore import (
     BELL_LABEL_ORDER,
     Convention,
+    FrozenValue,
     InvariantError,
     PauliCode,
     _ACTION,
@@ -31,12 +31,14 @@ def _gabs2(x: Gaussian) -> int:
     return x[0] * x[0] + x[1] * x[1]
 
 
-@dataclass(frozen=True)
-class ExactState:
+class ExactState(FrozenValue):
     """Amplitudes z[x] / sqrt(2)**half over the |h t> basis."""
 
-    z: tuple[Gaussian, Gaussian, Gaussian, Gaussian]
-    half: int
+    __slots__ = ("z", "half")
+
+    def __init__(self, z: tuple[Gaussian, Gaussian, Gaussian, Gaussian], half: int):
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "half", half)
 
     def norm_sq(self) -> Fraction:
         return Fraction(sum(_gabs2(g) for g in self.z), 2 ** self.half)

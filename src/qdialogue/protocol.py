@@ -27,19 +27,19 @@ taking the draws a loop of :func:`run_round` on one stream takes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 from .attacks import EveRecord, EveStrategy, Route, apply_eve, tap_branches
 from .qcore import (
     BellLabel,
     Convention,
+    FrozenValue,
     PauliCode,
     RandomSource,
     TwoQubitState,
+    Value,
     apply_pauli_t,
     bell_cumulative,
     bell_state,
@@ -59,40 +59,66 @@ class Comparison(str, Enum):
     CONVERTED = "converted"
 
 
-@dataclass(frozen=True)
-class RoundConfig:
+class RoundConfig(FrozenValue):
     """One round's inputs; ``mode`` and ``comparison`` are stored as members."""
 
-    bob_bits: tuple[int, int]
-    alice_bits: tuple[int, int]
-    mode: Mode = Mode.MESSAGE
-    outcome_convention: Convention = Convention.OPERATOR_ENCODING
-    expectation_convention: Convention = Convention.OPERATOR_ENCODING
-    comparison: Comparison = Comparison.CONVERTED
+    __slots__ = ("bob_bits", "alice_bits", "mode", "outcome_convention",
+                 "expectation_convention", "comparison")
 
-    def __post_init__(self) -> None:
-        for bit in (*self.bob_bits, *self.alice_bits):
+    def __init__(
+        self,
+        bob_bits: tuple[int, int],
+        alice_bits: tuple[int, int],
+        mode: Mode = Mode.MESSAGE,
+        outcome_convention: Convention = Convention.OPERATOR_ENCODING,
+        expectation_convention: Convention = Convention.OPERATOR_ENCODING,
+        comparison: Comparison = Comparison.CONVERTED,
+    ):
+        for bit in (*bob_bits, *alice_bits):
             if bit not in (0, 1):
                 raise ValueError("encoding bits must be 0/1")
+        object.__setattr__(self, "bob_bits", bob_bits)
+        object.__setattr__(self, "alice_bits", alice_bits)
         # an unknown value raises ValueError
-        object.__setattr__(self, "mode", Mode(self.mode))
-        object.__setattr__(self, "comparison", Comparison(self.comparison))
+        object.__setattr__(self, "mode", Mode(mode))
+        object.__setattr__(self, "outcome_convention", outcome_convention)
+        object.__setattr__(self, "expectation_convention", expectation_convention)
+        object.__setattr__(self, "comparison", Comparison(comparison))
 
 
-@dataclass
-class RoundTranscript:
-    config: RoundConfig
-    after_prepare: TwoQubitState
-    after_bob_encode: TwoQubitState
-    after_eve_b2a: TwoQubitState
-    after_alice_encode: TwoQubitState
-    after_eve_a2b: TwoQubitState
-    eve_record: EveRecord
-    bell_outcome: BellLabel
-    bell_probability: float
-    decoded_alice_bits: Optional[tuple[int, int]] = None
-    decoded_bob_bits: Optional[tuple[int, int]] = None
-    detected: Optional[bool] = None
+class RoundTranscript(Value):
+    __slots__ = ("config", "after_prepare", "after_bob_encode", "after_eve_b2a",
+                 "after_alice_encode", "after_eve_a2b", "eve_record",
+                 "bell_outcome", "bell_probability", "decoded_alice_bits",
+                 "decoded_bob_bits", "detected")
+
+    def __init__(
+        self,
+        config: RoundConfig,
+        after_prepare: TwoQubitState,
+        after_bob_encode: TwoQubitState,
+        after_eve_b2a: TwoQubitState,
+        after_alice_encode: TwoQubitState,
+        after_eve_a2b: TwoQubitState,
+        eve_record: EveRecord,
+        bell_outcome: BellLabel,
+        bell_probability: float,
+        decoded_alice_bits: tuple[int, int] | None = None,
+        decoded_bob_bits: tuple[int, int] | None = None,
+        detected: bool | None = None,
+    ):
+        self.config = config
+        self.after_prepare = after_prepare
+        self.after_bob_encode = after_bob_encode
+        self.after_eve_b2a = after_eve_b2a
+        self.after_alice_encode = after_alice_encode
+        self.after_eve_a2b = after_eve_a2b
+        self.eve_record = eve_record
+        self.bell_outcome = bell_outcome
+        self.bell_probability = bell_probability
+        self.decoded_alice_bits = decoded_alice_bits
+        self.decoded_bob_bits = decoded_bob_bits
+        self.detected = detected
 
     def snapshots(self) -> tuple[TwoQubitState, ...]:
         return (
@@ -230,20 +256,41 @@ def round_trees(
     return trees
 
 
-@dataclass
-class SessionStats:
-    n_rounds: int
-    control_rounds: int = 0
-    message_rounds: int = 0
-    detections: int = 0
-    alice_pair_errors: int = 0
-    bob_pair_errors: int = 0
-    alice_bit_errors: list[int] = field(default_factory=lambda: [0, 0])
-    bob_bit_errors: list[int] = field(default_factory=lambda: [0, 0])
-    detection_rate: float = 0.0
-    survival_probability: float = 1.0
-    bit_seed: int = 0
-    generator_id: str = RandomSource.GENERATOR_ID
+class SessionStats(Value):
+    """Counts of a session; each bit-error list defaults to a new ``[0, 0]``."""
+
+    __slots__ = ("n_rounds", "control_rounds", "message_rounds", "detections",
+                 "alice_pair_errors", "bob_pair_errors", "alice_bit_errors",
+                 "bob_bit_errors", "detection_rate", "survival_probability",
+                 "bit_seed", "generator_id")
+
+    def __init__(
+        self,
+        n_rounds: int,
+        control_rounds: int = 0,
+        message_rounds: int = 0,
+        detections: int = 0,
+        alice_pair_errors: int = 0,
+        bob_pair_errors: int = 0,
+        alice_bit_errors: list[int] | None = None,
+        bob_bit_errors: list[int] | None = None,
+        detection_rate: float = 0.0,
+        survival_probability: float = 1.0,
+        bit_seed: int = 0,
+        generator_id: str = RandomSource.GENERATOR_ID,
+    ):
+        self.n_rounds = n_rounds
+        self.control_rounds = control_rounds
+        self.message_rounds = message_rounds
+        self.detections = detections
+        self.alice_pair_errors = alice_pair_errors
+        self.bob_pair_errors = bob_pair_errors
+        self.alice_bit_errors = [0, 0] if alice_bit_errors is None else alice_bit_errors
+        self.bob_bit_errors = [0, 0] if bob_bit_errors is None else bob_bit_errors
+        self.detection_rate = detection_rate
+        self.survival_probability = survival_probability
+        self.bit_seed = bit_seed
+        self.generator_id = generator_id
 
 
 def run_session(

@@ -18,16 +18,20 @@ never as floats.  numpy is imported only by the functions that return
 arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`,
 :meth:`RandomSource.uniforms`), so the exact path and the round simulator
 run without it.
+
+The package's record types derive from :class:`Value` or
+:class:`FrozenValue`, plain ``__slots__`` classes, so that importing the
+package loads neither :mod:`dataclasses` (with the :mod:`inspect` it
+imports) nor :mod:`typing`.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 SQRT_HALF = 2.0 ** -0.5
 
@@ -39,6 +43,65 @@ CANON_TOL = 1e-9
 
 class InvariantError(Exception):
     """A state or operation violated an internal contract (e.g. lost norm)."""
+
+
+def _field_values(names: tuple[str, ...]):
+    """The function that maps an instance to the tuple of its fields
+    ``names``: one C call when there are two or more."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(*names)
+        return lambda self: (get(self),)
+    return lambda self: ()
+
+
+class Value:
+    """Base of the package's value classes.  A subclass names its fields in
+    ``__slots__``, in order, and sets them in its own ``__init__``, whose
+    parameters are the fields in that order.
+
+    ``repr`` is ``Name(field=value, ...)``, instances are equal only to
+    instances of the same class with equal fields, and copies and pickles
+    are rebuilt through ``__init__``.  Instances are mutable and unhashable;
+    :class:`FrozenValue` makes them immutable and hashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(_field_values(cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class FrozenValue(Value):
+    """An immutable :class:`Value`, hashed as the tuple of its fields.  Its
+    ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Phase(Enum):
@@ -70,31 +133,33 @@ class Phase(Enum):
         return ("+1", "+i", "-1", "-i")[self.value]
 
 
-@dataclass(frozen=True)
-class PauliCode:
+class PauliCode(FrozenValue):
     """Two-bit label (a, b) of the encoding operator family C_{a,b}.
 
     C_{0,0} = identity, C_{0,1} = sigma_x, C_{1,0} = sigma_y (project sign
     convention, see module docstring), C_{1,1} = sigma_z.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1) or self.b not in (0, 1):
-            raise ValueError(f"Pauli code bits must be 0/1, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int):
+        if a not in (0, 1) or b not in (0, 1):
+            raise ValueError(f"Pauli code bits must be 0/1, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __xor__(self, other: "PauliCode") -> "PauliCode":
         return PauliCode(self.a ^ other.a, self.b ^ other.b)
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
+class PhasedPauli(FrozenValue):
     """A Pauli code together with the exact scalar picked up by composition."""
 
-    code: PauliCode
-    phase: Phase
+    __slots__ = ("code", "phase")
+
+    def __init__(self, code: PauliCode, phase: Phase):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "phase", phase)
 
 
 class Convention(Enum):
@@ -118,8 +183,7 @@ class Convention(Enum):
         return Convention.OPERATOR_ENCODING
 
 
-@dataclass(frozen=True)
-class BellLabel:
+class BellLabel(FrozenValue):
     """A (k, l) Bell-state name tied to the convention it lives in.
 
     Labels are only meaningfully comparable within one convention; callers
@@ -127,13 +191,14 @@ class BellLabel:
     first.
     """
 
-    k: int
-    l: int
-    convention: Convention
+    __slots__ = ("k", "l", "convention")
 
-    def __post_init__(self) -> None:
-        if self.k not in (0, 1) or self.l not in (0, 1):
-            raise ValueError(f"Bell label bits must be 0/1, got ({self.k}, {self.l})")
+    def __init__(self, k: int, l: int, convention: Convention):
+        if k not in (0, 1) or l not in (0, 1):
+            raise ValueError(f"Bell label bits must be 0/1, got ({k}, {l})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "convention", convention)
 
     def bits(self) -> tuple[int, int]:
         return (self.k, self.l)

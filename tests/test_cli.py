@@ -256,6 +256,18 @@ class TestRound:
         assert payload["decoded_alice_bits"] == [1, 0]
         assert payload["decoded_bob_bits"] == [0, 1]
 
+    @pytest.mark.parametrize("uv", ["01", "10"])
+    def test_disturb_round_records_applied_pauli(self, capsys, uv):
+        code, out, _ = invoke(
+            capsys, "round", "--bits", "1001", "--attack", "disturb",
+            "--selection", "fixed", "--uv", uv, "--seed", "0",
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        u, v = int(uv[0]), int(uv[1])
+        assert payload["eve_record"] == {"kind": "AppliedPauli", "u": u, "v": v}
+        assert payload["attack"]["selection"] == {"rule": "fixed", "u": u, "v": v}
+
     def test_bad_bits(self, capsys):
         code, _, err = invoke(capsys, "round", "--bits", "10a1")
         assert code == 1 and "--bits" in err
@@ -406,12 +418,16 @@ def test_goldens_without_numpy(argv, golden):
 
 def test_cli_import_loads_neither_hashlib_nor_numpy():
     """The CLI module imports in a fresh interpreter without hashlib (only
-    child streams use it) or numpy (only the bulk Monte Carlo engine)."""
+    child streams use it), numpy (only the bulk Monte Carlo engine), or
+    dataclasses, inspect and typing, which the value classes and the
+    annotations do without.  ``-S`` skips ``site``, whose ``.pth`` files
+    may import typing themselves."""
     program = ("import sys\n"
                "import qdialogue.cli\n"
-               "print(sorted({'hashlib', 'numpy'} & set(sys.modules)))\n")
+               "print(sorted({'hashlib', 'numpy', 'dataclasses', 'inspect', 'typing'}"
+               " & set(sys.modules)))\n")
     path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -1,0 +1,303 @@
+"""Value semantics of the package's record classes: repr, equality, hash,
+immutability, defaults, copying and the checks their constructors make.
+
+These pin what callers and caches rely on: ``repr(attack)`` seeds
+generators, the ``lru_cache`` keys of ``analysis`` and ``protocol`` hash
+and compare strategies and labels, and reports compare field by field.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qdialogue.analysis import (
+    CaseDescriptor,
+    ClaimsReport,
+    DetectionReport,
+    McEstimate,
+    MessageErrorReport,
+)
+from qdialogue.attacks import (
+    AppliedPauli,
+    CoinIZ,
+    DisturbPauli,
+    Fixed,
+    InterceptMeasure,
+    Measure,
+    MeasuredBranch,
+    Passive,
+    Route,
+    UniformAll4,
+)
+from qdialogue.exactstate import ExactState
+from qdialogue.protocol import (
+    Comparison,
+    Mode,
+    RoundConfig,
+    RoundTranscript,
+    SessionStats,
+)
+from qdialogue.qcore import (
+    BellLabel,
+    Convention,
+    PauliCode,
+    Phase,
+    PhasedPauli,
+    bell_state,
+)
+
+OE = Convention.OPERATOR_ENCODING
+PP = Convention.PARITY_PHASE
+#: one state object, shared so that transcripts built from it compare equal
+#: (TwoQubitState compares by identity)
+STATE = bell_state(OE, 0, 0)
+
+
+def transcript(outcome_k=0, detected=None):
+    return RoundTranscript(RoundConfig((0, 1), (1, 0)), STATE, STATE, STATE,
+                           STATE, STATE, AppliedPauli(1, 1),
+                           BellLabel(outcome_k, 1, OE), 0.5, (1, 0), None, detected)
+
+
+#: (name, make, repr, field values or None when mutable, an unequal value):
+#: ``make`` builds a fresh instance each call
+VALUES = [
+    ("PauliCode", lambda: PauliCode(1, 0), "PauliCode(a=1, b=0)", (1, 0),
+     PauliCode(0, 1)),
+    ("PhasedPauli", lambda: PhasedPauli(PauliCode(1, 0), Phase.PLUS_I),
+     "PhasedPauli(code=PauliCode(a=1, b=0), phase=<Phase.PLUS_I: 1>)",
+     (PauliCode(1, 0), Phase.PLUS_I), PhasedPauli(PauliCode(1, 0), Phase.MINUS_I)),
+    ("BellLabel", lambda: BellLabel(0, 1, PP),
+     "BellLabel(k=0, l=1, convention=<Convention.PARITY_PHASE: 'pp'>)",
+     (0, 1, PP), BellLabel(0, 1, OE)),
+    ("Fixed", lambda: Fixed(1, 1), "Fixed(u=1, v=1)", (1, 1), Fixed(1, 0)),
+    ("UniformAll4", UniformAll4, "UniformAll4()", (), CoinIZ()),
+    ("CoinIZ", CoinIZ, "CoinIZ()", (), UniformAll4()),
+    ("Measure", Measure, "Measure()", (), Passive()),
+    ("Passive", Passive, "Passive()", (), Measure()),
+    ("InterceptMeasure", lambda: InterceptMeasure(Route.A_TO_B),
+     "InterceptMeasure(route=<Route.A_TO_B: 'a2b'>)", (Route.A_TO_B,),
+     InterceptMeasure()),
+    ("DisturbPauli", lambda: DisturbPauli(Route.B_TO_A, Fixed(0, 1)),
+     "DisturbPauli(route=<Route.B_TO_A: 'b2a'>, selection=Fixed(u=0, v=1))",
+     (Route.B_TO_A, Fixed(0, 1)), DisturbPauli(Route.B_TO_A, CoinIZ())),
+    ("MeasuredBranch", lambda: MeasuredBranch("b", 0),
+     "MeasuredBranch(branch='b', t_outcome=0)", ("b", 0), MeasuredBranch("a", 0)),
+    ("AppliedPauli", lambda: AppliedPauli(0, 1), "AppliedPauli(u=0, v=1)", (0, 1),
+     AppliedPauli(1, 1)),
+    ("ExactState", lambda: ExactState(((1, 0), (0, 0), (0, 0), (0, -1)), 1),
+     "ExactState(z=((1, 0), (0, 0), (0, 0), (0, -1)), half=1)",
+     (((1, 0), (0, 0), (0, 0), (0, -1)), 1),
+     ExactState(((1, 0), (0, 0), (0, 0), (0, -1)), 3)),
+    ("RoundConfig", lambda: RoundConfig((0, 1), (1, 0), "control", PP, OE,
+                                        "strict-paper"),
+     "RoundConfig(bob_bits=(0, 1), alice_bits=(1, 0), mode=<Mode.CONTROL: 'control'>, "
+     "outcome_convention=<Convention.PARITY_PHASE: 'pp'>, "
+     "expectation_convention=<Convention.OPERATOR_ENCODING: 'oe'>, "
+     "comparison=<Comparison.STRICT_PAPER: 'strict-paper'>)",
+     ((0, 1), (1, 0), Mode.CONTROL, PP, OE, Comparison.STRICT_PAPER),
+     RoundConfig((0, 1), (1, 0), "control", PP, OE)),
+    ("RoundTranscript", transcript,
+     f"RoundTranscript(config=RoundConfig(bob_bits=(0, 1), alice_bits=(1, 0), "
+     f"mode=<Mode.MESSAGE: 'message'>, "
+     f"outcome_convention=<Convention.OPERATOR_ENCODING: 'oe'>, "
+     f"expectation_convention=<Convention.OPERATOR_ENCODING: 'oe'>, "
+     f"comparison=<Comparison.CONVERTED: 'converted'>), "
+     f"after_prepare={STATE!r}, after_bob_encode={STATE!r}, "
+     f"after_eve_b2a={STATE!r}, after_alice_encode={STATE!r}, "
+     f"after_eve_a2b={STATE!r}, eve_record=AppliedPauli(u=1, v=1), "
+     f"bell_outcome=BellLabel(k=0, l=1, convention=<Convention.OPERATOR_ENCODING: 'oe'>), "
+     f"bell_probability=0.5, decoded_alice_bits=(1, 0), decoded_bob_bits=None, "
+     f"detected=None)",
+     None, transcript(outcome_k=1)),
+    ("SessionStats", lambda: SessionStats(3, bit_seed=7),
+     "SessionStats(n_rounds=3, control_rounds=0, message_rounds=0, detections=0, "
+     "alice_pair_errors=0, bob_pair_errors=0, alice_bit_errors=[0, 0], "
+     "bob_bit_errors=[0, 0], detection_rate=0.0, survival_probability=1.0, "
+     "bit_seed=7, generator_id='mt19937:python-random:single-stream')",
+     None, SessionStats(3, bit_seed=8)),
+    ("CaseDescriptor", lambda: CaseDescriptor(1, 0, 1, "a"),
+     "CaseDescriptor(m=1, n=0, parity=1, eve_branch='a')", (1, 0, 1, "a"),
+     CaseDescriptor(1, 0, 1)),
+    ("DetectionReport",
+     lambda: DetectionReport(Passive(), PP, OE, Comparison.STRICT_PAPER,
+                             {CaseDescriptor(0, 0, 0): Fraction(1, 2)},
+                             average=Fraction(1, 4)),
+     "DetectionReport(attack=Passive(), "
+     "outcome_convention=<Convention.PARITY_PHASE: 'pp'>, "
+     "expectation_convention=<Convention.OPERATOR_ENCODING: 'oe'>, "
+     "comparison=<Comparison.STRICT_PAPER: 'strict-paper'>, "
+     "per_case={CaseDescriptor(m=0, n=0, parity=0, eve_branch='none'): Fraction(1, 2)}, "
+     "branch_averages={}, average=Fraction(1, 4), per_selection=None)",
+     None, DetectionReport(Passive(), PP, OE, Comparison.STRICT_PAPER)),
+    ("McEstimate", lambda: McEstimate(0.25, 0.125, 100, 9, "g"),
+     "McEstimate(mean=0.25, standard_error=0.125, n=100, seed=9, generator_id='g')",
+     (0.25, 0.125, 100, 9, "g"), McEstimate(0.25, 0.125, 100, 10, "g")),
+    ("MessageErrorReport",
+     lambda: MessageErrorReport(Passive(), Fraction(1, 2), Fraction(0),
+                                {"alice_bit0": Fraction(1, 4)}),
+     "MessageErrorReport(attack=Passive(), alice_to_bob=Fraction(1, 2), "
+     "bob_to_alice=Fraction(0, 1), per_bit={'alice_bit0': Fraction(1, 4)})",
+     (Passive(), Fraction(1, 2), Fraction(0), {"alice_bit0": Fraction(1, 4)}),
+     MessageErrorReport(Passive(), Fraction(1, 2), Fraction(1, 2), {})),
+    ("ClaimsReport",
+     lambda: ClaimsReport(Fraction(3, 4), Fraction(1, 2), Fraction(3, 4),
+                          Fraction(1, 2), "why"),
+     "ClaimsReport(paper_claim=Fraction(3, 4), cai_claim=Fraction(1, 2), "
+     "strict_paper_average=Fraction(3, 4), consistent_value=Fraction(1, 2), "
+     "explanation='why')",
+     (Fraction(3, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2), "why"),
+     ClaimsReport(Fraction(3, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2),
+                  "other")),
+]
+
+#: frozen classes whose fields hold an unhashable dict
+UNHASHABLE_FIELDS = {"MessageErrorReport"}
+#: mutable classes: assignable and unhashable
+MUTABLE = {"RoundTranscript", "SessionStats", "DetectionReport"}
+
+params = pytest.mark.parametrize("name,make,text,fields,other", VALUES,
+                                 ids=[v[0] for v in VALUES])
+
+
+def test_every_value_class_is_covered():
+    assert len({name for name, *_ in VALUES}) == len(VALUES) == 21
+
+
+@params
+def test_repr(name, make, text, fields, other):
+    assert repr(make()) == text
+
+
+@params
+def test_equality(name, make, text, fields, other):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert a != object() and a != fields
+
+
+@params
+def test_hash_and_immutability(name, make, text, fields, other):
+    value = make()
+    # the first field's name, from the repr; None when there are no fields
+    field = text[text.index("(") + 1:].split("=", 1)[0] if "=" in text else None
+    if name in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+        marker = object()
+        setattr(value, field, marker)
+        assert getattr(value, field) is marker
+        return
+    if name in UNHASHABLE_FIELDS:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(fields)
+        assert hash(value) == hash(make())
+    attributes = [field] if field else []
+    for attr in attributes + ["not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert value == make()
+
+
+#: a RoundTranscript holds TwoQubitStates, which neither copy nor pickle
+COPYABLE = [v for v in VALUES if v[0] != "RoundTranscript"]
+
+
+@pytest.mark.parametrize("name,make,text,fields,other", COPYABLE,
+                         ids=[v[0] for v in COPYABLE])
+def test_copy_and_pickle(name, make, text, fields, other):
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert repr(twin) == text
+
+
+@pytest.mark.parametrize("a,b", [
+    (AppliedPauli(0, 1), PauliCode(0, 1)),
+    (AppliedPauli(1, 1), Fixed(1, 1)),
+    (UniformAll4(), CoinIZ()),
+    (Passive(), Measure()),
+    (Passive(), UniformAll4()),
+])
+def test_equal_fields_of_different_classes_are_unequal(a, b):
+    assert a != b and b != a
+    assert not a == b
+    assert len({a, b}) == 2
+
+
+def test_defaults():
+    assert InterceptMeasure() == InterceptMeasure(Route.B_TO_A)
+    assert DisturbPauli() == DisturbPauli(Route.A_TO_B, UniformAll4())
+    assert CaseDescriptor(0, 1, 1).eve_branch == "none"
+    config = RoundConfig((1, 1), (0, 0))
+    assert (config.mode, config.outcome_convention, config.expectation_convention,
+            config.comparison) == (Mode.MESSAGE, OE, OE, Comparison.CONVERTED)
+    report = DetectionReport(Passive(), OE, OE, Comparison.CONVERTED)
+    assert (report.per_case, report.branch_averages, report.average,
+            report.per_selection) == ({}, {}, Fraction(0), None)
+    other = DetectionReport(Passive(), OE, OE, Comparison.CONVERTED)
+    assert report.per_case is not other.per_case
+    assert report.branch_averages is not other.branch_averages
+
+
+def test_keyword_construction():
+    config = RoundConfig(bob_bits=(1, 0), alice_bits=(0, 1), mode=Mode.CONTROL,
+                         outcome_convention=PP, expectation_convention=OE,
+                         comparison=Comparison.STRICT_PAPER)
+    assert config == RoundConfig((1, 0), (0, 1), Mode.CONTROL, PP, OE,
+                                 Comparison.STRICT_PAPER)
+    assert ExactState(z=((1, 0),) * 4, half=2) == ExactState(((1, 0),) * 4, 2)
+    assert McEstimate(mean=0.5, standard_error=0.0, n=1, seed=0, generator_id="g") \
+        == McEstimate(0.5, 0.0, 1, 0, "g")
+
+
+def test_round_config_coerces_mode_and_comparison():
+    config = RoundConfig((0, 0), (0, 0), "control", OE, PP, "strict-paper")
+    assert config.mode is Mode.CONTROL
+    assert config.comparison is Comparison.STRICT_PAPER
+    assert config == RoundConfig((0, 0), (0, 0), Mode.CONTROL, OE, PP,
+                                 Comparison.STRICT_PAPER)
+    assert hash(config) == hash(RoundConfig((0, 0), (0, 0), Mode.CONTROL, OE, PP,
+                                            Comparison.STRICT_PAPER))
+
+
+def test_session_stats_lists_are_per_instance_and_deep_copied():
+    a, b = SessionStats(1), SessionStats(1)
+    a.alice_bit_errors[0] += 1
+    a.bob_bit_errors[1] += 1
+    assert b.alice_bit_errors == b.bob_bit_errors == [0, 0]
+    snapshot = copy.deepcopy(a)
+    a.alice_bit_errors[1] += 5
+    assert snapshot.alice_bit_errors == [1, 0]
+    assert snapshot.bob_bit_errors == [0, 1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PauliCode(2, 0),
+    lambda: PauliCode(0, -1),
+    lambda: BellLabel(0, 2, OE),
+    lambda: BellLabel(3, 0, PP),
+    lambda: Fixed(0, 2),
+    lambda: Fixed(2, 1),
+    lambda: CaseDescriptor(0, 1, 0),
+    lambda: CaseDescriptor(1, 1, 1, "a"),
+    lambda: RoundConfig((0, 2), (0, 0)),
+    lambda: RoundConfig((0, 0), (1, 2)),
+    lambda: RoundConfig((0, 0), (0, 0), "sometimes"),
+    lambda: RoundConfig((0, 0), (0, 0), comparison="lenient"),
+], ids=["pauli-a", "pauli-b", "bell-l", "bell-k", "fixed-v", "fixed-u",
+        "case-parity", "case-parity-branch", "config-bob", "config-alice",
+        "config-mode", "config-comparison"])
+def test_constructor_checks(build):
+    with pytest.raises(ValueError):
+        build()
