@@ -36,10 +36,8 @@ from .protocol import (
     Mode,
     RoundConfig,
     RoundTranscript,
-    SessionStats,
     expected_outcome,
     run_round,
-    run_session,
 )
 from .analysis import (
     CaseDescriptor,
@@ -47,11 +45,13 @@ from .analysis import (
     DetectionReport,
     McEstimate,
     MessageErrorReport,
+    SessionStats,
     compare_claims,
     enumerate_exact,
     message_error_rate,
     monte_carlo,
     paper_case_table,
+    run_session,
 )
 
 __version__ = "0.1.0"

@@ -1,25 +1,27 @@
-"""Exact detection-probability enumeration, Monte Carlo cross-checks, and
-the side-by-side report of the disputed averages.
+"""Exact detection-probability enumeration, the two samplers over the same
+tree, and the side-by-side report of the disputed averages.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
 mass an int over a power of two.  :func:`enumerate_exact` folds the
 protocol's detection rule over the leaves and :func:`message_error_rate`
 its message decoder, in ints; ``Fraction``s appear only at the end of each
-fold.  The Monte Carlo estimator samples the same tree with the round
-simulator's float arithmetic, as a statistical cross-check: its table is
-built from :func:`protocol.round_trees`, the float leg walk that
-:func:`protocol.run_session` samples too, and resolved with numpy, which
-only this estimator imports.
+fold.  The two samplers read the same walk, turned into the floats of a
+uniform draw's thresholds once per strategy and outcome convention:
+:func:`monte_carlo` resolves control rounds in bulk with numpy, which only
+it imports, and :func:`run_session` resolves mixed sessions in pure
+Python.  Both take their draws from one stream in the order a loop of
+:func:`protocol.run_round` takes them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, groupby, product
 from operator import mul
 
 from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
@@ -39,7 +41,6 @@ from .protocol import (
     RoundConfig,
     control_detected,
     decode_message,
-    round_trees,
     run_round,
 )
 from .qcore import (
@@ -57,6 +58,10 @@ from .qcore import (
 BitTuple = tuple[int, int, int, int]
 
 ALL_BIT_TUPLES: tuple[BitTuple, ...] = tuple(product((0, 1), repeat=4))
+
+#: the bit tuples (i, j, k, l) in the order the samplers draw them: the
+#: bits k, l, i, j read as a binary number, 8k + 4l + 2i + j
+DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_TUPLES)
 
 #: the code of each (a, b) bit pair
 _CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
@@ -129,6 +134,43 @@ class McEstimate(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "generator_id", generator_id)
+
+
+class SessionStats(Value):
+    """Counts of a session; each bit-error list defaults to a new ``[0, 0]``."""
+
+    __slots__ = ("n_rounds", "control_rounds", "message_rounds", "detections",
+                 "alice_pair_errors", "bob_pair_errors", "alice_bit_errors",
+                 "bob_bit_errors", "detection_rate", "survival_probability",
+                 "bit_seed", "generator_id")
+
+    def __init__(
+        self,
+        n_rounds: int,
+        control_rounds: int = 0,
+        message_rounds: int = 0,
+        detections: int = 0,
+        alice_pair_errors: int = 0,
+        bob_pair_errors: int = 0,
+        alice_bit_errors: list[int] | None = None,
+        bob_bit_errors: list[int] | None = None,
+        detection_rate: float = 0.0,
+        survival_probability: float = 1.0,
+        bit_seed: int = 0,
+        generator_id: str = RandomSource.GENERATOR_ID,
+    ):
+        self.n_rounds = n_rounds
+        self.control_rounds = control_rounds
+        self.message_rounds = message_rounds
+        self.detections = detections
+        self.alice_pair_errors = alice_pair_errors
+        self.bob_pair_errors = bob_pair_errors
+        self.alice_bit_errors = [0, 0] if alice_bit_errors is None else alice_bit_errors
+        self.bob_bit_errors = [0, 0] if bob_bit_errors is None else bob_bit_errors
+        self.detection_rate = detection_rate
+        self.survival_probability = survival_probability
+        self.bit_seed = bit_seed
+        self.generator_id = generator_id
 
 
 class MessageErrorReport(FrozenValue):
@@ -253,6 +295,38 @@ def _detection_flags(outcome_convention: Convention,
     return flags
 
 
+@lru_cache(maxsize=None)
+def _round_tree(attack: EveStrategy, convention: Convention) -> tuple:
+    """Every way a round can go, as the thresholds of its uniform draws:
+    the exact walk's tree in floats, for the samplers.
+
+    One entry per bit tuple, in ``DRAW_ORDER``: Eve's tap thresholds and,
+    per tap branch, the Bell thresholds and the labels under
+    ``convention``.  With tap draw u and Bell draw w, :func:`run_round`
+    measures ``labels[branch_index(bell_thresholds, w)]`` on branch
+    ``branch_index(tap_thresholds, u)``, drawing u only when there are tap
+    thresholds.  The tap thresholds are the cumulative exact branch masses
+    but the last; the Bell thresholds are the cumulative exact masses of
+    the branch's nonzero labels, in ``BELL_LABEL_ORDER``, but the last,
+    over the branch mass.  Each is dyadic, so its float is exact.
+    """
+    exp, leaves = _leaves(attack, DRAW_ORDER, convention)
+    tree = []
+    for _bits, group in groupby(leaves, lambda leaf: leaf[0]):
+        branch_masses = [masses for _bits, _branch, _sel, masses in group]
+        totals = [sum(masses) for masses in branch_masses]
+        taps = tuple(acc / (1 << exp) for acc in accumulate(totals[:-1]))
+        nodes = []
+        for masses, total in zip(branch_masses, totals):
+            labels = tuple(BellLabel(k, l, convention)
+                           for (k, l), mass in zip(BELL_LABEL_ORDER, masses) if mass)
+            nonzero = [mass for mass in masses if mass]
+            nodes.append((tuple(acc / total for acc in accumulate(nonzero[:-1])),
+                          labels))
+        tree.append((taps, tuple(nodes)))
+    return tuple(tree)
+
+
 def enumerate_exact(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -323,26 +397,24 @@ def _round_table(
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Lookup arrays that resolve a control round from its uniform draws.
 
-    Node ``b * B + t`` is bit tuple ``ALL_BIT_TUPLES[b]`` with Eve's tap
+    Node ``b * B + t`` is bit tuple ``DRAW_ORDER[b]`` with Eve's tap
     branch t, of B per tuple.  Returns B; the tap thresholds, shape
     (16, B - 1); the Bell thresholds, shape (16 B, 3); and the detected
     flag of each Bell outcome slot, shape (16 B, 4).  The thresholds are
-    those of :func:`protocol.round_trees`, the leg walk the round simulator
-    samples, with the Bell thresholds padded with +inf so that every node
-    has three.
+    those of :func:`_round_tree`, with the Bell thresholds padded with +inf
+    so that every node has three.
     """
     import numpy as np
 
     table = _detection_flags(outcome_convention, expectation_convention,
                              Comparison(comparison))
     tap_thresholds, bell_thresholds, detected = [], [], []
-    for (k, l, i, j), (taps, branches) in zip(
-        ALL_BIT_TUPLES, round_trees(attack, outcome_convention)
-    ):
+    for bits, (taps, branches) in zip(DRAW_ORDER,
+                                      _round_tree(attack, outcome_convention)):
         tap_thresholds.append(taps)
         for thresholds, labels in branches:
-            bell_thresholds.append(thresholds + [math.inf] * (3 - len(thresholds)))
-            flags = [table[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
+            bell_thresholds.append(thresholds + (math.inf,) * (3 - len(thresholds)))
+            flags = [table[bits][BELL_LABEL_ORDER.index(label.bits())]
                      for label in labels]
             detected.append(flags + [False] * (4 - len(flags)))
     return (
@@ -402,6 +474,99 @@ def monte_carlo(
         seed=seed,
         generator_id=RandomSource.GENERATOR_ID,
     )
+
+
+def run_session(
+    n_rounds: int,
+    control_fraction: float,
+    bit_source: RandomSource,
+    eve: EveStrategy,
+    conventions: tuple[Convention, Convention] = (
+        Convention.OPERATOR_ENCODING,
+        Convention.OPERATOR_ENCODING,
+    ),
+    comparison: Comparison = Comparison.CONVERTED,
+) -> SessionStats:
+    """Run a session of rounds with uniform random bits and random mode draws.
+
+    Every draw comes from the one sequential stream ``bit_source``, round
+    after round.  A round takes the bits k, l, i, j, each 1 when its draw is
+    below 1/2; then, only when ``0 < control_fraction < 1``, the mode draw,
+    control when it is below ``control_fraction`` (fraction 0 is always
+    message, 1 always control); then Eve's tap draw when her strategy draws;
+    then the Bell draw.  The last two are taken as :func:`run_round`
+    consumes them, so the session is a loop of :func:`run_round` on
+    ``bit_source``, and at fraction 1 it is the stream layout of
+    :func:`monte_carlo`.  Deterministic for a fixed seed.
+
+    The rounds are not simulated one by one: each resolves its draws by
+    lookups in the tree of :func:`_round_tree`, and the session counts how
+    often each (bits, tap branch, Bell slot, mode) leaf is reached.  The
+    stats fold :func:`control_detected` and :func:`decode_message` over
+    those counts, so they are the ones a loop of :func:`run_round` calls
+    gives.
+    """
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    if not 0.0 <= control_fraction <= 1.0:
+        raise ValueError("control_fraction must be in [0, 1]")
+
+    outcome_conv, expectation_conv = conventions
+    # node 8k + 4l + 2i + j, in DRAW_ORDER: the tap thresholds and, per tap
+    # branch, the Bell thresholds and the index of the branch's first leaf;
+    # the leaves of Bell slot s are at first + 2s (message) and first + 2s + 1
+    # (control)
+    nodes, leaves = [], []
+    for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
+                                             _round_tree(eve, outcome_conv)):
+        configs = [
+            RoundConfig((k, l), (i, j), mode, outcome_conv, expectation_conv,
+                        comparison)
+            for mode in (Mode.MESSAGE, Mode.CONTROL)
+        ]
+        tap_nodes = []
+        for bell_thresholds, labels in branches:
+            tap_nodes.append((bell_thresholds, len(leaves)))
+            leaves += [(config, label) for label in labels for config in configs]
+        nodes.append((taps, tap_nodes))
+
+    counts = [0] * len(leaves)
+    draw = bit_source.random
+    mixed = 0.0 < control_fraction < 1.0
+    control = control_fraction == 1.0
+    # the thresholds ascend, so bisect_right counts those at or below a
+    # draw, as branch_index does, without a Python-level call
+    for _ in range(n_rounds):
+        node = ((draw() < 0.5) * 8 + (draw() < 0.5) * 4
+                + (draw() < 0.5) * 2 + (draw() < 0.5))
+        if mixed:
+            control = draw() < control_fraction
+        taps, tap_nodes = nodes[node]
+        bell_thresholds, first = tap_nodes[bisect_right(taps, draw()) if taps else 0]
+        counts[first + 2 * bisect_right(bell_thresholds, draw()) + control] += 1
+
+    stats = SessionStats(n_rounds=n_rounds, bit_seed=bit_source.seed)
+    for (config, outcome), count in zip(leaves, counts):
+        if not count:
+            continue
+        if config.mode is Mode.CONTROL:
+            stats.control_rounds += count
+            stats.detections += count * control_detected(config, outcome)
+            continue
+        stats.message_rounds += count
+        (k, l), (i, j) = config.bob_bits, config.alice_bits
+        da, db = decode_message(config, outcome)
+        stats.alice_pair_errors += count * (da != (i, j))
+        stats.bob_pair_errors += count * (db != (k, l))
+        stats.alice_bit_errors[0] += count * (da[0] != i)
+        stats.alice_bit_errors[1] += count * (da[1] != j)
+        stats.bob_bit_errors[0] += count * (db[0] != k)
+        stats.bob_bit_errors[1] += count * (db[1] != l)
+
+    if stats.control_rounds:
+        stats.detection_rate = stats.detections / stats.control_rounds
+        stats.survival_probability = (1.0 - stats.detection_rate) ** stats.control_rounds
+    return stats
 
 
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:

@@ -2,7 +2,7 @@
 
 A strategy carries its own route and answers ``tap(route)`` with what Eve
 does there: nothing, :data:`MEASURE`, or one of a selection's codes.
-:func:`apply_eve`, :func:`tap_branches` and the exact enumeration all
+:func:`apply_eve` and the exact walk in :mod:`qdialogue.analysis` both
 dispatch on that action.
 
 Eve never learns whether the round is a control or a message round -- the
@@ -22,9 +22,7 @@ from .qcore import (
     TwoQubitState,
     apply_pauli_t,
     branch_index,
-    collapse_t,
     measure_t_computational,
-    t0_probability,
 )
 
 
@@ -176,31 +174,6 @@ def _home_branch(collapsed: TwoQubitState) -> str:
     # The protocol only feeds Eve maximally correlated states, so a
     # t-measurement always leaves the home qubit definite.
     raise InvariantError("intercept left the home qubit undetermined")
-
-
-def tap_branches(
-    strategy: EveStrategy, route: Route, state: TwoQubitState
-) -> tuple[tuple[float, ...], tuple[TwoQubitState, ...]]:
-    """Every state Eve can forward at a tap, and the thresholds of her draw.
-
-    With draw u, :func:`apply_eve` forwards
-    ``states[branch_index(thresholds, u)]``.  A tap that does not draw
-    returns no thresholds and one state.  A measurement checks every
-    collapsed state as :func:`apply_eve` checks the one it draws, raising
-    InvariantError when the home qubit is left undetermined.
-    """
-    action = strategy.tap(route)
-    if action is None:
-        return (), (state,)
-    if action is MEASURE:
-        p0 = t0_probability(state)
-        collapsed = (collapse_t(state, 0, p0)[0], collapse_t(state, 1, p0)[0])
-        for branch in collapsed:
-            _home_branch(branch)
-        return (p0,), collapsed
-    return action.thresholds, tuple(
-        apply_pauli_t(state, PauliCode(u, v)) for u, v in action.codes
-    )
 
 
 def apply_eve(

@@ -26,6 +26,7 @@ from .analysis import (
     compare_claims,
     enumerate_exact,
     paper_case_table,
+    run_session,
 )
 from .attacks import (
     CoinIZ,
@@ -37,7 +38,7 @@ from .attacks import (
     Route,
     UniformAll4,
 )
-from .protocol import Mode, RoundConfig, run_round, run_session
+from .protocol import Mode, RoundConfig, run_round
 from .qcore import Convention, InvariantError, RandomSource
 
 

@@ -14,7 +14,9 @@ Conventions fixed project-wide:
   physical states.  ``label_map`` bridges them.
 
 Phases that are fourth roots of unity are kept exact (:class:`Phase`),
-never as floats.  numpy is imported only by the functions that return
+never as floats.  The Born-rule measurements here serve the round
+simulator alone: the samplers read the tree of the exact walk in
+:mod:`qdialogue.analysis`.  numpy is imported only by the functions that return
 arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`,
 :meth:`RandomSource.uniforms`), so the exact path and the round simulator
 run without it.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import random
-from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 
@@ -207,7 +208,9 @@ class BellLabel(FrozenValue):
 class TwoQubitState:
     """Four complex amplitudes over |h t>, index = 2*h + t.
 
-    Immutable; normalization is checked on construction.
+    Immutable; normalization is checked on construction.  Two states are
+    equal when their amplitudes are, exactly; copies and pickles are
+    rebuilt from the amplitudes without a second check, so they are exact.
     """
 
     __slots__ = ("amp",)
@@ -224,6 +227,17 @@ class TwoQubitState:
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.amp == other.amp
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.amp)
+
+    def __reduce__(self):
+        return type(self), (self.amp, False)
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amp)
@@ -398,7 +412,7 @@ class RandomSource:
 
     Identical seeds give bit-identical streams.  Every engine draws from one
     such stream in sequence, so a result depends on the order of its draws:
-    :func:`protocol.run_session` and :func:`analysis.monte_carlo` document
+    :func:`analysis.run_session` and :func:`analysis.monte_carlo` document
     theirs.  :meth:`child` gives an independent stream ``index``, Mersenne
     Twister seeded with :meth:`child_seed`, derived from SHA-256 of
     ``"seed:index"``; no engine uses it.  Seeds are integers in [0, 2**64),
@@ -477,52 +491,17 @@ def measure_t_computational(
     """Born-rule measurement of the travel qubit in the computational basis.
 
     Returns (outcome bit, collapsed renormalized state, outcome probability).
-    The outcome is 0 iff the draw lies below :func:`t0_probability`.
+    The outcome is 0 iff the draw lies below the probability of t = 0.
     """
-    p0 = t0_probability(state)
-    outcome = 0 if rand.random() < p0 else 1
-    collapsed, prob = collapse_t(state, outcome, p0)
-    return outcome, collapsed, prob
-
-
-def t0_probability(state: TwoQubitState) -> float:
-    """Born probability that the travel qubit measures 0."""
-    a0, _a1, a2, _a3 = state.amp
-    return (a0.real * a0.real + a0.imag * a0.imag
-            + a2.real * a2.real + a2.imag * a2.imag)
-
-
-def collapse_t(
-    state: TwoQubitState, outcome: int, p0: float
-) -> tuple[TwoQubitState, float]:
-    """The renormalized state after the travel qubit measured ``outcome``,
-    and that outcome's probability, given ``p0 = t0_probability(state)``."""
     a0, a1, a2, a3 = state.amp
-    if outcome == 0:
+    p0 = (a0.real * a0.real + a0.imag * a0.imag
+          + a2.real * a2.real + a2.imag * a2.imag)
+    if rand.random() < p0:
         scale = p0 ** -0.5
-        return TwoQubitState._unsafe((a0 * scale, 0j, a2 * scale, 0j)), p0
+        return 0, TwoQubitState._unsafe((a0 * scale, 0j, a2 * scale, 0j)), p0
     p1 = 1.0 - p0
     scale = p1 ** -0.5
-    return TwoQubitState._unsafe((0j, a1 * scale, 0j, a3 * scale)), p1
-
-
-def bell_cumulative(
-    state: TwoQubitState, convention: Convention
-) -> Iterator[tuple[float, BellLabel, float]]:
-    """(cumulative weight, label, Born weight) of every label with a nonzero
-    weight, in ``BELL_LABEL_ORDER``, computed as they are consumed.
-
-    A Bell measurement with draw u yields the first entry whose cumulative
-    weight exceeds u, and the last entry when rounding leaves u above all.
-    """
-    a = state.amp
-    acc = 0.0
-    for (k, l), b in _BELL_CONJ_ORDERED[convention]:
-        c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
-        w = c.real * c.real + c.imag * c.imag
-        if w > 0.0:
-            acc += w
-            yield acc, _BELL_LABELS[(convention, k, l)], w
+    return 1, TwoQubitState._unsafe((0j, a1 * scale, 0j, a3 * scale)), p1
 
 
 def measure_bell(
@@ -532,10 +511,17 @@ def measure_bell(
     the last nonzero one when rounding leaves the draw above every cumulative
     weight.  Weights that sum below ``1 - ALG_TOL`` raise InvariantError."""
     u = rand.random()
-    entries = list(bell_cumulative(state, convention))
-    total = entries[-1][0] if entries else 0.0
-    if total < 1.0 - ALG_TOL:
-        raise InvariantError(f"Bell weights sum to {total!r}, not 1")
+    a = state.amp
+    acc = 0.0
+    entries = []  # (cumulative weight, label, Born weight) of nonzero labels
+    for (k, l), b in _BELL_CONJ_ORDERED[convention]:
+        c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
+        w = c.real * c.real + c.imag * c.imag
+        if w > 0.0:
+            acc += w
+            entries.append((acc, _BELL_LABELS[(convention, k, l)], w))
+    if acc < 1.0 - ALG_TOL:
+        raise InvariantError(f"Bell weights sum to {acc!r}, not 1")
     _acc, label, w = next((e for e in entries if u < e[0]), entries[-1])
     return label, w
 

@@ -1,5 +1,6 @@
 """Eve's taps: intercept collapse branches and Pauli disturbance."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,8 +17,9 @@ from qdialogue.attacks import (
     UniformAll4,
     apply_eve,
 )
-from qdialogue.analysis import monte_carlo
-from qdialogue.protocol import Mode, RoundConfig, run_round, run_session
+from qdialogue.analysis import monte_carlo, run_session
+from qdialogue.exactstate import ExactState
+from qdialogue.protocol import Mode, RoundConfig, run_round
 from qdialogue.qcore import (
     ALG_TOL,
     SQRT_HALF,
@@ -166,11 +168,14 @@ class TestHomeQubitInvariant:
     InvariantError on the sampled path and on the table path alike."""
 
     @pytest.fixture
-    def broken_collapse(self, monkeypatch):
-        monkeypatch.setattr("qdialogue.attacks.collapse_t",
-                            lambda state, outcome, p0: (HOME_UNDETERMINED, 0.5))
+    def broken_collapse(self, monkeypatch, fresh_round_tree):
+        # the float collapse of run_round, and the exact one of the tree
+        # both samplers read
+        mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.attacks.measure_t_computational",
                             lambda state, rand: (0, HOME_UNDETERMINED, 0.5))
+        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+                            lambda state: [(Fraction(1), mixed, 0)])
 
     @pytest.mark.usefixtures("broken_collapse")
     @pytest.mark.parametrize("route", list(Route))

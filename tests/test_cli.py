@@ -41,6 +41,9 @@ GOLDEN_INVOCATIONS = [
     (("round", "--bits", "0111", "--attack", "intercept", "--mode", "control",
       "--seed", "3"), "round_intercept.json"),
     (("compare",), "compare.json"),
+    (("mc", "--attack", "intercept", "--route", "a2b", "--outcome-labels", "pp",
+      "--compare", "strict-paper", "--rounds", "2000", "--seed", "5",
+      "--control-fraction", "0.5"), "mc_intercept_a2b_pp.json"),
 ]
 
 
@@ -347,11 +350,13 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
 
+    @pytest.mark.usefixtures("fresh_round_tree")
     def test_indefinite_home_qubit_in_session_exits_two(self, capsys, monkeypatch):
-        # the float table path checks every intercept collapse
-        mixed = TwoQubitState((SQRT_HALF, 0, SQRT_HALF, 0))
-        monkeypatch.setattr("qdialogue.attacks.collapse_t",
-                            lambda state, outcome, p0: (mixed, 0.5))
+        # the session samples the tree of the exact walk, which checks
+        # every intercept collapse
+        mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
+        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+                            lambda state: [(Fraction(1), mixed, 0)])
         code, out, err = invoke(capsys, "mc", "--attack", "intercept",
                                 "--rounds", "20", "--seed", "1")
         assert code == 2 and out == ""

@@ -6,12 +6,22 @@ from itertools import product
 
 import pytest
 
-from qdialogue.analysis import message_error_rate, monte_carlo
+from qdialogue.analysis import (
+    DRAW_ORDER,
+    SessionStats,
+    _leaves,
+    _round_tree,
+    message_error_rate,
+    monte_carlo,
+    run_session,
+)
 from qdialogue.attacks import (
+    AppliedPauli,
     CoinIZ,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
+    MeasuredBranch,
     Passive,
     Route,
 )
@@ -19,10 +29,8 @@ from qdialogue.protocol import (
     Comparison,
     Mode,
     RoundConfig,
-    SessionStats,
     expected_outcome,
     run_round,
-    run_session,
 )
 from qdialogue.qcore import ALG_TOL, BellLabel, Convention, RandomSource, label_map
 from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS
@@ -275,6 +283,61 @@ class TestSessionDecoding:
             p = float(want[name])
             se = (p * (1.0 - p) / m) ** 0.5
             assert abs(count / m - p) <= 5.0 * se, name
+
+
+class StubSource:
+    """Hands out the given draws in order, and fails on one more."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        assert self.draws, "drew more than the tree has draws"
+        return self.draws.pop(0)
+
+
+def midpoint(thresholds, index):
+    """The middle of the interval of a uniform draw that picks ``index``."""
+    bounds = (0.0, *thresholds, 1.0)
+    return (bounds[index] + bounds[index + 1]) / 2
+
+
+class TestRoundFollowsTree:
+    """``run_round``, forced down each branch and Bell slot of the tree the
+    samplers read by draws in the middle of their intervals, lands on the
+    tree's label with the exact walk's weight and Eve's branch: a
+    deterministic check of the float simulator against the exact walk."""
+
+    @pytest.mark.parametrize("convention", [OE, PP])
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_every_leaf(self, attack, convention):
+        _exp, leaves = _leaves(attack, DRAW_ORDER, convention)
+        walked = iter(leaves)
+        for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
+                                                  _round_tree(attack, convention)):
+            config = RoundConfig((k, l), (i, j), Mode.CONTROL, convention)
+            for b, (bell_thresholds, labels) in enumerate(branches):
+                bits, branch, sel, masses = next(walked)
+                assert bits == (i, j, k, l)
+                weights = [mass for mass in masses if mass]
+                for s, label in enumerate(labels):
+                    # the tap draw only when the tree has tap thresholds
+                    source = StubSource([midpoint(taps, b)] * bool(taps)
+                                        + [midpoint(bell_thresholds, s)])
+                    transcript = run_round(config, attack, source)
+                    assert not source.draws
+                    assert transcript.bell_outcome == label
+                    assert abs(transcript.bell_probability
+                               - weights[s] / sum(masses)) <= ALG_TOL
+                    record = transcript.eve_record
+                    if branch != "none":
+                        assert isinstance(record, MeasuredBranch)
+                        assert record.branch == branch
+                    elif sel is not None:
+                        assert record == AppliedPauli(*sel)
+                    else:
+                        assert record is None
+        assert next(walked, None) is None
 
 
 class TestSessionTable:

@@ -1,6 +1,8 @@
 """Core algebra: closed forms, composition, Bell bases, measurements."""
 
+import copy
 import math
+import pickle
 from itertools import product
 
 import numpy as np
@@ -379,3 +381,21 @@ class TestValidation:
             PauliCode(2, 0)
         with pytest.raises(ValueError):
             BellLabel(0, 3, OE)
+
+
+class TestStateValue:
+    def test_equal_by_amplitudes(self):
+        state = bell_state(OE, 0, 1)
+        assert state == TwoQubitState(state.amp) and state != state.amp
+        assert hash(state) == hash(TwoQubitState(state.amp))
+        # the same ray is not the same amplitudes
+        assert state != TwoQubitState(tuple(1j * a for a in state.amp))
+
+    def test_copies_are_exact_and_unchecked(self):
+        # a norm the constructor would reject
+        state = TwoQubitState._unsafe((0.75 + 0.25j, 0j, 0j, -0.5j))
+        for twin in (copy.copy(state), copy.deepcopy(state),
+                     pickle.loads(pickle.dumps(state))):
+            assert type(twin) is TwoQubitState
+            assert twin.amp == state.amp
+            assert twin == state

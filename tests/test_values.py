@@ -18,6 +18,7 @@ from qdialogue.analysis import (
     DetectionReport,
     McEstimate,
     MessageErrorReport,
+    SessionStats,
 )
 from qdialogue.attacks import (
     AppliedPauli,
@@ -37,7 +38,6 @@ from qdialogue.protocol import (
     Mode,
     RoundConfig,
     RoundTranscript,
-    SessionStats,
 )
 from qdialogue.qcore import (
     BellLabel,
@@ -50,8 +50,6 @@ from qdialogue.qcore import (
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
-#: one state object, shared so that transcripts built from it compare equal
-#: (TwoQubitState compares by identity)
 STATE = bell_state(OE, 0, 0)
 
 
@@ -207,12 +205,7 @@ def test_hash_and_immutability(name, make, text, fields, other):
     assert value == make()
 
 
-#: a RoundTranscript holds TwoQubitStates, which neither copy nor pickle
-COPYABLE = [v for v in VALUES if v[0] != "RoundTranscript"]
-
-
-@pytest.mark.parametrize("name,make,text,fields,other", COPYABLE,
-                         ids=[v[0] for v in COPYABLE])
+@params
 def test_copy_and_pickle(name, make, text, fields, other):
     value = make()
     for twin in (copy.copy(value), copy.deepcopy(value),
