@@ -11,7 +11,11 @@ uniform draw's thresholds once per strategy and outcome convention:
 :func:`monte_carlo` resolves control rounds in bulk with numpy, which only
 it imports, and :func:`run_session` resolves mixed sessions in pure
 Python.  Both take their draws from one stream in the order a loop of
-:func:`protocol.run_round` takes them.
+:func:`protocol.run_round` takes them.  A session draws straight from the
+stream's Mersenne Twister and counts the leaves its rounds reach; a table
+cached per configuration gives each leaf a tally vector (control,
+detected, pair and bit errors), and the stats are the counts folded
+against those vectors.
 """
 
 from __future__ import annotations
@@ -476,6 +480,40 @@ def monte_carlo(
     )
 
 
+@lru_cache(maxsize=None)
+def _session_table(eve: EveStrategy, outcome_conv: Convention,
+                   expectation_conv: Convention,
+                   comparison: Comparison) -> tuple[tuple, tuple]:
+    """What :func:`run_session` resolves its rounds with, built once per
+    configuration from :func:`_round_tree` and :func:`_detection_flags`.
+
+    Returns (nodes, columns).  Node 8k + 4l + 2i + j, in ``DRAW_ORDER``,
+    holds the tap thresholds and, per tap branch, the Bell thresholds and
+    the index of the branch's first leaf; the leaves of Bell slot s are at
+    first + 2s (message) and first + 2s + 1 (control).  Each leaf has one
+    tally vector, what a round reaching it adds to the session: control,
+    detected, Alice's and Bob's pair errors, and the bit errors of Alice's
+    bits i, j and of Bob's bits k, l.  ``columns`` holds the vectors
+    transposed, one tuple per tally over every leaf.
+    """
+    flags = _detection_flags(outcome_conv, expectation_conv, comparison)
+    nodes, tallies = [], []
+    for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
+                                             _round_tree(eve, outcome_conv)):
+        config = RoundConfig((k, l), (i, j))
+        tap_nodes = []
+        for bell_thresholds, labels in branches:
+            tap_nodes.append((bell_thresholds, len(tallies)))
+            for label in labels:
+                da, db = decode_message(config, label)
+                detected = flags[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
+                tallies.append((0, 0, da != (i, j), db != (k, l),
+                                da[0] != i, da[1] != j, db[0] != k, db[1] != l))
+                tallies.append((1, detected, 0, 0, 0, 0, 0, 0))
+        nodes.append((taps, tuple(tap_nodes)))
+    return tuple(nodes), tuple(zip(*tallies))
+
+
 def run_session(
     n_rounds: int,
     control_fraction: float,
@@ -500,38 +538,26 @@ def run_session(
     :func:`monte_carlo`.  Deterministic for a fixed seed.
 
     The rounds are not simulated one by one: each resolves its draws by
-    lookups in the tree of :func:`_round_tree`, and the session counts how
-    often each (bits, tap branch, Bell slot, mode) leaf is reached.  The
-    stats fold :func:`control_detected` and :func:`decode_message` over
-    those counts, so they are the ones a loop of :func:`run_round` calls
-    gives.
+    lookups in the table of :func:`_session_table`, cached per (strategy,
+    conventions, comparison), and the session counts how often each (bits,
+    tap branch, Bell slot, mode) leaf is reached.  The stats fold those
+    counts against the leaves' tally vectors, which hold what
+    :func:`control_detected` and :func:`decode_message` give for the leaf,
+    so they are the ones a loop of :func:`run_round` calls gives.  The
+    draws are taken straight from the Mersenne Twister of ``bit_source``,
+    not through :meth:`RandomSource.random`, which returns the same values.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    outcome_conv, expectation_conv = conventions
-    # node 8k + 4l + 2i + j, in DRAW_ORDER: the tap thresholds and, per tap
-    # branch, the Bell thresholds and the index of the branch's first leaf;
-    # the leaves of Bell slot s are at first + 2s (message) and first + 2s + 1
-    # (control)
-    nodes, leaves = [], []
-    for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
-                                             _round_tree(eve, outcome_conv)):
-        configs = [
-            RoundConfig((k, l), (i, j), mode, outcome_conv, expectation_conv,
-                        comparison)
-            for mode in (Mode.MESSAGE, Mode.CONTROL)
-        ]
-        tap_nodes = []
-        for bell_thresholds, labels in branches:
-            tap_nodes.append((bell_thresholds, len(leaves)))
-            leaves += [(config, label) for label in labels for config in configs]
-        nodes.append((taps, tap_nodes))
-
-    counts = [0] * len(leaves)
-    draw = bit_source.random
+    comparison = Comparison(comparison)
+    nodes, columns = _session_table(eve, *conventions, comparison)
+    counts = [0] * len(columns[0])
+    # the generator's own method: the RandomSource.random wrapper would add
+    # a Python-level call per draw, about a third of a round's time
+    draw = bit_source._rng.random
     mixed = 0.0 < control_fraction < 1.0
     control = control_fraction == 1.0
     # the thresholds ascend, so bisect_right counts those at or below a
@@ -545,24 +571,20 @@ def run_session(
         bell_thresholds, first = tap_nodes[bisect_right(taps, draw()) if taps else 0]
         counts[first + 2 * bisect_right(bell_thresholds, draw()) + control] += 1
 
-    stats = SessionStats(n_rounds=n_rounds, bit_seed=bit_source.seed)
-    for (config, outcome), count in zip(leaves, counts):
-        if not count:
-            continue
-        if config.mode is Mode.CONTROL:
-            stats.control_rounds += count
-            stats.detections += count * control_detected(config, outcome)
-            continue
-        stats.message_rounds += count
-        (k, l), (i, j) = config.bob_bits, config.alice_bits
-        da, db = decode_message(config, outcome)
-        stats.alice_pair_errors += count * (da != (i, j))
-        stats.bob_pair_errors += count * (db != (k, l))
-        stats.alice_bit_errors[0] += count * (da[0] != i)
-        stats.alice_bit_errors[1] += count * (da[1] != j)
-        stats.bob_bit_errors[0] += count * (db[0] != k)
-        stats.bob_bit_errors[1] += count * (db[1] != l)
-
+    control_rounds, detections, alice_pair, bob_pair, *bit_errors = (
+        sum(map(mul, column, counts)) for column in columns
+    )
+    stats = SessionStats(
+        n_rounds=n_rounds,
+        control_rounds=control_rounds,
+        message_rounds=n_rounds - control_rounds,
+        detections=detections,
+        alice_pair_errors=alice_pair,
+        bob_pair_errors=bob_pair,
+        alice_bit_errors=bit_errors[:2],
+        bob_bit_errors=bit_errors[2:],
+        bit_seed=bit_source.seed,
+    )
     if stats.control_rounds:
         stats.detection_rate = stats.detections / stats.control_rounds
         stats.survival_probability = (1.0 - stats.detection_rate) ** stats.control_rounds

@@ -15,7 +15,8 @@ label is tested against the expected one when the two conventions differ:
 outcome into the expectation convention first (self-consistent).
 That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode` and
 :class:`Comparison` also take their string values (``"strict-paper"``);
-only :class:`RoundConfig` checks them.  :func:`control_detected` and :func:`decode_message` are the
+:class:`RoundConfig` and the engines turn them into members, so an unknown
+value raises ValueError.  :func:`control_detected` and :func:`decode_message` are the
 one detection rule and the one decoder of every engine.
 
 :func:`run_round` simulates one round in floats and records every state;

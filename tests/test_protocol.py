@@ -11,6 +11,7 @@ from qdialogue.analysis import (
     SessionStats,
     _leaves,
     _round_tree,
+    _session_table,
     message_error_rate,
     monte_carlo,
     run_session,
@@ -407,6 +408,30 @@ class TestSessionStreams:
         calls = self.count_sources(monkeypatch)
         run_session(300, 0.5, bits, attack)
         assert not calls
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("attack", [
+        InterceptMeasure(Route.A_TO_B),
+        DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
+    ], ids=repr)
+    def test_leaves_the_stream_where_the_loop_does(self, attack, fraction):
+        # a session that drew one too many or one too few would leave its
+        # source elsewhere, whatever its counts
+        for seed, n in product(MC_SEEDS, (1, 37, 300)):
+            source, reference = RandomSource(seed), RandomSource(seed)
+            run_session(n, fraction, source, attack, (PP, OE))
+            reference_sessions((n,), fraction, reference, attack, (PP, OE))
+            assert source._rng.getstate() == reference._rng.getstate()
+
+
+class TestSessionTableCache:
+    def test_comparison_string_shares_the_entry(self):
+        attack = DisturbPauli(Route.A_TO_B, CoinIZ())
+        _session_table.cache_clear()
+        run_session(20, 0.5, RandomSource(1), attack, comparison="converted")
+        run_session(20, 0.5, RandomSource(1), attack,
+                    comparison=Comparison.CONVERTED)
+        assert _session_table.cache_info().currsize == 1
 
 
 class TestValidation:
