@@ -7,22 +7,22 @@ mass an int over a power of two.  :func:`enumerate_exact` folds the
 protocol's detection rule over the leaves and :func:`message_error_rate`
 its message decoder, in ints; ``Fraction``s appear only at the end of each
 fold.  The two samplers read the same walk, turned into the floats of a
-uniform draw's thresholds once per strategy and outcome convention:
-:func:`monte_carlo` resolves control rounds in bulk with numpy, which only
-it imports, and :func:`run_session` resolves mixed sessions in pure
-Python.  Both take their draws from one stream in the order a loop of
-:func:`protocol.run_round` takes them.  A session draws straight from the
-stream's Mersenne Twister and counts the leaves its rounds reach; a table
-cached per configuration gives each leaf a tally vector (control,
-detected, pair and bit errors), and the stats are the counts folded
-against those vectors.
+uniform draw's thresholds once per strategy and outcome convention.  Both
+take their draws from one stream in the order a loop of
+:func:`protocol.run_round` takes them, and one resolver serves both: every
+threshold is a multiple of 1/4, so the top byte of each draw's first
+Mersenne Twister word decides it, and whole chunks of rounds resolve by
+``bytes`` table lookups in C.  A table cached per configuration maps each
+round's key to its tallies (control, detected, pair and bit errors);
+:func:`run_session` counts every tally and :func:`monte_carlo`, the
+control-only view, counts detections.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
@@ -56,7 +56,6 @@ from .qcore import (
     PauliCode,
     RandomSource,
     Value,
-    branch_index,
 )
 
 BitTuple = tuple[int, int, int, int]
@@ -70,8 +69,8 @@ DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_
 #: the code of each (a, b) bit pair
 _CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
 
-#: rounds whose draws :func:`monte_carlo` takes and resolves at once; its
-#: memory grows with this, not with the number of rounds
+#: rounds whose draws the samplers take and resolve at once; their memory
+#: grows with this, not with the number of rounds
 MC_CHUNK_ROUNDS = 2048
 
 
@@ -393,40 +392,128 @@ def paper_case_table() -> DetectionReport:
     )
 
 
-def _round_table(
-    attack: EveStrategy,
-    outcome_convention: Convention,
-    expectation_convention: Convention,
-    comparison: Comparison,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup arrays that resolve a control round from its uniform draws.
+#: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
+#: round's key that the top byte of the draw's first word gives (see
+#: :func:`_tallies`): a bit set below 128, a quarter per 64 values
+_BIT_KEYS = tuple(bytes((1 << shift,)) * 128 + bytes(128) for shift in (7, 6, 5, 4))
+_TAP_KEY = b"".join(bytes((quarter << 2,)) * 64 for quarter in range(4))
+_BELL_KEY = b"".join(bytes((quarter,)) * 64 for quarter in range(4))
 
-    Node ``b * B + t`` is bit tuple ``DRAW_ORDER[b]`` with Eve's tap
-    branch t, of B per tuple.  Returns B; the tap thresholds, shape
-    (16, B - 1); the Bell thresholds, shape (16 B, 3); and the detected
-    flag of each Bell outcome slot, shape (16 B, 4).  The thresholds are
-    those of :func:`_round_tree`, with the Bell thresholds padded with +inf
-    so that every node has three.
+#: the tallies a round adds to a session, one bit each: control and detected
+#: (of a control round), then Alice's and Bob's pair errors and the bit errors
+#: of Alice's bits i, j and of Bob's bits k, l (of a message round)
+_CONTROL_TALLIES = 0b00000011
+_MESSAGE_TALLIES = 0b11111100
+#: per tally t, the table that maps a tally byte to its bit t
+_TALLY_BITS = tuple((bytes(1 << t) + b"\1" * (1 << t)) * (128 >> t) for t in range(8))
+
+
+def _quarters(thresholds: tuple[float, ...]) -> tuple[float, ...]:
+    """A draw's thresholds times 4.  A draw in quarter q of [0, 1) passes the
+    ``bisect_right(quarters, q)`` thresholds at or below it.  Raises
+    InvariantError unless every threshold is a multiple of 1/4."""
+    quarters = tuple(4 * t for t in thresholds)
+    if not all(q.is_integer() for q in quarters):
+        raise InvariantError(f"draw threshold not a multiple of 1/4 in {thresholds}")
+    return quarters
+
+
+@lru_cache(maxsize=None)
+def _session_table(eve: EveStrategy, outcome_conv: Convention,
+                   expectation_conv: Convention,
+                   comparison: Comparison) -> tuple[bool, bytes]:
+    """What the samplers resolve rounds with, built once per configuration
+    from :func:`_round_tree` and :func:`_detection_flags`.
+
+    Returns whether a round draws Eve's tap, and the tally table: per round
+    key, the tallies of the leaf it reaches, what :func:`control_detected`
+    and :func:`decode_message` give for it, as bits: those of its control
+    round in ``_CONTROL_TALLIES`` and those of its message round in
+    ``_MESSAGE_TALLIES``.
     """
-    import numpy as np
+    flags = _detection_flags(outcome_conv, expectation_conv, comparison)
+    tree = _round_tree(eve, outcome_conv)
+    draws_tap = bool(tree[0][0])
+    table = bytearray(256)
+    for node, ((i, j, k, l), (taps, branches)) in enumerate(zip(DRAW_ORDER, tree)):
+        if bool(taps) != draws_tap:
+            raise InvariantError("Eve's tap draws on some bit tuples only")
+        config = RoundConfig((k, l), (i, j))
+        leaves = []
+        for bell_thresholds, labels in branches:
+            tallies = []
+            for label in labels:
+                da, db = decode_message(config, label)
+                detected = flags[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
+                tallies.append(1 | detected << 1 | (da != (i, j)) << 2 | (db != (k, l)) << 3
+                               | (da[0] != i) << 4 | (da[1] != j) << 5
+                               | (db[0] != k) << 6 | (db[1] != l) << 7)
+            leaves.append((_quarters(bell_thresholds), tallies))
+        tap_quarters = _quarters(taps)
+        for quarters in range(16):
+            bell_quarters, tallies = leaves[bisect_right(tap_quarters, quarters >> 2)]
+            table[node << 4 | quarters] = tallies[bisect_right(bell_quarters, quarters & 3)]
+    return draws_tap, bytes(table)
 
-    table = _detection_flags(outcome_convention, expectation_convention,
-                             Comparison(comparison))
-    tap_thresholds, bell_thresholds, detected = [], [], []
-    for bits, (taps, branches) in zip(DRAW_ORDER,
-                                      _round_tree(attack, outcome_convention)):
-        tap_thresholds.append(taps)
-        for thresholds, labels in branches:
-            bell_thresholds.append(thresholds + (math.inf,) * (3 - len(thresholds)))
-            flags = [table[bits][BELL_LABEL_ORDER.index(label.bits())]
-                     for label in labels]
-            detected.append(flags + [False] * (4 - len(flags)))
-    return (
-        len(branches),
-        np.array(tap_thresholds),
-        np.array(bell_thresholds),
-        np.array(detected),
-    )
+
+def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
+             comparison: Comparison, n: int, control_fraction: float,
+             source: RandomSource) -> Iterator[bytes]:
+    """The tallies of n rounds drawn from ``source``, one byte a round,
+    ``MC_CHUNK_ROUNDS`` rounds a chunk, in the layout of :func:`run_session`.
+
+    ``random()`` builds a draw from two Mersenne Twister words a, b as
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
+    m / 4 exactly when ``a >> 30 < m``.  Every threshold of the tree is a
+    multiple of 1/4, so the top byte of each draw's first word decides the
+    draw: a bit is 1 when that byte is below 128, and the tap and Bell
+    draws go by their quarter of [0, 1).  ``getrandbits`` returns the words
+    first word least significant, so that byte is byte 3 of the draw's 8
+    little-endian bytes.  Per draw position a table maps it to its bits of
+    the round's key: the node 8k + 4l + 2i + j in bits 4-7, the tap quarter
+    in bits 2-3 and the Bell quarter in bits 0-1.  The table of
+    :func:`_session_table` maps the key to the round's tallies, and the
+    round's mode masks them.  A mode draw at a mixed fraction f is control
+    when its top byte is below 256 f and message when above it; on the
+    byte 256 f rounds down to, unless f is a multiple of 1/256, the whole
+    draw settles it.  All of a chunk's work but that settling runs in C.
+    """
+    draws_tap, table = _session_table(eve, *conventions, Comparison(comparison))
+    mixed = 0.0 < control_fraction < 1.0
+    draws = 5 + mixed + draws_tap
+    keyed = tuple(zip((0, 1, 2, 3, *range(4 + mixed, draws)),
+                      (*_BIT_KEYS, *(_TAP_KEY,) * draws_tap, _BELL_KEY)))
+    if mixed:
+        below = int(256 * control_fraction)
+        # the top byte 256 f rounds down to: 0, for the draws left to settle,
+        # unless all of its draws are at or above f
+        straddling = 0 if 256 * control_fraction != below else _MESSAGE_TALLIES
+        mode_masks = (bytes((_CONTROL_TALLIES,)) * below + bytes((straddling,))
+                      + bytes((_MESSAGE_TALLIES,)) * (255 - below))
+    else:
+        mode_mask = bytes((_CONTROL_TALLIES if control_fraction else _MESSAGE_TALLIES,))
+    getrandbits = source._rng.getrandbits
+    chunk = MC_CHUNK_ROUNDS
+    for start in range(0, n, chunk):
+        rounds = min(chunk, n - start)
+        raw = getrandbits(64 * draws * rounds).to_bytes(8 * draws * rounds, "little")
+        tops = raw[3::8]
+        key = 0
+        for position, key_bits in keyed:
+            key |= int.from_bytes(tops[position::draws].translate(key_bits), "little")
+        if mixed:
+            masks = bytearray(tops[4::draws].translate(mode_masks))
+            # each open mode draw, whole, as random() builds it
+            r = masks.find(0)
+            while r >= 0:
+                word = int.from_bytes(raw[8 * (r * draws + 4):8 * (r * draws + 5)], "little")
+                u = ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) / 2**53
+                masks[r] = _CONTROL_TALLIES if u < control_fraction else _MESSAGE_TALLIES
+                r = masks.find(0, r + 1)
+        else:
+            masks = mode_mask * rounds
+        yield (int.from_bytes(key.to_bytes(rounds, "little").translate(table), "little")
+               & int.from_bytes(masks, "little")).to_bytes(rounds, "little")
 
 
 def monte_carlo(
@@ -446,30 +533,20 @@ def monte_carlo(
     (intercept, uniform4, coin-iz); and one for the Bell measurement.
     That is 5 draws a round for passive and fixed-Pauli strategies, 6 for
     the rest, exactly as :func:`run_round` consumes them, so the estimate
-    is the one the round-by-round loop gives.  Rounds are resolved
-    ``MC_CHUNK_ROUNDS`` at a time by lookups in a table of the round's
-    finite tree, so memory is bounded by the chunk, whatever n is.
+    is the one the round-by-round loop gives.  It is a control-only
+    :func:`run_session` that counts only detections: the rounds are
+    resolved ``MC_CHUNK_ROUNDS`` at a time from the top bytes of their
+    draws, so memory is bounded by the chunk, whatever n is.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = RandomSource(seed)
-    branches, tap_thresholds, bell_thresholds, detected = _round_table(
-        attack, outcome_convention, expectation_convention, comparison
+    detected = _TALLY_BITS[1]
+    detections = sum(
+        chunk.translate(detected).count(1)
+        for chunk in _tallies(attack, (outcome_convention, expectation_convention),
+                              comparison, n, 1.0, rng)
     )
-    draws = 5 if branches == 1 else 6
-    bit_values = np.array([8, 4, 2, 1])
-    detections = 0
-    for start in range(0, n, MC_CHUNK_ROUNDS):
-        rounds = min(MC_CHUNK_ROUNDS, n - start)
-        u = rng.uniforms(rounds * draws).reshape(rounds, draws)
-        bits = (u[:, :4] < 0.5) @ bit_values
-        node = bits * branches
-        if branches > 1:
-            node += branch_index(tap_thresholds[bits].T, u[:, 4])
-        slot = branch_index(bell_thresholds[node].T, u[:, -1])
-        detections += int(np.count_nonzero(detected[node, slot]))
     mean = detections / n
     return McEstimate(
         mean=mean,
@@ -478,40 +555,6 @@ def monte_carlo(
         seed=seed,
         generator_id=RandomSource.GENERATOR_ID,
     )
-
-
-@lru_cache(maxsize=None)
-def _session_table(eve: EveStrategy, outcome_conv: Convention,
-                   expectation_conv: Convention,
-                   comparison: Comparison) -> tuple[tuple, tuple]:
-    """What :func:`run_session` resolves its rounds with, built once per
-    configuration from :func:`_round_tree` and :func:`_detection_flags`.
-
-    Returns (nodes, columns).  Node 8k + 4l + 2i + j, in ``DRAW_ORDER``,
-    holds the tap thresholds and, per tap branch, the Bell thresholds and
-    the index of the branch's first leaf; the leaves of Bell slot s are at
-    first + 2s (message) and first + 2s + 1 (control).  Each leaf has one
-    tally vector, what a round reaching it adds to the session: control,
-    detected, Alice's and Bob's pair errors, and the bit errors of Alice's
-    bits i, j and of Bob's bits k, l.  ``columns`` holds the vectors
-    transposed, one tuple per tally over every leaf.
-    """
-    flags = _detection_flags(outcome_conv, expectation_conv, comparison)
-    nodes, tallies = [], []
-    for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
-                                             _round_tree(eve, outcome_conv)):
-        config = RoundConfig((k, l), (i, j))
-        tap_nodes = []
-        for bell_thresholds, labels in branches:
-            tap_nodes.append((bell_thresholds, len(tallies)))
-            for label in labels:
-                da, db = decode_message(config, label)
-                detected = flags[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
-                tallies.append((0, 0, da != (i, j), db != (k, l),
-                                da[0] != i, da[1] != j, db[0] != k, db[1] != l))
-                tallies.append((1, detected, 0, 0, 0, 0, 0, 0))
-        nodes.append((taps, tuple(tap_nodes)))
-    return tuple(nodes), tuple(zip(*tallies))
 
 
 def run_session(
@@ -537,13 +580,11 @@ def run_session(
     ``bit_source``, and at fraction 1 it is the stream layout of
     :func:`monte_carlo`.  Deterministic for a fixed seed.
 
-    The rounds are not simulated one by one: each resolves its draws by
-    lookups in the table of :func:`_session_table`, cached per (strategy,
-    conventions, comparison), and the session counts how often each (bits,
-    tap branch, Bell slot, mode) leaf is reached.  The stats fold those
-    counts against the leaves' tally vectors, which hold what
-    :func:`control_detected` and :func:`decode_message` give for the leaf,
-    so they are the ones a loop of :func:`run_round` calls gives.  The
+    The rounds are not simulated one by one: :func:`_tallies` resolves them
+    in chunks from the top bytes of their draws, each to the tallies of the
+    leaf it reaches, which hold what :func:`control_detected` and
+    :func:`decode_message` give for it, and the session counts each tally.
+    The stats are the ones a loop of :func:`run_round` calls gives.  The
     draws are taken straight from the Mersenne Twister of ``bit_source``,
     not through :meth:`RandomSource.random`, which returns the same values.
     """
@@ -552,28 +593,12 @@ def run_session(
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    comparison = Comparison(comparison)
-    nodes, columns = _session_table(eve, *conventions, comparison)
-    counts = [0] * len(columns[0])
-    # the generator's own method: the RandomSource.random wrapper would add
-    # a Python-level call per draw, about a third of a round's time
-    draw = bit_source._rng.random
-    mixed = 0.0 < control_fraction < 1.0
-    control = control_fraction == 1.0
-    # the thresholds ascend, so bisect_right counts those at or below a
-    # draw, as branch_index does, without a Python-level call
-    for _ in range(n_rounds):
-        node = ((draw() < 0.5) * 8 + (draw() < 0.5) * 4
-                + (draw() < 0.5) * 2 + (draw() < 0.5))
-        if mixed:
-            control = draw() < control_fraction
-        taps, tap_nodes = nodes[node]
-        bell_thresholds, first = tap_nodes[bisect_right(taps, draw()) if taps else 0]
-        counts[first + 2 * bisect_right(bell_thresholds, draw()) + control] += 1
-
-    control_rounds, detections, alice_pair, bob_pair, *bit_errors = (
-        sum(map(mul, column, counts)) for column in columns
-    )
+    totals = [0] * len(_TALLY_BITS)
+    for chunk in _tallies(eve, conventions, comparison, n_rounds, control_fraction,
+                          bit_source):
+        for t, bit in enumerate(_TALLY_BITS):
+            totals[t] += chunk.translate(bit).count(1)
+    control_rounds, detections, alice_pair, bob_pair, *bit_errors = totals
     stats = SessionStats(
         n_rounds=n_rounds,
         control_rounds=control_rounds,

@@ -16,10 +16,9 @@ Conventions fixed project-wide:
 Phases that are fourth roots of unity are kept exact (:class:`Phase`),
 never as floats.  The Born-rule measurements here serve the round
 simulator alone: the samplers read the tree of the exact walk in
-:mod:`qdialogue.analysis`.  numpy is imported only by the functions that return
-arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`,
-:meth:`RandomSource.uniforms`), so the exact path and the round simulator
-run without it.
+:mod:`qdialogue.analysis`.  numpy is imported only by the two functions
+that return arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`),
+so the exact path, the round simulator and both samplers run without it.
 
 The package's record types derive from :class:`Value` or
 :class:`FrozenValue`, plain ``__slots__`` classes, so that importing the
@@ -436,29 +435,6 @@ class RandomSource:
     def random(self) -> float:
         return self._rng.random()
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` values of :meth:`random`, bit for bit, as a
-        float64 array; the stream advances exactly as ``count`` calls would.
-
-        ``random()`` builds each double from two consecutive 32-bit Mersenne
-        Twister words a, b as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
-        ``getrandbits`` returns the same words, first word least
-        significant, so each little-endian 64-bit word holds one pair as
-        ``b << 32 | a``.  The 53-bit integer converts to float exactly.
-        """
-        import numpy as np
-
-        pairs = np.frombuffer(
-            self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"),
-            dtype="<u8",
-        )
-        # in place, to hold fewer chunk-sized temporaries at once
-        mantissa = pairs & 0xFFFFFFFF
-        mantissa >>= 5
-        mantissa <<= 26
-        mantissa |= pairs >> 38
-        return mantissa * (1.0 / 9007199254740992.0)
-
     def child_seed(self, index: int) -> int:
         """The seed of child stream ``index``: the first 8 bytes, big-endian,
         of SHA-256 of ``"seed:index"``."""
@@ -471,17 +447,12 @@ class RandomSource:
         return RandomSource(self.child_seed(index))
 
 
-def branch_index(thresholds, u):
+def branch_index(thresholds: tuple[float, ...], u: float) -> int:
     """The branch a uniform draw ``u`` selects: how many ``thresholds`` lie
-    at or below it.
-
-    ``u`` may be a float or an array of draws, and each threshold a float or
-    an array with one value per draw, so the round simulator and the bulk
-    Monte Carlo engine resolve draws through the same comparisons.
-    """
+    at or below it."""
     index = 0
     for t in thresholds:
-        index = index + (u >= t)
+        index += u >= t
     return index
 
 

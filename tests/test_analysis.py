@@ -1,11 +1,15 @@
 """Exact enumeration engine, case table, Monte Carlo, and claims report."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -24,6 +28,7 @@ from qdialogue.analysis import (
     message_error_rate,
     monte_carlo,
     paper_case_table,
+    run_session,
 )
 from qdialogue.attacks import (
     MEASURE,
@@ -510,14 +515,24 @@ class TestMonteCarlo:
                     mp.setattr(analysis, "MC_CHUNK_ROUNDS", 16)
                     assert monte_carlo(attack, oc, ec, comp, n=n, seed=seed) == want
 
-    @pytest.mark.parametrize("seed", MC_SEEDS)
-    def test_chunked_uniforms_replay_the_stream(self, seed):
-        bulk, scalar = RandomSource(seed), RandomSource(seed)
-        for count in (1, 5, 6 * analysis.MC_CHUNK_ROUNDS):
-            assert bulk.uniforms(count).tolist() == [
-                scalar.random() for _ in range(count)
-            ]
-            assert bulk._rng.getstate() == scalar._rng.getstate()
+
+def test_samplers_run_without_numpy():
+    """Both samplers run in a fresh interpreter where importing numpy fails,
+    and give what they give here."""
+    program = ("import sys\n"
+               "sys.modules['numpy'] = None\n"
+               "from qdialogue import InterceptMeasure, RandomSource, monte_carlo, run_session\n"
+               "print(repr(monte_carlo(InterceptMeasure(), n=3000, seed=2)))\n"
+               "print(repr(run_session(3000, 0.3, RandomSource(2), InterceptMeasure())))\n")
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"{monte_carlo(InterceptMeasure(), n=3000, seed=2)!r}\n"
+        f"{run_session(3000, 0.3, RandomSource(2), InterceptMeasure())!r}\n"
+    )
 
 
 class TestMessageErrors:
@@ -624,6 +639,37 @@ class TestConservation:
         attack = DisturbPauli(route, StubSelection(((0, 1),), (0.5,)))
         with pytest.raises(InvariantError, match="Eve's branches"):
             enumerate_exact(attack)
+
+    def test_non_quarter_threshold_in_samplers_raises(self, fresh_round_tree,
+                                                       monkeypatch):
+        # the samplers decide each draw by its quarter of [0, 1): a tap
+        # threshold of 1/3, then a Bell threshold of 1/3 in an intercept tree
+        third = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (1 / 3,)))
+        tree = analysis._round_tree
+
+        def third_bell(attack, convention):
+            (taps, ((_thresholds, labels), *branches)), *nodes = tree(attack, convention)
+            return ((taps, (((1 / 3,), labels), *branches)), *nodes)
+
+        for attack in (third, InterceptMeasure()):
+            if attack is not third:
+                monkeypatch.setattr(analysis, "_round_tree", third_bell)
+            with pytest.raises(InvariantError, match="multiple of 1/4"):
+                monte_carlo(attack, n=10)
+            with pytest.raises(InvariantError, match="multiple of 1/4"):
+                run_session(10, 0.5, RandomSource(0), attack)
+
+    def test_tap_draw_on_some_bit_tuples_raises(self, fresh_round_tree, monkeypatch):
+        # the samplers take the same draws every round
+        tree = analysis._round_tree
+
+        def no_first_tap(attack, convention):
+            (_taps, branches), *nodes = tree(attack, convention)
+            return (((), branches), *nodes)
+
+        monkeypatch.setattr(analysis, "_round_tree", no_first_tap)
+        with pytest.raises(InvariantError, match="some bit tuples only"):
+            monte_carlo(InterceptMeasure(), n=10)
 
     def test_non_dyadic_threshold_raises(self):
         attack = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)),

@@ -423,9 +423,9 @@ def test_goldens_without_numpy(argv, golden):
 
 def test_cli_import_loads_neither_hashlib_nor_numpy():
     """The CLI module imports in a fresh interpreter without hashlib (only
-    child streams use it), numpy (only the bulk Monte Carlo engine), or
-    dataclasses, inspect and typing, which the value classes and the
-    annotations do without.  ``-S`` skips ``site``, whose ``.pth`` files
+    child streams use it), numpy (only the array helpers ``pauli_matrix``
+    and ``as_array``, which the tests call), or dataclasses, inspect and
+    typing, which the value classes and the annotations do without.  ``-S`` skips ``site``, whose ``.pth`` files
     may import typing themselves."""
     program = ("import sys\n"
                "import qdialogue.cli\n"

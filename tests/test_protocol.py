@@ -1,17 +1,21 @@
 """Round choreography: determinism without Eve, decoding, mode blindness."""
 
 import copy
+import math
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from qdialogue import analysis
 from qdialogue.analysis import (
     DRAW_ORDER,
     SessionStats,
     _leaves,
     _round_tree,
     _session_table,
+    _tallies,
     message_error_rate,
     monte_carlo,
     run_session,
@@ -382,6 +386,151 @@ class TestSessionTable:
                                 comparison=comp)
             estimate = monte_carlo(attack, oc, ec, comp, n=n, seed=seed)
             assert stats.detections == round(estimate.mean * n)
+
+
+class WordStream:
+    """Stands in for the Mersenne Twister of a ``RandomSource`` and returns
+    the given 32-bit words in order, the way ``random.Random`` returns its
+    own: ``random()`` from the next two words, ``getrandbits`` as the next
+    words, first word least significant."""
+
+    def __init__(self, words):
+        self.words, self.at = list(words), 0
+
+    def _take(self, count):
+        assert self.at + count <= len(self.words), "stream exhausted"
+        self.at += count
+        return self.words[self.at - count:self.at]
+
+    def random(self):
+        a, b = self._take(2)
+        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        return int.from_bytes(b"".join(w.to_bytes(4, "little") for w in self._take(k // 32)),
+                              "little")
+
+
+def word_source(words):
+    source = RandomSource(0)
+    source._rng = WordStream(words)
+    return source
+
+
+def quarter_words(quarter):
+    """The two words of a draw in the middle of quarter ``quarter`` of [0, 1)."""
+    return [quarter << 30 | 1 << 29, 0]
+
+
+class TestResolver:
+    """The chunk resolver decides each draw by the top byte of its first
+    word, through the per-configuration table of ``_session_table``."""
+
+    def test_word_stream_is_the_twister(self):
+        source = random.Random(5)
+        stream = WordStream(source.getrandbits(32) for _ in range(400))
+        twister = random.Random(5)
+        assert [stream.random() for _ in range(100)] == [
+            twister.random() for _ in range(100)]
+        assert stream.getrandbits(64 * 100) == twister.getrandbits(64 * 100)
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_every_key_is_its_round(self, attack):
+        # one round per key, each draw in the middle of the quarter the key
+        # gives it: a bit 1 below 1/2, a bit 0 above
+        for oc, ec, comp in ALL_COMBOS:
+            draws_tap, _table = _session_table(attack, oc, ec, Comparison(comp))
+            words = []
+            for key in range(256):
+                i, j, k, l = DRAW_ORDER[key >> 4]
+                for bit in (k, l, i, j):
+                    words += quarter_words(2 - bit)
+                if draws_tap:
+                    words += quarter_words(key >> 2 & 3)
+                words += quarter_words(key & 3)
+            for mode in Mode:
+                control = mode is Mode.CONTROL
+                tallies = b"".join(_tallies(attack, (oc, ec), comp, 256, float(control),
+                                            word_source(words)))
+                for key, got in enumerate(tallies):
+                    i, j, k, l = DRAW_ORDER[key >> 4]
+                    source = StubSource([(key >> 2 & 3) / 4 + 1 / 8] * draws_tap
+                                        + [(key & 3) / 4 + 1 / 8])
+                    config = RoundConfig((k, l), (i, j), mode, oc, ec, comp)
+                    transcript = run_round(config, attack, source)
+                    assert not source.draws
+                    if control:
+                        want = 1 | bool(transcript.detected) << 1
+                    else:
+                        da = transcript.decoded_alice_bits
+                        db = transcript.decoded_bob_bits
+                        want = ((da != (i, j)) << 2 | (db != (k, l)) << 3
+                                | (da[0] != i) << 4 | (da[1] != j) << 5
+                                | (db[0] != k) << 6 | (db[1] != l) << 7)
+                    assert got == want, (key, mode)
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.1 + 0.2])
+    @pytest.mark.parametrize("attack", [
+        InterceptMeasure(Route.A_TO_B),
+        DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
+    ], ids=repr)
+    def test_mode_draws_on_the_open_byte(self, attack, fraction):
+        # every mode draw has the top byte 256 f rounds down to, so the whole
+        # draw settles it; the draws just below, at or across, and just above
+        # f come first (0.1 + 0.2 is a value random() returns)
+        rng = random.Random(11)
+        mantissa, top = math.floor(fraction * 2**53), math.floor(256 * fraction)
+        assert (mantissa - 1) >> 45 == (mantissa + 1) >> 45 == top
+        rounds = 300
+        draws = 6 + isinstance(attack, InterceptMeasure)
+        words = []
+        for r in range(rounds):
+            m = mantissa + r - 1 if r < 3 else top << 45 | rng.getrandbits(45)
+            round_words = [rng.getrandbits(32) for _ in range(2 * draws)]
+            # the mode draw is the fifth: m / 2**53 from its two words
+            round_words[8:10] = [m >> 26 << 5 | rng.getrandbits(5),
+                                 (m & (1 << 26) - 1) << 6 | rng.getrandbits(6)]
+            words += round_words
+        source, reference = word_source(words), word_source(words)
+        want, = reference_sessions((rounds,), fraction, reference, attack, (PP, OE))
+        got = run_session(rounds, fraction, source, attack, (PP, OE))
+        assert got == want
+        assert 0 < got.control_rounds < rounds
+        assert source._rng.at == reference._rng.at == len(words)
+
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("attack", [
+        InterceptMeasure(Route.A_TO_B),
+        DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
+    ], ids=repr)
+    def test_session_across_chunks(self, attack, fraction):
+        # the chunk size is read when the session starts
+        seed = MC_SEEDS[-1]
+        ns = (16, 37, analysis.MC_CHUNK_ROUNDS + 5)
+        want = reference_sessions(ns, fraction, RandomSource(seed), attack, (PP, OE))
+        for chunk in (analysis.MC_CHUNK_ROUNDS, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "MC_CHUNK_ROUNDS", chunk)
+                for n, expected in zip(ns, want):
+                    source = RandomSource(seed)
+                    source._rng = ChunkSizes(source._rng)
+                    assert run_session(n, fraction, source, attack, (PP, OE)) == expected
+                    per_round = source._rng.bits[0] // min(chunk, n)
+                    assert source._rng.bits == [per_round * min(chunk, n - start)
+                                                for start in range(0, n, chunk)]
+
+
+class ChunkSizes:
+    """Passes ``getrandbits`` on to a generator and records each size."""
+
+    def __init__(self, rng):
+        self.rng, self.bits = rng, []
+
+    def getrandbits(self, k):
+        self.bits.append(k)
+        return self.rng.getrandbits(k)
 
 
 class TestSessionStreams:
