@@ -3,19 +3,21 @@ tree, and the side-by-side report of the disputed averages.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
-mass an int over a power of two.  :func:`enumerate_exact` folds the
-protocol's detection rule over the leaves and :func:`message_error_rate`
-its message decoder, in ints; ``Fraction``s appear only at the end of each
-fold.  The two samplers read the same walk, turned into the floats of a
-uniform draw's thresholds once per strategy and outcome convention.  Both
-take their draws from one stream in the order a loop of
-:func:`protocol.run_round` takes them, and one resolver serves both: every
-threshold is a multiple of 1/4, so the top byte of each draw's first
-Mersenne Twister word decides it, and whole chunks of rounds resolve by
-``bytes`` table lookups in C.  A table cached per configuration maps each
-round's key to its tallies (control, detected, pair and bit errors);
-:func:`run_session` counts every tally and :func:`monte_carlo`, the
-control-only view, counts detections.
+mass an int over a power of two.  It depends only on the strategy and the
+outcome convention, so :func:`_walk` makes it once per pair and caches its
+leaves as tuples.  :func:`enumerate_exact` folds the protocol's detection
+rule over the leaves and :func:`message_error_rate` its message decoder,
+each read from a table cached per conventions, in ints; ``Fraction``s
+appear only at the end of each fold.  The two samplers read the same walk,
+turned into the floats of a uniform draw's thresholds once per strategy
+and outcome convention.  Both take their draws from one stream in the
+order a loop of :func:`protocol.run_round` takes them, and one resolver
+serves both: every threshold is a multiple of 1/4, so the top byte of each
+draw's first Mersenne Twister word decides it, and whole chunks of rounds
+resolve by ``bytes`` table lookups in C.  A table cached per configuration
+maps each round's key to its tallies (control, detected, pair and bit
+errors); :func:`run_session` counts every tally and :func:`monte_carlo`,
+the control-only view, counts detections.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby, product
-from operator import mul
+from operator import itemgetter, mul
 
 from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
 from .exactstate import (
@@ -251,19 +253,23 @@ def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[i
                      for w, code, uv in choices]
 
 
-def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
-            convention: Convention) -> tuple[int, list]:
-    """The exact walk: every leaf of each encoding-bit tuple's round, in
-    order, grouped by Eve branch.
+@lru_cache(maxsize=None)
+def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
+    """The exact walk, once per strategy and outcome convention: every leaf
+    of each encoding-bit tuple's round.
 
-    Returns (D, leaves), a leaf being (bit tuple, Eve branch tag, applied
-    (u, v) or None, masses): its Eve branch's probability times the Born
-    weight of each Bell outcome under ``convention``, in
-    ``BELL_LABEL_ORDER``, as ints over 2**D.
+    Returns (D, groups): per bit tuple, in ``ALL_BIT_TUPLES`` order, the
+    tuple of its leaves, one per Eve branch.  A leaf is (bit tuple, Eve
+    branch tag, applied (u, v) or None, masses): its Eve branch's
+    probability times the Born weight of each Bell outcome under
+    ``convention``, in ``BELL_LABEL_ORDER``, as ints over 2**D.  Everything
+    cached is a tuple, so no caller can change what the next one reads.
+    The exact primitives are looked up as this module's globals when the
+    walk runs; a test that patches one clears this cache first.
     """
     start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
     walked = []
-    for bits in bit_tuples:
+    for bits in ALL_BIT_TUPLES:
         i, j, k, l = bits
         exp, branches = 0, [(1, start, "none", None)]
         # each leg: the sender encodes, then Eve taps it
@@ -279,8 +285,20 @@ def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
                 raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to 1")
             walked.append((exp + state.half + 1, mass, bits, branch, sel, weights))
     top = max(e for e, *_ in walked)
-    return top, [(bits, branch, sel, tuple(w * (mass << top - e) for w in weights))
-                 for e, mass, bits, branch, sel, weights in walked]
+    leaves = [(bits, branch, sel, tuple(w * (mass << top - e) for w in weights))
+              for e, mass, bits, branch, sel, weights in walked]
+    return top, tuple(tuple(group) for _bits, group in groupby(leaves, itemgetter(0)))
+
+
+def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
+            convention: Convention) -> tuple[int, list]:
+    """The leaves of :func:`_walk` for each of ``bit_tuples``, in that
+    order, grouped by Eve branch: (D, a new list of the cached leaves).
+    D is the walk's over all 16 bit tuples, whichever are asked for."""
+    top, groups = _walk(attack, convention)
+    # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
+    return top, [leaf for i, j, k, l in bit_tuples
+                 for leaf in groups[i << 3 | j << 2 | k << 1 | l]]
 
 
 @lru_cache(maxsize=None)
@@ -299,9 +317,27 @@ def _detection_flags(outcome_convention: Convention,
 
 
 @lru_cache(maxsize=None)
+def _decode_errors(convention: Convention) -> dict[BitTuple, tuple[tuple[bool, ...], ...]]:
+    """Per bit tuple (i, j, k, l), the decode errors of each Bell outcome of
+    its message round under ``convention``, in ``BELL_LABEL_ORDER``: whether
+    Bob mis-decodes Alice's pair, whether Alice mis-decodes Bob's pair, and
+    whether each of the bits i, j, k, l comes out wrong."""
+    errors = {}
+    for i, j, k, l in ALL_BIT_TUPLES:
+        config = RoundConfig((k, l), (i, j))
+        row = []
+        for kl in BELL_LABEL_ORDER:
+            alice, bob = decode_message(config, BellLabel(*kl, convention))
+            row.append((alice != (i, j), bob != (k, l),
+                        alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l))
+        errors[i, j, k, l] = tuple(row)
+    return errors
+
+
+@lru_cache(maxsize=None)
 def _round_tree(attack: EveStrategy, convention: Convention) -> tuple:
     """Every way a round can go, as the thresholds of its uniform draws:
-    the exact walk's tree in floats, for the samplers.
+    the cached exact walk's tree in floats, for the samplers.
 
     One entry per bit tuple, in ``DRAW_ORDER``: Eve's tap thresholds and,
     per tap branch, the Bell thresholds and the labels under
@@ -341,10 +377,13 @@ def enumerate_exact(
 
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
-    weight, and folds :func:`protocol.control_detected` over the leaves.
-    The fold sums integer masses over one power of two and builds the
-    report's ``Fraction``s at its end; ``case_order`` only permutes the
-    fold (results are order-independent, which the test suite asserts).
+    weight, and folds :func:`protocol.control_detected`, read from a table
+    cached per conventions and comparison, over the leaves of the cached
+    walk.  The fold sums integer masses over one power of two and builds
+    the report's ``Fraction``s at its end; ``case_order`` only permutes the
+    fold, and with it the order of ``per_case`` (results are
+    order-independent, which the test suite asserts).  The report is new on
+    every call, so changing it changes no cache.
     """
     bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
     if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
@@ -423,7 +462,8 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
                    expectation_conv: Convention,
                    comparison: Comparison) -> tuple[bool, bytes]:
     """What the samplers resolve rounds with, built once per configuration
-    from :func:`_round_tree` and :func:`_detection_flags`.
+    from :func:`_round_tree`, :func:`_detection_flags` and
+    :func:`_decode_errors`.
 
     Returns whether a round draws Eve's tap, and the tally table: per round
     key, the tallies of the leaf it reaches, what :func:`control_detected`
@@ -432,22 +472,20 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
     ``_MESSAGE_TALLIES``.
     """
     flags = _detection_flags(outcome_conv, expectation_conv, comparison)
+    errors = _decode_errors(outcome_conv)
     tree = _round_tree(eve, outcome_conv)
     draws_tap = bool(tree[0][0])
     table = bytearray(256)
-    for node, ((i, j, k, l), (taps, branches)) in enumerate(zip(DRAW_ORDER, tree)):
+    for node, (bits, (taps, branches)) in enumerate(zip(DRAW_ORDER, tree)):
         if bool(taps) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        config = RoundConfig((k, l), (i, j))
         leaves = []
         for bell_thresholds, labels in branches:
             tallies = []
             for label in labels:
-                da, db = decode_message(config, label)
-                detected = flags[i, j, k, l][BELL_LABEL_ORDER.index(label.bits())]
-                tallies.append(1 | detected << 1 | (da != (i, j)) << 2 | (db != (k, l)) << 3
-                               | (da[0] != i) << 4 | (da[1] != j) << 5
-                               | (db[0] != k) << 6 | (db[1] != l) << 7)
+                x = BELL_LABEL_ORDER.index(label.bits())
+                wrong = sum(flag << t for t, flag in enumerate(errors[bits][x], 2))
+                tallies.append(1 | flags[bits][x] << 1 | wrong)
             leaves.append((_quarters(bell_thresholds), tallies))
         tap_quarters = _quarters(taps)
         for quarters in range(16):
@@ -618,19 +656,18 @@ def run_session(
 
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
-    labels), folding :func:`protocol.decode_message` over the leaves of the
-    same exact walk, in integer masses until the end."""
+    labels): a fold of the cached decode-error table (what
+    :func:`protocol.decode_message` gives for each bit tuple and Bell
+    outcome) over the cached exact walk, in integer masses until the end."""
     conv = Convention.OPERATOR_ENCODING
-    exp, leaves = _leaves(attack, ALL_BIT_TUPLES, conv)
+    exp, groups = _walk(attack, conv)
+    table = _decode_errors(conv)
     errors = [0] * 6
-    for (i, j, k, l), _branch, _sel, masses in leaves:
-        config = RoundConfig(bob_bits=(k, l), alice_bits=(i, j))
-        for (kk, ll), mass in zip(BELL_LABEL_ORDER, masses):
-            if mass:
-                alice, bob = decode_message(config, BellLabel(kk, ll, conv))
-                wrong = (alice != (i, j), bob != (k, l),
-                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
-                errors = [e + mass * flag for e, flag in zip(errors, wrong)]
+    for bits, group in zip(ALL_BIT_TUPLES, groups):
+        # the bit tuple's mass on each Bell outcome, over Eve's branches
+        outcome_masses = [sum(column) for column in zip(*(leaf[3] for leaf in group))]
+        for t, wrong in enumerate(zip(*table[bits])):
+            errors[t] += sum(map(mul, outcome_masses, wrong))
     # every bit tuple weighs 1 / 16
     alice_to_bob, bob_to_alice, *per_bit = (Fraction(e, 16 << exp) for e in errors)
     return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(

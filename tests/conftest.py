@@ -5,13 +5,19 @@ import pytest
 from qdialogue import analysis
 
 
+def _clear_walk_caches():
+    for cache in (analysis._walk, analysis._decode_errors, analysis._round_tree,
+                  analysis._session_table):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fresh_round_tree():
-    """Empty the samplers' tree cache and the session table cache built on
-    it before and after a test, so that a test which patches the exact walk
-    builds its own tree and leaves none behind."""
-    analysis._round_tree.cache_clear()
-    analysis._session_table.cache_clear()
-    yield
-    analysis._round_tree.cache_clear()
-    analysis._session_table.cache_clear()
+    """Empty the exact walk's cache, the decode-error table's and those of
+    the samplers' tree and session table built on them, before and after a
+    test, so that a test which patches a walk primitive walks again under
+    its patch and leaves nothing patched behind.  The fixture's value
+    empties them again when called."""
+    _clear_walk_caches()
+    yield _clear_walk_caches
+    _clear_walk_caches()

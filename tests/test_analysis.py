@@ -617,6 +617,7 @@ class TestConservation:
     @pytest.mark.parametrize("attack", [Passive(), InterceptMeasure(),
                                         DisturbPauli(selection=UniformAll4())],
                              ids=repr)
+    @pytest.mark.usefixtures("fresh_round_tree")
     def test_lost_bell_weight_raises(self, monkeypatch, attack):
         monkeypatch.setattr(analysis, "bell_weights_exact", self.drop_first_weight)
         with pytest.raises(InvariantError, match="Bell weights"):
@@ -624,6 +625,7 @@ class TestConservation:
         with pytest.raises(InvariantError, match="Bell weights"):
             message_error_rate(attack)
 
+    @pytest.mark.usefixtures("fresh_round_tree")
     def test_lost_measurement_branch_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "measure_t_branches",
                             lambda state: measure_t_branches(state)[:1])
@@ -676,6 +678,90 @@ class TestConservation:
                                                       (Fraction(1, 3),)))
         with pytest.raises(InvariantError, match="non-dyadic"):
             enumerate_exact(attack)
+
+
+class TestWalkCache:
+    """The exact walk is made once per strategy and outcome convention, and
+    what is cached cannot be changed through what the engines return."""
+
+    @staticmethod
+    def exact_grid_reports():
+        """The 137 reports of one cycle of the benchmark's exact grid."""
+        rng = random.Random(11)
+        for attack in ALL_STRATEGIES:
+            for oc, ec, comp in ALL_COMBOS:
+                yield enumerate_exact(attack, oc, ec, comp,
+                                      case_order=rng.sample(ALL_BIT_TUPLES, 16))
+            yield message_error_rate(attack)
+        yield paper_case_table()
+        yield compare_claims()
+
+    def test_one_walk_per_strategy_and_convention(self, fresh_round_tree):
+        assert sum(1 for _ in self.exact_grid_reports()) == 137
+        assert analysis._walk.cache_info().misses == len(ALL_STRATEGIES) * 2 == 30
+        assert sum(1 for _ in self.exact_grid_reports()) == 137
+        assert analysis._walk.cache_info().misses == 30
+
+    @pytest.mark.parametrize("order_seed", [0, 1, 2])
+    def test_cold_and_warm_reports_agree(self, fresh_round_tree, order_seed):
+        order = random.Random(order_seed).sample(ALL_BIT_TUPLES, 16)
+        # each case (m, n) first appears where case_order first reaches it
+        cases = list(dict.fromkeys((i ^ k, j ^ l) for i, j, k, l in order))
+        for attack in ALL_STRATEGIES:
+            for oc, ec, comp in ALL_COMBOS:
+                fresh_round_tree()
+                cold = enumerate_exact(attack, oc, ec, comp, case_order=order)
+                warm = enumerate_exact(attack, oc, ec, comp, case_order=order)
+                assert repr(warm) == repr(cold)
+                assert list(dict.fromkeys((c.m, c.n) for c in warm.per_case)) == cases
+
+    @pytest.mark.parametrize("convention", [OE, PP])
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_walk_holds_only_tuples(self, attack, convention):
+        def check(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    check(item)
+            else:
+                assert value is None or type(value) in (int, str)
+
+        check(analysis._walk(attack, convention))
+
+    def test_changing_results_changes_no_cache(self):
+        attack = InterceptMeasure(Route.A_TO_B)
+        exp, leaves = analysis._leaves(attack, ALL_BIT_TUPLES, PP)
+        kept = list(leaves)
+        leaves[0] = leaves[-1]
+        leaves.append(leaves[0])
+        assert analysis._leaves(attack, ALL_BIT_TUPLES, PP) == (exp, kept)
+
+        report = enumerate_exact(attack, PP)
+        kept = repr(report)
+        report.per_case.clear()
+        report.per_case[CaseDescriptor(0, 0, 0)] = Fraction(7)
+        report.branch_averages["a"] = Fraction(7)
+        assert repr(enumerate_exact(attack, PP)) == kept
+
+        errors = message_error_rate(attack)
+        kept = repr(errors)
+        errors.per_bit["alice_bit0"] = Fraction(7)
+        assert repr(message_error_rate(attack)) == kept
+
+    def test_patch_after_a_warm_walk_raises(self, request, monkeypatch):
+        # the fixture empties a cache that an earlier call filled
+        attack = InterceptMeasure(Route.A_TO_B)
+        enumerate_exact(attack)
+        message_error_rate(attack)
+        monte_carlo(attack, n=10)
+        request.getfixturevalue("fresh_round_tree")
+        monkeypatch.setattr(analysis, "bell_weights_exact",
+                            TestConservation.drop_first_weight)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            enumerate_exact(attack)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            message_error_rate(attack)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            monte_carlo(attack, n=10)
 
 
 class TestCompareClaims:
