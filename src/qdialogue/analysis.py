@@ -5,18 +5,19 @@ One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
 mass an int over a power of two.  It depends only on the strategy and the
 outcome convention, so :func:`_walk` makes it once per pair and caches its
-leaves as tuples.  :func:`enumerate_exact` folds the protocol's detection
-rule over the leaves and :func:`message_error_rate` its message decoder,
-each read from a table cached per conventions, in ints; ``Fraction``s
-appear only at the end of each fold.  The two samplers read the same walk,
-turned into the floats of a uniform draw's thresholds once per strategy
-and outcome convention.  Both take their draws from one stream in the
-order a loop of :func:`protocol.run_round` takes them, and one resolver
-serves both: every threshold is a multiple of 1/4, so the top byte of each
-draw's first Mersenne Twister word decides it, and whole chunks of rounds
-resolve by ``bytes`` table lookups in C.  A table cached per configuration
-maps each round's key to its tallies (control, detected, pair and bit
-errors); :func:`run_session` counts every tally and :func:`monte_carlo`,
+leaves as tuples.  One table, cached per conventions and comparison, holds
+the rules: per bit tuple, one tally byte per Bell outcome (control,
+detected, pair and bit errors; :func:`_outcome_tallies`).
+:func:`enumerate_exact` folds its detected bit over the leaves and
+:func:`message_error_rate` its error bits, in ints; ``Fraction``s appear
+only at the end of each fold.  The two samplers read the same walk and
+table.  Both take their draws from one stream in the order a loop of
+:func:`protocol.run_round` takes them, and one resolver serves both: every
+cumulative mass of the walk is a multiple of 1/4 of its total, so the top
+byte of each draw's first Mersenne Twister word decides it, and whole
+chunks of rounds resolve by ``bytes`` table lookups in C.  A table cached
+per configuration maps each round's key to the tally byte of the leaf it
+reaches; :func:`run_session` counts every tally and :func:`monte_carlo`,
 the control-only view, counts detections.
 """
 
@@ -301,69 +302,38 @@ def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
                  for leaf in groups[i << 3 | j << 2 | k << 1 | l]]
 
 
-@lru_cache(maxsize=None)
-def _detection_flags(outcome_convention: Convention,
-                     expectation_convention: Convention,
-                     comparison: Comparison) -> dict[BitTuple, tuple[bool, ...]]:
-    """Per bit tuple (i, j, k, l), whether each Bell outcome of its control
-    round, in ``BELL_LABEL_ORDER``, flags Eve."""
-    flags = {}
-    for i, j, k, l in ALL_BIT_TUPLES:
-        config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_convention,
-                             expectation_convention, comparison)
-        flags[i, j, k, l] = tuple(control_detected(config, BellLabel(*kl, outcome_convention))
-                                  for kl in BELL_LABEL_ORDER)
-    return flags
+#: the tallies a round adds to a session, one bit each: control and detected
+#: (of a control round), then Alice's and Bob's pair errors and the bit errors
+#: of Alice's bits i, j and of Bob's bits k, l (of a message round)
+_CONTROL_TALLIES = 0b00000011
+_MESSAGE_TALLIES = 0b11111100
+#: per tally t, the table that maps a tally byte to its bit t
+_TALLY_BITS = tuple((bytes(1 << t) + b"\1" * (1 << t)) * (128 >> t) for t in range(8))
 
 
 @lru_cache(maxsize=None)
-def _decode_errors(convention: Convention) -> dict[BitTuple, tuple[tuple[bool, ...], ...]]:
-    """Per bit tuple (i, j, k, l), the decode errors of each Bell outcome of
-    its message round under ``convention``, in ``BELL_LABEL_ORDER``: whether
-    Bob mis-decodes Alice's pair, whether Alice mis-decodes Bob's pair, and
-    whether each of the bits i, j, k, l comes out wrong."""
-    errors = {}
+def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
+                     comparison: Comparison) -> dict[BitTuple, bytes]:
+    """Per bit tuple (i, j, k, l), the tallies of each Bell outcome of its
+    round, in ``BELL_LABEL_ORDER``, one byte each: bit 0 set (a control
+    round), bit 1 whether :func:`control_detected` flags it, and bits 2-7
+    what :func:`decode_message` gets wrong in a message round: Alice's and
+    Bob's pairs, then the bits i, j, k, l.  ``_TALLY_BITS[t]`` reads bit t
+    of a row."""
+    rows = {}
     for i, j, k, l in ALL_BIT_TUPLES:
-        config = RoundConfig((k, l), (i, j))
-        row = []
+        config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,
+                             expectation_conv, comparison)
+        row = bytearray()
         for kl in BELL_LABEL_ORDER:
-            alice, bob = decode_message(config, BellLabel(*kl, convention))
-            row.append((alice != (i, j), bob != (k, l),
-                        alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l))
-        errors[i, j, k, l] = tuple(row)
-    return errors
-
-
-@lru_cache(maxsize=None)
-def _round_tree(attack: EveStrategy, convention: Convention) -> tuple:
-    """Every way a round can go, as the thresholds of its uniform draws:
-    the cached exact walk's tree in floats, for the samplers.
-
-    One entry per bit tuple, in ``DRAW_ORDER``: Eve's tap thresholds and,
-    per tap branch, the Bell thresholds and the labels under
-    ``convention``.  With tap draw u and Bell draw w, :func:`run_round`
-    measures ``labels[branch_index(bell_thresholds, w)]`` on branch
-    ``branch_index(tap_thresholds, u)``, drawing u only when there are tap
-    thresholds.  The tap thresholds are the cumulative exact branch masses
-    but the last; the Bell thresholds are the cumulative exact masses of
-    the branch's nonzero labels, in ``BELL_LABEL_ORDER``, but the last,
-    over the branch mass.  Each is dyadic, so its float is exact.
-    """
-    exp, leaves = _leaves(attack, DRAW_ORDER, convention)
-    tree = []
-    for _bits, group in groupby(leaves, lambda leaf: leaf[0]):
-        branch_masses = [masses for _bits, _branch, _sel, masses in group]
-        totals = [sum(masses) for masses in branch_masses]
-        taps = tuple(acc / (1 << exp) for acc in accumulate(totals[:-1]))
-        nodes = []
-        for masses, total in zip(branch_masses, totals):
-            labels = tuple(BellLabel(k, l, convention)
-                           for (k, l), mass in zip(BELL_LABEL_ORDER, masses) if mass)
-            nonzero = [mass for mass in masses if mass]
-            nodes.append((tuple(acc / total for acc in accumulate(nonzero[:-1])),
-                          labels))
-        tree.append((taps, tuple(nodes)))
-    return tuple(tree)
+            label = BellLabel(*kl, outcome_conv)
+            alice, bob = decode_message(config, label)
+            wrong = (alice != (i, j), bob != (k, l),
+                     alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
+            row.append(1 | control_detected(config, label) << 1
+                       | sum(flag << t for t, flag in enumerate(wrong, 2)))
+        rows[i, j, k, l] = bytes(row)
+    return rows
 
 
 def enumerate_exact(
@@ -377,10 +347,10 @@ def enumerate_exact(
 
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
-    weight, and folds :func:`protocol.control_detected`, read from a table
-    cached per conventions and comparison, over the leaves of the cached
-    walk.  The fold sums integer masses over one power of two and builds
-    the report's ``Fraction``s at its end; ``case_order`` only permutes the
+    weight, and folds :func:`protocol.control_detected`, read as the
+    detected bit of the rows of :func:`_outcome_tallies`, over the leaves
+    of the cached walk.  The fold sums integer masses over one power of two
+    and builds the report's ``Fraction``s at its end; ``case_order`` only permutes the
     fold, and with it the order of ``per_case`` (results are
     order-independent, which the test suite asserts).  The report is new on
     every call, so changing it changes no cache.
@@ -389,14 +359,16 @@ def enumerate_exact(
     if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
         raise ValueError("case_order must be a permutation of all 16 bit tuples")
     comparison = Comparison(comparison)
-    flags = _detection_flags(outcome_convention, expectation_convention, comparison)
+    rows = _outcome_tallies(outcome_convention, expectation_convention, comparison)
+    detected = _TALLY_BITS[1]
     exp, leaves = _leaves(attack, bit_tuples, outcome_convention)
 
     # (detected mass, total mass) per case and per applied (u, v)
     cases: dict[tuple[int, int, str], tuple[int, int]] = {}
     selections: dict[tuple[int, int], tuple[int, int]] = {}
     for (i, j, k, l), branch, sel, masses in leaves:
-        hit, mass = sum(map(mul, masses, flags[i, j, k, l])), sum(masses)
+        hit = sum(map(mul, masses, rows[i, j, k, l].translate(detected)))
+        mass = sum(masses)
         det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
         cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
         if sel is not None:
@@ -438,23 +410,18 @@ _BIT_KEYS = tuple(bytes((1 << shift,)) * 128 + bytes(128) for shift in (7, 6, 5,
 _TAP_KEY = b"".join(bytes((quarter << 2,)) * 64 for quarter in range(4))
 _BELL_KEY = b"".join(bytes((quarter,)) * 64 for quarter in range(4))
 
-#: the tallies a round adds to a session, one bit each: control and detected
-#: (of a control round), then Alice's and Bob's pair errors and the bit errors
-#: of Alice's bits i, j and of Bob's bits k, l (of a message round)
-_CONTROL_TALLIES = 0b00000011
-_MESSAGE_TALLIES = 0b11111100
-#: per tally t, the table that maps a tally byte to its bit t
-_TALLY_BITS = tuple((bytes(1 << t) + b"\1" * (1 << t)) * (128 >> t) for t in range(8))
-
-
-def _quarters(thresholds: tuple[float, ...]) -> tuple[float, ...]:
-    """A draw's thresholds times 4.  A draw in quarter q of [0, 1) passes the
-    ``bisect_right(quarters, q)`` thresholds at or below it.  Raises
-    InvariantError unless every threshold is a multiple of 1/4."""
-    quarters = tuple(4 * t for t in thresholds)
-    if not all(q.is_integer() for q in quarters):
-        raise InvariantError(f"draw threshold not a multiple of 1/4 in {thresholds}")
-    return quarters
+def _quarter_picks(masses: Iterable[int]) -> tuple[int, ...]:
+    """The branch a uniform draw picks in each quarter of [0, 1), for
+    branches of these integer masses: the number of cumulative masses, as
+    quarters of the total, at or below the draw's quarter.  Raises
+    InvariantError unless every cumulative mass is a multiple of 1/4 of the
+    total."""
+    cumulative = tuple(accumulate(masses))
+    total = cumulative[-1]
+    if any(4 * c % total for c in cumulative):
+        raise InvariantError(f"draw threshold not a multiple of 1/4 in {cumulative}")
+    quarters = [4 * c // total for c in cumulative]
+    return tuple(bisect_right(quarters, q) for q in range(4))
 
 
 @lru_cache(maxsize=None)
@@ -462,35 +429,29 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
                    expectation_conv: Convention,
                    comparison: Comparison) -> tuple[bool, bytes]:
     """What the samplers resolve rounds with, built once per configuration
-    from :func:`_round_tree`, :func:`_detection_flags` and
-    :func:`_decode_errors`.
+    from the integer masses of :func:`_walk` and the rows of
+    :func:`_outcome_tallies`.
 
     Returns whether a round draws Eve's tap, and the tally table: per round
-    key, the tallies of the leaf it reaches, what :func:`control_detected`
-    and :func:`decode_message` give for it, as bits: those of its control
+    key, the tallies of the leaf it reaches, as bits: those of its control
     round in ``_CONTROL_TALLIES`` and those of its message round in
-    ``_MESSAGE_TALLIES``.
+    ``_MESSAGE_TALLIES``.  The key's node is the bit tuple's place in
+    ``DRAW_ORDER``; its tap quarter picks an Eve branch by the cumulative
+    branch masses, and its Bell quarter an outcome by the branch's
+    cumulative Bell masses (:func:`_quarter_picks`).
     """
-    flags = _detection_flags(outcome_conv, expectation_conv, comparison)
-    errors = _decode_errors(outcome_conv)
-    tree = _round_tree(eve, outcome_conv)
-    draws_tap = bool(tree[0][0])
-    table = bytearray(256)
-    for node, (bits, (taps, branches)) in enumerate(zip(DRAW_ORDER, tree)):
-        if bool(taps) != draws_tap:
+    _top, groups = _walk(eve, outcome_conv)
+    rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
+    draws_tap = len(groups[0]) > 1
+    table = bytearray()
+    for i, j, k, l in DRAW_ORDER:
+        # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
+        masses = [leaf[3] for leaf in groups[i << 3 | j << 2 | k << 1 | l]]
+        if (len(masses) > 1) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        leaves = []
-        for bell_thresholds, labels in branches:
-            tallies = []
-            for label in labels:
-                x = BELL_LABEL_ORDER.index(label.bits())
-                wrong = sum(flag << t for t, flag in enumerate(errors[bits][x], 2))
-                tallies.append(1 | flags[bits][x] << 1 | wrong)
-            leaves.append((_quarters(bell_thresholds), tallies))
-        tap_quarters = _quarters(taps)
-        for quarters in range(16):
-            bell_quarters, tallies = leaves[bisect_right(tap_quarters, quarters >> 2)]
-            table[node << 4 | quarters] = tallies[bisect_right(bell_quarters, quarters & 3)]
+        row = rows[i, j, k, l]
+        for branch in _quarter_picks(map(sum, masses)):
+            table += bytes(row[x] for x in _quarter_picks(masses[branch]))
     return draws_tap, bytes(table)
 
 
@@ -502,12 +463,13 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
 
     ``random()`` builds a draw from two Mersenne Twister words a, b as
     ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
-    m / 4 exactly when ``a >> 30 < m``.  Every threshold of the tree is a
-    multiple of 1/4, so the top byte of each draw's first word decides the
-    draw: a bit is 1 when that byte is below 128, and the tap and Bell
-    draws go by their quarter of [0, 1).  ``getrandbits`` returns the words
-    first word least significant, so that byte is byte 3 of the draw's 8
-    little-endian bytes.  Per draw position a table maps it to its bits of
+    m / 4 exactly when ``a >> 30 < m``.  Every threshold of the walk is a
+    multiple of 1/4, as :func:`_session_table` checks on its integers, so
+    the top byte of each draw's first word decides the draw: a bit is 1
+    when that byte is below 128, and the tap and Bell draws go by their
+    quarter of [0, 1).  ``getrandbits`` returns the words first word least
+    significant, so that byte is byte 3 of the draw's 8 little-endian
+    bytes.  Per draw position a table maps it to its bits of
     the round's key: the node 8k + 4l + 2i + j in bits 4-7, the tap quarter
     in bits 2-3 and the Bell quarter in bits 0-1.  The table of
     :func:`_session_table` maps the key to the round's tallies, and the
@@ -656,18 +618,20 @@ def run_session(
 
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
-    labels): a fold of the cached decode-error table (what
-    :func:`protocol.decode_message` gives for each bit tuple and Bell
-    outcome) over the cached exact walk, in integer masses until the end."""
+    labels): a fold of the error bits of the rows of
+    :func:`_outcome_tallies` (what :func:`protocol.decode_message` gets
+    wrong for each bit tuple and Bell outcome) against the cached exact
+    walk's mass on each of the 64 outcomes, in integer masses until the
+    end."""
     conv = Convention.OPERATOR_ENCODING
     exp, groups = _walk(attack, conv)
-    table = _decode_errors(conv)
-    errors = [0] * 6
-    for bits, group in zip(ALL_BIT_TUPLES, groups):
-        # the bit tuple's mass on each Bell outcome, over Eve's branches
-        outcome_masses = [sum(column) for column in zip(*(leaf[3] for leaf in group))]
-        for t, wrong in enumerate(zip(*table[bits])):
-            errors[t] += sum(map(mul, outcome_masses, wrong))
+    rows = _outcome_tallies(conv, conv, Comparison.CONVERTED)
+    # each bit tuple's mass on each Bell outcome, over Eve's branches, and
+    # the outcome's tallies, both in ALL_BIT_TUPLES order
+    masses = [sum(column) for group in groups
+              for column in zip(*(leaf[3] for leaf in group))]
+    tallies = b"".join(rows.values())
+    errors = [sum(map(mul, masses, tallies.translate(bit))) for bit in _TALLY_BITS[2:]]
     # every bit tuple weighs 1 / 16
     alice_to_bob, bob_to_alice, *per_bit = (Fraction(e, 16 << exp) for e in errors)
     return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(

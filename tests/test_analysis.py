@@ -617,7 +617,7 @@ class TestConservation:
     @pytest.mark.parametrize("attack", [Passive(), InterceptMeasure(),
                                         DisturbPauli(selection=UniformAll4())],
                              ids=repr)
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_lost_bell_weight_raises(self, monkeypatch, attack):
         monkeypatch.setattr(analysis, "bell_weights_exact", self.drop_first_weight)
         with pytest.raises(InvariantError, match="Bell weights"):
@@ -625,7 +625,7 @@ class TestConservation:
         with pytest.raises(InvariantError, match="Bell weights"):
             message_error_rate(attack)
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_lost_measurement_branch_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "measure_t_branches",
                             lambda state: measure_t_branches(state)[:1])
@@ -642,34 +642,54 @@ class TestConservation:
         with pytest.raises(InvariantError, match="Eve's branches"):
             enumerate_exact(attack)
 
-    def test_non_quarter_threshold_in_samplers_raises(self, fresh_round_tree,
-                                                       monkeypatch):
+    @staticmethod
+    def first_leaf_walk(walk, scale, first_masses):
+        """``walk`` with every mass times ``scale`` and the Bell masses of
+        its first leaf replaced by ``first_masses(their total)``."""
+        def patched(attack, convention):
+            top, groups = walk(attack, convention)
+            groups = [[(*leaf[:3], tuple(scale * m for m in leaf[3])) for leaf in group]
+                      for group in groups]
+            *head, masses = groups[0][0]
+            groups[0][0] = (*head, first_masses(sum(masses)))
+            return top, groups
+        return patched
+
+    def test_non_quarter_threshold_in_samplers_raises(self, fresh_walk, monkeypatch):
         # the samplers decide each draw by its quarter of [0, 1): a tap
-        # threshold of 1/3, then a Bell threshold of 1/3 in an intercept tree
+        # threshold of 1/3, then a Bell threshold of 1/3 in an intercept walk
+        # (scaled by 3, so that its masses split in thirds)
         third = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (1 / 3,)))
-        tree = analysis._round_tree
-
-        def third_bell(attack, convention):
-            (taps, ((_thresholds, labels), *branches)), *nodes = tree(attack, convention)
-            return ((taps, (((1 / 3,), labels), *branches)), *nodes)
-
+        third_bell = self.first_leaf_walk(analysis._walk, 3,
+                                          lambda total: (total // 3, total - total // 3, 0, 0))
         for attack in (third, InterceptMeasure()):
             if attack is not third:
-                monkeypatch.setattr(analysis, "_round_tree", third_bell)
+                monkeypatch.setattr(analysis, "_walk", third_bell)
             with pytest.raises(InvariantError, match="multiple of 1/4"):
                 monte_carlo(attack, n=10)
             with pytest.raises(InvariantError, match="multiple of 1/4"):
                 run_session(10, 0.5, RandomSource(0), attack)
 
-    def test_tap_draw_on_some_bit_tuples_raises(self, fresh_round_tree, monkeypatch):
+    def test_near_quarter_threshold_in_samplers_raises(self, fresh_walk, monkeypatch):
+        # a Bell threshold of 1/4 + 2**-61, whose float is 1/4: the check is
+        # made on the walk's integers, not on floats
+        near_quarter = self.first_leaf_walk(
+            analysis._walk, 2**60, lambda total: (total // 4 + 1, total - total // 4 - 1, 0, 0))
+        monkeypatch.setattr(analysis, "_walk", near_quarter)
+        with pytest.raises(InvariantError, match="multiple of 1/4"):
+            monte_carlo(InterceptMeasure(), n=10)
+        with pytest.raises(InvariantError, match="multiple of 1/4"):
+            run_session(10, 0.5, RandomSource(0), InterceptMeasure())
+
+    def test_tap_draw_on_some_bit_tuples_raises(self, fresh_walk, monkeypatch):
         # the samplers take the same draws every round
-        tree = analysis._round_tree
+        walk = analysis._walk
 
         def no_first_tap(attack, convention):
-            (_taps, branches), *nodes = tree(attack, convention)
-            return (((), branches), *nodes)
+            top, (first, *groups) = walk(attack, convention)
+            return top, (first[:1], *groups)
 
-        monkeypatch.setattr(analysis, "_round_tree", no_first_tap)
+        monkeypatch.setattr(analysis, "_walk", no_first_tap)
         with pytest.raises(InvariantError, match="some bit tuples only"):
             monte_carlo(InterceptMeasure(), n=10)
 
@@ -696,20 +716,20 @@ class TestWalkCache:
         yield paper_case_table()
         yield compare_claims()
 
-    def test_one_walk_per_strategy_and_convention(self, fresh_round_tree):
+    def test_one_walk_per_strategy_and_convention(self, fresh_walk):
         assert sum(1 for _ in self.exact_grid_reports()) == 137
         assert analysis._walk.cache_info().misses == len(ALL_STRATEGIES) * 2 == 30
         assert sum(1 for _ in self.exact_grid_reports()) == 137
         assert analysis._walk.cache_info().misses == 30
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
-    def test_cold_and_warm_reports_agree(self, fresh_round_tree, order_seed):
+    def test_cold_and_warm_reports_agree(self, fresh_walk, order_seed):
         order = random.Random(order_seed).sample(ALL_BIT_TUPLES, 16)
         # each case (m, n) first appears where case_order first reaches it
         cases = list(dict.fromkeys((i ^ k, j ^ l) for i, j, k, l in order))
         for attack in ALL_STRATEGIES:
             for oc, ec, comp in ALL_COMBOS:
-                fresh_round_tree()
+                fresh_walk()
                 cold = enumerate_exact(attack, oc, ec, comp, case_order=order)
                 warm = enumerate_exact(attack, oc, ec, comp, case_order=order)
                 assert repr(warm) == repr(cold)
@@ -753,7 +773,7 @@ class TestWalkCache:
         enumerate_exact(attack)
         message_error_rate(attack)
         monte_carlo(attack, n=10)
-        request.getfixturevalue("fresh_round_tree")
+        request.getfixturevalue("fresh_walk")
         monkeypatch.setattr(analysis, "bell_weights_exact",
                             TestConservation.drop_first_weight)
         with pytest.raises(InvariantError, match="Bell weights"):

@@ -168,8 +168,8 @@ class TestHomeQubitInvariant:
     InvariantError on the sampled path and on the table path alike."""
 
     @pytest.fixture
-    def broken_collapse(self, monkeypatch, fresh_round_tree):
-        # the float collapse of run_round, and the exact one of the tree
+    def broken_collapse(self, monkeypatch, fresh_walk):
+        # the float collapse of run_round, and the exact one of the walk
         # both samplers read
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.attacks.measure_t_computational",

@@ -342,7 +342,7 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "invariant" in err
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_indefinite_home_qubit_exits_two(self, capsys, monkeypatch):
         # an intercept branch that leaves both home amplitudes nonzero
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
@@ -351,7 +351,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_indefinite_home_qubit_in_session_exits_two(self, capsys, monkeypatch):
         # the session samples the tree of the exact walk, which checks
         # every intercept collapse
@@ -372,7 +372,7 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "Bell weights" in err and "Traceback" not in err
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
         # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
         skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
@@ -381,7 +381,7 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "non-dyadic" in err and out == ""
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_lost_bell_weight_in_exact_exits_two(self, capsys, monkeypatch):
         # every leaf loses the weight of its first nonzero Bell outcome
         from qdialogue.exactstate import bell_weights_exact
@@ -396,7 +396,7 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "Bell weights" in err and "Traceback" not in err
 
-    @pytest.mark.usefixtures("fresh_round_tree")
+    @pytest.mark.usefixtures("fresh_walk")
     def test_lost_tap_branch_in_exact_exits_two(self, capsys, monkeypatch):
         # Eve's measurement keeps only its first outcome
         from qdialogue.exactstate import measure_t_branches

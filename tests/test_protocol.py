@@ -4,7 +4,8 @@ import copy
 import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import accumulate, groupby, product
+from operator import itemgetter
 
 import pytest
 
@@ -13,7 +14,6 @@ from qdialogue.analysis import (
     DRAW_ORDER,
     SessionStats,
     _leaves,
-    _round_tree,
     _session_table,
     _tallies,
     message_error_rate,
@@ -37,7 +37,14 @@ from qdialogue.protocol import (
     expected_outcome,
     run_round,
 )
-from qdialogue.qcore import ALG_TOL, BellLabel, Convention, RandomSource, label_map
+from qdialogue.qcore import (
+    ALG_TOL,
+    BELL_LABEL_ORDER,
+    BellLabel,
+    Convention,
+    RandomSource,
+    label_map,
+)
 from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS
 
 OE = Convention.OPERATOR_ENCODING
@@ -301,39 +308,42 @@ class StubSource:
         return self.draws.pop(0)
 
 
-def midpoint(thresholds, index):
-    """The middle of the interval of a uniform draw that picks ``index``."""
-    bounds = (0.0, *thresholds, 1.0)
-    return (bounds[index] + bounds[index + 1]) / 2
+def midpoint(masses, index):
+    """The middle of the interval of a uniform draw that picks branch
+    ``index`` of branches with these integer masses."""
+    bounds = (0, *accumulate(masses))
+    return (bounds[index] + bounds[index + 1]) / (2 * bounds[-1])
 
 
 class TestRoundFollowsTree:
-    """``run_round``, forced down each branch and Bell slot of the tree the
-    samplers read by draws in the middle of their intervals, lands on the
-    tree's label with the exact walk's weight and Eve's branch: a
-    deterministic check of the float simulator against the exact walk."""
+    """``run_round``, forced down each branch and Bell outcome of the tree
+    the samplers read by draws in the middle of their intervals, which come
+    from the walk's cumulative masses, lands on that outcome with the exact
+    walk's weight and Eve's branch: a deterministic check of the float
+    simulator against the exact walk."""
 
     @pytest.mark.parametrize("convention", [OE, PP])
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_leaf(self, attack, convention):
         _exp, leaves = _leaves(attack, DRAW_ORDER, convention)
-        walked = iter(leaves)
-        for (i, j, k, l), (taps, branches) in zip(DRAW_ORDER,
-                                                  _round_tree(attack, convention)):
+        rounds = [(bits, list(group)) for bits, group in groupby(leaves, itemgetter(0))]
+        assert [bits for bits, _group in rounds] == list(DRAW_ORDER)
+        for (i, j, k, l), group in rounds:
             config = RoundConfig((k, l), (i, j), Mode.CONTROL, convention)
-            for b, (bell_thresholds, labels) in enumerate(branches):
-                bits, branch, sel, masses = next(walked)
-                assert bits == (i, j, k, l)
-                weights = [mass for mass in masses if mass]
-                for s, label in enumerate(labels):
-                    # the tap draw only when the tree has tap thresholds
-                    source = StubSource([midpoint(taps, b)] * bool(taps)
-                                        + [midpoint(bell_thresholds, s)])
+            branch_masses = [sum(masses) for *_, masses in group]
+            for b, (_bits, branch, sel, masses) in enumerate(group):
+                for x, mass in enumerate(masses):
+                    if not mass:
+                        continue
+                    # the tap draw only when the round has Eve branches to pick
+                    source = StubSource([midpoint(branch_masses, b)] * (len(group) > 1)
+                                        + [midpoint(masses, x)])
                     transcript = run_round(config, attack, source)
                     assert not source.draws
-                    assert transcript.bell_outcome == label
+                    assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[x],
+                                                                convention)
                     assert abs(transcript.bell_probability
-                               - weights[s] / sum(masses)) <= ALG_TOL
+                               - mass / sum(masses)) <= ALG_TOL
                     record = transcript.eve_record
                     if branch != "none":
                         assert isinstance(record, MeasuredBranch)
@@ -342,7 +352,6 @@ class TestRoundFollowsTree:
                         assert record == AppliedPauli(*sel)
                     else:
                         assert record is None
-        assert next(walked, None) is None
 
 
 class TestSessionTable:
