@@ -3,22 +3,21 @@ tree, and the side-by-side report of the disputed averages.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
-mass an int over a power of two.  It depends only on the strategy and the
-outcome convention, so :func:`_walk` makes it once per pair and caches its
-leaves as tuples.  One table, cached per conventions and comparison, holds
-the rules: per bit tuple, one tally byte per Bell outcome (control,
-detected, pair and bit errors; :func:`_outcome_tallies`).
-:func:`enumerate_exact` folds its detected bit over the leaves and
-:func:`message_error_rate` its error bits, in ints; ``Fraction``s appear
-only at the end of each fold.  The two samplers read the same walk and
-table.  Both take their draws from one stream in the order a loop of
-:func:`protocol.run_round` takes them, and one resolver serves both: every
-cumulative mass of the walk is a multiple of 1/4 of its total, so the top
-byte of each draw's first Mersenne Twister word decides it, and whole
-chunks of rounds resolve by ``bytes`` table lookups in C.  A table cached
-per configuration maps each round's key to the tally byte of the leaf it
-reaches; :func:`run_session` counts every tally and :func:`monte_carlo`,
-the control-only view, counts detections.
+mass an int over a power of two.  :func:`_walk` makes it once per strategy
+and outcome convention, and :func:`_outcome_tallies` the rules once per
+conventions and comparison: per bit tuple, one tally byte per Bell outcome
+(control, detected, pair and bit errors).  The exact folds of the detected
+bit (:func:`_detection_fold`) and of the error bits
+(:func:`_message_errors`) sum ints, build ``Fraction``s at their end and
+are cached too, so a report only orders and copies them.  The two samplers
+read the same walk and table.  Both take their draws from one stream in the
+order a loop of :func:`protocol.run_round` takes them, and one resolver
+serves both: every cumulative mass of the walk is a multiple of 1/4 of its
+total, so the top byte of each draw's first Mersenne Twister word decides
+it, and whole chunks of rounds resolve by ``bytes`` table lookups in C.  A
+table cached per configuration maps each round's key to the tally byte of
+the leaf it reaches; :func:`run_session` counts every tally and
+:func:`monte_carlo`, the control-only view, counts detections.
 """
 
 from __future__ import annotations
@@ -291,17 +290,6 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
     return top, tuple(tuple(group) for _bits, group in groupby(leaves, itemgetter(0)))
 
 
-def _leaves(attack: EveStrategy, bit_tuples: Iterable[BitTuple],
-            convention: Convention) -> tuple[int, list]:
-    """The leaves of :func:`_walk` for each of ``bit_tuples``, in that
-    order, grouped by Eve branch: (D, a new list of the cached leaves).
-    D is the walk's over all 16 bit tuples, whichever are asked for."""
-    top, groups = _walk(attack, convention)
-    # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
-    return top, [leaf for i, j, k, l in bit_tuples
-                 for leaf in groups[i << 3 | j << 2 | k << 1 | l]]
-
-
 #: the tallies a round adds to a session, one bit each: control and detected
 #: (of a control round), then Alice's and Bob's pair errors and the bit errors
 #: of Alice's bits i, j and of Bob's bits k, l (of a message round)
@@ -336,6 +324,45 @@ def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
     return rows
 
 
+@lru_cache(maxsize=None)
+def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
+                    expectation_conv: Convention, comparison: Comparison) -> tuple:
+    """The fold of :func:`enumerate_exact`, once per configuration: the
+    detected bit of :func:`_outcome_tallies` against the masses of
+    :func:`_walk`, in ints until the final ``Fraction``s.  Returns, all
+    immutable, (cases, reach, branch_averages, average, per_selection): each
+    (m, n, Eve branch) case's ``CaseDescriptor`` and probability; per bit
+    tuple, in ``ALL_BIT_TUPLES`` order, the indices in ``cases`` of the cases
+    its leaves reach, in leaf order; the sorted (branch, average) pairs; the
+    average; the sorted ((u, v), average) pairs, or None."""
+    exp, groups = _walk(attack, outcome_conv)
+    rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
+    # (detected mass, total mass) per case, per Eve branch and per applied (u, v)
+    cases, branches, selections = {}, {}, {}
+    for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
+        detected = rows[i, j, k, l].translate(_TALLY_BITS[1])
+        for _bits, branch, sel, masses in group:
+            hit, mass = sum(map(mul, masses, detected)), sum(masses)
+            det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
+            cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
+            det, tot = branches.get(branch, (0, 0))
+            branches[branch] = (det + hit, tot + mass)
+            if sel is not None:
+                det, tot = selections.get(sel, (0, 0))
+                selections[sel] = (det + hit, tot + mass)
+    index = {case: c for c, case in enumerate(cases)}
+    return (
+        tuple((CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
+              for (m, n, br), sums in cases.items()),
+        tuple(tuple(dict.fromkeys(index[i ^ k, j ^ l, leaf[1]] for leaf in group))
+              for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups)),
+        tuple((br, Fraction(*branches[br])) for br in sorted(branches)),
+        # every bit tuple weighs 1 / 16
+        Fraction(sum(det for det, _ in cases.values()), 16 << exp),
+        tuple((uv, Fraction(*selections[uv])) for uv in sorted(selections)) or None,
+    )
+
+
 def enumerate_exact(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -347,47 +374,23 @@ def enumerate_exact(
 
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
-    weight, and folds :func:`protocol.control_detected`, read as the
-    detected bit of the rows of :func:`_outcome_tallies`, over the leaves
-    of the cached walk.  The fold sums integer masses over one power of two
-    and builds the report's ``Fraction``s at its end; ``case_order`` only permutes the
-    fold, and with it the order of ``per_case`` (results are
-    order-independent, which the test suite asserts).  The report is new on
-    every call, so changing it changes no cache.
+    weight, and folds :func:`protocol.control_detected` over them: the
+    cached :func:`_detection_fold`.  ``case_order`` only orders
+    ``per_case``, by the case each bit tuple first reaches.  The report and
+    its dicts are new on every call, so changing them changes no cache.
     """
     bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
     if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
         raise ValueError("case_order must be a permutation of all 16 bit tuples")
     comparison = Comparison(comparison)
-    rows = _outcome_tallies(outcome_convention, expectation_convention, comparison)
-    detected = _TALLY_BITS[1]
-    exp, leaves = _leaves(attack, bit_tuples, outcome_convention)
-
-    # (detected mass, total mass) per case and per applied (u, v)
-    cases: dict[tuple[int, int, str], tuple[int, int]] = {}
-    selections: dict[tuple[int, int], tuple[int, int]] = {}
-    for (i, j, k, l), branch, sel, masses in leaves:
-        hit = sum(map(mul, masses, rows[i, j, k, l].translate(detected)))
-        mass = sum(masses)
-        det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
-        cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
-        if sel is not None:
-            det, tot = selections.get(sel, (0, 0))
-            selections[sel] = (det + hit, tot + mass)
-
-    report = DetectionReport(
-        attack, outcome_convention, expectation_convention, comparison,
-        per_case={CaseDescriptor(m, n, m ^ n, br): Fraction(det, tot)
-                  for (m, n, br), (det, tot) in cases.items()},
-        # every bit tuple weighs 1 / 16
-        average=Fraction(sum(det for det, _ in cases.values()), len(bit_tuples) << exp),
-    )
-    for br in sorted({br for _, _, br in cases}):
-        dets, tots = zip(*(v for (_, _, b), v in cases.items() if b == br))
-        report.branch_averages[br] = Fraction(sum(dets), sum(tots))
-    if selections:
-        report.per_selection = {uv: Fraction(*selections[uv]) for uv in sorted(selections)}
-    return report
+    cases, reach, branch_averages, average, per_selection = _detection_fold(
+        attack, outcome_convention, expectation_convention, comparison)
+    # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
+    reached = dict.fromkeys(c for i, j, k, l in bit_tuples
+                            for c in reach[i << 3 | j << 2 | k << 1 | l])
+    return DetectionReport(attack, outcome_convention, expectation_convention, comparison,
+                           dict(map(cases.__getitem__, reached)), dict(branch_averages),
+                           average, per_selection and dict(per_selection))
 
 
 def paper_case_table() -> DetectionReport:
@@ -395,12 +398,8 @@ def paper_case_table() -> DetectionReport:
     parity-phase outcome labels scored strictly against operator-encoding
     expected labels.  Per-case values 1, 1, 1/2, 1/2 with average 3/4 for
     both branches."""
-    return enumerate_exact(
-        InterceptMeasure(Route.B_TO_A),
-        outcome_convention=Convention.PARITY_PHASE,
-        expectation_convention=Convention.OPERATOR_ENCODING,
-        comparison=Comparison.STRICT_PAPER,
-    )
+    return enumerate_exact(InterceptMeasure(Route.B_TO_A), Convention.PARITY_PHASE,
+                           Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)
 
 
 #: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
@@ -616,13 +615,12 @@ def run_session(
     return stats
 
 
-def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
-    """Exact decode-error probabilities in message mode (operator-encoding
-    labels): a fold of the error bits of the rows of
-    :func:`_outcome_tallies` (what :func:`protocol.decode_message` gets
-    wrong for each bit tuple and Bell outcome) against the cached exact
-    walk's mass on each of the 64 outcomes, in integer masses until the
-    end."""
+@lru_cache(maxsize=None)
+def _message_errors(attack: EveStrategy) -> tuple[Fraction, ...]:
+    """The fold of :func:`message_error_rate`, once per strategy: the error
+    bits of :func:`_outcome_tallies` (operator-encoding labels) against the
+    walk's mass on each of the 64 outcomes, as ints until the end.  Returns
+    the error probabilities of Alice's and Bob's pairs, then of i, j, k, l."""
     conv = Convention.OPERATOR_ENCODING
     exp, groups = _walk(attack, conv)
     rows = _outcome_tallies(conv, conv, Comparison.CONVERTED)
@@ -631,12 +629,18 @@ def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     masses = [sum(column) for group in groups
               for column in zip(*(leaf[3] for leaf in group))]
     tallies = b"".join(rows.values())
-    errors = [sum(map(mul, masses, tallies.translate(bit))) for bit in _TALLY_BITS[2:]]
     # every bit tuple weighs 1 / 16
-    alice_to_bob, bob_to_alice, *per_bit = (Fraction(e, 16 << exp) for e in errors)
+    return tuple(Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
+                 for bit in _TALLY_BITS[2:])
+
+
+def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
+    """Exact decode-error probabilities in message mode (operator-encoding
+    labels), as :func:`_message_errors` folds them once per strategy; the
+    report and its ``per_bit`` dict are new on every call."""
+    alice_to_bob, bob_to_alice, *per_bit = _message_errors(attack)
     return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(
-        zip(("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1"), per_bit)
-    ))
+        zip(("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1"), per_bit)))
 
 
 _CLAIMS_EXPLANATION = (
@@ -653,12 +657,8 @@ _CLAIMS_EXPLANATION = (
 def compare_claims() -> ClaimsReport:
     """Side-by-side report of the disputed intercept-measure averages."""
     strict = paper_case_table().average
-    consistent = enumerate_exact(
-        InterceptMeasure(Route.B_TO_A),
-        outcome_convention=Convention.OPERATOR_ENCODING,
-        expectation_convention=Convention.OPERATOR_ENCODING,
-        comparison=Comparison.CONVERTED,
-    ).average
+    consistent = enumerate_exact(InterceptMeasure(Route.B_TO_A), Convention.OPERATOR_ENCODING,
+                                 Convention.OPERATOR_ENCODING, Comparison.CONVERTED).average
     return ClaimsReport(
         paper_claim=Fraction(3, 4),
         cai_claim=Fraction(1, 2),

@@ -1,5 +1,6 @@
 """Exact enumeration engine, case table, Monte Carlo, and claims report."""
 
+import ast
 import math
 import os
 import random
@@ -701,7 +702,7 @@ class TestConservation:
 
 
 class TestWalkCache:
-    """The exact walk is made once per strategy and outcome convention, and
+    """The exact walk is made and each exact configuration folded once, and
     what is cached cannot be changed through what the engines return."""
 
     @staticmethod
@@ -721,6 +722,33 @@ class TestWalkCache:
         assert analysis._walk.cache_info().misses == len(ALL_STRATEGIES) * 2 == 30
         assert sum(1 for _ in self.exact_grid_reports()) == 137
         assert analysis._walk.cache_info().misses == 30
+
+    def test_one_fold_per_configuration(self, fresh_walk):
+        # the table and the claims fold configurations of the grid
+        assert sum(1 for _ in self.exact_grid_reports()) == 137
+        assert analysis._detection_fold.cache_info().misses == len(ALL_STRATEGIES) * 8 == 120
+        assert analysis._message_errors.cache_info().misses == len(ALL_STRATEGIES) == 15
+        assert sum(1 for _ in self.exact_grid_reports()) == 137
+        assert analysis._detection_fold.cache_info().misses == 120
+        assert analysis._message_errors.cache_info().misses == 15
+
+    def test_fixture_clears_every_cache(self, fresh_walk):
+        # every function of analysis under an lru_cache or cache decorator
+        tree = ast.parse(Path(analysis.__file__).read_text())
+        cached = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
+                    for d in node.decorator_list)
+        }
+        assert {"_walk", "_outcome_tallies", "_detection_fold", "_message_errors",
+                "_session_table", "_draw_weights"} <= cached
+        sum(1 for _ in self.exact_grid_reports())
+        monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
+        assert all(getattr(analysis, name).cache_info().currsize for name in cached)
+        fresh_walk()
+        assert {name: getattr(analysis, name).cache_info().currsize for name in cached} == (
+            dict.fromkeys(cached, 0))
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_cold_and_warm_reports_agree(self, fresh_walk, order_seed):
@@ -747,14 +775,37 @@ class TestWalkCache:
 
         check(analysis._walk(attack, convention))
 
+    @pytest.mark.parametrize("order_seed", [0, 1, 2])
+    def test_warm_report_takes_its_own_order(self, fresh_walk, order_seed):
+        first = random.Random(order_seed).sample(ALL_BIT_TUPLES, 16)
+        order = first[::-1]
+        cases = list(dict.fromkeys((i ^ k, j ^ l) for i, j, k, l in order))
+        assert cases != list(dict.fromkeys((i ^ k, j ^ l) for i, j, k, l in first))
+        for attack in ALL_STRATEGIES:
+            for oc, ec, comp in ALL_COMBOS:
+                fresh_walk()
+                cold = enumerate_exact(attack, oc, ec, comp, case_order=order)
+                fresh_walk()
+                enumerate_exact(attack, oc, ec, comp, case_order=first)
+                warm = enumerate_exact(attack, oc, ec, comp, case_order=order)
+                assert repr(warm) == repr(cold)
+                assert list(dict.fromkeys((c.m, c.n) for c in warm.per_case)) == cases
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_folds_hold_only_immutable_values(self, attack):
+        def check(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    check(item)
+            else:
+                assert value is None or type(value) in (int, str, Fraction, CaseDescriptor)
+
+        for oc, ec, comp in ALL_COMBOS:
+            check(analysis._detection_fold(attack, oc, ec, Comparison(comp)))
+        check(analysis._message_errors(attack))
+
     def test_changing_results_changes_no_cache(self):
         attack = InterceptMeasure(Route.A_TO_B)
-        exp, leaves = analysis._leaves(attack, ALL_BIT_TUPLES, PP)
-        kept = list(leaves)
-        leaves[0] = leaves[-1]
-        leaves.append(leaves[0])
-        assert analysis._leaves(attack, ALL_BIT_TUPLES, PP) == (exp, kept)
-
         report = enumerate_exact(attack, PP)
         kept = repr(report)
         report.per_case.clear()
@@ -762,9 +813,19 @@ class TestWalkCache:
         report.branch_averages["a"] = Fraction(7)
         assert repr(enumerate_exact(attack, PP)) == kept
 
+        uniform4 = DisturbPauli(Route.A_TO_B, UniformAll4())
+        report = enumerate_exact(uniform4, PP)
+        kept = repr(report)
+        report.per_selection[0, 0] = Fraction(7)
+        del report.per_selection[1, 1]
+        report.per_case.clear()
+        report.branch_averages.clear()
+        assert repr(enumerate_exact(uniform4, PP)) == kept
+
         errors = message_error_rate(attack)
         kept = repr(errors)
         errors.per_bit["alice_bit0"] = Fraction(7)
+        del errors.per_bit["bob_bit1"]
         assert repr(message_error_rate(attack)) == kept
 
     def test_patch_after_a_warm_walk_raises(self, request, monkeypatch):
@@ -773,6 +834,8 @@ class TestWalkCache:
         enumerate_exact(attack)
         message_error_rate(attack)
         monte_carlo(attack, n=10)
+        paper_case_table()
+        compare_claims()
         request.getfixturevalue("fresh_walk")
         monkeypatch.setattr(analysis, "bell_weights_exact",
                             TestConservation.drop_first_weight)
@@ -782,6 +845,10 @@ class TestWalkCache:
             message_error_rate(attack)
         with pytest.raises(InvariantError, match="Bell weights"):
             monte_carlo(attack, n=10)
+        with pytest.raises(InvariantError, match="Bell weights"):
+            paper_case_table()
+        with pytest.raises(InvariantError, match="Bell weights"):
+            compare_claims()
 
 
 class TestCompareClaims:

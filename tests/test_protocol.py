@@ -4,8 +4,7 @@ import copy
 import math
 import random
 from collections import Counter
-from itertools import accumulate, groupby, product
-from operator import itemgetter
+from itertools import accumulate, product
 
 import pytest
 
@@ -13,9 +12,9 @@ from qdialogue import analysis
 from qdialogue.analysis import (
     DRAW_ORDER,
     SessionStats,
-    _leaves,
     _session_table,
     _tallies,
+    _walk,
     message_error_rate,
     monte_carlo,
     run_session,
@@ -325,10 +324,11 @@ class TestRoundFollowsTree:
     @pytest.mark.parametrize("convention", [OE, PP])
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_leaf(self, attack, convention):
-        _exp, leaves = _leaves(attack, DRAW_ORDER, convention)
-        rounds = [(bits, list(group)) for bits, group in groupby(leaves, itemgetter(0))]
-        assert [bits for bits, _group in rounds] == list(DRAW_ORDER)
-        for (i, j, k, l), group in rounds:
+        _exp, groups = _walk(attack, convention)
+        # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
+        rounds = [groups[i << 3 | j << 2 | k << 1 | l] for i, j, k, l in DRAW_ORDER]
+        assert [{leaf[0] for leaf in group} for group in rounds] == [{bits} for bits in DRAW_ORDER]
+        for (i, j, k, l), group in zip(DRAW_ORDER, rounds):
             config = RoundConfig((k, l), (i, j), Mode.CONTROL, convention)
             branch_masses = [sum(masses) for *_, masses in group]
             for b, (_bits, branch, sel, masses) in enumerate(group):
