@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby, product
+from itertools import accumulate, chain, groupby, product
 from operator import itemgetter, mul
 
 from .attacks import MEASURE, EveStrategy, InterceptMeasure, Route
@@ -67,6 +67,12 @@ ALL_BIT_TUPLES: tuple[BitTuple, ...] = tuple(product((0, 1), repeat=4))
 #: the bit tuples (i, j, k, l) in the order the samplers draw them: the
 #: bits k, l, i, j read as a binary number, 8k + 4l + 2i + j
 DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_TUPLES)
+
+#: each bit tuple's place in ALL_BIT_TUPLES: (i, j, k, l) is at 8i + 4j + 2k + l
+_PLACE = {bits: place for place, bits in enumerate(ALL_BIT_TUPLES)}
+
+#: each comparison, by member and by value
+_COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
 
 #: the code of each (a, b) bit pair
 _CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
@@ -363,6 +369,21 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     )
 
 
+def _places(case_order: Iterable[BitTuple]) -> list[int]:
+    """Each bit tuple of ``case_order``, in its order, as its place in
+    ``ALL_BIT_TUPLES``; see :func:`enumerate_exact` for what is raised when
+    ``case_order`` is not a permutation of the 16 bit tuples."""
+    bit_tuples = tuple(case_order)
+    try:
+        places = list(map(_PLACE.__getitem__, bit_tuples))
+    except (KeyError, TypeError):
+        places = ()
+    if len(places) == 16 == len(set(places)):
+        return places
+    sorted(bit_tuples)  # TypeError when the elements do not order
+    raise ValueError("case_order must be a permutation of all 16 bit tuples")
+
+
 def enumerate_exact(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -376,21 +397,30 @@ def enumerate_exact(
     its exact probability, and every Bell outcome with its exact Born
     weight, and folds :func:`protocol.control_detected` over them: the
     cached :func:`_detection_fold`.  ``case_order`` only orders
-    ``per_case``, by the case each bit tuple first reaches.  The report and
-    its dicts are new on every call, so changing them changes no cache.
+    ``per_case``, by the case each bit tuple first reaches: each bit tuple
+    is looked up to its place in ``ALL_BIT_TUPLES``, and ``case_order`` is a
+    permutation when it gives 16 distinct places.  When it is not, it
+    raises ``TypeError`` if its elements cannot be sorted and ``ValueError``
+    otherwise.  The report and its dicts are new on every call, so changing
+    them changes no cache.
     """
-    bit_tuples = tuple(case_order) if case_order is not None else ALL_BIT_TUPLES
-    if sorted(bit_tuples) != sorted(ALL_BIT_TUPLES):
-        raise ValueError("case_order must be a permutation of all 16 bit tuples")
-    comparison = Comparison(comparison)
+    places = range(16) if case_order is None else _places(case_order)
+    try:
+        comparison = _COMPARISON[comparison]
+    except (KeyError, TypeError):
+        # raises the ValueError of an unknown comparison
+        comparison = Comparison(comparison)
     cases, reach, branch_averages, average, per_selection = _detection_fold(
         attack, outcome_convention, expectation_convention, comparison)
-    # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
-    reached = dict.fromkeys(c for i, j, k, l in bit_tuples
-                            for c in reach[i << 3 | j << 2 | k << 1 | l])
+    reached = dict.fromkeys(chain.from_iterable(map(reach.__getitem__, places)))
     return DetectionReport(attack, outcome_convention, expectation_convention, comparison,
                            dict(map(cases.__getitem__, reached)), dict(branch_averages),
                            average, per_selection and dict(per_selection))
+
+
+#: the published attack: intercept-measure on the outbound route, built once
+#: so that every report of it hashes the same instance
+_PAPER_ATTACK = InterceptMeasure(Route.B_TO_A)
 
 
 def paper_case_table() -> DetectionReport:
@@ -398,7 +428,7 @@ def paper_case_table() -> DetectionReport:
     parity-phase outcome labels scored strictly against operator-encoding
     expected labels.  Per-case values 1, 1, 1/2, 1/2 with average 3/4 for
     both branches."""
-    return enumerate_exact(InterceptMeasure(Route.B_TO_A), Convention.PARITY_PHASE,
+    return enumerate_exact(_PAPER_ATTACK, Convention.PARITY_PHASE,
                            Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)
 
 
@@ -657,7 +687,7 @@ _CLAIMS_EXPLANATION = (
 def compare_claims() -> ClaimsReport:
     """Side-by-side report of the disputed intercept-measure averages."""
     strict = paper_case_table().average
-    consistent = enumerate_exact(InterceptMeasure(Route.B_TO_A), Convention.OPERATOR_ENCODING,
+    consistent = enumerate_exact(_PAPER_ATTACK, Convention.OPERATOR_ENCODING,
                                  Convention.OPERATOR_ENCODING, Comparison.CONVERTED).average
     return ClaimsReport(
         paper_claim=Fraction(3, 4),

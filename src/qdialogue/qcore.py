@@ -90,12 +90,25 @@ class Value:
 
 class FrozenValue(Value):
     """An immutable :class:`Value`, hashed as the tuple of its fields.  Its
-    ``__init__`` sets each field with ``object.__setattr__``."""
+    ``__init__`` sets each field with ``object.__setattr__``.
 
-    __slots__ = ()
+    The hash is computed at first use and kept in the slot ``_hash``, which
+    is not a field: ``repr``, ``==``, copies and pickles never see it, so a
+    copy or an unpickled value hashes again in its own process.  A value
+    whose fields are unhashable raises ``TypeError`` on every call and keeps
+    nothing.
+    """
+
+    # the subclasses' own __slots__ name their fields; this one is not a field
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

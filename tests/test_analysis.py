@@ -411,9 +411,34 @@ class TestEnumerateExact:
         assert by_value.average == by_member.average
         assert by_value.per_case == by_member.per_case
 
-    def test_rejects_bad_case_order(self):
-        with pytest.raises(ValueError):
-            enumerate_exact(Passive(), case_order=[(0, 0, 0, 0)])
+    @pytest.mark.parametrize("case_order,error", [
+        ([(0, 0, 0, 0)], ValueError),
+        (ALL_BIT_TUPLES[:15], ValueError),
+        (ALL_BIT_TUPLES + ALL_BIT_TUPLES[:1], ValueError),
+        (ALL_BIT_TUPLES[:15] + ALL_BIT_TUPLES[:1], ValueError),
+        ([list(bits) for bits in ALL_BIT_TUPLES], ValueError),
+        (ALL_BIT_TUPLES[:15] + ((1, 1, 1, 2),), ValueError),
+        (ALL_BIT_TUPLES[:15] + ([1, 1, 1, 1],), TypeError),
+        (5, TypeError),
+    ], ids=["one-tuple", "15-tuples", "17-tuples", "duplicate", "lists", "bit-of-2",
+            "unhashable", "not-iterable"])
+    def test_rejects_bad_case_order(self, case_order, error):
+        match = "case_order must be a permutation of all 16 bit tuples"
+        with pytest.raises(error, match=match if error is ValueError else None):
+            enumerate_exact(Passive(), case_order=case_order)
+
+    @pytest.mark.parametrize("comparison", [["x"], "bogus"], ids=repr)
+    def test_rejects_bad_comparison(self, comparison):
+        with pytest.raises(ValueError, match="is not a valid Comparison"):
+            enumerate_exact(Passive(), comparison=comparison)
+
+    @pytest.mark.parametrize("make", [list, lambda order: (bits for bits in order)],
+                             ids=["list", "generator"])
+    def test_accepts_any_iterable_case_order(self, make):
+        attack, order = InterceptMeasure(Route.A_TO_B), ALL_BIT_TUPLES[::-1]
+        report = enumerate_exact(attack, PP, OE, "strict-paper", case_order=make(order))
+        want = reference_enumerate_exact(attack, PP, OE, "strict-paper", case_order=order)
+        assert_same_report(report, want)
 
     def test_branch_symmetry(self):
         for oc, ec, comp in [

@@ -208,11 +208,58 @@ def test_hash_and_immutability(name, make, text, fields, other):
 @params
 def test_copy_and_pickle(name, make, text, fields, other):
     value = make()
+    hashable = name not in MUTABLE | UNHASHABLE_FIELDS
+    if hashable:
+        hash(value)  # the hash it keeps is not copied
     for twin in (copy.copy(value), copy.deepcopy(value),
                  pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value)
         assert twin == value
         assert repr(twin) == text
+        if hashable:
+            assert hash(twin) == hash(fields)
+
+
+frozen_params = pytest.mark.parametrize(
+    "name,make,text,fields,other", [v for v in VALUES if v[0] not in MUTABLE],
+    ids=[v[0] for v in VALUES if v[0] not in MUTABLE])
+
+
+def count_field_reads(monkeypatch, cls) -> list:
+    """Patch ``cls._values`` to record each instance whose fields it reads."""
+    reads, values = [], cls._values
+    monkeypatch.setattr(cls, "_values",
+                        staticmethod(lambda value: reads.append(value) or values(value)))
+    return reads
+
+
+@frozen_params
+def test_hash_reads_the_fields_once(monkeypatch, name, make, text, fields, other):
+    value = make()
+    reads = count_field_reads(monkeypatch, type(value))
+    if name in UNHASHABLE_FIELDS:
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(value)
+        assert len(reads) == 2 and all(read is value for read in reads)
+        return
+    for _ in range(3):
+        assert hash(value) == hash(fields)
+    assert len(reads) == 1 and reads[0] is value
+    assert hash(make()) == hash(value) and len(reads) == 2
+
+
+@frozen_params
+def test_hashing_changes_no_field(name, make, text, fields, other):
+    value = make()
+    reduced = value.__reduce__()
+    try:
+        hash(value)
+    except TypeError:
+        assert name in UNHASHABLE_FIELDS
+    assert repr(value) == text
+    assert value == make() and make() == value and value != other
+    assert value.__reduce__() == reduced == (type(value), fields)
 
 
 @pytest.mark.parametrize("a,b", [
