@@ -9,14 +9,18 @@ conventions and comparison: per bit tuple, one tally byte per Bell outcome
 (control, detected, pair and bit errors).  The exact folds of the detected
 bit (:func:`_detection_fold`) and of the error bits
 (:func:`_message_errors`) sum ints, build ``Fraction``s at their end and
-are cached too, so a report only orders and copies them.  The two samplers
-read the same walk and table.  Both take their draws from one stream in the
-order a loop of :func:`protocol.run_round` takes them, and one resolver
-serves both: every cumulative mass of the walk is a multiple of 1/4 of its
-total, so the top byte of each draw's first Mersenne Twister word decides
-it, and whole chunks of rounds resolve by ``bytes`` table lookups in C.  A
-table cached per configuration maps each round's key to the tally byte of
-the leaf it reaches; :func:`run_session` counts every tally and
+are cached too, so a report only orders and copies them, with
+``itemgetter`` lookups in C, and :func:`compare_claims` reads its two
+averages straight from the folds.  The engines take each convention and
+comparison as a member or its string value, one cache entry for both.  The
+two samplers read the same walk and table.  Both take their draws from one
+stream in the order a loop of :func:`protocol.run_round` takes them, and
+one resolver serves both: every cumulative mass of the walk is a multiple
+of 1/4 of its total, so the top byte of each draw's first Mersenne Twister
+word decides it, and whole chunks of rounds resolve by ``bytes`` table
+lookups in C.  A table cached per configuration maps each round's key to
+the tally byte of the leaf it reaches; :func:`run_session` counts every
+tally, by the popcount of its bit across the chunk, and
 :func:`monte_carlo`, the control-only view, counts detections.
 """
 
@@ -71,7 +75,8 @@ DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_
 #: each bit tuple's place in ALL_BIT_TUPLES: (i, j, k, l) is at 8i + 4j + 2k + l
 _PLACE = {bits: place for place, bits in enumerate(ALL_BIT_TUPLES)}
 
-#: each comparison, by member and by value
+#: each convention and each comparison, by member and by value
+_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
 _COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
 
 #: the code of each (a, b) bit pair
@@ -303,6 +308,9 @@ _CONTROL_TALLIES = 0b00000011
 _MESSAGE_TALLIES = 0b11111100
 #: per tally t, the table that maps a tally byte to its bit t
 _TALLY_BITS = tuple((bytes(1 << t) + b"\1" * (1 << t)) * (128 >> t) for t in range(8))
+#: per mode's tallies, the table that keeps only those bits of a tally byte
+_KEEP = {mask: bytes(b & mask for b in range(256))
+         for mask in (_CONTROL_TALLIES, _MESSAGE_TALLIES)}
 
 
 @lru_cache(maxsize=None)
@@ -369,19 +377,35 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     )
 
 
-def _places(case_order: Iterable[BitTuple]) -> list[int]:
+def _places(case_order: Iterable[BitTuple]) -> tuple[int, ...]:
     """Each bit tuple of ``case_order``, in its order, as its place in
-    ``ALL_BIT_TUPLES``; see :func:`enumerate_exact` for what is raised when
-    ``case_order`` is not a permutation of the 16 bit tuples."""
+    ``ALL_BIT_TUPLES``, looked up by one ``itemgetter`` in C; see
+    :func:`enumerate_exact` for what is raised when ``case_order`` is not a
+    permutation of the 16 bit tuples."""
     bit_tuples = tuple(case_order)
-    try:
-        places = list(map(_PLACE.__getitem__, bit_tuples))
-    except (KeyError, TypeError):
-        places = ()
-    if len(places) == 16 == len(set(places)):
-        return places
+    # checked first: a getter of one key returns a bare place, not a tuple
+    if len(bit_tuples) == 16:
+        try:
+            places = itemgetter(*bit_tuples)(_PLACE)
+        except (KeyError, TypeError):
+            places = ()
+        if len(set(places)) == 16:
+            return places
     sorted(bit_tuples)  # TypeError when the elements do not order
     raise ValueError("case_order must be a permutation of all 16 bit tuples")
+
+
+def _configuration(outcome_conv, expectation_conv,
+                   comparison) -> tuple[Convention, Convention, Comparison]:
+    """The two conventions and the comparison as members, each given as a
+    member or its string value, so that both forms share one cache entry;
+    anything else raises the ``ValueError`` of its enum."""
+    try:
+        return (_CONVENTION[outcome_conv], _CONVENTION[expectation_conv],
+                _COMPARISON[comparison])
+    except (KeyError, TypeError):
+        # raises the ValueError of the first value that names no member
+        return Convention(outcome_conv), Convention(expectation_conv), Comparison(comparison)
 
 
 def enumerate_exact(
@@ -396,23 +420,25 @@ def enumerate_exact(
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
     weight, and folds :func:`protocol.control_detected` over them: the
-    cached :func:`_detection_fold`.  ``case_order`` only orders
-    ``per_case``, by the case each bit tuple first reaches: each bit tuple
-    is looked up to its place in ``ALL_BIT_TUPLES``, and ``case_order`` is a
-    permutation when it gives 16 distinct places.  When it is not, it
-    raises ``TypeError`` if its elements cannot be sorted and ``ValueError``
-    otherwise.  The report and its dicts are new on every call, so changing
-    them changes no cache.
+    cached :func:`_detection_fold`.  Each convention and the comparison may
+    be given as a member or as its string value; the report carries the
+    member, and anything else raises ``ValueError``.  ``case_order`` only
+    orders ``per_case``, by the case each bit tuple first reaches: each bit
+    tuple is looked up to its place in ``ALL_BIT_TUPLES``, and
+    ``case_order`` is a permutation when it gives 16 distinct places.  When
+    it is not, it raises ``TypeError`` if its elements cannot be sorted and
+    ``ValueError`` otherwise.  The places then pick, in C, the cases each
+    bit tuple reaches.  The report and its dicts are new on every call, so
+    changing them changes no cache.
     """
-    places = range(16) if case_order is None else _places(case_order)
-    try:
-        comparison = _COMPARISON[comparison]
-    except (KeyError, TypeError):
-        # raises the ValueError of an unknown comparison
-        comparison = Comparison(comparison)
+    places = None if case_order is None else _places(case_order)
+    outcome_convention, expectation_convention, comparison = _configuration(
+        outcome_convention, expectation_convention, comparison)
     cases, reach, branch_averages, average, per_selection = _detection_fold(
         attack, outcome_convention, expectation_convention, comparison)
-    reached = dict.fromkeys(chain.from_iterable(map(reach.__getitem__, places)))
+    if places is not None:
+        reach = itemgetter(*places)(reach)
+    reached = dict.fromkeys(chain.from_iterable(reach))
     return DetectionReport(attack, outcome_convention, expectation_convention, comparison,
                            dict(map(cases.__getitem__, reached)), dict(branch_averages),
                            average, per_selection and dict(per_selection))
@@ -486,9 +512,13 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
 
 def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
              comparison: Comparison, n: int, control_fraction: float,
-             source: RandomSource) -> Iterator[bytes]:
-    """The tallies of n rounds drawn from ``source``, one byte a round,
-    ``MC_CHUNK_ROUNDS`` rounds a chunk, in the layout of :func:`run_session`.
+             source: RandomSource) -> Iterator[tuple[int, int]]:
+    """The tallies of n rounds drawn from ``source``, ``MC_CHUNK_ROUNDS``
+    rounds a chunk, in the layout of :func:`run_session`: per chunk, its
+    rounds and one int whose little-endian bytes are the rounds' tally
+    bytes, so that tally t of the chunk counts as the bits set in
+    ``tallies >> t & _lanes(rounds)``.  The conventions and the comparison
+    may each be a member or its string value (:func:`_configuration`).
 
     ``random()`` builds a draw from two Mersenne Twister words a, b as
     ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
@@ -502,12 +532,14 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     the round's key: the node 8k + 4l + 2i + j in bits 4-7, the tap quarter
     in bits 2-3 and the Bell quarter in bits 0-1.  The table of
     :func:`_session_table` maps the key to the round's tallies, and the
-    round's mode masks them.  A mode draw at a mixed fraction f is control
-    when its top byte is below 256 f and message when above it; on the
-    byte 256 f rounds down to, unless f is a multiple of 1/256, the whole
-    draw settles it.  All of a chunk's work but that settling runs in C.
+    round's mode masks them: at fraction 0 or 1 the table is masked once,
+    and a mixed session masks each chunk.  A mode draw at a mixed fraction
+    f is control when its top byte is below 256 f and message when above
+    it; on the byte 256 f rounds down to, unless f is a multiple of 1/256,
+    the whole draw settles it.  All of a chunk's work but that settling runs
+    in C.
     """
-    draws_tap, table = _session_table(eve, *conventions, Comparison(comparison))
+    draws_tap, table = _session_table(eve, *_configuration(*conventions, comparison))
     mixed = 0.0 < control_fraction < 1.0
     draws = 5 + mixed + draws_tap
     keyed = tuple(zip((0, 1, 2, 3, *range(4 + mixed, draws)),
@@ -520,7 +552,8 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
         mode_masks = (bytes((_CONTROL_TALLIES,)) * below + bytes((straddling,))
                       + bytes((_MESSAGE_TALLIES,)) * (255 - below))
     else:
-        mode_mask = bytes((_CONTROL_TALLIES if control_fraction else _MESSAGE_TALLIES,))
+        table = table.translate(_KEEP[_CONTROL_TALLIES if control_fraction
+                                      else _MESSAGE_TALLIES])
     getrandbits = source._rng.getrandbits
     chunk = MC_CHUNK_ROUNDS
     for start in range(0, n, chunk):
@@ -530,6 +563,7 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
         key = 0
         for position, key_bits in keyed:
             key |= int.from_bytes(tops[position::draws].translate(key_bits), "little")
+        tallies = int.from_bytes(key.to_bytes(rounds, "little").translate(table), "little")
         if mixed:
             masks = bytearray(tops[4::draws].translate(mode_masks))
             # each open mode draw, whole, as random() builds it
@@ -539,10 +573,13 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
                 u = ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) / 2**53
                 masks[r] = _CONTROL_TALLIES if u < control_fraction else _MESSAGE_TALLIES
                 r = masks.find(0, r + 1)
-        else:
-            masks = mode_mask * rounds
-        yield (int.from_bytes(key.to_bytes(rounds, "little").translate(table), "little")
-               & int.from_bytes(masks, "little")).to_bytes(rounds, "little")
+            tallies &= int.from_bytes(masks, "little")
+        yield rounds, tallies
+
+
+def _lanes(rounds: int) -> int:
+    """Bit 0 of each of ``rounds`` tally bytes, as an int."""
+    return int.from_bytes(b"\1" * rounds, "little")
 
 
 def monte_carlo(
@@ -565,16 +602,16 @@ def monte_carlo(
     is the one the round-by-round loop gives.  It is a control-only
     :func:`run_session` that counts only detections: the rounds are
     resolved ``MC_CHUNK_ROUNDS`` at a time from the top bytes of their
-    draws, so memory is bounded by the chunk, whatever n is.
+    draws, so memory is bounded by the chunk, whatever n is.  Each
+    convention and the comparison may be a member or its string value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = RandomSource(seed)
-    detected = _TALLY_BITS[1]
     detections = sum(
-        chunk.translate(detected).count(1)
-        for chunk in _tallies(attack, (outcome_convention, expectation_convention),
-                              comparison, n, 1.0, rng)
+        (tallies >> 1 & _lanes(rounds)).bit_count()
+        for rounds, tallies in _tallies(attack, (outcome_convention, expectation_convention),
+                                        comparison, n, 1.0, rng)
     )
     mean = detections / n
     return McEstimate(
@@ -616,17 +653,19 @@ def run_session(
     The stats are the ones a loop of :func:`run_round` calls gives.  The
     draws are taken straight from the Mersenne Twister of ``bit_source``,
     not through :meth:`RandomSource.random`, which returns the same values.
+    Each convention and the comparison may be a member or its string value.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    totals = [0] * len(_TALLY_BITS)
-    for chunk in _tallies(eve, conventions, comparison, n_rounds, control_fraction,
-                          bit_source):
-        for t, bit in enumerate(_TALLY_BITS):
-            totals[t] += chunk.translate(bit).count(1)
+    totals = [0] * 8
+    for rounds, tallies in _tallies(eve, conventions, comparison, n_rounds,
+                                    control_fraction, bit_source):
+        lanes = _lanes(rounds)
+        for t in range(8):
+            totals[t] += (tallies >> t & lanes).bit_count()
     control_rounds, detections, alice_pair, bob_pair, *bit_errors = totals
     stats = SessionStats(
         n_rounds=n_rounds,
@@ -685,10 +724,14 @@ _CLAIMS_EXPLANATION = (
 
 
 def compare_claims() -> ClaimsReport:
-    """Side-by-side report of the disputed intercept-measure averages."""
-    strict = paper_case_table().average
-    consistent = enumerate_exact(_PAPER_ATTACK, Convention.OPERATOR_ENCODING,
-                                 Convention.OPERATOR_ENCODING, Comparison.CONVERTED).average
+    """Side-by-side report of the disputed intercept-measure averages: those
+    of :func:`paper_case_table` and of the operator-encoding, ``converted``
+    bookkeeping, read straight from their cached :func:`_detection_fold`,
+    item 3 of each, with no report built."""
+    strict = _detection_fold(_PAPER_ATTACK, Convention.PARITY_PHASE,
+                             Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)[3]
+    consistent = _detection_fold(_PAPER_ATTACK, Convention.OPERATOR_ENCODING,
+                                 Convention.OPERATOR_ENCODING, Comparison.CONVERTED)[3]
     return ClaimsReport(
         paper_claim=Fraction(3, 4),
         cai_claim=Fraction(1, 2),

@@ -185,10 +185,15 @@ class Convention(Enum):
     The same index pair points at *different* physical states in the two
     schemes, which is precisely the bookkeeping subtlety this package
     quantifies.
+
+    Members are singletons compared by identity, so they hash by identity
+    too, in C: a cache keyed on a convention skips ``Enum.__hash__``.
     """
 
     OPERATOR_ENCODING = "oe"
     PARITY_PHASE = "pp"
+
+    __hash__ = object.__hash__
 
     def other(self) -> "Convention":
         if self is Convention.OPERATOR_ENCODING:

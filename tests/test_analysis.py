@@ -420,8 +420,10 @@ class TestEnumerateExact:
         (ALL_BIT_TUPLES[:15] + ((1, 1, 1, 2),), ValueError),
         (ALL_BIT_TUPLES[:15] + ([1, 1, 1, 1],), TypeError),
         (5, TypeError),
+        (["".join(map(str, bits)) for bits in ALL_BIT_TUPLES], ValueError),
+        ((bits for bits in ALL_BIT_TUPLES[:15] + ALL_BIT_TUPLES[:1]), ValueError),
     ], ids=["one-tuple", "15-tuples", "17-tuples", "duplicate", "lists", "bit-of-2",
-            "unhashable", "not-iterable"])
+            "unhashable", "not-iterable", "16-strings", "generator-duplicate"])
     def test_rejects_bad_case_order(self, case_order, error):
         match = "case_order must be a permutation of all 16 bit tuples"
         with pytest.raises(error, match=match if error is ValueError else None):
@@ -876,7 +878,56 @@ class TestWalkCache:
             compare_claims()
 
 
+class TestConventionValues:
+    """Each engine takes a convention as a member or as its string value,
+    with one cache entry for both, and rejects anything else."""
+
+    ENGINES = {
+        "enumerate_exact": (
+            lambda oc, ec: enumerate_exact(InterceptMeasure(), oc, ec, "strict-paper"),
+            "_detection_fold"),
+        "monte_carlo": (
+            lambda oc, ec: monte_carlo(InterceptMeasure(), oc, ec, "strict-paper",
+                                       n=300, seed=2),
+            "_session_table"),
+        "run_session": (
+            lambda oc, ec: run_session(300, 0.5, RandomSource(2), InterceptMeasure(),
+                                       (oc, ec), "strict-paper"),
+            "_session_table"),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
+    def test_value_shares_the_member_entry(self, fresh_walk, engine, oc, ec):
+        run, cache = self.ENGINES[engine]
+        by_member = run(oc, ec)
+        by_value = run(oc.value, ec.value)
+        assert repr(by_value) == repr(by_member)
+        assert getattr(analysis, cache).cache_info().misses == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("oc,ec,bad", [("bogus", OE, "bogus"), (OE, "bogus", "bogus"),
+                                           ("OE", "oe", "OE")],
+                             ids=["outcome", "expectation", "name"])
+    def test_rejects_unknown_value(self, fresh_walk, engine, oc, ec, bad):
+        run, cache = self.ENGINES[engine]
+        with pytest.raises(ValueError, match=f"^{bad!r} is not a valid Convention$"):
+            run(oc, ec)
+        assert getattr(analysis, cache).cache_info().misses == 0
+
+    def test_report_carries_the_member(self):
+        report = enumerate_exact(Passive(), "pp", "oe")
+        assert report.outcome_convention is PP
+        assert report.expectation_convention is OE
+
+
 class TestCompareClaims:
+    def test_averages_are_those_of_the_reports(self):
+        report = compare_claims()
+        assert report.strict_paper_average == paper_case_table().average
+        assert report.consistent_value == enumerate_exact(
+            InterceptMeasure(Route.B_TO_A), OE, OE, "converted").average
+
     def test_figures(self):
         report = compare_claims()
         assert report.paper_claim == Fraction(3, 4)

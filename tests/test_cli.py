@@ -5,6 +5,7 @@ Regenerate golden files with ``QDLG_UPDATE_GOLDEN=1 pytest tests/test_cli.py``.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -421,6 +422,19 @@ def test_goldens_without_numpy(argv, golden):
     proc = subprocess.run([sys.executable, "-c", program, *argv],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_INVOCATIONS,
+                         ids=[argv[0] + ":" + name for argv, name in GOLDEN_INVOCATIONS])
+def test_console_script(argv, golden):
+    """The installed ``qdialogue`` console script prints every golden
+    output; skipped when no such script is on ``PATH``."""
+    script = shutil.which("qdialogue")
+    if script is None:
+        pytest.skip("no qdialogue console script installed")
+    proc = subprocess.run([script, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
 

@@ -460,8 +460,10 @@ class TestResolver:
                 words += quarter_words(key & 3)
             for mode in Mode:
                 control = mode is Mode.CONTROL
-                tallies = b"".join(_tallies(attack, (oc, ec), comp, 256, float(control),
-                                            word_source(words)))
+                tallies = b"".join(
+                    chunk.to_bytes(rounds, "little")
+                    for rounds, chunk in _tallies(attack, (oc, ec), comp, 256,
+                                                  float(control), word_source(words)))
                 for key, got in enumerate(tallies):
                     i, j, k, l = DRAW_ORDER[key >> 4]
                     source = StubSource([(key >> 2 & 3) / 4 + 1 / 8] * draws_tap

@@ -9,6 +9,7 @@ and compare strategies and labels, and reports compare field by field.
 import copy
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -273,6 +274,23 @@ def test_equal_fields_of_different_classes_are_unequal(a, b):
     assert a != b and b != a
     assert not a == b
     assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("member", list(Convention), ids=repr)
+def test_convention_hashes_by_identity(member):
+    # members are singletons, so a copy is the same lru_cache key
+    assert Convention.__hash__ is object.__hash__
+
+    @lru_cache(maxsize=None)
+    def key(convention):
+        return convention
+
+    key(member)
+    for same in (copy.copy(member), copy.deepcopy(member),
+                 pickle.loads(pickle.dumps(member))):
+        assert same is member
+        assert key(same) is member
+    assert (key.cache_info().hits, key.cache_info().misses) == (3, 1)
 
 
 def test_defaults():
