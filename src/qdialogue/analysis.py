@@ -229,14 +229,6 @@ def _over_power_of_two(probs: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]
     return top.bit_length() - 1, tuple(p.numerator * top // p.denominator for p in probs)
 
 
-@lru_cache(maxsize=None)
-def _draw_weights(thresholds: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
-    """Exact probability of each branch of a uniform draw: the gaps between
-    its thresholds, which are dyadic, as floats are."""
-    bounds = (0, *map(Fraction, thresholds), 1)
-    return _over_power_of_two(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-
-
 def _home_branch(state: ExactState) -> str:
     home0, home1 = (_gabs2(state.z[h]) + _gabs2(state.z[h + 1]) for h in (0, 2))
     if home0 and home1:
@@ -246,7 +238,8 @@ def _home_branch(state: ExactState) -> str:
 
 def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[int, list]:
     """Expand every branch through one channel tap.  Branch masses are ints
-    over 2**exp; returns the new exponent and the new branches."""
+    over 2**exp, and a selection's weights, which must sum to a power of two,
+    are its branches' masses; returns the new exponent and the new branches."""
     action = attack.tap(route)
     if action is None:
         return exp, branches
@@ -257,11 +250,14 @@ def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[i
         e, weights = _over_power_of_two(p for _, p, _, _ in split)
         return exp + e, [(mass * w, collapsed, _home_branch(collapsed), sel)
                          for w, (mass, _p, collapsed, sel) in zip(weights, split)]
-    e, weights = _draw_weights(action.thresholds)
+    weights = action.weights
+    total = sum(weights)
+    if total < 1 or total & (total - 1):
+        raise InvariantError(f"non-dyadic draw weights {weights}")
     choices = [(w, _CODES[uv], uv) for w, uv in zip(weights, action.codes)]
-    return exp + e, [(mass * w, apply_pauli_t_exact(state, code), branch, uv)
-                     for mass, state, branch, _sel in branches
-                     for w, code, uv in choices]
+    return exp + total.bit_length() - 1, [
+        (mass * w, apply_pauli_t_exact(state, code), branch, uv)
+        for mass, state, branch, _sel in branches for w, code, uv in choices]
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +272,11 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
     ``convention``, in ``BELL_LABEL_ORDER``, as ints over 2**D.  Everything
     cached is a tuple, so no caller can change what the next one reads.
     The exact primitives are looked up as this module's globals when the
-    walk runs; a test that patches one clears this cache first.
+    walk runs; a test that patches one clears this cache first.  Every
+    engine walks first, so each raises TypeError here for a non-strategy.
     """
+    if not isinstance(attack, EveStrategy):
+        raise TypeError(f"not an Eve strategy: {attack!r}")
     start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
     walked = []
     for bits in ALL_BIT_TUPLES:

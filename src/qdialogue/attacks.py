@@ -11,7 +11,9 @@ interface has no mode parameter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate
 
 from .qcore import (
     ALG_TOL,
@@ -21,7 +23,6 @@ from .qcore import (
     RandomSource,
     TwoQubitState,
     apply_pauli_t,
-    branch_index,
     measure_t_computational,
 )
 
@@ -32,9 +33,10 @@ class Route(Enum):
 
 
 # Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
-# picks from and the ``thresholds`` of its uniform draw: a draw u picks
-# ``codes[branch_index(thresholds, u)]``.  A rule without thresholds does
-# not draw.  ``rule`` is the rule's name on the command line.
+# picks from and their integer ``weights``, which sum to a power of two: code
+# x has probability weights[x] / sum(weights), and a draw u picks the first
+# code whose cumulative weight exceeds u * sum(weights).  A rule with one
+# code does not draw.  ``rule`` is the rule's name on the command line.
 
 class Fixed(FrozenValue):
     """Always apply C_{u,v}."""
@@ -42,7 +44,7 @@ class Fixed(FrozenValue):
     __slots__ = ("u", "v")
 
     rule = "fixed"
-    thresholds: tuple[float, ...] = ()
+    weights: tuple[int, ...] = (1,)
 
     def __init__(self, u: int, v: int):
         if u not in (0, 1) or v not in (0, 1):
@@ -62,8 +64,7 @@ class UniformAll4(FrozenValue):
 
     rule = "uniform4"
     codes: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-    # 4u is exact in binary, so the count of quarters at or below u is floor(4u)
-    thresholds: tuple[float, ...] = (0.25, 0.5, 0.75)
+    weights: tuple[int, ...] = (1, 1, 1, 1)
 
 
 class CoinIZ(FrozenValue):
@@ -73,7 +74,7 @@ class CoinIZ(FrozenValue):
 
     rule = "coin-iz"
     codes: tuple[tuple[int, int], ...] = ((0, 0), (1, 1))
-    thresholds: tuple[float, ...] = (0.5,)
+    weights: tuple[int, ...] = (1, 1)
 
 
 Selection = Fixed | UniformAll4 | CoinIZ
@@ -185,8 +186,11 @@ def apply_eve(
     """Eve's action at a tap.  Returns the forwarded state and her record.
 
     A tap without an action forwards the state untouched with record None.
-    Only the branch the draw picks is computed.
+    Only the branch the draw picks is computed.  A non-strategy raises
+    TypeError.
     """
+    if not isinstance(strategy, EveStrategy):
+        raise TypeError(f"not an Eve strategy: {strategy!r}")
     action = strategy.tap(route)
     if action is None:
         return state, None
@@ -195,6 +199,8 @@ def apply_eve(
         t_outcome, collapsed, _p = measure_t_computational(state, rand)
         return collapsed, MeasuredBranch(_home_branch(collapsed), t_outcome)
 
-    thresholds = action.thresholds
-    u, v = action.codes[branch_index(thresholds, rand.random()) if thresholds else 0]
+    codes, weights = action.codes, action.weights
+    # the weights sum to a power of two, so u * sum(weights) is exact
+    u, v = codes[bisect_right(list(accumulate(weights)), rand.random() * sum(weights))
+                 if len(codes) > 1 else 0]
     return apply_pauli_t(state, PauliCode(u, v)), AppliedPauli(u, v)

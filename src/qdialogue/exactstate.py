@@ -5,8 +5,8 @@ z / sqrt(2)**half with z a Gaussian integer, so a state is a 4-tuple of
 (re, im) integer pairs plus one shared square-root-of-two exponent.  Every
 probability is dyadic: :func:`bell_weights_exact` returns a Bell
 measurement's Born weights as integer numerators over 2**(half + 1), and
-the exact walk in :mod:`qdialogue.analysis` carries every mass as an int
-over a power of two.  No floating point enters this path anywhere.
+the exact walk in :mod:`qdialogue.analysis` carries every mass, Eve's draw
+weights included, as an int over a power of two: no float enters this path.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ The :class:`Comparison` rule on :class:`RoundConfig` decides how a measured
 label is tested against the expected one when the two conventions differ:
 ``STRICT_PAPER`` compares the raw index pairs as-is, ``CONVERTED`` maps the
 outcome into the expectation convention first (self-consistent).
-That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode` and
-:class:`Comparison` also take their string values (``"strict-paper"``);
-:class:`RoundConfig` and the engines turn them into members, so an unknown
-value raises ValueError.  :func:`control_detected` and :func:`decode_message` are the
-one detection rule and the one decoder of every engine.
+That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode`,
+:class:`Comparison` and :class:`~qdialogue.qcore.Convention` also take their
+string values (``"strict-paper"``); :class:`RoundConfig` and the engines turn
+them into members, so an unknown value raises ValueError.
+:func:`control_detected` and :func:`decode_message` are the one detection
+rule and the one decoder of every engine.
 
 :func:`run_round` simulates one round in floats and records every state;
 the engines over the round's whole tree live in :mod:`qdialogue.analysis`.
@@ -56,7 +57,7 @@ class Comparison(str, Enum):
 
 
 class RoundConfig(FrozenValue):
-    """One round's inputs; ``mode`` and ``comparison`` are stored as members."""
+    """One round's inputs, each enum field stored as its member."""
 
     __slots__ = ("bob_bits", "alice_bits", "mode", "outcome_convention",
                  "expectation_convention", "comparison")
@@ -77,8 +78,9 @@ class RoundConfig(FrozenValue):
         object.__setattr__(self, "alice_bits", alice_bits)
         # an unknown value raises ValueError
         object.__setattr__(self, "mode", Mode(mode))
-        object.__setattr__(self, "outcome_convention", outcome_convention)
-        object.__setattr__(self, "expectation_convention", expectation_convention)
+        object.__setattr__(self, "outcome_convention", Convention(outcome_convention))
+        object.__setattr__(self, "expectation_convention",
+                           Convention(expectation_convention))
         object.__setattr__(self, "comparison", Comparison(comparison))
 
 

@@ -465,15 +465,6 @@ class RandomSource:
         return RandomSource(self.child_seed(index))
 
 
-def branch_index(thresholds: tuple[float, ...], u: float) -> int:
-    """The branch a uniform draw ``u`` selects: how many ``thresholds`` lie
-    at or below it."""
-    index = 0
-    for t in thresholds:
-        index += u >= t
-    return index
-
-
 def measure_t_computational(
     state: TwoQubitState, rand: RandomSource
 ) -> tuple[int, TwoQubitState, float]:

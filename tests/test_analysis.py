@@ -148,9 +148,8 @@ def reference_bell_weights(state, convention):
 
 
 @lru_cache(maxsize=None)
-def reference_draw_weights(thresholds):
-    bounds = (0, *map(Fraction, thresholds), 1)
-    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+def reference_draw_weights(weights):
+    return tuple(Fraction(w, sum(weights)) for w in weights)
 
 
 def reference_home_branch(state):
@@ -173,7 +172,7 @@ def reference_tap(attack, route, branches):
             for prob, state, _branch, sel in branches
             for p, collapsed, _t in measure_t_branches(state)
         ]
-    choices = tuple(zip(reference_draw_weights(action.thresholds), action.codes))
+    choices = tuple(zip(reference_draw_weights(action.weights), action.codes))
     return [
         (prob * w, reference_apply_pauli_t(state, PauliCode(u, v)), branch, (u, v))
         for prob, state, branch, _sel in branches
@@ -279,10 +278,10 @@ def assert_same_report(report, want):
 
 @dataclass(frozen=True)
 class StubSelection:
-    """A selection rule with any codes and draw thresholds."""
+    """A selection rule with any codes and draw weights."""
 
     codes: tuple
-    thresholds: tuple
+    weights: tuple
 
     rule: ClassVar[str] = "stub"
 
@@ -618,9 +617,12 @@ class TestFractionReference:
 
     @pytest.mark.parametrize("route", list(Route))
     def test_no_rounding_with_a_third(self, route):
-        # the float nearest 1/3 splits the draw into gaps over 2**54
-        attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1)), (1 / 3,)))
-        flipped = 1 - Fraction(1 / 3)
+        # the float nearest 1/3 and its complement, as weights over 2**54
+        third = Fraction(1 / 3)
+        assert third.denominator == 2 ** 54
+        weights = (third.numerator, 2 ** 54 - third.numerator)
+        attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1)), weights))
+        flipped = 1 - third
         assert flipped.denominator == 2 ** 54
         for oc, ec, comp in ALL_COMBOS:
             assert_same_report(enumerate_exact(attack, oc, ec, comp),
@@ -665,8 +667,8 @@ class TestConservation:
 
     @pytest.mark.parametrize("route", list(Route))
     def test_lost_draw_branch_raises(self, route):
-        # two draw branches but one code: the second branch's weight is lost
-        attack = DisturbPauli(route, StubSelection(((0, 1),), (0.5,)))
+        # two draw weights but one code: the second branch's weight is lost
+        attack = DisturbPauli(route, StubSelection(((0, 1),), (1, 1)))
         with pytest.raises(InvariantError, match="Eve's branches"):
             enumerate_exact(attack)
 
@@ -685,13 +687,13 @@ class TestConservation:
 
     def test_non_quarter_threshold_in_samplers_raises(self, fresh_walk, monkeypatch):
         # the samplers decide each draw by its quarter of [0, 1): a tap
-        # threshold of 1/3, then a Bell threshold of 1/3 in an intercept walk
+        # threshold of 3/8, then a Bell threshold of 1/3 in an intercept walk
         # (scaled by 3, so that its masses split in thirds)
-        third = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (1 / 3,)))
+        three_eighths = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (3, 5)))
         third_bell = self.first_leaf_walk(analysis._walk, 3,
                                           lambda total: (total // 3, total - total // 3, 0, 0))
-        for attack in (third, InterceptMeasure()):
-            if attack is not third:
+        for attack in (three_eighths, InterceptMeasure()):
+            if attack is not three_eighths:
                 monkeypatch.setattr(analysis, "_walk", third_bell)
             with pytest.raises(InvariantError, match="multiple of 1/4"):
                 monte_carlo(attack, n=10)
@@ -722,8 +724,8 @@ class TestConservation:
             monte_carlo(InterceptMeasure(), n=10)
 
     def test_non_dyadic_threshold_raises(self):
-        attack = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)),
-                                                      (Fraction(1, 3),)))
+        # draw weights that sum to 3
+        attack = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (1, 2)))
         with pytest.raises(InvariantError, match="non-dyadic"):
             enumerate_exact(attack)
 
@@ -769,7 +771,7 @@ class TestWalkCache:
                     for d in node.decorator_list)
         }
         assert {"_walk", "_outcome_tallies", "_detection_fold", "_message_errors",
-                "_session_table", "_draw_weights"} <= cached
+                "_session_table"} <= cached
         sum(1 for _ in self.exact_grid_reports())
         monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
         assert all(getattr(analysis, name).cache_info().currsize for name in cached)

@@ -1,7 +1,8 @@
 """Eve's taps: intercept collapse branches and Pauli disturbance."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -17,7 +18,8 @@ from qdialogue.attacks import (
     UniformAll4,
     apply_eve,
 )
-from qdialogue.analysis import monte_carlo, run_session
+from qdialogue import analysis
+from qdialogue.analysis import enumerate_exact, message_error_rate, monte_carlo, run_session
 from qdialogue.exactstate import ExactState
 from qdialogue.protocol import Mode, RoundConfig, run_round
 from qdialogue.qcore import (
@@ -103,7 +105,38 @@ class TestInterceptMeasure:
             assert rec.t_outcome == 1
 
 
+class CountingSource:
+    """Returns ``u`` on every draw and counts the draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+#: every quarter of [0, 1), each float next to it, and the largest draw
+BOUNDARY_DRAWS = sorted({
+    x for q in (0.0, 0.25, 0.5, 0.75)
+    for x in (math.nextafter(q, -1.0), q, math.nextafter(q, 1.0)) if x >= 0.0
+} | {1.0 - 2.0 ** -53})
+
+
 class TestDisturbPauli:
+    @pytest.mark.parametrize("selection", [Fixed(1, 0), UniformAll4(), CoinIZ()], ids=repr)
+    @pytest.mark.parametrize("u", BOUNDARY_DRAWS)
+    def test_draw_picks_by_the_threshold_rule(self, selection, u):
+        # the code after every threshold, a cumulative weight over the
+        # total, at or below u; a rule with one code takes no draw
+        total = sum(selection.weights)
+        below = sum(Fraction(c, total) <= u for c in accumulate(selection.weights[:-1]))
+        source = CountingSource(u)
+        _, rec = apply_eve(DisturbPauli(Route.A_TO_B, selection), Route.A_TO_B,
+                           bell_state(OE, 0, 0), source)
+        assert (rec.u, rec.v) == selection.codes[below]
+        assert source.draws == (len(selection.codes) > 1)
+
     def test_fixed_applies_exactly(self):
         s = bell_state(OE, 1, 1)
         out, rec = apply_eve(
@@ -161,6 +194,28 @@ class TestDisturbPauli:
                 s = apply_pauli_t(s, PauliCode(u, v))
             want = bell_state(OE, i ^ k ^ u, j ^ l ^ v)
             assert equal_up_to_global_phase(s, want, ALG_TOL)
+
+
+class TestNotAStrategy:
+    """Every engine raises TypeError for a value that is not an Eve
+    strategy, and caches nothing for it."""
+
+    ENGINES = {
+        "enumerate_exact": enumerate_exact,
+        "message_error_rate": message_error_rate,
+        "monte_carlo": lambda eve: monte_carlo(eve, n=10),
+        "run_session": lambda eve: run_session(10, 0.5, RandomSource(0), eve),
+        "run_round": lambda eve: run_round(RoundConfig((0, 1), (1, 0)), eve, RandomSource(0)),
+        "apply_eve": lambda eve: apply_eve(eve, Route.A_TO_B, bell_state(OE, 0, 0),
+                                           RandomSource(0)),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("eve", [None, "intercept", UniformAll4()], ids=repr)
+    def test_raises_type_error(self, fresh_walk, engine, eve):
+        with pytest.raises(TypeError, match="not an Eve strategy"):
+            self.ENGINES[engine](eve)
+        assert analysis._walk.cache_info().currsize == 0
 
 
 class TestHomeQubitInvariant:

@@ -4,6 +4,7 @@ import copy
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
@@ -12,9 +13,11 @@ from qdialogue import analysis
 from qdialogue.analysis import (
     DRAW_ORDER,
     SessionStats,
+    _configuration,
     _session_table,
     _tallies,
     _walk,
+    enumerate_exact,
     message_error_rate,
     monte_carlo,
     run_session,
@@ -354,10 +357,33 @@ class TestRoundFollowsTree:
                         assert record is None
 
 
+def table_expectations(attack, oc, ec, comp):
+    """The expectation of each of the eight tallies of a round, as a
+    ``Fraction``: the mean of its bit over the 256 keys of the samplers'
+    table, each as likely as the next (16 nodes, 4 tap quarters, 4 Bell
+    quarters), with the control and the message tallies both kept."""
+    _draws_tap, table = _session_table(attack, *_configuration(oc, ec, comp))
+    assert len(table) == 256
+    return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(8)]
+
+
 class TestSessionTable:
     """``run_session`` resolves rounds by lookup; the reference loop runs
     ``run_round`` per round on the same stream.  The two must agree
     exactly."""
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_table_means_are_the_exact_folds(self, attack):
+        # exactly, under every bookkeeping: the control bit is always set,
+        # the detected bit is enumerate_exact's average and the six error
+        # bits are message_error_rate's, which no convention changes
+        errors = message_error_rate(attack)
+        error_rates = [errors.alice_to_bob, errors.bob_to_alice, *errors.per_bit.values()]
+        for oc, ec, comp in ALL_COMBOS:
+            control, detected, *message = table_expectations(attack, oc, ec, comp)
+            assert control == 1
+            assert detected == enumerate_exact(attack, oc, ec, comp).average
+            assert message == error_rates
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_equals_reference_loop(self, attack):
@@ -610,9 +636,11 @@ class TestValidation:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("comparison", list(Comparison))
     def test_values_become_members(self, mode, comparison):
-        config = RoundConfig((0, 1), (1, 0), mode.value, PP, OE, comparison.value)
+        config = RoundConfig((0, 1), (1, 0), mode.value, "pp", "oe", comparison.value)
         assert config.mode is mode and config.comparison is comparison
+        assert config.outcome_convention is PP and config.expectation_convention is OE
         assert config == RoundConfig((0, 1), (1, 0), mode, PP, OE, comparison)
+        assert hash(config) == hash(RoundConfig((0, 1), (1, 0), mode, PP, OE, comparison))
 
     @pytest.mark.parametrize("comparison", list(Comparison))
     def test_session_accepts_comparison_value(self, comparison):
@@ -625,3 +653,10 @@ class TestValidation:
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             RoundConfig((0, 2), (0, 0))
+
+    def test_round_takes_convention_values(self):
+        def transcript(oc, ec):
+            return run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL, oc, ec, "strict-paper"),
+                             InterceptMeasure(), RandomSource(3))
+
+        assert transcript("pp", "oe") == transcript(PP, OE)

@@ -353,9 +353,11 @@ def test_session_stats_lists_are_per_instance_and_deep_copied():
     lambda: RoundConfig((0, 0), (1, 2)),
     lambda: RoundConfig((0, 0), (0, 0), "sometimes"),
     lambda: RoundConfig((0, 0), (0, 0), comparison="lenient"),
+    lambda: RoundConfig((0, 0), (0, 0), outcome_convention="bogus"),
+    lambda: RoundConfig((0, 0), (0, 0), expectation_convention="bogus"),
 ], ids=["pauli-a", "pauli-b", "bell-l", "bell-k", "fixed-v", "fixed-u",
         "case-parity", "case-parity-branch", "config-bob", "config-alice",
-        "config-mode", "config-comparison"])
+        "config-mode", "config-comparison", "config-outcome", "config-expectation"])
 def test_constructor_checks(build):
     with pytest.raises(ValueError):
         build()
