@@ -1,27 +1,28 @@
-"""Exact detection-probability enumeration, the two samplers over the same
-tree, and the side-by-side report of the disputed averages.
+"""Exact detection-probability enumeration, the sampler over the same tree,
+and the side-by-side report of the disputed averages.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
 mass an int over a power of two.  :func:`_walk` makes it once per strategy
 and outcome convention, and :func:`_outcome_tallies` the rules once per
 conventions and comparison: per bit tuple, one tally byte per Bell outcome
-(control, detected, pair and bit errors).  The exact folds of the detected
-bit (:func:`_detection_fold`) and of the error bits
-(:func:`_message_errors`) sum ints, build ``Fraction``s at their end and
-are cached too, so a report only orders and copies them, with
-``itemgetter`` lookups in C, and :func:`compare_claims` reads its two
-averages straight from the folds.  The engines take each convention and
-comparison as a member or its string value, one cache entry for both.  The
-two samplers read the same walk and table.  Both take their draws from one
-stream in the order a loop of :func:`protocol.run_round` takes them, and
-one resolver serves both: every cumulative mass of the walk is a multiple
-of 1/4 of its total, so the top byte of each draw's first Mersenne Twister
-word decides it, and whole chunks of rounds resolve by ``bytes`` table
-lookups in C.  A table cached per configuration maps each round's key to
-the tally byte of the leaf it reaches; :func:`run_session` counts every
-tally, by the popcount of its bit across the chunk, and
-:func:`monte_carlo`, the control-only view, counts detections.
+(control, detected, pair and bit errors).  One exact fold,
+:func:`_detection_fold`, sums the detected bit and the error bits against
+the masses in ints, builds ``Fraction``s at its end and is cached per
+configuration, so a report only orders and copies it, with ``itemgetter``
+lookups in C; :func:`message_error_rate` reads the default bookkeeping's
+fold and :func:`compare_claims` its two averages.  The engines take each
+convention and comparison as a member or its string value, made members by
+:func:`protocol.bookkeeping`, one cache entry for both.  The one sampler
+loop, :func:`run_session`, reads the same walk and table, and
+:func:`monte_carlo` is its control-only view.  It takes its draws from one
+stream in the order a loop of :func:`protocol.run_round` takes them: every
+cumulative mass of the walk is a multiple of 1/4 of its total, so the top
+byte of each draw's first Mersenne Twister word decides it, and whole
+chunks of rounds resolve by ``bytes`` table lookups in C.  A table cached
+per configuration maps each round's key to the tally byte of the leaf it
+reaches, and the session counts every tally by the popcount of its bit
+across the chunk.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .protocol import (
     Comparison,
     Mode,
     RoundConfig,
+    bookkeeping,
     control_detected,
     decode_message,
     run_round,
@@ -74,10 +76,6 @@ DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_
 
 #: each bit tuple's place in ALL_BIT_TUPLES: (i, j, k, l) is at 8i + 4j + 2k + l
 _PLACE = {bits: place for place, bits in enumerate(ALL_BIT_TUPLES)}
-
-#: each convention and each comparison, by member and by value
-_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
-_COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
 
 #: the code of each (a, b) bit pair
 _CODES = {(a, b): PauliCode(a, b) for a, b in product((0, 1), repeat=2)}
@@ -340,14 +338,18 @@ def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
 @lru_cache(maxsize=None)
 def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
                     expectation_conv: Convention, comparison: Comparison) -> tuple:
-    """The fold of :func:`enumerate_exact`, once per configuration: the
-    detected bit of :func:`_outcome_tallies` against the masses of
-    :func:`_walk`, in ints until the final ``Fraction``s.  Returns, all
-    immutable, (cases, reach, branch_averages, average, per_selection): each
-    (m, n, Eve branch) case's ``CaseDescriptor`` and probability; per bit
+    """The one exact fold, once per configuration: the tallies of
+    :func:`_outcome_tallies` against the masses of :func:`_walk`, in ints
+    until the final ``Fraction``s.  Returns, all immutable, (cases, reach,
+    branch_averages, average, per_selection, errors): each (m, n, Eve
+    branch) case's ``CaseDescriptor`` and detection probability; per bit
     tuple, in ``ALL_BIT_TUPLES`` order, the indices in ``cases`` of the cases
     its leaves reach, in leaf order; the sorted (branch, average) pairs; the
-    average; the sorted ((u, v), average) pairs, or None."""
+    average; the sorted ((u, v), average) pairs, or None; and the message
+    round's error probabilities, of Alice's and Bob's pairs, then of i, j,
+    k, l.  Decoding reads neither the expected labels nor the comparison and
+    converts ``pp`` outcome labels, so every configuration's errors are
+    those of :func:`message_error_rate`."""
     exp, groups = _walk(attack, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     # (detected mass, total mass) per case, per Eve branch and per applied (u, v)
@@ -364,15 +366,23 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
                 det, tot = selections.get(sel, (0, 0))
                 selections[sel] = (det + hit, tot + mass)
     index = {case: c for c, case in enumerate(cases)}
+    # each bit tuple's mass on each Bell outcome, over Eve's branches, and
+    # the outcome's tallies, both in ALL_BIT_TUPLES order
+    masses = [sum(column) for group in groups
+              for column in zip(*(leaf[3] for leaf in group))]
+    tallies = b"".join(rows.values())
+    # every bit tuple weighs 1 / 16
+    average, *errors = (Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
+                        for bit in _TALLY_BITS[1:])
     return (
         tuple((CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
               for (m, n, br), sums in cases.items()),
         tuple(tuple(dict.fromkeys(index[i ^ k, j ^ l, leaf[1]] for leaf in group))
               for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups)),
         tuple((br, Fraction(*branches[br])) for br in sorted(branches)),
-        # every bit tuple weighs 1 / 16
-        Fraction(sum(det for det, _ in cases.values()), 16 << exp),
+        average,
         tuple((uv, Fraction(*selections[uv])) for uv in sorted(selections)) or None,
+        tuple(errors),
     )
 
 
@@ -394,19 +404,6 @@ def _places(case_order: Iterable[BitTuple]) -> tuple[int, ...]:
     raise ValueError("case_order must be a permutation of all 16 bit tuples")
 
 
-def _configuration(outcome_conv, expectation_conv,
-                   comparison) -> tuple[Convention, Convention, Comparison]:
-    """The two conventions and the comparison as members, each given as a
-    member or its string value, so that both forms share one cache entry;
-    anything else raises the ``ValueError`` of its enum."""
-    try:
-        return (_CONVENTION[outcome_conv], _CONVENTION[expectation_conv],
-                _COMPARISON[comparison])
-    except (KeyError, TypeError):
-        # raises the ValueError of the first value that names no member
-        return Convention(outcome_conv), Convention(expectation_conv), Comparison(comparison)
-
-
 def enumerate_exact(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -419,9 +416,11 @@ def enumerate_exact(
     Enumerates all 16 encoding-bit tuples uniformly, every Eve branch with
     its exact probability, and every Bell outcome with its exact Born
     weight, and folds :func:`protocol.control_detected` over them: the
-    cached :func:`_detection_fold`.  Each convention and the comparison may
-    be given as a member or as its string value; the report carries the
-    member, and anything else raises ``ValueError``.  ``case_order`` only
+    cached :func:`_detection_fold`, whose entry for the default bookkeeping
+    :func:`message_error_rate` shares.  Each convention and the comparison
+    may be given as a member or as its string value, which
+    :func:`protocol.bookkeeping` turns into the member the report carries;
+    anything else raises ``ValueError``.  ``case_order`` only
     orders ``per_case``, by the case each bit tuple first reaches: each bit
     tuple is looked up to its place in ``ALL_BIT_TUPLES``, and
     ``case_order`` is a permutation when it gives 16 distinct places.  When
@@ -431,9 +430,9 @@ def enumerate_exact(
     changing them changes no cache.
     """
     places = None if case_order is None else _places(case_order)
-    outcome_convention, expectation_convention, comparison = _configuration(
+    outcome_convention, expectation_convention, comparison = bookkeeping(
         outcome_convention, expectation_convention, comparison)
-    cases, reach, branch_averages, average, per_selection = _detection_fold(
+    cases, reach, branch_averages, average, per_selection, _errors = _detection_fold(
         attack, outcome_convention, expectation_convention, comparison)
     if places is not None:
         reach = itemgetter(*places)(reach)
@@ -446,6 +445,9 @@ def enumerate_exact(
 #: the published attack: intercept-measure on the outbound route, built once
 #: so that every report of it hashes the same instance
 _PAPER_ATTACK = InterceptMeasure(Route.B_TO_A)
+#: the default bookkeeping's members, bound once: looking a member up on its
+#: enum costs more than a warm fold's cache hit
+_OE, _CONVERTED = Convention.OPERATOR_ENCODING, Comparison.CONVERTED
 
 
 def paper_case_table() -> DetectionReport:
@@ -516,8 +518,8 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     rounds a chunk, in the layout of :func:`run_session`: per chunk, its
     rounds and one int whose little-endian bytes are the rounds' tally
     bytes, so that tally t of the chunk counts as the bits set in
-    ``tallies >> t & _lanes(rounds)``.  The conventions and the comparison
-    may each be a member or its string value (:func:`_configuration`).
+    ``tallies >> t`` at bit 0 of a byte.  The conventions and the comparison
+    may each be a member or its string value (:func:`bookkeeping`).
 
     ``random()`` builds a draw from two Mersenne Twister words a, b as
     ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
@@ -538,7 +540,7 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     the whole draw settles it.  All of a chunk's work but that settling runs
     in C.
     """
-    draws_tap, table = _session_table(eve, *_configuration(*conventions, comparison))
+    draws_tap, table = _session_table(eve, *bookkeeping(*conventions, comparison))
     mixed = 0.0 < control_fraction < 1.0
     draws = 5 + mixed + draws_tap
     keyed = tuple(zip((0, 1, 2, 3, *range(4 + mixed, draws)),
@@ -576,11 +578,6 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
         yield rounds, tallies
 
 
-def _lanes(rounds: int) -> int:
-    """Bit 0 of each of ``rounds`` tally bytes, as an int."""
-    return int.from_bytes(b"\1" * rounds, "little")
-
-
 def monte_carlo(
     attack: EveStrategy,
     outcome_convention: Convention = Convention.OPERATOR_ENCODING,
@@ -598,21 +595,16 @@ def monte_carlo(
     (intercept, uniform4, coin-iz); and one for the Bell measurement.
     That is 5 draws a round for passive and fixed-Pauli strategies, 6 for
     the rest, exactly as :func:`run_round` consumes them, so the estimate
-    is the one the round-by-round loop gives.  It is a control-only
-    :func:`run_session` that counts only detections: the rounds are
-    resolved ``MC_CHUNK_ROUNDS`` at a time from the top bytes of their
-    draws, so memory is bounded by the chunk, whatever n is.  Each
-    convention and the comparison may be a member or its string value.
+    is the one the round-by-round loop gives.  Its mean is the detection
+    rate of a control-only :func:`run_session` on ``RandomSource(seed)``,
+    which resolves the rounds ``MC_CHUNK_ROUNDS`` at a time from the top
+    bytes of their draws, so memory is bounded by the chunk, whatever n is.
+    Each convention and the comparison may be a member or its string value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = RandomSource(seed)
-    detections = sum(
-        (tallies >> 1 & _lanes(rounds)).bit_count()
-        for rounds, tallies in _tallies(attack, (outcome_convention, expectation_convention),
-                                        comparison, n, 1.0, rng)
-    )
-    mean = detections / n
+    mean = run_session(n, 1.0, RandomSource(seed), attack,
+                       (outcome_convention, expectation_convention), comparison).detection_rate
     return McEstimate(
         mean=mean,
         standard_error=math.sqrt(mean * (1.0 - mean) / n),
@@ -662,7 +654,8 @@ def run_session(
     totals = [0] * 8
     for rounds, tallies in _tallies(eve, conventions, comparison, n_rounds,
                                     control_fraction, bit_source):
-        lanes = _lanes(rounds)
+        # bit 0 of each of the chunk's tally bytes
+        lanes = int.from_bytes(b"\1" * rounds, "little")
         for t in range(8):
             totals[t] += (tallies >> t & lanes).bit_count()
     control_rounds, detections, alice_pair, bob_pair, *bit_errors = totals
@@ -683,30 +676,12 @@ def run_session(
     return stats
 
 
-@lru_cache(maxsize=None)
-def _message_errors(attack: EveStrategy) -> tuple[Fraction, ...]:
-    """The fold of :func:`message_error_rate`, once per strategy: the error
-    bits of :func:`_outcome_tallies` (operator-encoding labels) against the
-    walk's mass on each of the 64 outcomes, as ints until the end.  Returns
-    the error probabilities of Alice's and Bob's pairs, then of i, j, k, l."""
-    conv = Convention.OPERATOR_ENCODING
-    exp, groups = _walk(attack, conv)
-    rows = _outcome_tallies(conv, conv, Comparison.CONVERTED)
-    # each bit tuple's mass on each Bell outcome, over Eve's branches, and
-    # the outcome's tallies, both in ALL_BIT_TUPLES order
-    masses = [sum(column) for group in groups
-              for column in zip(*(leaf[3] for leaf in group))]
-    tallies = b"".join(rows.values())
-    # every bit tuple weighs 1 / 16
-    return tuple(Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
-                 for bit in _TALLY_BITS[2:])
-
-
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
-    labels), as :func:`_message_errors` folds them once per strategy; the
-    report and its ``per_bit`` dict are new on every call."""
-    alice_to_bob, bob_to_alice, *per_bit = _message_errors(attack)
+    labels), read from the :func:`_detection_fold` of the default
+    bookkeeping, the cache entry of ``enumerate_exact(attack)``; the report
+    and its ``per_bit`` dict are new on every call."""
+    alice_to_bob, bob_to_alice, *per_bit = _detection_fold(attack, _OE, _OE, _CONVERTED)[5]
     return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(
         zip(("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1"), per_bit)))
 
@@ -729,8 +704,7 @@ def compare_claims() -> ClaimsReport:
     item 3 of each, with no report built."""
     strict = _detection_fold(_PAPER_ATTACK, Convention.PARITY_PHASE,
                              Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)[3]
-    consistent = _detection_fold(_PAPER_ATTACK, Convention.OPERATOR_ENCODING,
-                                 Convention.OPERATOR_ENCODING, Comparison.CONVERTED)[3]
+    consistent = _detection_fold(_PAPER_ATTACK, _OE, _OE, _CONVERTED)[3]
     return ClaimsReport(
         paper_claim=Fraction(3, 4),
         cai_claim=Fraction(1, 2),

@@ -36,9 +36,10 @@ from .attacks import (
     InterceptMeasure,
     Passive,
     Route,
+    Selection,
     UniformAll4,
 )
-from .protocol import Mode, RoundConfig, run_round
+from .protocol import Comparison, Mode, RoundConfig, run_round
 from .qcore import Convention, InvariantError, RandomSource
 
 
@@ -69,19 +70,22 @@ def _flt(x: float) -> str:
 def _add_attack_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=("none", "intercept", "disturb"),
                    default="none")
-    p.add_argument("--route", choices=("b2a", "a2b"), default=None,
+    p.add_argument("--route", choices=[route.value for route in Route], default=None,
                    help="tap route (default: b2a for intercept, a2b for disturb)")
-    p.add_argument("--selection", choices=("fixed", "uniform4", "coin-iz"),
+    p.add_argument("--selection", choices=[rule.rule for rule in Selection.__args__],
                    default=None, help="disturb only (default: uniform4)")
     p.add_argument("--uv", metavar="BB", default=None,
                    help="bits for --selection fixed, e.g. 11")
 
 
 def _add_convention_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outcome-labels", choices=("oe", "pp"), default="oe")
-    p.add_argument("--expected-labels", choices=("oe", "pp"), default="oe")
-    p.add_argument("--compare", choices=("strict-paper", "converted"),
-                   default="converted", dest="comparison")
+    labels = [convention.value for convention in Convention]
+    p.add_argument("--outcome-labels", choices=labels,
+                   default=Convention.OPERATOR_ENCODING.value)
+    p.add_argument("--expected-labels", choices=labels,
+                   default=Convention.OPERATOR_ENCODING.value)
+    p.add_argument("--compare", choices=[rule.value for rule in Comparison],
+                   default=Comparison.CONVERTED.value, dest="comparison")
 
 
 def _add_format_flag(p: argparse.ArgumentParser, choices=("json", "csv", "text")) -> None:
@@ -198,12 +202,8 @@ def _emit_report(report: DetectionReport, fmt: str, command: str) -> None:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     attack = _build_attack(args)
-    report = enumerate_exact(
-        attack,
-        outcome_convention=Convention(args.outcome_labels),
-        expectation_convention=Convention(args.expected_labels),
-        comparison=args.comparison,
-    )
+    report = enumerate_exact(attack, args.outcome_labels, args.expected_labels,
+                             args.comparison)
     _emit_report(report, args.format, "exact")
     return 0
 
@@ -236,17 +236,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     attack = _build_attack(args)
     bit_source = _resolve_source(args)
     seed = bit_source.seed
-    stats = run_session(
-        args.rounds,
-        args.control_fraction,
-        bit_source,
-        attack,
-        conventions=(
-            Convention(args.outcome_labels),
-            Convention(args.expected_labels),
-        ),
-        comparison=args.comparison,
-    )
+    stats = run_session(args.rounds, args.control_fraction, bit_source, attack,
+                        (args.outcome_labels, args.expected_labels), args.comparison)
     payload = {
         "attack": _attack_echo(attack),
         "rounds": stats.n_rounds,
@@ -282,14 +273,8 @@ def _cmd_round(args: argparse.Namespace) -> int:
     i, j, k, l = (int(b) for b in bits)
     attack = _build_attack(args)
     source = _resolve_source(args)
-    config = RoundConfig(
-        bob_bits=(k, l),
-        alice_bits=(i, j),
-        mode=args.mode,
-        outcome_convention=Convention(args.outcome_labels),
-        expectation_convention=Convention(args.expected_labels),
-        comparison=args.comparison,
-    )
+    config = RoundConfig((k, l), (i, j), args.mode, args.outcome_labels,
+                         args.expected_labels, args.comparison)
     t = run_round(config, attack, source)
     record = None
     if t.eve_record is not None:

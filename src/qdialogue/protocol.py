@@ -15,8 +15,10 @@ label is tested against the expected one when the two conventions differ:
 outcome into the expectation convention first (self-consistent).
 That single rule is the entire 3/4-versus-1/2 dispute.  :class:`Mode`,
 :class:`Comparison` and :class:`~qdialogue.qcore.Convention` also take their
-string values (``"strict-paper"``); :class:`RoundConfig` and the engines turn
-them into members, so an unknown value raises ValueError.
+string values (``"strict-paper"``).  The bookkeeping of a round, its two
+conventions and its comparison, becomes members in one place,
+:func:`bookkeeping`, which :class:`RoundConfig` and every engine call, so an
+unknown value raises ValueError wherever it enters.
 :func:`control_detected` and :func:`decode_message` are the one detection
 rule and the one decoder of every engine.
 
@@ -56,8 +58,28 @@ class Comparison(str, Enum):
     CONVERTED = "converted"
 
 
+#: each convention and each comparison, by member and by value
+_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
+_COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
+
+
+def bookkeeping(outcome_convention, expectation_convention,
+                comparison) -> tuple[Convention, Convention, Comparison]:
+    """The two conventions and the comparison as members, each given as a
+    member or its string value, so that both forms share one cache entry;
+    anything else raises the ``ValueError`` of its enum."""
+    try:
+        return (_CONVENTION[outcome_convention], _CONVENTION[expectation_convention],
+                _COMPARISON[comparison])
+    except (KeyError, TypeError):
+        # raises the ValueError of the first value that names no member
+        return (Convention(outcome_convention), Convention(expectation_convention),
+                Comparison(comparison))
+
+
 class RoundConfig(FrozenValue):
-    """One round's inputs, each enum field stored as its member."""
+    """One round's inputs: each party's two encoding bits as a tuple, and
+    each enum field as its member."""
 
     __slots__ = ("bob_bits", "alice_bits", "mode", "outcome_convention",
                  "expectation_convention", "comparison")
@@ -71,17 +93,19 @@ class RoundConfig(FrozenValue):
         expectation_convention: Convention = Convention.OPERATOR_ENCODING,
         comparison: Comparison = Comparison.CONVERTED,
     ):
-        for bit in (*bob_bits, *alice_bits):
-            if bit not in (0, 1):
-                raise ValueError("encoding bits must be 0/1")
+        bob_bits, alice_bits = tuple(bob_bits), tuple(alice_bits)
+        if len(bob_bits) != 2 or len(alice_bits) != 2 or any(
+                bit not in (0, 1) for bit in (*bob_bits, *alice_bits)):
+            raise ValueError("each party's encoding bits must be two 0/1 bits")
         object.__setattr__(self, "bob_bits", bob_bits)
         object.__setattr__(self, "alice_bits", alice_bits)
         # an unknown value raises ValueError
         object.__setattr__(self, "mode", Mode(mode))
-        object.__setattr__(self, "outcome_convention", Convention(outcome_convention))
-        object.__setattr__(self, "expectation_convention",
-                           Convention(expectation_convention))
-        object.__setattr__(self, "comparison", Comparison(comparison))
+        (outcome_convention, expectation_convention,
+         comparison) = bookkeeping(outcome_convention, expectation_convention, comparison)
+        object.__setattr__(self, "outcome_convention", outcome_convention)
+        object.__setattr__(self, "expectation_convention", expectation_convention)
+        object.__setattr__(self, "comparison", comparison)
 
 
 class RoundTranscript(Value):

@@ -19,9 +19,9 @@ def _clear_analysis_caches():
 @pytest.fixture
 def fresh_walk():
     """Empty every cache of ``analysis`` (the exact walk ``_walk``, the
-    outcome-tally table ``_outcome_tallies``, the folds ``_detection_fold``
-    and ``_message_errors`` and the samplers' ``_session_table`` built on
-    them, among others) before and after a test, so that a test which
+    outcome-tally table ``_outcome_tallies``, the one exact fold
+    ``_detection_fold`` and the sampler's ``_session_table`` built on them,
+    among others) before and after a test, so that a test which
     patches a walk primitive or the walk walks and folds again under its
     patch and leaves nothing patched behind.  The fixture's value empties
     them again when called."""

@@ -4,6 +4,7 @@ import ast
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ from qdialogue.protocol import (
     RoundConfig,
     control_detected,
     decode_message,
+    expected_outcome,
     run_round,
 )
 from qdialogue.qcore import (
@@ -755,11 +757,17 @@ class TestWalkCache:
     def test_one_fold_per_configuration(self, fresh_walk):
         # the table and the claims fold configurations of the grid
         assert sum(1 for _ in self.exact_grid_reports()) == 137
+        # message_error_rate reads the fold of the default bookkeeping
         assert analysis._detection_fold.cache_info().misses == len(ALL_STRATEGIES) * 8 == 120
-        assert analysis._message_errors.cache_info().misses == len(ALL_STRATEGIES) == 15
         assert sum(1 for _ in self.exact_grid_reports()) == 137
         assert analysis._detection_fold.cache_info().misses == 120
-        assert analysis._message_errors.cache_info().misses == 15
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_message_errors_share_the_default_fold(self, fresh_walk, attack):
+        enumerate_exact(attack)
+        info = analysis._detection_fold.cache_info()
+        message_error_rate(attack)
+        assert analysis._detection_fold.cache_info() == info._replace(hits=info.hits + 1)
 
     def test_fixture_clears_every_cache(self, fresh_walk):
         # every function of analysis under an lru_cache or cache decorator
@@ -770,8 +778,7 @@ class TestWalkCache:
             and any(ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
                     for d in node.decorator_list)
         }
-        assert {"_walk", "_outcome_tallies", "_detection_fold", "_message_errors",
-                "_session_table"} <= cached
+        assert {"_walk", "_outcome_tallies", "_detection_fold", "_session_table"} <= cached
         sum(1 for _ in self.exact_grid_reports())
         monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
         assert all(getattr(analysis, name).cache_info().currsize for name in cached)
@@ -831,7 +838,6 @@ class TestWalkCache:
 
         for oc, ec, comp in ALL_COMBOS:
             check(analysis._detection_fold(attack, oc, ec, Comparison(comp)))
-        check(analysis._message_errors(attack))
 
     def test_changing_results_changes_no_cache(self):
         attack = InterceptMeasure(Route.A_TO_B)
@@ -881,41 +887,59 @@ class TestWalkCache:
 
 
 class TestConventionValues:
-    """Each engine takes a convention as a member or as its string value,
-    with one cache entry for both, and rejects anything else."""
+    """Each engine takes a convention and a comparison as a member or as its
+    string value, with one cache entry for both, and rejects anything else
+    with the ValueError of its enum before any cache is filled."""
 
     ENGINES = {
         "enumerate_exact": (
-            lambda oc, ec: enumerate_exact(InterceptMeasure(), oc, ec, "strict-paper"),
-            "_detection_fold"),
+            lambda oc, ec, comp: enumerate_exact(InterceptMeasure(), oc, ec, comp),
+            analysis._detection_fold),
         "monte_carlo": (
-            lambda oc, ec: monte_carlo(InterceptMeasure(), oc, ec, "strict-paper",
-                                       n=300, seed=2),
-            "_session_table"),
+            lambda oc, ec, comp: monte_carlo(InterceptMeasure(), oc, ec, comp,
+                                             n=300, seed=2),
+            analysis._session_table),
         "run_session": (
-            lambda oc, ec: run_session(300, 0.5, RandomSource(2), InterceptMeasure(),
-                                       (oc, ec), "strict-paper"),
-            "_session_table"),
+            lambda oc, ec, comp: run_session(300, 0.5, RandomSource(2), InterceptMeasure(),
+                                             (oc, ec), comp),
+            analysis._session_table),
+        "run_round": (
+            lambda oc, ec, comp: run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL,
+                                                       oc, ec, comp),
+                                           InterceptMeasure(), RandomSource(2)),
+            expected_outcome),
     }
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
     def test_value_shares_the_member_entry(self, fresh_walk, engine, oc, ec):
         run, cache = self.ENGINES[engine]
-        by_member = run(oc, ec)
-        by_value = run(oc.value, ec.value)
+        cache.cache_clear()
+        by_member = run(oc, ec, Comparison.STRICT_PAPER)
+        by_value = run(oc.value, ec.value, "strict-paper")
         assert repr(by_value) == repr(by_member)
-        assert getattr(analysis, cache).cache_info().misses == 1
+        assert cache.cache_info().misses == 1
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("oc,ec,bad", [("bogus", OE, "bogus"), (OE, "bogus", "bogus"),
-                                           ("OE", "oe", "OE")],
-                             ids=["outcome", "expectation", "name"])
-    def test_rejects_unknown_value(self, fresh_walk, engine, oc, ec, bad):
+    @pytest.mark.parametrize("oc,ec,comp,enum,bad", [
+        ("bogus", OE, "strict-paper", "Convention", "bogus"),
+        (OE, "bogus", "strict-paper", "Convention", "bogus"),
+        ("OE", "oe", "strict-paper", "Convention", "OE"),
+        (["oe"], OE, "strict-paper", "Convention", ["oe"]),
+        (OE, None, "strict-paper", "Convention", None),
+        (1, OE, "strict-paper", "Convention", 1),
+        (OE, PP, "lenient", "Comparison", "lenient"),
+        (OE, PP, ["converted"], "Comparison", ["converted"]),
+        (OE, PP, None, "Comparison", None),
+        (OE, PP, 1, "Comparison", 1),
+    ], ids=["outcome", "expectation", "name", "unhashable", "none", "int",
+            "comparison", "comparison-unhashable", "comparison-none", "comparison-int"])
+    def test_rejects_unknown_value(self, fresh_walk, engine, oc, ec, comp, enum, bad):
         run, cache = self.ENGINES[engine]
-        with pytest.raises(ValueError, match=f"^{bad!r} is not a valid Convention$"):
-            run(oc, ec)
-        assert getattr(analysis, cache).cache_info().misses == 0
+        cache.cache_clear()
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid {enum}$"):
+            run(oc, ec, comp)
+        assert cache.cache_info().misses == 0
 
     def test_report_carries_the_member(self):
         report = enumerate_exact(Passive(), "pp", "oe")

@@ -13,7 +13,7 @@ from qdialogue import analysis
 from qdialogue.analysis import (
     DRAW_ORDER,
     SessionStats,
-    _configuration,
+    _detection_fold,
     _session_table,
     _tallies,
     _walk,
@@ -36,6 +36,7 @@ from qdialogue.protocol import (
     Comparison,
     Mode,
     RoundConfig,
+    bookkeeping,
     expected_outcome,
     run_round,
 )
@@ -362,7 +363,7 @@ def table_expectations(attack, oc, ec, comp):
     ``Fraction``: the mean of its bit over the 256 keys of the samplers'
     table, each as likely as the next (16 nodes, 4 tap quarters, 4 Bell
     quarters), with the control and the message tallies both kept."""
-    _draws_tap, table = _session_table(attack, *_configuration(oc, ec, comp))
+    _draws_tap, table = _session_table(attack, *bookkeeping(oc, ec, comp))
     assert len(table) == 256
     return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(8)]
 
@@ -375,15 +376,17 @@ class TestSessionTable:
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_table_means_are_the_exact_folds(self, attack):
         # exactly, under every bookkeeping: the control bit is always set,
-        # the detected bit is enumerate_exact's average and the six error
-        # bits are message_error_rate's, which no convention changes
+        # the detected bit is the fold's average and the six error bits are
+        # the fold's errors, which no bookkeeping changes
         errors = message_error_rate(attack)
         error_rates = [errors.alice_to_bob, errors.bob_to_alice, *errors.per_bit.values()]
         for oc, ec, comp in ALL_COMBOS:
+            _cases, _reach, _branches, average, _selections, fold_errors = _detection_fold(
+                attack, *bookkeeping(oc, ec, comp))
             control, detected, *message = table_expectations(attack, oc, ec, comp)
             assert control == 1
-            assert detected == enumerate_exact(attack, oc, ec, comp).average
-            assert message == error_rates
+            assert detected == average == enumerate_exact(attack, oc, ec, comp).average
+            assert message == list(fold_errors) == error_rates
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_equals_reference_loop(self, attack):

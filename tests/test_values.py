@@ -329,6 +329,14 @@ def test_round_config_coerces_mode_and_comparison():
                                             Comparison.STRICT_PAPER))
 
 
+def test_round_config_stores_bit_tuples():
+    config = RoundConfig([0, 1], iter((1, 0)))
+    assert (config.bob_bits, config.alice_bits) == ((0, 1), (1, 0))
+    assert type(config.bob_bits) is type(config.alice_bits) is tuple
+    assert config == RoundConfig((0, 1), (1, 0))
+    assert hash(config) == hash(RoundConfig((0, 1), (1, 0)))
+
+
 def test_session_stats_lists_are_per_instance_and_deep_copied():
     a, b = SessionStats(1), SessionStats(1)
     a.alice_bit_errors[0] += 1
@@ -351,12 +359,15 @@ def test_session_stats_lists_are_per_instance_and_deep_copied():
     lambda: CaseDescriptor(1, 1, 1, "a"),
     lambda: RoundConfig((0, 2), (0, 0)),
     lambda: RoundConfig((0, 0), (1, 2)),
+    lambda: RoundConfig((0, 1, 1), (0, 0)),
+    lambda: RoundConfig((0,), (1, 0)),
     lambda: RoundConfig((0, 0), (0, 0), "sometimes"),
     lambda: RoundConfig((0, 0), (0, 0), comparison="lenient"),
     lambda: RoundConfig((0, 0), (0, 0), outcome_convention="bogus"),
     lambda: RoundConfig((0, 0), (0, 0), expectation_convention="bogus"),
 ], ids=["pauli-a", "pauli-b", "bell-l", "bell-k", "fixed-v", "fixed-u",
         "case-parity", "case-parity-branch", "config-bob", "config-alice",
+        "config-bob-three-bits", "config-bob-one-bit",
         "config-mode", "config-comparison", "config-outcome", "config-expectation"])
 def test_constructor_checks(build):
     with pytest.raises(ValueError):
