@@ -7,22 +7,23 @@ mass an int over a power of two.  :func:`_walk` makes it once per strategy
 and outcome convention, and :func:`_outcome_tallies` the rules once per
 conventions and comparison: per bit tuple, one tally byte per Bell outcome
 (control, detected, pair and bit errors).  One exact fold,
-:func:`_detection_fold`, sums the detected bit and the error bits against
-the masses in ints, builds ``Fraction``s at its end and is cached per
-configuration, so a report only orders and copies it, with ``itemgetter``
-lookups in C; :func:`message_error_rate` reads the default bookkeeping's
-fold and :func:`compare_claims` its two averages.  The engines take each
-convention and comparison as a member or its string value, made members by
-:func:`protocol.bookkeeping`, one cache entry for both.  The one sampler
-loop, :func:`run_session`, reads the same walk and table, and
-:func:`monte_carlo` is its control-only view.  It takes its draws from one
-stream in the order a loop of :func:`protocol.run_round` takes them: every
-cumulative mass of the walk is a multiple of 1/4 of its total, so the top
-byte of each draw's first Mersenne Twister word decides it, and whole
-chunks of rounds resolve by ``bytes`` table lookups in C.  A table cached
-per configuration maps each round's key to the tally byte of the leaf it
-reaches, and the session counts every tally by the popcount of its bit
-across the chunk.
+:func:`_detection_fold`, cached per configuration, sums the detected bit
+and the error bits against the masses in ints, so a report only orders
+and copies it, with ``itemgetter`` lookups in C; :func:`message_error_rate`
+reads the default bookkeeping's fold and :func:`compare_claims` its two
+averages.  ``Fraction``s are built only at that fold's end, by the cached
+:func:`compare_claims` and by :meth:`ExactState.norm_sq`, each importing
+:mod:`fractions` itself, so a process that only samples never loads it.
+The engines take each convention and comparison as a member or its string
+value, made members by :func:`protocol.bookkeeping`, one cache entry for
+both.  The one sampler loop, :func:`run_session`, reads the same walk and
+table, and :func:`monte_carlo` is its control-only view.  It takes its
+draws from one stream in the order a loop of :func:`protocol.run_round`
+takes them: every cumulative mass of the walk is a multiple of 1/4 of its
+total, so the top byte of each draw's first Mersenne Twister word decides
+it, and whole chunks of rounds resolve by ``bytes`` table lookups in C to
+the tally byte of the leaf each round reaches.  The session counts each
+tally the rounds' mode can set by the popcount of its bit across the chunk.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, product
 from operator import itemgetter, mul
@@ -111,7 +111,8 @@ class CaseDescriptor(FrozenValue):
 
 class DetectionReport(Value):
     """Exact per-case and average detection probabilities.  ``per_case`` and
-    ``branch_averages`` each default to a new empty dict."""
+    ``branch_averages`` each default to a new empty dict, and ``average`` to
+    the int 0, which equals ``Fraction(0)`` and loads no :mod:`fractions`."""
 
     __slots__ = ("attack", "outcome_convention", "expectation_convention",
                  "comparison", "per_case", "branch_averages", "average",
@@ -125,7 +126,7 @@ class DetectionReport(Value):
         comparison: Comparison,
         per_case: dict[CaseDescriptor, Fraction] | None = None,
         branch_averages: dict[str, Fraction] | None = None,
-        average: Fraction = Fraction(0),
+        average: Fraction | int = 0,
         per_selection: dict[tuple[int, int], Fraction] | None = None,
     ):
         self.attack = attack
@@ -218,15 +219,6 @@ class ClaimsReport(FrozenValue):
         object.__setattr__(self, "explanation", explanation)
 
 
-def _over_power_of_two(probs: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Dyadic probabilities as (e, their integer numerators over 2**e)."""
-    probs = tuple(probs)
-    top = max((p.denominator for p in probs), default=1)
-    if top & (top - 1) or any(top % p.denominator for p in probs):
-        raise InvariantError(f"non-dyadic branch probability in {probs}")
-    return top.bit_length() - 1, tuple(p.numerator * top // p.denominator for p in probs)
-
-
 def _home_branch(state: ExactState) -> str:
     home0, home1 = (_gabs2(state.z[h]) + _gabs2(state.z[h + 1]) for h in (0, 2))
     if home0 and home1:
@@ -236,18 +228,19 @@ def _home_branch(state: ExactState) -> str:
 
 def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[int, list]:
     """Expand every branch through one channel tap.  Branch masses are ints
-    over 2**exp, and a selection's weights, which must sum to a power of two,
-    are its branches' masses; returns the new exponent and the new branches."""
+    over 2**exp; a selection's weights, which must sum to a power of two, or a
+    measurement's, scaled to the largest exponent, multiply them; returns the
+    new exponent and the new branches."""
     action = attack.tap(route)
     if action is None:
         return exp, branches
     if action is MEASURE:
-        split = [(mass, p, collapsed, sel)
+        split = [(mass * w, state.half, collapsed, sel)
                  for mass, state, _branch, sel in branches
-                 for p, collapsed, _t in measure_t_branches(state)]
-        e, weights = _over_power_of_two(p for _, p, _, _ in split)
-        return exp + e, [(mass * w, collapsed, _home_branch(collapsed), sel)
-                         for w, (mass, _p, collapsed, sel) in zip(weights, split)]
+                 for w, collapsed, _t in measure_t_branches(state)]
+        top = max((half for _, half, _, _ in split), default=0)
+        return exp + top, [(mass << top - half, collapsed, _home_branch(collapsed), sel)
+                           for mass, half, collapsed, sel in split]
     weights = action.weights
     total = sum(weights)
     if total < 1 or total & (total - 1):
@@ -350,6 +343,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     k, l.  Decoding reads neither the expected labels nor the comparison and
     converts ``pp`` outcome labels, so every configuration's errors are
     those of :func:`message_error_rate`."""
+    from fractions import Fraction
     exp, groups = _walk(attack, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     # (detected mass, total mass) per case, per Eve branch and per applied (u, v)
@@ -445,9 +439,10 @@ def enumerate_exact(
 #: the published attack: intercept-measure on the outbound route, built once
 #: so that every report of it hashes the same instance
 _PAPER_ATTACK = InterceptMeasure(Route.B_TO_A)
-#: the default bookkeeping's members, bound once: looking a member up on its
-#: enum costs more than a warm fold's cache hit
+#: the default bookkeeping's members and the published one's, bound once:
+#: looking a member up on its enum costs more than a warm fold's cache hit
 _OE, _CONVERTED = Convention.OPERATOR_ENCODING, Comparison.CONVERTED
+_PAPER_BOOKKEEPING = (Convention.PARITY_PHASE, _OE, Comparison.STRICT_PAPER)
 
 
 def paper_case_table() -> DetectionReport:
@@ -455,8 +450,7 @@ def paper_case_table() -> DetectionReport:
     parity-phase outcome labels scored strictly against operator-encoding
     expected labels.  Per-case values 1, 1, 1/2, 1/2 with average 3/4 for
     both branches."""
-    return enumerate_exact(_PAPER_ATTACK, Convention.PARITY_PHASE,
-                           Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)
+    return enumerate_exact(_PAPER_ATTACK, *_PAPER_BOOKKEEPING)
 
 
 #: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
@@ -651,15 +645,19 @@ def run_session(
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    totals = [0] * 8
+    # only the tallies the mode can set: detections at fraction 1, errors at 0
+    every_control = control_fraction == 1.0
+    totals = [n_rounds if every_control else 0] + [0] * 7
+    counted = (1,) if every_control else range(0 if control_fraction else 2, 8)
     for rounds, tallies in _tallies(eve, conventions, comparison, n_rounds,
                                     control_fraction, bit_source):
         # bit 0 of each of the chunk's tally bytes
         lanes = int.from_bytes(b"\1" * rounds, "little")
-        for t in range(8):
+        for t in counted:
             totals[t] += (tallies >> t & lanes).bit_count()
     control_rounds, detections, alice_pair, bob_pair, *bit_errors = totals
-    stats = SessionStats(
+    rate = detections / control_rounds if control_rounds else 0.0
+    return SessionStats(
         n_rounds=n_rounds,
         control_rounds=control_rounds,
         message_rounds=n_rounds - control_rounds,
@@ -668,12 +666,10 @@ def run_session(
         bob_pair_errors=bob_pair,
         alice_bit_errors=bit_errors[:2],
         bob_bit_errors=bit_errors[2:],
+        detection_rate=rate,
+        survival_probability=(1.0 - rate) ** control_rounds,
         bit_seed=bit_source.seed,
     )
-    if stats.control_rounds:
-        stats.detection_rate = stats.detections / stats.control_rounds
-        stats.survival_probability = (1.0 - stats.detection_rate) ** stats.control_rounds
-    return stats
 
 
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
@@ -697,13 +693,14 @@ _CLAIMS_EXPLANATION = (
 )
 
 
+@lru_cache(maxsize=None)
 def compare_claims() -> ClaimsReport:
     """Side-by-side report of the disputed intercept-measure averages: those
     of :func:`paper_case_table` and of the operator-encoding, ``converted``
-    bookkeeping, read straight from their cached :func:`_detection_fold`,
-    item 3 of each, with no report built."""
-    strict = _detection_fold(_PAPER_ATTACK, Convention.PARITY_PHASE,
-                             Convention.OPERATOR_ENCODING, Comparison.STRICT_PAPER)[3]
+    bookkeeping, item 3 of their :func:`_detection_fold`s.  The report is
+    immutable, so it is built once, the published claims' Fractions too."""
+    from fractions import Fraction
+    strict = _detection_fold(_PAPER_ATTACK, *_PAPER_BOOKKEEPING)[3]
     consistent = _detection_fold(_PAPER_ATTACK, _OE, _OE, _CONVERTED)[3]
     return ClaimsReport(
         paper_claim=Fraction(3, 4),

@@ -14,11 +14,9 @@ places, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -184,6 +182,7 @@ def _emit_report(report: DetectionReport, fmt: str, command: str) -> None:
                        report.comparison.value)
         _emit_json(_envelope(command, payload, conventions))
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["branch", "m", "n", "J", "numerator", "denominator"])
         for row in _report_rows(report):

@@ -4,14 +4,14 @@ Every state reached in the protocol has amplitudes of the form
 z / sqrt(2)**half with z a Gaussian integer, so a state is a 4-tuple of
 (re, im) integer pairs plus one shared square-root-of-two exponent.  Every
 probability is dyadic: :func:`bell_weights_exact` returns a Bell
-measurement's Born weights as integer numerators over 2**(half + 1), and
-the exact walk in :mod:`qdialogue.analysis` carries every mass, Eve's draw
-weights included, as an int over a power of two: no float enters this path.
+measurement's Born weights as integer numerators over 2**(half + 1) and
+:func:`measure_t_branches` a t-measurement's over 2**half, and the exact
+walk in :mod:`qdialogue.analysis` carries every mass, Eve's draw weights
+included, as an int over a power of two: neither a float nor a
+``Fraction`` enters this path (only :meth:`ExactState.norm_sq` builds one).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .qcore import (
     BELL_LABEL_ORDER,
@@ -41,6 +41,7 @@ class ExactState(FrozenValue):
         object.__setattr__(self, "half", half)
 
     def norm_sq(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(sum(_gabs2(g) for g in self.z), 2 ** self.half)
 
     def amplitudes(self) -> tuple[complex, ...]:
@@ -81,24 +82,24 @@ def apply_pauli_t_exact(state: ExactState, code: PauliCode) -> ExactState:
     return ExactState(tuple(out), state.half)
 
 
-def measure_t_branches(state: ExactState) -> list[tuple[Fraction, ExactState, int]]:
+def measure_t_branches(state: ExactState) -> list[tuple[int, ExactState, int]]:
     """All nonzero branches of a computational t-measurement.
 
-    Returns (probability, collapsed renormalized state, t outcome) triples.
-    Collapse probabilities in this protocol are always powers of 1/2, which
-    keeps renormalization inside the Gaussian-integer ring.
+    Returns (weight, collapsed renormalized state, t outcome) triples, each
+    weight an integer numerator over 2**state.half.  Collapse probabilities
+    in this protocol are always powers of 1/2, which keeps renormalization
+    inside the Gaussian-integer ring; any other raises InvariantError.
     """
     branches = []
     for outcome in (0, 1):
         kept = tuple(g if (x & 1) == outcome else _ZERO for x, g in enumerate(state.z))
         weight = sum(map(_gabs2, kept))
         if weight:
-            prob = Fraction(weight, 2 ** state.half)
-            # prob must be 1 / 2**m for exact renormalization
-            if prob.numerator != 1 or prob.denominator & (prob.denominator - 1):
-                raise InvariantError(f"non-dyadic collapse probability {prob}")
-            m = prob.denominator.bit_length() - 1
-            branches.append((prob, ExactState(kept, state.half - m), outcome))
+            # weight / 2**state.half must be 1 / 2**(state.half - half)
+            half = weight.bit_length() - 1
+            if weight & (weight - 1) or half > state.half:
+                raise InvariantError(f"non-dyadic collapse probability {weight}/{1 << state.half}")
+            branches.append((weight, ExactState(kept, half), outcome))
     return branches
 
 

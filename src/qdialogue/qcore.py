@@ -18,7 +18,9 @@ never as floats.  The Born-rule measurements here serve the round
 simulator alone: the samplers read the tree of the exact walk in
 :mod:`qdialogue.analysis`.  numpy is imported only by the two functions
 that return arrays (:func:`pauli_matrix`, :meth:`TwoQubitState.as_array`),
-so the exact path, the round simulator and both samplers run without it.
+and :mod:`fractions` only where a ``Fraction`` is built (see
+:mod:`qdialogue.analysis`), so the round simulator and both samplers run
+without either, and the exact path without numpy.
 
 The package's record types derive from :class:`Value` or
 :class:`FrozenValue`, plain ``__slots__`` classes, so that importing the

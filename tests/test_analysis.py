@@ -170,9 +170,10 @@ def reference_tap(attack, route, branches):
         return branches
     if action is MEASURE:
         return [
-            (prob * p, collapsed, reference_home_branch(collapsed), sel)
+            (prob * Fraction(w, 2 ** state.half), collapsed,
+             reference_home_branch(collapsed), sel)
             for prob, state, _branch, sel in branches
-            for p, collapsed, _t in measure_t_branches(state)
+            for w, collapsed, _t in measure_t_branches(state)
         ]
     choices = tuple(zip(reference_draw_weights(action.weights), action.codes))
     return [
@@ -308,10 +309,22 @@ class TestExactState:
 
     def test_measurement_branches_are_half_half(self):
         for k, l in product((0, 1), repeat=2):
-            branches = measure_t_branches(exact_bell(OE, k, l))
-            assert [p for p, _, _ in branches] == [HALF, HALF]
+            state = exact_bell(OE, k, l)
+            branches = measure_t_branches(state)
+            # integer weights over 2 ** state.half
+            assert [type(w) for w, _, _ in branches] == [int, int]
+            assert [Fraction(w, 2 ** state.half) for w, _, _ in branches] == [HALF, HALF]
+            assert [t for _, _, t in branches] == [0, 1]
             for _, collapsed, _ in branches:
                 assert collapsed.norm_sq() == 1
+
+    @pytest.mark.parametrize("z,half", [
+        (((1, 1), (1, 0), (1, 0), (0, 0)), 2),  # t = 0 weighs 3/4
+        (((2, 0), (0, 0), (0, 0), (0, 0)), 1),  # t = 0 weighs 4/2, above 1
+    ], ids=["three-quarters", "above-one"])
+    def test_non_dyadic_measurement_raises(self, z, half):
+        with pytest.raises(InvariantError, match="non-dyadic collapse"):
+            measure_t_branches(ExactState(z, half))
 
     def test_bell_weights_exact_dyadic(self):
         state = apply_pauli_t_exact(exact_bell(OE, 0, 0), PauliCode(0, 1))

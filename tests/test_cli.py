@@ -8,7 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -348,7 +347,7 @@ class TestExitCodes:
         # an intercept branch that leaves both home amplitudes nonzero
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
-                            lambda state: [(Fraction(1), mixed, 0)])
+                            lambda state: [(1 << state.half, mixed, 0)])
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
 
@@ -358,7 +357,7 @@ class TestExitCodes:
         # every intercept collapse
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
-                            lambda state: [(Fraction(1), mixed, 0)])
+                            lambda state: [(1 << state.half, mixed, 0)])
         code, out, err = invoke(capsys, "mc", "--attack", "intercept",
                                 "--rounds", "20", "--seed", "1")
         assert code == 2 and out == ""
@@ -439,18 +438,45 @@ def test_console_script(argv, golden):
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
 
 
-def test_cli_import_loads_neither_hashlib_nor_numpy():
-    """The CLI module imports in a fresh interpreter without hashlib (only
-    child streams use it), numpy (only the array helpers ``pauli_matrix``
-    and ``as_array``, which the tests call), or dataclasses, inspect and
-    typing, which the value classes and the annotations do without.  ``-S`` skips ``site``, whose ``.pth`` files
+#: (program, modules checked, those of them it must load): each program runs
+#: in a fresh interpreter and reports which of the checked modules it loaded
+FRESH_PROCESSES = [
+    # hashlib serves only child streams, numpy only the array helpers
+    # ``pauli_matrix`` and ``as_array``, which the tests call; the value
+    # classes and the annotations do without dataclasses, inspect and
+    # typing; fractions (with decimal) serves only the exact folds, and csv
+    # only ``--format csv``
+    ("import qdialogue.cli",
+     {"hashlib", "numpy", "dataclasses", "inspect", "typing", "fractions", "decimal",
+      "csv"}, set()),
+    # the samplers walk the exact tree in ints and build no Fraction
+    ("from qdialogue import InterceptMeasure, RandomSource, monte_carlo, run_session\n"
+     "monte_carlo(InterceptMeasure(), n=500, seed=1)\n"
+     "run_session(500, 0.5, RandomSource(2), InterceptMeasure())",
+     {"fractions", "decimal"}, set()),
+    ("from qdialogue.cli import run_cli\n"
+     "assert run_cli(['mc', '--attack', 'intercept', '--rounds', '50', '--seed', '1']) == 0\n"
+     "assert run_cli(['round', '--bits', '1001', '--seed', '3']) == 0",
+     {"fractions", "decimal", "csv"}, set()),
+    # the positive control: an exact report builds its Fractions
+    ("from qdialogue import Passive, enumerate_exact\n"
+     "enumerate_exact(Passive())",
+     {"fractions"}, {"fractions"}),
+]
+
+
+@pytest.mark.parametrize("program,checked,loaded", FRESH_PROCESSES,
+                         ids=["import-cli", "samplers", "cli-mc-round", "exact-control"])
+def test_fresh_process_loads_only_what_it_uses(program, checked, loaded):
+    """A fresh interpreter that runs ``program`` loads of the ``checked``
+    modules exactly those in ``loaded``.  The verdict goes to stderr, since
+    the CLI writes to stdout.  ``-S`` skips ``site``, whose ``.pth`` files
     may import typing themselves."""
-    program = ("import sys\n"
-               "import qdialogue.cli\n"
-               "print(sorted({'hashlib', 'numpy', 'dataclasses', 'inspect', 'typing'}"
-               " & set(sys.modules)))\n")
+    program = (f"{program}\n"
+               "import sys\n"
+               f"sys.stderr.write(repr(sorted(set({sorted(checked)!r}) & set(sys.modules))))\n")
     path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr == repr(sorted(loaded))
