@@ -47,6 +47,9 @@ from .exactstate import (
 # run_round is not called here, but stays a module attribute: the benchmark's
 # tracer (bench/tracer.py) wraps it at this lookup site.
 from .protocol import (
+    _CONVERTED,
+    _OE,
+    _PP,
     Comparison,
     Mode,
     RoundConfig,
@@ -305,14 +308,16 @@ _KEEP = {mask: bytes(b & mask for b in range(256))
 
 @lru_cache(maxsize=None)
 def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
-                     comparison: Comparison) -> dict[BitTuple, bytes]:
-    """Per bit tuple (i, j, k, l), the tallies of each Bell outcome of its
+                     comparison: Comparison) -> tuple[bytes, ...]:
+    """Per bit tuple (i, j, k, l), in ``ALL_BIT_TUPLES`` order like the
+    groups of :func:`_walk`, the row of tallies of each Bell outcome of its
     round, in ``BELL_LABEL_ORDER``, one byte each: bit 0 set (a control
     round), bit 1 whether :func:`control_detected` flags it, and bits 2-7
     what :func:`decode_message` gets wrong in a message round: Alice's and
     Bob's pairs, then the bits i, j, k, l.  ``_TALLY_BITS[t]`` reads bit t
-    of a row."""
-    rows = {}
+    of a row.  The rows are a tuple of ``bytes``, so no caller can change
+    what the next one reads."""
+    rows = []
     for i, j, k, l in ALL_BIT_TUPLES:
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,
                              expectation_conv, comparison)
@@ -324,8 +329,8 @@ def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
                      alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
             row.append(1 | control_detected(config, label) << 1
                        | sum(flag << t for t, flag in enumerate(wrong, 2)))
-        rows[i, j, k, l] = bytes(row)
-    return rows
+        rows.append(bytes(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +353,8 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     # (detected mass, total mass) per case, per Eve branch and per applied (u, v)
     cases, branches, selections = {}, {}, {}
-    for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
-        detected = rows[i, j, k, l].translate(_TALLY_BITS[1])
+    for (i, j, k, l), row, group in zip(ALL_BIT_TUPLES, rows, groups):
+        detected = row.translate(_TALLY_BITS[1])
         for _bits, branch, sel, masses in group:
             hit, mass = sum(map(mul, masses, detected)), sum(masses)
             det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
@@ -364,7 +369,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     # the outcome's tallies, both in ALL_BIT_TUPLES order
     masses = [sum(column) for group in groups
               for column in zip(*(leaf[3] for leaf in group))]
-    tallies = b"".join(rows.values())
+    tallies = b"".join(rows)
     # every bit tuple weighs 1 / 16
     average, *errors = (Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
                         for bit in _TALLY_BITS[1:])
@@ -439,10 +444,9 @@ def enumerate_exact(
 #: the published attack: intercept-measure on the outbound route, built once
 #: so that every report of it hashes the same instance
 _PAPER_ATTACK = InterceptMeasure(Route.B_TO_A)
-#: the default bookkeeping's members and the published one's, bound once:
+#: the published bookkeeping's members, bound once like :mod:`protocol`'s:
 #: looking a member up on its enum costs more than a warm fold's cache hit
-_OE, _CONVERTED = Convention.OPERATOR_ENCODING, Comparison.CONVERTED
-_PAPER_BOOKKEEPING = (Convention.PARITY_PHASE, _OE, Comparison.STRICT_PAPER)
+_PAPER_BOOKKEEPING = (_PP, _OE, Comparison.STRICT_PAPER)
 
 
 def paper_case_table() -> DetectionReport:
@@ -494,12 +498,11 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     draws_tap = len(groups[0]) > 1
     table = bytearray()
-    for i, j, k, l in DRAW_ORDER:
-        # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
-        masses = [leaf[3] for leaf in groups[i << 3 | j << 2 | k << 1 | l]]
+    for place in map(_PLACE.__getitem__, DRAW_ORDER):
+        masses = [leaf[3] for leaf in groups[place]]
         if (len(masses) > 1) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        row = rows[i, j, k, l]
+        row = rows[place]
         for branch in _quarter_picks(map(sum, masses)):
             table += bytes(row[x] for x in _quarter_picks(masses[branch]))
     return draws_tap, bytes(table)

@@ -9,12 +9,15 @@ measurement's Born weights as integer numerators over 2**(half + 1) and
 walk in :mod:`qdialogue.analysis` carries every mass, Eve's draw weights
 included, as an int over a power of two: neither a float nor a
 ``Fraction`` enters this path (only :meth:`ExactState.norm_sq` builds one).
+The exact Bell states and their conjugates are read from the table that
+names the Bell states once, :data:`qdialogue.qcore.BELL_NUMERATORS`.
 """
 
 from __future__ import annotations
 
 from .qcore import (
     BELL_LABEL_ORDER,
+    BELL_NUMERATORS,
     Convention,
     FrozenValue,
     InvariantError,
@@ -50,17 +53,9 @@ class ExactState(FrozenValue):
 
 
 def exact_bell(convention: Convention, k: int, l: int) -> ExactState:
-    """Exact Bell state, amplitudes over sqrt(2)."""
-    z: list[Gaussian] = [_ZERO] * 4
-    if convention is Convention.OPERATOR_ENCODING:
-        p1, r1 = _ACTION[(k, l, 1)]
-        p0, r0 = _ACTION[(k, l, 0)]
-        z[r1] = p1.as_gaussian()
-        z[2 + r0] = p0.as_gaussian()
-    else:
-        z[l] = (1, 0)
-        z[2 + (1 ^ l)] = ((-1) ** k, 0)
-    return ExactState(tuple(z), 1)
+    """Exact Bell state, amplitudes over sqrt(2), read from
+    :data:`~qdialogue.qcore.BELL_NUMERATORS`."""
+    return ExactState(BELL_NUMERATORS[convention][BELL_LABEL_ORDER.index((k, l))], 1)
 
 
 #: per code (a, b), the (Gaussian phase, target bit) of C_{a,b} on |0> and
@@ -106,12 +101,9 @@ def measure_t_branches(state: ExactState) -> list[tuple[int, ExactState, int]]:
 #: per convention, each Bell state's conjugated nonzero amplitudes as
 #: (basis index, re, im) terms, in BELL_LABEL_ORDER
 _BELL_CONJ_EXACT = {
-    conv: tuple(
-        tuple((x, re, -im) for x, (re, im) in enumerate(exact_bell(conv, k, l).z)
-              if re or im)
-        for k, l in BELL_LABEL_ORDER
-    )
-    for conv in Convention
+    conv: tuple(tuple((x, re, -im) for x, (re, im) in enumerate(z) if re or im)
+                for z in states)
+    for conv, states in BELL_NUMERATORS.items()
 }
 
 

@@ -61,6 +61,11 @@ class Comparison(str, Enum):
 #: each convention and each comparison, by member and by value
 _CONVENTION = {key: member for member in Convention for key in (member, member.value)}
 _COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
+#: the members a round reads, bound once: looking a member up on its enum
+#: costs more than ten reads of a global
+_OE, _PP = Convention.OPERATOR_ENCODING, Convention.PARITY_PHASE
+_CONVERTED, _MESSAGE = Comparison.CONVERTED, Mode.MESSAGE
+_B_TO_A, _A_TO_B = Route.B_TO_A, Route.A_TO_B
 
 
 def bookkeeping(outcome_convention, expectation_convention,
@@ -161,8 +166,8 @@ def expected_outcome(
     Under OPERATOR_ENCODING the composition law gives (i xor k, j xor l);
     under PARITY_PHASE the same physical state carries the mapped label.
     """
-    oe = BellLabel(i ^ k, j ^ l, Convention.OPERATOR_ENCODING)
-    if convention is Convention.OPERATOR_ENCODING:
+    oe = BellLabel(i ^ k, j ^ l, _OE)
+    if convention is _OE:
         return oe
     return label_map(oe)
 
@@ -174,7 +179,7 @@ def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
     i, j = config.alice_bits
     expected = expected_outcome(i, j, k, l, config.expectation_convention)
     if (
-        config.comparison is Comparison.CONVERTED
+        config.comparison is _CONVERTED
         and outcome.convention is not config.expectation_convention
     ):
         outcome = label_map(outcome)
@@ -191,7 +196,7 @@ def decode_message(
     parity-phase outcome is converted first; the expectation convention
     plays no part in decoding.
     """
-    if outcome.convention is Convention.PARITY_PHASE:
+    if outcome.convention is _PP:
         outcome = label_map(outcome)
     k, l = config.bob_bits
     i, j = config.alice_bits
@@ -205,18 +210,18 @@ def run_round(
     k, l = config.bob_bits
     i, j = config.alice_bits
 
-    s0 = bell_state(Convention.OPERATOR_ENCODING, 0, 0)
+    s0 = bell_state(_OE, 0, 0)
     s1 = apply_pauli_t(s0, PauliCode(k, l))
-    s2, rec_b2a = apply_eve(eve, Route.B_TO_A, s1, rand)
+    s2, rec_b2a = apply_eve(eve, _B_TO_A, s1, rand)
     s3 = apply_pauli_t(s2, PauliCode(i, j))
-    s4, rec_a2b = apply_eve(eve, Route.A_TO_B, s3, rand)
+    s4, rec_a2b = apply_eve(eve, _A_TO_B, s3, rand)
     eve_record = rec_b2a if rec_b2a is not None else rec_a2b
 
     outcome, prob = measure_bell(s4, config.outcome_convention, rand)
 
     decoded_alice = decoded_bob = None
     detected = None
-    if config.mode is Mode.MESSAGE:
+    if config.mode is _MESSAGE:
         decoded_alice, decoded_bob = decode_message(config, outcome)
     else:
         detected = control_detected(config, outcome)

@@ -11,7 +11,9 @@ Conventions fixed project-wide:
   choice is observationally equivalent to the textbook one.
 * Bell-state labels come in two inequivalent conventions
   (:class:`Convention`), which assign the index pair (k, l) to different
-  physical states.  ``label_map`` bridges them.
+  physical states.  ``label_map`` bridges them.  Which state each label
+  names is written once, in :data:`BELL_NUMERATORS`; every Bell table here
+  and in :mod:`qdialogue.exactstate` is read from it.
 
 Phases that are fourth roots of unity are kept exact (:class:`Phase`),
 never as floats.  The Born-rule measurements here serve the round
@@ -229,19 +231,19 @@ class TwoQubitState:
 
     Immutable; normalization is checked on construction.  Two states are
     equal when their amplitudes are, exactly; copies and pickles are
-    rebuilt from the amplitudes without a second check, so they are exact.
+    rebuilt from the amplitudes through :meth:`_unsafe`, without a second
+    check, so they are exact.
     """
 
     __slots__ = ("amp",)
 
-    def __init__(self, amp, check: bool = True):
+    def __init__(self, amp):
         amp = tuple(complex(a) for a in amp)
         if len(amp) != 4:
             raise ValueError("TwoQubitState needs exactly 4 amplitudes")
-        if check:
-            n = sum(abs(a) ** 2 for a in amp)
-            if abs(n - 1.0) > ALG_TOL:
-                raise InvariantError(f"state norm^2 = {n!r}, not 1")
+        n = sum(abs(a) ** 2 for a in amp)
+        if abs(n - 1.0) > ALG_TOL:
+            raise InvariantError(f"state norm^2 = {n!r}, not 1")
         object.__setattr__(self, "amp", amp)
 
     def __setattr__(self, name, value):
@@ -256,7 +258,7 @@ class TwoQubitState:
         return hash(self.amp)
 
     def __reduce__(self):
-        return type(self), (self.amp, False)
+        return type(self)._unsafe, (self.amp,)
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amp)
@@ -348,48 +350,49 @@ def apply_pauli_t(state: TwoQubitState, code: PauliCode) -> TwoQubitState:
     return TwoQubitState._unsafe(amp)
 
 
+BELL_LABEL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _bell_numerators(convention: Convention, k: int, l: int) -> tuple:
+    z = [(0, 0)] * 4
+    if convention is Convention.OPERATOR_ENCODING:
+        p1, r1 = _ACTION[(k, l, 1)]  # |0>_h C|1>_t
+        p0, r0 = _ACTION[(k, l, 0)]  # |1>_h C|0>_t
+        z[r1] = p1.as_gaussian()
+        z[2 + r0] = p0.as_gaussian()
+    else:
+        z[l] = (1, 0)
+        z[2 + (1 ^ l)] = ((-1) ** k, 0)
+    return tuple(z)
+
+
+#: the one place that says which physical state each Bell label names: per
+#: convention, in ``BELL_LABEL_ORDER``, the state's four amplitudes as
+#: Gaussian-integer (re, im) numerators over sqrt(2).
+BELL_NUMERATORS = {
+    conv: tuple(_bell_numerators(conv, k, l) for k, l in BELL_LABEL_ORDER)
+    for conv in Convention
+}
+
+_BELL_STATES = {
+    (conv, k, l): TwoQubitState(complex(re, im) * SQRT_HALF for re, im in z)
+    for conv, states in BELL_NUMERATORS.items()
+    for (k, l), z in zip(BELL_LABEL_ORDER, states)
+}
+
+#: per convention, in ``BELL_LABEL_ORDER``, each label and its state's
+#: conjugated amplitudes
+_BELL_CONJ = {
+    conv: tuple((BellLabel(k, l, conv),
+                 tuple(a.conjugate() for a in _BELL_STATES[(conv, k, l)].amp))
+                for k, l in BELL_LABEL_ORDER)
+    for conv in Convention
+}
+
+
 def bell_state(convention: Convention, k: int, l: int) -> TwoQubitState:
     """The Bell state named (k, l) under the given convention."""
     return _BELL_STATES[(convention, k, l)]
-
-
-def _build_bell(convention: Convention, k: int, l: int) -> TwoQubitState:
-    amp = [0j, 0j, 0j, 0j]
-    if convention is Convention.OPERATOR_ENCODING:
-        code = PauliCode(k, l)
-        p1, r1 = _ACTION[(code.a, code.b, 1)]  # |0>_h C|1>_t
-        p0, r0 = _ACTION[(code.a, code.b, 0)]  # |1>_h C|0>_t
-        amp[r1] += p1.as_complex() * SQRT_HALF
-        amp[2 + r0] += p0.as_complex() * SQRT_HALF
-    else:
-        amp[l] = SQRT_HALF
-        amp[2 + (1 ^ l)] = (-1.0) ** k * SQRT_HALF
-    return TwoQubitState(amp)
-
-
-_BELL_STATES = {
-    (conv, k, l): _build_bell(conv, k, l)
-    for conv in Convention
-    for k in (0, 1)
-    for l in (0, 1)
-}
-
-_BELL_CONJ = {
-    key: tuple(a.conjugate() for a in st.amp) for key, st in _BELL_STATES.items()
-}
-
-BELL_LABEL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-_BELL_LABELS = {
-    (conv, k, l): BellLabel(k, l, conv)
-    for conv in Convention
-    for k, l in BELL_LABEL_ORDER
-}
-
-_BELL_CONJ_ORDERED = {
-    conv: tuple(((k, l), _BELL_CONJ[(conv, k, l)]) for k, l in BELL_LABEL_ORDER)
-    for conv in Convention
-}
 
 
 def bell_decompose(
@@ -397,13 +400,8 @@ def bell_decompose(
 ) -> dict[BellLabel, complex]:
     """Inner products <Psi_{k,l}|state> for all four labels of a convention."""
     a = state.amp
-    out = {}
-    for k, l in BELL_LABEL_ORDER:
-        b = _BELL_CONJ[(convention, k, l)]
-        out[BellLabel(k, l, convention)] = (
-            b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
-        )
-    return out
+    return {label: b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
+            for label, b in _BELL_CONJ[convention]}
 
 
 def recompose(coeffs: dict[BellLabel, complex]) -> TwoQubitState:
@@ -496,22 +494,21 @@ def measure_bell(
     a = state.amp
     acc = 0.0
     entries = []  # (cumulative weight, label, Born weight) of nonzero labels
-    for (k, l), b in _BELL_CONJ_ORDERED[convention]:
+    for label, b in _BELL_CONJ[convention]:
         c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
         w = c.real * c.real + c.imag * c.imag
         if w > 0.0:
             acc += w
-            entries.append((acc, _BELL_LABELS[(convention, k, l)], w))
+            entries.append((acc, label, w))
     if acc < 1.0 - ALG_TOL:
         raise InvariantError(f"Bell weights sum to {acc!r}, not 1")
     _acc, label, w = next((e for e in entries if u < e[0]), entries[-1])
     return label, w
 
 
-def equal_up_to_global_phase(
-    s1: TwoQubitState, s2: TwoQubitState, tol: float = ALG_TOL
-) -> bool:
-    """True iff s1 = c * s2 for some unit scalar c, within tol per amplitude.
+def equal_up_to_global_phase(s1: TwoQubitState, s2: TwoQubitState) -> bool:
+    """True iff s1 = c * s2 for some unit scalar c, within ``ALG_TOL`` per
+    amplitude.
 
     Each state is canonicalized so its first amplitude of magnitude above the
     canonicalization threshold is real positive, then compared entrywise.
@@ -526,4 +523,4 @@ def equal_up_to_global_phase(
         return amp
 
     c1, c2 = canon(s1.amp), canon(s2.amp)
-    return max(abs(x - y) for x, y in zip(c1, c2)) <= tol
+    return max(abs(x - y) for x, y in zip(c1, c2)) <= ALG_TOL

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from oracle import oracle_fold, oracle_message_errors
+from oracle import bell_basis, oracle_fold, oracle_message_errors
 from qdialogue import analysis
 from qdialogue.analysis import (
     ALL_BIT_TUPLES,
@@ -298,6 +298,12 @@ class TestExactState:
         np.testing.assert_allclose(
             exact.amplitudes(), bell_state(conv, k, l).amp, atol=1e-15
         )
+        # both layers read one table, so the oracle's vectors, built from
+        # literal matrix products, are the independent reference; it divides
+        # by np.sqrt(2), an ulp away from 2 ** -0.5
+        reference = bell_basis(conv.value)[k, l]
+        np.testing.assert_allclose(bell_state(conv, k, l).amp, reference, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact.amplitudes(), reference, rtol=0, atol=1e-15)
 
     def test_pauli_action_matches_float_path(self):
         from qdialogue.qcore import apply_pauli_t
@@ -847,10 +853,14 @@ class TestWalkCache:
                 for item in value:
                     check(item)
             else:
-                assert value is None or type(value) in (int, str, Fraction, CaseDescriptor)
+                assert value is None or type(value) in (int, str, bytes, Fraction,
+                                                        CaseDescriptor)
 
         for oc, ec, comp in ALL_COMBOS:
             check(analysis._detection_fold(attack, oc, ec, Comparison(comp)))
+            rows = analysis._outcome_tallies(oc, ec, Comparison(comp))
+            assert len(rows) == len(ALL_BIT_TUPLES)
+            check(rows)
 
     def test_changing_results_changes_no_cache(self):
         attack = InterceptMeasure(Route.A_TO_B)

@@ -81,7 +81,7 @@ class TestInterceptMeasure:
                 want = collapsed_product(0, code, 1)
             else:
                 want = collapsed_product(1, code, 0)
-            assert equal_up_to_global_phase(out, want, ALG_TOL)
+            assert equal_up_to_global_phase(out, want)
         assert seen == {"a", "b"}
 
     @pytest.mark.parametrize("k,l", list(product((0, 1), repeat=2)))
@@ -193,7 +193,7 @@ class TestDisturbPauli:
                 s = apply_pauli_t(s, PauliCode(i, j))
                 s = apply_pauli_t(s, PauliCode(u, v))
             want = bell_state(OE, i ^ k ^ u, j ^ l ^ v)
-            assert equal_up_to_global_phase(s, want, ALG_TOL)
+            assert equal_up_to_global_phase(s, want)
 
 
 class TestNotAStrategy:
