@@ -1,57 +1,52 @@
 """Simulator and exact-analysis toolkit for the two-way quantum dialogue
-protocol under intercept-measure and random-Pauli eavesdropping."""
+protocol under intercept-measure and random-Pauli eavesdropping.
 
-from .qcore import (
-    BellLabel,
-    Convention,
-    PauliCode,
-    Phase,
-    PhasedPauli,
-    RandomSource,
-    TwoQubitState,
-    apply_pauli_t,
-    bell_decompose,
-    bell_state,
-    equal_up_to_global_phase,
-    label_map,
-    measure_bell,
-    measure_t_computational,
-    pauli_action_closed_form,
-    pauli_compose,
-    pauli_matrix,
-)
-from .attacks import (
-    AppliedPauli,
-    CoinIZ,
-    DisturbPauli,
-    Fixed,
-    InterceptMeasure,
-    MeasuredBranch,
-    Passive,
-    Route,
-    UniformAll4,
-    apply_eve,
-)
-from .protocol import (
-    Mode,
-    RoundConfig,
-    RoundTranscript,
-    expected_outcome,
-    run_round,
-)
-from .analysis import (
-    CaseDescriptor,
-    ClaimsReport,
-    DetectionReport,
-    McEstimate,
-    MessageErrorReport,
-    SessionStats,
-    compare_claims,
-    enumerate_exact,
-    message_error_rate,
-    monte_carlo,
-    paper_case_table,
-    run_session,
-)
+The public names below are resolved on first access (PEP 562), each from
+its home module, and then kept in this module's globals, so that a process
+loads only the engine it runs: ``import qdialogue`` alone loads no
+submodule, and a process that only samples loads :mod:`qdialogue.model`,
+:mod:`qdialogue.exactstate` and :mod:`qdialogue.sampling`, not the float
+round simulator or the exact reports.
+"""
 
 __version__ = "0.1.0"
+
+#: each public name's home module
+_HOMES = {
+    **dict.fromkeys((
+        "BellLabel", "Convention", "PauliCode", "Phase", "PhasedPauli", "RandomSource",
+        "label_map", "pauli_action_closed_form", "pauli_compose",
+        "CoinIZ", "DisturbPauli", "Fixed", "InterceptMeasure", "Passive", "Route",
+        "UniformAll4", "Mode", "RoundConfig", "expected_outcome",
+    ), "model"),
+    **dict.fromkeys((
+        "TwoQubitState", "apply_pauli_t", "bell_decompose", "bell_state",
+        "equal_up_to_global_phase", "measure_bell", "measure_t_computational",
+        "pauli_matrix",
+    ), "qcore"),
+    **dict.fromkeys(("AppliedPauli", "MeasuredBranch", "apply_eve"), "attacks"),
+    **dict.fromkeys(("RoundTranscript", "run_round"), "protocol"),
+    **dict.fromkeys(("McEstimate", "SessionStats", "monte_carlo", "run_session"),
+                    "sampling"),
+    **dict.fromkeys((
+        "CaseDescriptor", "ClaimsReport", "DetectionReport", "MessageErrorReport",
+        "compare_claims", "enumerate_exact", "message_error_rate", "paper_case_table",
+    ), "analysis"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # with a fromlist, __import__ returns the submodule itself
+    value = getattr(__import__(f"{__name__}.{home}", fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,9 +1,12 @@
-"""Eve's strategy catalog and her action at the two channel taps.
+"""Eve's action at a channel tap in the float round simulator, and the
+records of what she did.
 
-A strategy carries its own route and answers ``tap(route)`` with what Eve
-does there: nothing, :data:`MEASURE`, or one of a selection's codes.
-:func:`apply_eve` and the exact walk in :mod:`qdialogue.analysis` both
-dispatch on that action.
+The strategy catalog lives in :mod:`qdialogue.model`: a strategy answers
+``tap(route)`` with what Eve does there, nothing, :data:`MEASURE`, or one
+of a selection's codes.  :func:`apply_eve` dispatches on that action, as
+the exact walk in :mod:`qdialogue.exactstate` does.  The strategies are
+imported here too, from :mod:`qdialogue.model`, for the callers that take
+them from this module.
 
 Eve never learns whether the round is a control or a message round -- the
 interface has no mode parameter.
@@ -12,125 +15,24 @@ interface has no mode parameter.
 from __future__ import annotations
 
 from bisect import bisect_right
-from enum import Enum
 from itertools import accumulate
 
-from .qcore import (
-    ALG_TOL,
+from .model import (
+    MEASURE,
+    CoinIZ,
+    DisturbPauli,
+    EveStrategy,
+    Fixed,
     FrozenValue,
+    InterceptMeasure,
     InvariantError,
+    Passive,
     PauliCode,
     RandomSource,
-    TwoQubitState,
-    apply_pauli_t,
-    measure_t_computational,
+    Route,
+    UniformAll4,
 )
-
-
-class Route(Enum):
-    B_TO_A = "b2a"
-    A_TO_B = "a2b"
-
-
-# Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
-# picks from and their integer ``weights``, which sum to a power of two: code
-# x has probability weights[x] / sum(weights), and a draw u picks the first
-# code whose cumulative weight exceeds u * sum(weights).  A rule with one
-# code does not draw.  ``rule`` is the rule's name on the command line.
-
-class Fixed(FrozenValue):
-    """Always apply C_{u,v}."""
-
-    __slots__ = ("u", "v")
-
-    rule = "fixed"
-    weights: tuple[int, ...] = (1,)
-
-    def __init__(self, u: int, v: int):
-        if u not in (0, 1) or v not in (0, 1):
-            raise ValueError("Fixed selection bits must be 0/1")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def codes(self) -> tuple[tuple[int, int], ...]:
-        return ((self.u, self.v),)
-
-
-class UniformAll4(FrozenValue):
-    """Draw (u, v) uniformly from all four codes."""
-
-    __slots__ = ()
-
-    rule = "uniform4"
-    codes: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-    weights: tuple[int, ...] = (1, 1, 1, 1)
-
-
-class CoinIZ(FrozenValue):
-    """Draw uniformly from {identity, sigma_z} -- the message-scrambling coin."""
-
-    __slots__ = ()
-
-    rule = "coin-iz"
-    codes: tuple[tuple[int, int], ...] = ((0, 0), (1, 1))
-    weights: tuple[int, ...] = (1, 1)
-
-
-Selection = Fixed | UniformAll4 | CoinIZ
-
-
-class Measure(FrozenValue):
-    """Tap action: measure the travel qubit in the computational basis."""
-
-    __slots__ = ()
-
-
-MEASURE = Measure()
-
-#: what Eve does at a tap: nothing, measure, or apply a selection's codes
-TapAction = Measure | Selection | None
-
-
-# Strategies.
-
-class Passive(FrozenValue):
-    """No tampering."""
-
-    __slots__ = ()
-
-    def tap(self, route: Route) -> TapAction:
-        return None
-
-
-class InterceptMeasure(FrozenValue):
-    """Measure the travel qubit in the computational basis at one tap and
-    forward the collapsed qubit."""
-
-    __slots__ = ("route",)
-
-    def __init__(self, route: Route = Route.B_TO_A):
-        object.__setattr__(self, "route", route)
-
-    def tap(self, route: Route) -> TapAction:
-        return MEASURE if route is self.route else None
-
-
-class DisturbPauli(FrozenValue):
-    """Apply a (possibly random) Pauli to the travel qubit at one tap."""
-
-    __slots__ = ("route", "selection")
-
-    def __init__(self, route: Route = Route.A_TO_B,
-                 selection: Selection = UniformAll4()):
-        object.__setattr__(self, "route", route)
-        object.__setattr__(self, "selection", selection)
-
-    def tap(self, route: Route) -> TapAction:
-        return self.selection if route is self.route else None
-
-
-EveStrategy = Passive | InterceptMeasure | DisturbPauli
+from .qcore import ALG_TOL, TwoQubitState, apply_pauli_t, measure_t_computational
 
 
 # Records of what Eve did in a round.

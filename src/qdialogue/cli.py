@@ -19,26 +19,25 @@ import os
 import sys
 
 from . import __version__
-from .analysis import (
-    DetectionReport,
-    compare_claims,
-    enumerate_exact,
-    paper_case_table,
-    run_session,
-)
-from .attacks import (
+from .analysis import DetectionReport, compare_claims, enumerate_exact, paper_case_table
+from .model import (
     CoinIZ,
+    Comparison,
+    Convention,
     DisturbPauli,
     EveStrategy,
     Fixed,
     InterceptMeasure,
+    InvariantError,
+    Mode,
     Passive,
+    RandomSource,
     Route,
     Selection,
     UniformAll4,
 )
-from .protocol import Comparison, Mode, RoundConfig, run_round
-from .qcore import Convention, InvariantError, RandomSource
+from .protocol import RoundConfig, run_round
+from .sampling import run_session
 
 
 class UsageError(Exception):

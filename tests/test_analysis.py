@@ -1,6 +1,7 @@
 """Exact enumeration engine, case table, Monte Carlo, and claims report."""
 
 import ast
+import importlib
 import math
 import os
 import random
@@ -18,31 +19,18 @@ import numpy as np
 import pytest
 
 from oracle import bell_basis, oracle_fold, oracle_message_errors
-from qdialogue import analysis
+from qdialogue import analysis, exactstate, sampling
 from qdialogue.analysis import (
-    ALL_BIT_TUPLES,
     CaseDescriptor,
     DetectionReport,
-    McEstimate,
     MessageErrorReport,
     compare_claims,
     enumerate_exact,
     message_error_rate,
-    monte_carlo,
     paper_case_table,
-    run_session,
-)
-from qdialogue.attacks import (
-    MEASURE,
-    CoinIZ,
-    DisturbPauli,
-    Fixed,
-    InterceptMeasure,
-    Passive,
-    Route,
-    UniformAll4,
 )
 from qdialogue.exactstate import (
+    ALL_BIT_TUPLES,
     ExactState,
     _gabs2,
     apply_pauli_t_exact,
@@ -50,25 +38,32 @@ from qdialogue.exactstate import (
     exact_bell,
     measure_t_branches,
 )
-from qdialogue.protocol import (
+from qdialogue.model import (
+    _ACTION,
+    BELL_LABEL_ORDER,
+    MEASURE,
+    BellLabel,
+    CoinIZ,
     Comparison,
+    Convention,
+    DisturbPauli,
+    Fixed,
+    InterceptMeasure,
+    InvariantError,
     Mode,
+    Passive,
+    PauliCode,
+    RandomSource,
     RoundConfig,
+    Route,
+    UniformAll4,
     control_detected,
     decode_message,
     expected_outcome,
-    run_round,
 )
-from qdialogue.qcore import (
-    _ACTION,
-    BELL_LABEL_ORDER,
-    BellLabel,
-    Convention,
-    InvariantError,
-    PauliCode,
-    RandomSource,
-    bell_state,
-)
+from qdialogue.protocol import run_round
+from qdialogue.qcore import bell_state
+from qdialogue.sampling import McEstimate, monte_carlo, run_session
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
@@ -526,6 +521,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(Passive(), n=0)
 
+    @pytest.mark.parametrize("n", [True, False, 10.0, "10", None], ids=repr)
+    def test_rejects_non_integer_rounds(self, n):
+        with pytest.raises(TypeError):
+            monte_carlo(Passive(), n=n)
+
+    def test_integer_like_rounds_count_as_ints(self):
+        est = monte_carlo(InterceptMeasure(), n=np.int64(50), seed=3)
+        assert type(est.n) is int
+        assert est == monte_carlo(InterceptMeasure(), n=50, seed=3)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_out_of_range_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -554,13 +559,13 @@ class TestMonteCarlo:
         for (oc, ec, comp), seed in product(ALL_COMBOS, MC_SEEDS):
             ns = [1, 37]
             if seed == MC_SEEDS[-1]:
-                ns.append(analysis.MC_CHUNK_ROUNDS + 5)
+                ns.append(sampling.MC_CHUNK_ROUNDS + 5)
             counts = scalar_detections(attack, oc, ec, comp, ns[-1], seed)
             for n in ns:
                 want = scalar_estimate(counts[n - 1], n, seed)
                 assert monte_carlo(attack, oc, ec, comp, n=n, seed=seed) == want
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(analysis, "MC_CHUNK_ROUNDS", 16)
+                    mp.setattr(sampling, "MC_CHUNK_ROUNDS", 16)
                     assert monte_carlo(attack, oc, ec, comp, n=n, seed=seed) == want
 
 
@@ -670,7 +675,7 @@ class TestConservation:
                              ids=repr)
     @pytest.mark.usefixtures("fresh_walk")
     def test_lost_bell_weight_raises(self, monkeypatch, attack):
-        monkeypatch.setattr(analysis, "bell_weights_exact", self.drop_first_weight)
+        monkeypatch.setattr(exactstate, "bell_weights_exact", self.drop_first_weight)
         with pytest.raises(InvariantError, match="Bell weights"):
             enumerate_exact(attack)
         with pytest.raises(InvariantError, match="Bell weights"):
@@ -678,7 +683,7 @@ class TestConservation:
 
     @pytest.mark.usefixtures("fresh_walk")
     def test_lost_measurement_branch_raises(self, monkeypatch):
-        monkeypatch.setattr(analysis, "measure_t_branches",
+        monkeypatch.setattr(exactstate, "measure_t_branches",
                             lambda state: measure_t_branches(state)[:1])
         for route in Route:
             with pytest.raises(InvariantError, match="Eve's branches"):
@@ -711,11 +716,11 @@ class TestConservation:
         # threshold of 3/8, then a Bell threshold of 1/3 in an intercept walk
         # (scaled by 3, so that its masses split in thirds)
         three_eighths = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (3, 5)))
-        third_bell = self.first_leaf_walk(analysis._walk, 3,
+        third_bell = self.first_leaf_walk(exactstate._walk, 3,
                                           lambda total: (total // 3, total - total // 3, 0, 0))
         for attack in (three_eighths, InterceptMeasure()):
             if attack is not three_eighths:
-                monkeypatch.setattr(analysis, "_walk", third_bell)
+                monkeypatch.setattr(sampling, "_walk", third_bell)
             with pytest.raises(InvariantError, match="multiple of 1/4"):
                 monte_carlo(attack, n=10)
             with pytest.raises(InvariantError, match="multiple of 1/4"):
@@ -725,8 +730,8 @@ class TestConservation:
         # a Bell threshold of 1/4 + 2**-61, whose float is 1/4: the check is
         # made on the walk's integers, not on floats
         near_quarter = self.first_leaf_walk(
-            analysis._walk, 2**60, lambda total: (total // 4 + 1, total - total // 4 - 1, 0, 0))
-        monkeypatch.setattr(analysis, "_walk", near_quarter)
+            exactstate._walk, 2**60, lambda total: (total // 4 + 1, total - total // 4 - 1, 0, 0))
+        monkeypatch.setattr(sampling, "_walk", near_quarter)
         with pytest.raises(InvariantError, match="multiple of 1/4"):
             monte_carlo(InterceptMeasure(), n=10)
         with pytest.raises(InvariantError, match="multiple of 1/4"):
@@ -734,13 +739,13 @@ class TestConservation:
 
     def test_tap_draw_on_some_bit_tuples_raises(self, fresh_walk, monkeypatch):
         # the samplers take the same draws every round
-        walk = analysis._walk
+        walk = exactstate._walk
 
         def no_first_tap(attack, convention):
             top, (first, *groups) = walk(attack, convention)
             return top, (first[:1], *groups)
 
-        monkeypatch.setattr(analysis, "_walk", no_first_tap)
+        monkeypatch.setattr(sampling, "_walk", no_first_tap)
         with pytest.raises(InvariantError, match="some bit tuples only"):
             monte_carlo(InterceptMeasure(), n=10)
 
@@ -769,9 +774,9 @@ class TestWalkCache:
 
     def test_one_walk_per_strategy_and_convention(self, fresh_walk):
         assert sum(1 for _ in self.exact_grid_reports()) == 137
-        assert analysis._walk.cache_info().misses == len(ALL_STRATEGIES) * 2 == 30
+        assert exactstate._walk.cache_info().misses == len(ALL_STRATEGIES) * 2 == 30
         assert sum(1 for _ in self.exact_grid_reports()) == 137
-        assert analysis._walk.cache_info().misses == 30
+        assert exactstate._walk.cache_info().misses == 30
 
     def test_one_fold_per_configuration(self, fresh_walk):
         # the table and the claims fold configurations of the grid
@@ -789,21 +794,25 @@ class TestWalkCache:
         assert analysis._detection_fold.cache_info() == info._replace(hits=info.hits + 1)
 
     def test_fixture_clears_every_cache(self, fresh_walk):
-        # every function of analysis under an lru_cache or cache decorator
-        tree = ast.parse(Path(analysis.__file__).read_text())
-        cached = {
-            node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
-                    for d in node.decorator_list)
-        }
-        assert {"_walk", "_outcome_tallies", "_detection_fold", "_session_table"} <= cached
+        # every module-level function of every qdialogue module under an
+        # lru_cache or cache decorator
+        caches = {}
+        for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+            module = importlib.import_module(
+                "qdialogue" if path.stem == "__init__" else f"qdialogue.{path.stem}")
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        ast.unparse(getattr(d, "func", d)).split(".")[-1] in ("lru_cache", "cache")
+                        for d in node.decorator_list):
+                    caches[f"{path.stem}.{node.name}"] = getattr(module, node.name)
+        assert {"exactstate._walk", "exactstate._outcome_tallies", "analysis._detection_fold",
+                "sampling._session_table", "model.label_map"} <= set(caches)
         sum(1 for _ in self.exact_grid_reports())
         monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
-        assert all(getattr(analysis, name).cache_info().currsize for name in cached)
+        assert all(cache.cache_info().currsize for cache in caches.values())
         fresh_walk()
-        assert {name: getattr(analysis, name).cache_info().currsize for name in cached} == (
-            dict.fromkeys(cached, 0))
+        assert {name: cache.cache_info().currsize for name, cache in caches.items()} == (
+            dict.fromkeys(caches, 0))
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_cold_and_warm_reports_agree(self, fresh_walk, order_seed):
@@ -828,7 +837,7 @@ class TestWalkCache:
             else:
                 assert value is None or type(value) in (int, str)
 
-        check(analysis._walk(attack, convention))
+        check(exactstate._walk(attack, convention))
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_warm_report_takes_its_own_order(self, fresh_walk, order_seed):
@@ -858,7 +867,7 @@ class TestWalkCache:
 
         for oc, ec, comp in ALL_COMBOS:
             check(analysis._detection_fold(attack, oc, ec, Comparison(comp)))
-            rows = analysis._outcome_tallies(oc, ec, Comparison(comp))
+            rows = exactstate._outcome_tallies(oc, ec, Comparison(comp))
             assert len(rows) == len(ALL_BIT_TUPLES)
             check(rows)
 
@@ -895,7 +904,7 @@ class TestWalkCache:
         paper_case_table()
         compare_claims()
         request.getfixturevalue("fresh_walk")
-        monkeypatch.setattr(analysis, "bell_weights_exact",
+        monkeypatch.setattr(exactstate, "bell_weights_exact",
                             TestConservation.drop_first_weight)
         with pytest.raises(InvariantError, match="Bell weights"):
             enumerate_exact(attack)
@@ -921,11 +930,11 @@ class TestConventionValues:
         "monte_carlo": (
             lambda oc, ec, comp: monte_carlo(InterceptMeasure(), oc, ec, comp,
                                              n=300, seed=2),
-            analysis._session_table),
+            sampling._session_table),
         "run_session": (
             lambda oc, ec, comp: run_session(300, 0.5, RandomSource(2), InterceptMeasure(),
                                              (oc, ec), comp),
-            analysis._session_table),
+            sampling._session_table),
         "run_round": (
             lambda oc, ec, comp: run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL,
                                                        oc, ec, comp),

@@ -6,35 +6,36 @@ from itertools import accumulate, product
 
 import pytest
 
-from qdialogue.attacks import (
-    AppliedPauli,
+from qdialogue import exactstate
+from qdialogue.analysis import enumerate_exact, message_error_rate
+from qdialogue.attacks import AppliedPauli, MeasuredBranch, apply_eve
+from qdialogue.exactstate import ExactState
+from qdialogue.model import (
     CoinIZ,
+    Convention,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
-    MeasuredBranch,
+    InvariantError,
+    Mode,
     Passive,
+    PauliCode,
+    RandomSource,
+    RoundConfig,
     Route,
     UniformAll4,
-    apply_eve,
+    pauli_action_closed_form,
 )
-from qdialogue import analysis
-from qdialogue.analysis import enumerate_exact, message_error_rate, monte_carlo, run_session
-from qdialogue.exactstate import ExactState
-from qdialogue.protocol import Mode, RoundConfig, run_round
+from qdialogue.protocol import run_round
 from qdialogue.qcore import (
     ALG_TOL,
     SQRT_HALF,
-    Convention,
-    InvariantError,
-    PauliCode,
-    RandomSource,
     TwoQubitState,
     apply_pauli_t,
     bell_state,
     equal_up_to_global_phase,
-    pauli_action_closed_form,
 )
+from qdialogue.sampling import monte_carlo, run_session
 
 OE = Convention.OPERATOR_ENCODING
 #: a travel-qubit collapse that leaves the home qubit in superposition
@@ -215,7 +216,44 @@ class TestNotAStrategy:
     def test_raises_type_error(self, fresh_walk, engine, eve):
         with pytest.raises(TypeError, match="not an Eve strategy"):
             self.ENGINES[engine](eve)
-        assert analysis._walk.cache_info().currsize == 0
+        assert exactstate._walk.cache_info().currsize == 0
+
+
+class TestRouteValues:
+    """A strategy takes its route as a member or as its string value, which
+    build equal strategies with one cache entry; anything else raises the
+    ValueError of ``Route``."""
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    def test_value_builds_the_member_strategy(self, route):
+        for make in (InterceptMeasure, DisturbPauli,
+                     lambda r: DisturbPauli(r, CoinIZ())):
+            by_value, by_member = make(route.value), make(route)
+            assert by_value.route is route
+            assert by_value == by_member and hash(by_value) == hash(by_member)
+            assert repr(by_value) == repr(by_member)
+
+    def test_value_gives_the_member_results(self, fresh_walk):
+        assert enumerate_exact(InterceptMeasure("b2a")).average == Fraction(1, 2)
+        assert enumerate_exact(DisturbPauli("a2b")).average == Fraction(3, 4)
+        assert exactstate._walk.cache_info().currsize == 2
+        for route in Route:
+            assert enumerate_exact(InterceptMeasure(route.value)) == (
+                enumerate_exact(InterceptMeasure(route)))
+            assert monte_carlo(InterceptMeasure(route.value), n=1000, seed=4) == (
+                monte_carlo(InterceptMeasure(route), n=1000, seed=4))
+        assert monte_carlo(InterceptMeasure("a2b"), n=1000, seed=4).mean > 0.4
+        assert exactstate._walk.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("bad", [None, "B2A", "b2a ", 1, ["b2a"], Convention.PARITY_PHASE],
+                             ids=repr)
+    def test_rejects_other_values(self, bad):
+        with pytest.raises(ValueError, match="not a valid Route"):
+            InterceptMeasure(bad)
+        with pytest.raises(ValueError, match="not a valid Route"):
+            DisturbPauli(bad)
+        with pytest.raises(ValueError, match="not a valid Route"):
+            DisturbPauli(bad, Fixed(0, 1))
 
 
 class TestHomeQubitInvariant:
@@ -229,7 +267,7 @@ class TestHomeQubitInvariant:
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.attacks.measure_t_computational",
                             lambda state, rand: (0, HOME_UNDETERMINED, 0.5))
-        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+        monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
                             lambda state: [(1 << state.half, mixed, 0)])
 
     @pytest.mark.usefixtures("broken_collapse")

@@ -13,19 +13,21 @@ from pathlib import Path
 
 import pytest
 
+import qdialogue
 from qdialogue import cli
-from qdialogue.attacks import (
+from qdialogue.cli import run_cli
+from qdialogue.exactstate import ExactState
+from qdialogue.model import (
     CoinIZ,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
+    InvariantError,
     Passive,
     Route,
     UniformAll4,
 )
-from qdialogue.cli import run_cli
-from qdialogue.exactstate import ExactState
-from qdialogue.qcore import SQRT_HALF, InvariantError, TwoQubitState
+from qdialogue.qcore import SQRT_HALF, TwoQubitState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -346,7 +348,7 @@ class TestExitCodes:
     def test_indefinite_home_qubit_exits_two(self, capsys, monkeypatch):
         # an intercept branch that leaves both home amplitudes nonzero
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
-        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+        monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
                             lambda state: [(1 << state.half, mixed, 0)])
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
@@ -356,7 +358,7 @@ class TestExitCodes:
         # the session samples the tree of the exact walk, which checks
         # every intercept collapse
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
-        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+        monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
                             lambda state: [(1 << state.half, mixed, 0)])
         code, out, err = invoke(capsys, "mc", "--attack", "intercept",
                                 "--rounds", "20", "--seed", "1")
@@ -376,7 +378,7 @@ class TestExitCodes:
     def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
         # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
         skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
-        monkeypatch.setattr("qdialogue.analysis.apply_pauli_t_exact",
+        monkeypatch.setattr("qdialogue.exactstate.apply_pauli_t_exact",
                             lambda state, code: skewed)
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "non-dyadic" in err and out == ""
@@ -391,7 +393,7 @@ class TestExitCodes:
             weights[next(x for x, w in enumerate(weights) if w)] = 0
             return tuple(weights)
 
-        monkeypatch.setattr("qdialogue.analysis.bell_weights_exact", dropped)
+        monkeypatch.setattr("qdialogue.exactstate.bell_weights_exact", dropped)
         code, out, err = invoke(capsys, "exact", "--attack", "disturb")
         assert code == 2 and out == ""
         assert "Bell weights" in err and "Traceback" not in err
@@ -401,7 +403,7 @@ class TestExitCodes:
         # Eve's measurement keeps only its first outcome
         from qdialogue.exactstate import measure_t_branches
 
-        monkeypatch.setattr("qdialogue.analysis.measure_t_branches",
+        monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
                             lambda state: measure_t_branches(state)[:1])
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and out == ""
@@ -438,6 +440,13 @@ def test_console_script(argv, golden):
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
 
 
+#: every submodule of the package
+SUBMODULES = {f"qdialogue.{path.stem}" for path in (SRC_DIR / "qdialogue").glob("*.py")
+              if path.stem != "__init__"}
+#: the float round simulator, the exact reports and the CLI
+NOT_SAMPLERS = {"qdialogue.qcore", "qdialogue.attacks", "qdialogue.protocol",
+                "qdialogue.analysis", "qdialogue.cli"}
+
 #: (program, modules checked, those of them it must load): each program runs
 #: in a fresh interpreter and reports which of the checked modules it loaded
 FRESH_PROCESSES = [
@@ -449,24 +458,29 @@ FRESH_PROCESSES = [
     ("import qdialogue.cli",
      {"hashlib", "numpy", "dataclasses", "inspect", "typing", "fractions", "decimal",
       "csv"}, set()),
-    # the samplers walk the exact tree in ints and build no Fraction
+    # the samplers walk the exact tree in ints and build no Fraction, and
+    # load neither the float round simulator nor the exact reports
     ("from qdialogue import InterceptMeasure, RandomSource, monte_carlo, run_session\n"
      "monte_carlo(InterceptMeasure(), n=500, seed=1)\n"
      "run_session(500, 0.5, RandomSource(2), InterceptMeasure())",
-     {"fractions", "decimal"}, set()),
+     {"fractions", "decimal", *NOT_SAMPLERS}, set()),
     ("from qdialogue.cli import run_cli\n"
      "assert run_cli(['mc', '--attack', 'intercept', '--rounds', '50', '--seed', '1']) == 0\n"
      "assert run_cli(['round', '--bits', '1001', '--seed', '3']) == 0",
      {"fractions", "decimal", "csv"}, set()),
-    # the positive control: an exact report builds its Fractions
+    # the positive control: an exact report builds its Fractions, without
+    # the CLI
     ("from qdialogue import Passive, enumerate_exact\n"
      "enumerate_exact(Passive())",
-     {"fractions"}, {"fractions"}),
+     {"fractions", "qdialogue.cli"}, {"fractions"}),
+    # the package resolves its names on first access
+    ("import qdialogue", SUBMODULES, set()),
 ]
 
 
 @pytest.mark.parametrize("program,checked,loaded", FRESH_PROCESSES,
-                         ids=["import-cli", "samplers", "cli-mc-round", "exact-control"])
+                         ids=["import-cli", "samplers", "cli-mc-round", "exact-control",
+                              "import-package"])
 def test_fresh_process_loads_only_what_it_uses(program, checked, loaded):
     """A fresh interpreter that runs ``program`` loads of the ``checked``
     modules exactly those in ``loaded``.  The verdict goes to stderr, since
@@ -480,3 +494,34 @@ def test_fresh_process_loads_only_what_it_uses(program, checked, loaded):
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == repr(sorted(loaded))
+
+
+#: the names the package exports
+PUBLIC_NAMES = (
+    "AppliedPauli", "BellLabel", "CaseDescriptor", "ClaimsReport", "CoinIZ", "Convention",
+    "DetectionReport", "DisturbPauli", "Fixed", "InterceptMeasure", "McEstimate",
+    "MeasuredBranch", "MessageErrorReport", "Mode", "Passive", "PauliCode", "Phase",
+    "PhasedPauli", "RandomSource", "RoundConfig", "RoundTranscript", "Route",
+    "SessionStats", "TwoQubitState", "UniformAll4", "apply_eve", "apply_pauli_t",
+    "bell_decompose", "bell_state", "compare_claims", "enumerate_exact",
+    "equal_up_to_global_phase", "expected_outcome", "label_map", "measure_bell",
+    "measure_t_computational", "message_error_rate", "monte_carlo", "pauli_action_closed_form",
+    "pauli_compose", "pauli_matrix", "paper_case_table", "run_round", "run_session",
+)
+
+
+def test_public_names_resolve_to_their_home():
+    """Each public name resolves to the object of that name in the module
+    that defines it, is kept in the package's globals and is listed by
+    ``dir``; an unknown name raises AttributeError."""
+    assert sorted(qdialogue.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        value = getattr(qdialogue, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__ in SUBMODULES and getattr(home, name) is value, name
+        assert vars(qdialogue)[name] is value and name in dir(qdialogue), name
+    namespace = {}
+    exec("from qdialogue import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'run_rounds'"):
+        qdialogue.run_rounds

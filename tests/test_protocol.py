@@ -9,44 +9,37 @@ from itertools import accumulate, product
 
 import pytest
 
-from qdialogue import analysis
-from qdialogue.analysis import (
-    DRAW_ORDER,
-    SessionStats,
-    _detection_fold,
-    _session_table,
-    _tallies,
-    _walk,
-    enumerate_exact,
-    message_error_rate,
-    monte_carlo,
-    run_session,
-)
-from qdialogue.attacks import (
-    AppliedPauli,
+from qdialogue import sampling
+from qdialogue.analysis import _detection_fold, enumerate_exact, message_error_rate
+from qdialogue.attacks import AppliedPauli, MeasuredBranch
+from qdialogue.exactstate import _walk
+from qdialogue.model import (
+    BELL_LABEL_ORDER,
+    BellLabel,
     CoinIZ,
+    Comparison,
+    Convention,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
-    MeasuredBranch,
-    Passive,
-    Route,
-)
-from qdialogue.protocol import (
-    Comparison,
     Mode,
+    Passive,
+    RandomSource,
     RoundConfig,
+    Route,
     bookkeeping,
     expected_outcome,
-    run_round,
-)
-from qdialogue.qcore import (
-    ALG_TOL,
-    BELL_LABEL_ORDER,
-    BellLabel,
-    Convention,
-    RandomSource,
     label_map,
+)
+from qdialogue.protocol import run_round
+from qdialogue.qcore import ALG_TOL
+from qdialogue.sampling import (
+    DRAW_ORDER,
+    SessionStats,
+    _session_table,
+    _tallies,
+    monte_carlo,
+    run_session,
 )
 from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS
 
@@ -248,6 +241,16 @@ class TestSession:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             run_session(10, 1.5, RandomSource(0), Passive())
+
+    @pytest.mark.parametrize("n_rounds,fraction", [(True, 0.5), (False, 0.5), (5.0, 0.5),
+                                                   (5, True), (5, False)], ids=repr)
+    def test_rejects_bools_and_non_integer_rounds(self, n_rounds, fraction):
+        with pytest.raises(TypeError):
+            run_session(n_rounds, fraction, RandomSource(0), Passive())
+
+    def test_integer_fractions_are_accepted(self):
+        assert run_session(5, 1, RandomSource(0), Passive()) == (
+            run_session(5, 1.0, RandomSource(0), Passive()))
 
     def test_detection_rate_plausible(self):
         stats = run_session(
@@ -548,11 +551,11 @@ class TestResolver:
     def test_session_across_chunks(self, attack, fraction):
         # the chunk size is read when the session starts
         seed = MC_SEEDS[-1]
-        ns = (16, 37, analysis.MC_CHUNK_ROUNDS + 5)
+        ns = (16, 37, sampling.MC_CHUNK_ROUNDS + 5)
         want = reference_sessions(ns, fraction, RandomSource(seed), attack, (PP, OE))
-        for chunk in (analysis.MC_CHUNK_ROUNDS, 16):
+        for chunk in (sampling.MC_CHUNK_ROUNDS, 16):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "MC_CHUNK_ROUNDS", chunk)
+                mp.setattr(sampling, "MC_CHUNK_ROUNDS", chunk)
                 for n, expected in zip(ns, want):
                     source = RandomSource(seed)
                     source._rng = ChunkSizes(source._rng)

@@ -8,8 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qdialogue.qcore import (
-    ALG_TOL,
+from qdialogue.model import (
     BELL_LABEL_ORDER,
     BellLabel,
     Convention,
@@ -17,16 +16,19 @@ from qdialogue.qcore import (
     PauliCode,
     Phase,
     RandomSource,
+    label_map,
+    pauli_action_closed_form,
+    pauli_compose,
+)
+from qdialogue.qcore import (
+    ALG_TOL,
     TwoQubitState,
     apply_pauli_t,
     bell_decompose,
     bell_state,
     equal_up_to_global_phase,
-    label_map,
     measure_bell,
     measure_t_computational,
-    pauli_action_closed_form,
-    pauli_compose,
     pauli_matrix,
     recompose,
 )
@@ -371,8 +373,6 @@ class TestRandomSource:
 
 class TestValidation:
     def test_rejects_unnormalized(self):
-        from qdialogue.qcore import InvariantError
-
         with pytest.raises(InvariantError):
             TwoQubitState([1, 1, 0, 0])
 

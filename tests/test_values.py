@@ -17,37 +17,31 @@ from qdialogue.analysis import (
     CaseDescriptor,
     ClaimsReport,
     DetectionReport,
-    McEstimate,
     MessageErrorReport,
-    SessionStats,
 )
-from qdialogue.attacks import (
-    AppliedPauli,
+from qdialogue.attacks import AppliedPauli, MeasuredBranch
+from qdialogue.exactstate import ExactState
+from qdialogue.model import (
+    BellLabel,
     CoinIZ,
+    Comparison,
+    Convention,
     DisturbPauli,
     Fixed,
     InterceptMeasure,
     Measure,
-    MeasuredBranch,
-    Passive,
-    Route,
-    UniformAll4,
-)
-from qdialogue.exactstate import ExactState
-from qdialogue.protocol import (
-    Comparison,
     Mode,
-    RoundConfig,
-    RoundTranscript,
-)
-from qdialogue.qcore import (
-    BellLabel,
-    Convention,
+    Passive,
     PauliCode,
     Phase,
     PhasedPauli,
-    bell_state,
+    RoundConfig,
+    Route,
+    UniformAll4,
 )
+from qdialogue.protocol import RoundTranscript
+from qdialogue.qcore import bell_state
+from qdialogue.sampling import McEstimate, SessionStats
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
