@@ -4,9 +4,9 @@ protocol under intercept-measure and random-Pauli eavesdropping.
 The public names below are resolved on first access (PEP 562), each from
 its home module, and then kept in this module's globals, so that a process
 loads only the engine it runs: ``import qdialogue`` alone loads no
-submodule, and a process that only samples loads :mod:`qdialogue.model`,
-:mod:`qdialogue.exactstate` and :mod:`qdialogue.sampling`, not the float
-round simulator or the exact reports.
+submodule, a process that only samples loads ``model``, ``exactstate`` and
+``sampling``, not the float round simulator or the exact reports, and an
+exact report loads ``model``, ``exactstate`` and ``analysis``.
 """
 
 __version__ = "0.1.0"
@@ -37,16 +37,23 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 
-def __getattr__(name: str):
-    try:
-        home = _HOMES[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    # with a fromlist, __import__ returns the submodule itself
-    value = getattr(__import__(f"{__name__}.{home}", fromlist=(name,)), name)
-    globals()[name] = value
-    return value
+def _lazy_names(namespace: dict, homes: dict[str, str]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module of globals
+    ``namespace``: each name of ``homes`` is imported from its home, a
+    module of this package, on first access and then kept in ``namespace``."""
+    def __getattr__(name: str):
+        try:
+            home = homes[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        # with a fromlist, __import__ returns the submodule itself
+        value = namespace[name] = getattr(__import__(f"{__name__}.{home}", fromlist=(name,)), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *homes})
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__ = _lazy_names(globals(), _HOMES)

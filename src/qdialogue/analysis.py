@@ -15,8 +15,8 @@ reports take each convention and comparison as a member or its string
 value, made members by :func:`~qdialogue.model.bookkeeping`, one cache
 entry for both.
 
-The seeded samplers over the same walk live in :mod:`qdialogue.sampling`,
-which a process that only samples loads without this module.
+The seeded samplers live in :mod:`qdialogue.sampling`, and an exact report
+loads only this module, :mod:`qdialogue.exactstate` and :mod:`qdialogue.model`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, mul
 
+from . import _lazy_names
 from .exactstate import _PLACE, _TALLY_BITS, ALL_BIT_TUPLES, BitTuple, _outcome_tallies, _walk
 from .model import (
     _CONVERTED,
@@ -40,17 +41,14 @@ from .model import (
     Value,
     bookkeeping,
 )
-from .sampling import monte_carlo  # tests/test_acceptance.py imports it from here
 
-# Not used here, but kept as module attributes: the benchmark's tracer
-# (bench/tracer.py) wraps each function, and counts RoundConfig, at this
-# lookup site.  Importing run_round loads the float round simulator, so the
-# walk and the samplers, which a sampler process runs, live below this module.
-from .exactstate import apply_pauli_t_exact  # tracer lookup site
-from .exactstate import bell_weights_exact  # tracer lookup site
-from .exactstate import measure_t_branches  # tracer lookup site
-from .model import RoundConfig  # tracer lookup site
-from .protocol import run_round  # tracer lookup site
+# Not used here, but tests/test_acceptance.py imports monte_carlo from here and
+# bench/tracer.py wraps each function, and counts RoundConfig, at this lookup
+# site; resolved on first access, so an exact report loads neither engine.
+__getattr__, __dir__ = _lazy_names(globals(), {
+    "monte_carlo": "sampling", "run_round": "protocol", "RoundConfig": "model",
+    "apply_pauli_t_exact": "exactstate", "measure_t_branches": "exactstate",
+    "bell_weights_exact": "exactstate"})
 
 
 class CaseDescriptor(FrozenValue):

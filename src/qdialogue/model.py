@@ -460,6 +460,9 @@ class DisturbPauli(FrozenValue):
 
     def __init__(self, route: Route = Route.A_TO_B,
                  selection: Selection = UniformAll4()):
+        # duck-typed: any rule with ``codes`` and ``weights`` is a selection
+        if not (hasattr(selection, "codes") and hasattr(selection, "weights")):
+            raise TypeError(f"selection must have codes and weights, not {selection!r}")
         object.__setattr__(self, "route", Route(route))
         object.__setattr__(self, "selection", selection)
 
@@ -524,6 +527,8 @@ class RoundConfig(FrozenValue):
         comparison: Comparison = Comparison.CONVERTED,
     ):
         bob_bits, alice_bits = tuple(bob_bits), tuple(alice_bits)
+        if bool in map(type, (*bob_bits, *alice_bits)):
+            raise TypeError("encoding bits must be the ints 0 and 1, not bools")
         if len(bob_bits) != 2 or len(alice_bits) != 2 or any(
                 bit not in (0, 1) for bit in (*bob_bits, *alice_bits)):
             raise ValueError("each party's encoding bits must be two 0/1 bits")

@@ -89,7 +89,10 @@ class RoundTranscript(Value):
 def run_round(
     config: RoundConfig, eve: EveStrategy, rand: RandomSource
 ) -> RoundTranscript:
-    """Execute one full round and return its transcript."""
+    """Execute one full round and return its transcript.  ``rand`` is anything
+    with a ``random()`` method; anything else raises ``TypeError``."""
+    if not callable(getattr(rand, "random", None)):
+        raise TypeError(f"rand must be a random source, not {type(rand).__name__}")
     k, l = config.bob_bits
     i, j = config.alice_bits
 

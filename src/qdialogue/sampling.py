@@ -301,10 +301,13 @@ def run_session(
     draws are taken straight from the Mersenne Twister of ``bit_source``,
     not through :meth:`RandomSource.random`, which returns the same values.
     Each convention and the comparison may be a member or its string value.
-    ``n_rounds`` is an integer (:func:`_round_count`), and a bool
-    ``control_fraction`` raises ``TypeError``.
+    ``n_rounds`` is an integer (:func:`_round_count`); a bool
+    ``control_fraction``, or a ``bit_source`` that is not a
+    :class:`RandomSource`, raises ``TypeError`` before any draw.
     """
     n_rounds = _round_count(n_rounds, "n_rounds")
+    if not isinstance(bit_source, RandomSource):
+        raise TypeError(f"bit_source must be a RandomSource, not {type(bit_source).__name__}")
     if isinstance(control_fraction, bool):
         raise TypeError("control_fraction must be a number, not bool")
     if not 0.0 <= control_fraction <= 1.0:

@@ -256,6 +256,21 @@ class TestRouteValues:
             DisturbPauli(bad, Fixed(0, 1))
 
 
+class TestSelectionValues:
+    """A disturbance takes any rule with ``codes`` and ``weights`` as its
+    selection; anything else raises TypeError when it is built, not from
+    inside an engine and not as the passive answer."""
+
+    @pytest.mark.parametrize("bad", [None, "uniform4", (1, 1), Route.A_TO_B, InterceptMeasure()],
+                             ids=repr)
+    def test_rejects_a_value_that_is_not_a_rule(self, bad):
+        for route in Route:
+            with pytest.raises(TypeError, match="selection must have codes and weights"):
+                DisturbPauli(route, bad)
+        with pytest.raises(TypeError, match="selection must have codes and weights"):
+            DisturbPauli(selection=bad)
+
+
 class TestHomeQubitInvariant:
     """An intercept collapse that leaves the home qubit undetermined raises
     InvariantError on the sampled path and on the table path alike."""

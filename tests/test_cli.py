@@ -473,6 +473,17 @@ FRESH_PROCESSES = [
     ("from qdialogue import Passive, enumerate_exact\n"
      "enumerate_exact(Passive())",
      {"fractions", "qdialogue.cli"}, {"fractions"}),
+    # the exact reports load only the model, the walk and the reports: the
+    # names ``analysis`` keeps for the acceptance test and the tracer
+    # resolve on first access
+    ("from qdialogue import (InterceptMeasure, compare_claims, enumerate_exact,\n"
+     "                       message_error_rate, paper_case_table)\n"
+     "enumerate_exact(InterceptMeasure())\n"
+     "message_error_rate(InterceptMeasure())\n"
+     "paper_case_table()\n"
+     "compare_claims()",
+     {"fractions", "numpy", "hashlib", *SUBMODULES},
+     {"fractions", "qdialogue.model", "qdialogue.exactstate", "qdialogue.analysis"}),
     # the package resolves its names on first access
     ("import qdialogue", SUBMODULES, set()),
 ]
@@ -480,7 +491,7 @@ FRESH_PROCESSES = [
 
 @pytest.mark.parametrize("program,checked,loaded", FRESH_PROCESSES,
                          ids=["import-cli", "samplers", "cli-mc-round", "exact-control",
-                              "import-package"])
+                              "exact-reports", "import-package"])
 def test_fresh_process_loads_only_what_it_uses(program, checked, loaded):
     """A fresh interpreter that runs ``program`` loads of the ``checked``
     modules exactly those in ``loaded``.  The verdict goes to stderr, since
@@ -525,3 +536,27 @@ def test_public_names_resolve_to_their_home():
     assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'run_rounds'"):
         qdialogue.run_rounds
+
+
+#: the names ``analysis`` keeps for the acceptance test and the tracer,
+#: each with the module that defines it
+ANALYSIS_LAZY_NAMES = {
+    "monte_carlo": "sampling", "run_round": "protocol", "apply_pauli_t_exact": "exactstate",
+    "measure_t_branches": "exactstate", "bell_weights_exact": "exactstate",
+    "RoundConfig": "model",
+}
+
+
+def test_analysis_names_resolve_to_their_home():
+    """Each name ``analysis`` resolves on first access is the object of its
+    home module, is kept in the module's globals and is listed by ``dir``;
+    an unknown name raises AttributeError."""
+    from qdialogue import analysis
+    listed = dir(analysis)
+    for name, home in ANALYSIS_LAZY_NAMES.items():
+        assert name in listed, name
+        value = getattr(analysis, name)
+        assert value is getattr(sys.modules[f"qdialogue.{home}"], name), name
+        assert vars(analysis)[name] is value, name
+    with pytest.raises(AttributeError, match="'qdialogue.analysis' has no attribute 'run_rounds'"):
+        analysis.run_rounds

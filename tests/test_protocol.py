@@ -248,6 +248,13 @@ class TestSession:
         with pytest.raises(TypeError):
             run_session(n_rounds, fraction, RandomSource(0), Passive())
 
+    @pytest.mark.parametrize("source", [None, 0, random.Random(0)],
+                             ids=lambda s: type(s).__name__)
+    def test_rejects_a_source_that_is_not_a_random_source(self, fresh_walk, source):
+        with pytest.raises(TypeError, match="bit_source must be a RandomSource"):
+            run_session(10, 0.5, source, InterceptMeasure())
+        assert _session_table.cache_info().currsize == 0
+
     def test_integer_fractions_are_accepted(self):
         assert run_session(5, 1, RandomSource(0), Passive()) == (
             run_session(5, 1.0, RandomSource(0), Passive()))
@@ -655,6 +662,17 @@ class TestValidation:
                                (PP, OE), comparison=rule)
 
         assert session(comparison.value) == session(comparison)
+
+    @pytest.mark.parametrize("bob_bits,alice_bits", [((True, 0), (0, 0)), ((0, 0), (0, False))],
+                             ids=repr)
+    def test_bool_bits(self, bob_bits, alice_bits):
+        with pytest.raises(TypeError, match="not bools"):
+            RoundConfig(bob_bits, alice_bits)
+
+    @pytest.mark.parametrize("rand", [None, 3, "random"], ids=repr)
+    def test_round_rejects_a_value_that_draws_nothing(self, rand):
+        with pytest.raises(TypeError, match="rand must be a random source"):
+            run_round(RoundConfig((0, 1), (1, 0)), Passive(), rand)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
