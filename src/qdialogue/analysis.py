@@ -158,7 +158,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     cases, branches, selections = {}, {}, {}
     for (i, j, k, l), row, group in zip(ALL_BIT_TUPLES, rows, groups):
         detected = row.translate(_TALLY_BITS[1])
-        for _bits, branch, sel, masses in group:
+        for branch, sel, masses in group:
             hit, mass = sum(map(mul, masses, detected)), sum(masses)
             det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
             cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
@@ -171,7 +171,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     # each bit tuple's mass on each Bell outcome, over Eve's branches, and
     # the outcome's tallies, both in ALL_BIT_TUPLES order
     masses = [sum(column) for group in groups
-              for column in zip(*(leaf[3] for leaf in group))]
+              for column in zip(*(m for _branch, _sel, m in group))]
     tallies = b"".join(rows)
     # every bit tuple weighs 1 / 16
     average, *errors = (Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
@@ -179,7 +179,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     return (
         tuple((CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
               for (m, n, br), sums in cases.items()),
-        tuple(tuple(dict.fromkeys(index[i ^ k, j ^ l, leaf[1]] for leaf in group))
+        tuple(tuple(dict.fromkeys(index[i ^ k, j ^ l, branch] for branch, _sel, _m in group))
               for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups)),
         tuple((br, Fraction(*branches[br])) for br in sorted(branches)),
         average,

@@ -25,8 +25,7 @@ below the float round simulator, so the samplers walk without loading it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 
 from .model import (
     _ACTION,
@@ -194,20 +193,20 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
     """The exact walk, once per strategy and outcome convention: every leaf
     of each encoding-bit tuple's round.
 
-    Returns (D, groups): per bit tuple, in ``ALL_BIT_TUPLES`` order, the
-    tuple of its leaves, one per Eve branch.  A leaf is (bit tuple, Eve
-    branch tag, applied (u, v) or None, masses): its Eve branch's
-    probability times the Born weight of each Bell outcome under
-    ``convention``, in ``BELL_LABEL_ORDER``, as ints over 2**D.  Everything
-    cached is a tuple, so no caller can change what the next one reads.
-    The exact primitives are looked up as this module's globals when the
-    walk runs; a test that patches one clears this cache first.  Every
-    engine walks first, so each raises TypeError here for a non-strategy.
+    Returns (D, groups): per bit tuple, at its place in ``ALL_BIT_TUPLES``,
+    the tuple of its leaves, one per Eve branch.  A leaf is (Eve branch
+    tag, applied (u, v) or None, masses): its Eve branch's probability
+    times the Born weight of each Bell outcome under ``convention``, in
+    ``BELL_LABEL_ORDER``, as ints over 2**D.  Everything cached is a tuple,
+    so no caller can change what the next one reads.  The exact primitives
+    are looked up as this module's globals when the walk runs; a test that
+    patches one clears this cache first.  Every engine walks first, so
+    each raises TypeError here for a non-strategy.
     """
     if not isinstance(attack, EveStrategy):
         raise TypeError(f"not an Eve strategy: {attack!r}")
     start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
-    walked = []
+    walked = []  # per bit tuple, its leaves as (exponent, mass, branch, sel, weights)
     for bits in ALL_BIT_TUPLES:
         i, j, k, l = bits
         exp, branches = 0, [(1, start, "none", None)]
@@ -218,15 +217,17 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
             ])
         if sum(m for m, *_ in branches) != 1 << exp:
             raise InvariantError(f"Eve's branches of bit tuple {bits} do not sum to 1")
+        walked.append(leaves := [])
         for mass, state, branch, sel in branches:
             weights = bell_weights_exact(state, convention)
             if sum(weights) != 2 << state.half:
                 raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to 1")
-            walked.append((exp + state.half + 1, mass, bits, branch, sel, weights))
-    top = max(e for e, *_ in walked)
-    leaves = [(bits, branch, sel, tuple(w * (mass << top - e) for w in weights))
-              for e, mass, bits, branch, sel, weights in walked]
-    return top, tuple(tuple(group) for _bits, group in groupby(leaves, itemgetter(0)))
+            leaves.append((exp + state.half + 1, mass, branch, sel, weights))
+    top = max(e for leaves in walked for e, *_ in leaves)
+    return top, tuple(
+        tuple((branch, sel, tuple(w * (mass << top - e) for w in weights))
+              for e, mass, branch, sel, weights in leaves)
+        for leaves in walked)
 
 
 #: the tallies a round adds to a session, one bit each: control and detected

@@ -66,10 +66,22 @@ class InvariantError(Exception):
 
 def _integer(value, name: str) -> int:
     """``value`` as an int through ``operator.index``: floats raise
-    TypeError rather than being truncated, and so do bools."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
+    TypeError rather than being truncated, and so do bools; the error names
+    ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     return operator.index(value)
+
+
+def _bit(value, name: str) -> int:
+    """``value`` as the int 0 or 1, the one check of every value that holds
+    bits: a value that is no integer, a bool or a float among them, raises
+    TypeError (:func:`_integer`), and an integer other than 0 and 1
+    ValueError."""
+    value = _integer(value, name)
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value}")
+    return value
 
 
 def _field_values(names: tuple[str, ...]):
@@ -183,10 +195,8 @@ class PauliCode(FrozenValue):
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        if a not in (0, 1) or b not in (0, 1):
-            raise ValueError(f"Pauli code bits must be 0/1, got ({a}, {b})")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _bit(a, "Pauli code bit a"))
+        object.__setattr__(self, "b", _bit(b, "Pauli code bit b"))
 
     def __xor__(self, other: "PauliCode") -> "PauliCode":
         return PauliCode(self.a ^ other.a, self.b ^ other.b)
@@ -239,10 +249,8 @@ class BellLabel(FrozenValue):
     __slots__ = ("k", "l", "convention")
 
     def __init__(self, k: int, l: int, convention: Convention):
-        if k not in (0, 1) or l not in (0, 1):
-            raise ValueError(f"Bell label bits must be 0/1, got ({k}, {l})")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "k", _bit(k, "Bell label bit k"))
+        object.__setattr__(self, "l", _bit(l, "Bell label bit l"))
         object.__setattr__(self, "convention", convention)
 
     def bits(self) -> tuple[int, int]:
@@ -382,10 +390,8 @@ class Fixed(FrozenValue):
     weights: tuple[int, ...] = (1,)
 
     def __init__(self, u: int, v: int):
-        if u not in (0, 1) or v not in (0, 1):
-            raise ValueError("Fixed selection bits must be 0/1")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _bit(u, "Fixed selection bit u"))
+        object.__setattr__(self, "v", _bit(v, "Fixed selection bit v"))
 
     @property
     def codes(self) -> tuple[tuple[int, int], ...]:
@@ -460,7 +466,10 @@ class DisturbPauli(FrozenValue):
 
     def __init__(self, route: Route = Route.A_TO_B,
                  selection: Selection = UniformAll4()):
-        # duck-typed: any rule with ``codes`` and ``weights`` is a selection
+        # duck-typed: any rule instance with ``codes`` and ``weights`` is a
+        # selection; a rule's class is none, though it may carry both
+        if isinstance(selection, type):
+            raise TypeError(f"selection must be a rule instance, not the class {selection!r}")
         if not (hasattr(selection, "codes") and hasattr(selection, "weights")):
             raise TypeError(f"selection must have codes and weights, not {selection!r}")
         object.__setattr__(self, "route", Route(route))
@@ -527,13 +536,10 @@ class RoundConfig(FrozenValue):
         comparison: Comparison = Comparison.CONVERTED,
     ):
         bob_bits, alice_bits = tuple(bob_bits), tuple(alice_bits)
-        if bool in map(type, (*bob_bits, *alice_bits)):
-            raise TypeError("encoding bits must be the ints 0 and 1, not bools")
-        if len(bob_bits) != 2 or len(alice_bits) != 2 or any(
-                bit not in (0, 1) for bit in (*bob_bits, *alice_bits)):
+        if len(bob_bits) != 2 or len(alice_bits) != 2:
             raise ValueError("each party's encoding bits must be two 0/1 bits")
-        object.__setattr__(self, "bob_bits", bob_bits)
-        object.__setattr__(self, "alice_bits", alice_bits)
+        object.__setattr__(self, "bob_bits", tuple(_bit(b, "encoding bit") for b in bob_bits))
+        object.__setattr__(self, "alice_bits", tuple(_bit(b, "encoding bit") for b in alice_bits))
         # an unknown value raises ValueError
         object.__setattr__(self, "mode", Mode(mode))
         (outcome_convention, expectation_convention,

@@ -7,6 +7,9 @@ is ``[[0, +i], [-i, 0]]``, the *negative* of the textbook sigma_y, and the
 float Bell states are read from :data:`~qdialogue.model.BELL_NUMERATORS`,
 the one table that names them.
 
+:class:`TwoQubitState` is a :class:`~qdialogue.model.FrozenValue` whose
+one constructor checks the norm of every state, copy and pickle.
+
 The Born-rule measurements here serve the round simulator alone
 (:func:`qdialogue.protocol.run_round`): the samplers and the exact
 reports read the tree of the exact walk in :mod:`qdialogue.exactstate`,
@@ -28,6 +31,7 @@ from .model import (
     BELL_NUMERATORS,
     BellLabel,
     Convention,
+    FrozenValue,
     InvariantError,
     PauliCode,
     RandomSource,
@@ -43,13 +47,11 @@ ALG_TOL = 1e-12
 CANON_TOL = 1e-9
 
 
-class TwoQubitState:
+class TwoQubitState(FrozenValue):
     """Four complex amplitudes over |h t>, index = 2*h + t.
 
-    Immutable; normalization is checked on construction.  Two states are
-    equal when their amplitudes are, exactly; copies and pickles are
-    rebuilt from the amplitudes through :meth:`_unsafe`, without a second
-    check, so they are exact.
+    Immutable; normalization is checked on construction, copies and
+    pickles included.  Two states are equal when their amplitudes are.
     """
 
     __slots__ = ("amp",)
@@ -63,20 +65,6 @@ class TwoQubitState:
             raise InvariantError(f"state norm^2 = {n!r}, not 1")
         object.__setattr__(self, "amp", amp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoQubitState is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.amp == other.amp
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.amp)
-
-    def __reduce__(self):
-        return type(self)._unsafe, (self.amp,)
-
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amp)
 
@@ -87,13 +75,6 @@ class TwoQubitState:
 
     def __repr__(self) -> str:
         return f"TwoQubitState({list(self.amp)!r})"
-
-    @classmethod
-    def _unsafe(cls, amp: tuple) -> "TwoQubitState":
-        # hot-path constructor: amp must already be a 4-tuple of complex
-        self = object.__new__(cls)
-        object.__setattr__(self, "amp", amp)
-        return self
 
 
 def pauli_matrix(code: PauliCode) -> np.ndarray:
@@ -128,7 +109,7 @@ def apply_pauli_t(state: TwoQubitState, code: PauliCode) -> TwoQubitState:
         amp = (c1 * a1, c0 * a0, c1 * a3, c0 * a2)
     else:
         amp = (c0 * a0, c1 * a1, c0 * a2, c1 * a3)
-    return TwoQubitState._unsafe(amp)
+    return TwoQubitState(amp)
 
 
 _BELL_STATES = {
@@ -184,10 +165,10 @@ def measure_t_computational(
           + a2.real * a2.real + a2.imag * a2.imag)
     if rand.random() < p0:
         scale = p0 ** -0.5
-        return 0, TwoQubitState._unsafe((a0 * scale, 0j, a2 * scale, 0j)), p0
+        return 0, TwoQubitState((a0 * scale, 0j, a2 * scale, 0j)), p0
     p1 = 1.0 - p0
     scale = p1 ** -0.5
-    return 1, TwoQubitState._unsafe((0j, a1 * scale, 0j, a3 * scale)), p1
+    return 1, TwoQubitState((0j, a1 * scale, 0j, a3 * scale)), p1
 
 
 def measure_bell(
@@ -197,11 +178,9 @@ def measure_bell(
     the last nonzero one when rounding leaves the draw above every cumulative
     weight.  Weights that sum below ``1 - ALG_TOL`` raise InvariantError."""
     u = rand.random()
-    a = state.amp
     acc = 0.0
     entries = []  # (cumulative weight, label, Born weight) of nonzero labels
-    for label, b in _BELL_CONJ[convention]:
-        c = b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
+    for label, c in bell_decompose(state, convention).items():
         w = c.real * c.real + c.imag * c.imag
         if w > 0.0:
             acc += w

@@ -7,12 +7,13 @@ the order a loop of :func:`qdialogue.protocol.run_round` takes them: every
 cumulative mass of the walk is a multiple of 1/4 of its total, so the top
 byte of each draw's first Mersenne Twister word decides it, and whole
 chunks of rounds resolve by ``bytes`` table lookups in C to the tally byte
-of the leaf each round reaches.  The session counts each tally the rounds'
-mode can set by the popcount of its bit across the chunk.  A sampler
-process loads this module, the walk and :mod:`qdialogue.model`, and
-neither the float round simulator nor the exact reports, nor
-:mod:`fractions`.  The engines take each convention and comparison as a
-member or its string value, made members by
+of the leaf each round reaches, keyed by its bit tuple's place in
+``ALL_BIT_TUPLES`` like the walk's groups and the tally rows.  The session
+counts each tally the rounds' mode can set by the popcount of its bit
+across the chunk.  A sampler process loads this module, the walk and
+:mod:`qdialogue.model`, and neither the float round simulator nor the exact
+reports, nor :mod:`fractions`.  The engines take each convention and
+comparison as a member or its string value, made members by
 :func:`~qdialogue.model.bookkeeping`, one cache entry for both; round
 counts are integers, and a bool count or control fraction raises
 ``TypeError``.
@@ -26,16 +27,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactstate import (
-    _CONTROL_TALLIES,
-    _KEEP,
-    _MESSAGE_TALLIES,
-    _PLACE,
-    ALL_BIT_TUPLES,
-    BitTuple,
-    _outcome_tallies,
-    _walk,
-)
+from .exactstate import _CONTROL_TALLIES, _KEEP, _MESSAGE_TALLIES, _outcome_tallies, _walk
 from .model import (
     Comparison,
     Convention,
@@ -47,10 +39,6 @@ from .model import (
     _integer,
     bookkeeping,
 )
-
-#: the bit tuples (i, j, k, l) in the order the samplers draw them: the
-#: bits k, l, i, j read as a binary number, 8k + 4l + 2i + j
-DRAW_ORDER: tuple[BitTuple, ...] = tuple((i, j, k, l) for k, l, i, j in ALL_BIT_TUPLES)
 
 #: rounds whose draws the samplers take and resolve at once; their memory
 #: grows with this, not with the number of rounds
@@ -108,8 +96,10 @@ class SessionStats(Value):
 
 #: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
 #: round's key that the top byte of the draw's first word gives (see
-#: :func:`_tallies`): a bit set below 128, a quarter per 64 values
-_BIT_KEYS = tuple(bytes((1 << shift,)) * 128 + bytes(128) for shift in (7, 6, 5, 4))
+#: :func:`_tallies`): a bit set below 128, a quarter per 64 values.  The
+#: bits i, j, k, l go to key bits 7, 6, 5, 4, so that ``key >> 4`` is the bit
+#: tuple's place in ``ALL_BIT_TUPLES``, 8i + 4j + 2k + l
+_BIT_KEYS = tuple(bytes((1 << shift,)) * 128 + bytes(128) for shift in (5, 4, 7, 6))
 _TAP_KEY = b"".join(bytes((quarter << 2,)) * 64 for quarter in range(4))
 _BELL_KEY = b"".join(bytes((quarter,)) * 64 for quarter in range(4))
 
@@ -139,19 +129,19 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
     key, the tallies of the leaf it reaches, as bits: those of its control
     round in ``_CONTROL_TALLIES`` and those of its message round in
     ``_MESSAGE_TALLIES``.  The key's node is the bit tuple's place in
-    ``DRAW_ORDER``; its tap quarter picks an Eve branch by the cumulative
-    branch masses, and its Bell quarter an outcome by the branch's
-    cumulative Bell masses (:func:`_quarter_picks`).
+    ``ALL_BIT_TUPLES``, the index of its group of leaves and of its row of
+    tallies; its tap quarter picks an Eve branch by the cumulative branch
+    masses, and its Bell quarter an outcome by the branch's cumulative Bell
+    masses (:func:`_quarter_picks`).
     """
     _top, groups = _walk(eve, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     draws_tap = len(groups[0]) > 1
     table = bytearray()
-    for place in map(_PLACE.__getitem__, DRAW_ORDER):
-        masses = [leaf[3] for leaf in groups[place]]
+    for group, row in zip(groups, rows):
+        masses = [m for _branch, _sel, m in group]
         if (len(masses) > 1) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        row = rows[place]
         for branch in _quarter_picks(map(sum, masses)):
             table += bytes(row[x] for x in _quarter_picks(masses[branch]))
     return draws_tap, bytes(table)
@@ -176,8 +166,9 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     quarter of [0, 1).  ``getrandbits`` returns the words first word least
     significant, so that byte is byte 3 of the draw's 8 little-endian
     bytes.  Per draw position a table maps it to its bits of
-    the round's key: the node 8k + 4l + 2i + j in bits 4-7, the tap quarter
-    in bits 2-3 and the Bell quarter in bits 0-1.  The table of
+    the round's key: the node 8i + 4j + 2k + l, the bit tuple's place in
+    ``ALL_BIT_TUPLES``, in bits 4-7, the tap quarter in bits 2-3 and the
+    Bell quarter in bits 0-1.  The table of
     :func:`_session_table` maps the key to the round's tallies, and the
     round's mode masks them: at fraction 0 or 1 the table is masked once,
     and a mixed session masks each chunk.  A mode draw at a mixed fraction

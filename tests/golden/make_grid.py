@@ -79,8 +79,7 @@ SESSION_SEED = 11
 ROUND_SEEDS = (0, 1, 2)
 
 
-def _frac(f) -> str:
-    f = Fraction(f)
+def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -704,8 +704,8 @@ class TestConservation:
         its first leaf replaced by ``first_masses(their total)``."""
         def patched(attack, convention):
             top, groups = walk(attack, convention)
-            groups = [[(*leaf[:3], tuple(scale * m for m in leaf[3])) for leaf in group]
-                      for group in groups]
+            groups = [[(branch, sel, tuple(scale * m for m in masses))
+                       for branch, sel, masses in group] for group in groups]
             *head, masses = groups[0][0]
             groups[0][0] = (*head, first_masses(sum(masses)))
             return top, groups

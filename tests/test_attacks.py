@@ -257,9 +257,10 @@ class TestRouteValues:
 
 
 class TestSelectionValues:
-    """A disturbance takes any rule with ``codes`` and ``weights`` as its
-    selection; anything else raises TypeError when it is built, not from
-    inside an engine and not as the passive answer."""
+    """A disturbance takes any rule instance with ``codes`` and ``weights``
+    as its selection; anything else, a rule's class included, raises
+    TypeError when it is built, not from inside an engine and not as the
+    passive answer."""
 
     @pytest.mark.parametrize("bad", [None, "uniform4", (1, 1), Route.A_TO_B, InterceptMeasure()],
                              ids=repr)
@@ -269,6 +270,13 @@ class TestSelectionValues:
                 DisturbPauli(route, bad)
         with pytest.raises(TypeError, match="selection must have codes and weights"):
             DisturbPauli(selection=bad)
+
+    @pytest.mark.parametrize("rule", [Fixed, UniformAll4, CoinIZ], ids=lambda rule: rule.__name__)
+    def test_rejects_a_rule_class(self, rule):
+        # UniformAll4 and CoinIZ carry codes and weights on the class itself
+        for route in Route:
+            with pytest.raises(TypeError, match="not the class"):
+                DisturbPauli(route, rule)
 
 
 class TestHomeQubitInvariant:

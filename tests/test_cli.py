@@ -366,10 +366,12 @@ class TestExitCodes:
         assert "home qubit" in err and "Traceback" not in err
 
     def test_lost_bell_weight_in_round_exits_two(self, capsys, monkeypatch):
-        # the prepared pair with one of its two amplitudes dropped
-        dropped = TwoQubitState._unsafe((0j, SQRT_HALF + 0j, 0j, 0j))
-        monkeypatch.setattr("qdialogue.protocol.bell_state",
-                            lambda convention, k, l: dropped)
+        # the pair Bob measures with one of its two amplitudes dropped, built
+        # past the constructor's norm check, forwarded by Eve's last tap
+        dropped = object.__new__(TwoQubitState)
+        object.__setattr__(dropped, "amp", (0j, SQRT_HALF + 0j, 0j, 0j))
+        monkeypatch.setattr("qdialogue.protocol.apply_eve", lambda eve, route, state, rand: (
+            dropped if route is Route.A_TO_B else state, None))
         code, out, err = invoke(capsys, "round", "--bits", "0111", "--seed", "3")
         assert code == 2 and out == ""
         assert "Bell weights" in err and "Traceback" not in err

@@ -12,7 +12,7 @@ import pytest
 from qdialogue import sampling
 from qdialogue.analysis import _detection_fold, enumerate_exact, message_error_rate
 from qdialogue.attacks import AppliedPauli, MeasuredBranch
-from qdialogue.exactstate import _walk
+from qdialogue.exactstate import ALL_BIT_TUPLES, _walk
 from qdialogue.model import (
     BELL_LABEL_ORDER,
     BellLabel,
@@ -34,7 +34,6 @@ from qdialogue.model import (
 from qdialogue.protocol import run_round
 from qdialogue.qcore import ALG_TOL
 from qdialogue.sampling import (
-    DRAW_ORDER,
     SessionStats,
     _session_table,
     _tallies,
@@ -339,13 +338,12 @@ class TestRoundFollowsTree:
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_leaf(self, attack, convention):
         _exp, groups = _walk(attack, convention)
-        # (i, j, k, l) is at 8i + 4j + 2k + l in ALL_BIT_TUPLES
-        rounds = [groups[i << 3 | j << 2 | k << 1 | l] for i, j, k, l in DRAW_ORDER]
-        assert [{leaf[0] for leaf in group} for group in rounds] == [{bits} for bits in DRAW_ORDER]
-        for (i, j, k, l), group in zip(DRAW_ORDER, rounds):
+        # a group's index is its bit tuple's place in ALL_BIT_TUPLES
+        assert len(groups) == len(ALL_BIT_TUPLES)
+        for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
             config = RoundConfig((k, l), (i, j), Mode.CONTROL, convention)
             branch_masses = [sum(masses) for *_, masses in group]
-            for b, (_bits, branch, sel, masses) in enumerate(group):
+            for b, (branch, sel, masses) in enumerate(group):
                 for x, mass in enumerate(masses):
                     if not mass:
                         continue
@@ -491,7 +489,7 @@ class TestResolver:
             draws_tap, _table = _session_table(attack, oc, ec, Comparison(comp))
             words = []
             for key in range(256):
-                i, j, k, l = DRAW_ORDER[key >> 4]
+                i, j, k, l = ALL_BIT_TUPLES[key >> 4]
                 for bit in (k, l, i, j):
                     words += quarter_words(2 - bit)
                 if draws_tap:
@@ -504,7 +502,7 @@ class TestResolver:
                     for rounds, chunk in _tallies(attack, (oc, ec), comp, 256,
                                                   float(control), word_source(words)))
                 for key, got in enumerate(tallies):
-                    i, j, k, l = DRAW_ORDER[key >> 4]
+                    i, j, k, l = ALL_BIT_TUPLES[key >> 4]
                     source = StubSource([(key >> 2 & 3) / 4 + 1 / 8] * draws_tap
                                         + [(key & 3) / 4 + 1 / 8])
                     config = RoundConfig((k, l), (i, j), mode, oc, ec, comp)
@@ -666,7 +664,7 @@ class TestValidation:
     @pytest.mark.parametrize("bob_bits,alice_bits", [((True, 0), (0, 0)), ((0, 0), (0, False))],
                              ids=repr)
     def test_bool_bits(self, bob_bits, alice_bits):
-        with pytest.raises(TypeError, match="not bools"):
+        with pytest.raises(TypeError, match="not bool"):
             RoundConfig(bob_bits, alice_bits)
 
     @pytest.mark.parametrize("rand", [None, 3, "random"], ids=repr)

@@ -40,6 +40,14 @@ PP = Convention.PARITY_PHASE
 ALL_CODES = [PauliCode(a, b) for a in (0, 1) for b in (0, 1)]
 
 
+def unchecked_state(amp) -> TwoQubitState:
+    """A state of these amplitudes built past the norm check, which every
+    constructor call makes: a state that no code of the package can build."""
+    state = object.__new__(TwoQubitState)
+    object.__setattr__(state, "amp", tuple(amp))
+    return state
+
+
 def random_states(n, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -279,15 +287,16 @@ class TestMeasurement:
     def test_bell_measurement_rejects_lost_weight(self):
         # amplitude 2 of the (0, 0) pair dropped: the weights sum to 1/2
         a = bell_state(OE, 0, 0).amp
-        dropped = TwoQubitState._unsafe((a[0], a[1], 0j, a[3]))
+        dropped = unchecked_state((a[0], a[1], 0j, a[3]))
         for conv, seed in product((OE, PP), range(10)):
             with pytest.raises(InvariantError):
                 measure_bell(dropped, conv, RandomSource(seed))
 
     def test_bell_measurement_rounding_falls_on_last_label(self):
-        # weights that rounding leaves just below 1, and a draw above them
+        # weights that rounding leaves just below 1, within the norm check's
+        # tolerance, and a draw above them
         scale = 1.0 - 1e-14
-        state = TwoQubitState._unsafe(tuple(scale * x for x in bell_state(OE, 1, 0).amp))
+        state = TwoQubitState(scale * x for x in bell_state(OE, 1, 0).amp)
 
         class TopDraw:
             def random(self):
@@ -391,11 +400,16 @@ class TestStateValue:
         # the same ray is not the same amplitudes
         assert state != TwoQubitState(tuple(1j * a for a in state.amp))
 
-    def test_copies_are_exact_and_unchecked(self):
-        # a norm the constructor would reject
-        state = TwoQubitState._unsafe((0.75 + 0.25j, 0j, 0j, -0.5j))
+    def test_copies_are_exact_and_checked(self):
+        # amplitudes whose squares sum to 1 only within the tolerance
+        state = TwoQubitState((0.6 * (1 - 1e-14), 0j, 0j, -0.8j))
         for twin in (copy.copy(state), copy.deepcopy(state),
                      pickle.loads(pickle.dumps(state))):
             assert type(twin) is TwoQubitState
             assert twin.amp == state.amp
-            assert twin == state
+            assert twin == state and hash(twin) == hash(state)
+        # copies are rebuilt through the constructor, which checks the norm
+        lost = unchecked_state((0.75 + 0.25j, 0j, 0j, -0.5j))
+        for copier in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+            with pytest.raises(InvariantError, match="norm"):
+                copier(lost)

@@ -366,3 +366,38 @@ def test_session_stats_lists_are_per_instance_and_deep_copied():
 def test_constructor_checks(build):
     with pytest.raises(ValueError):
         build()
+
+
+#: each value that holds bits, built with one bit given as ``bit``
+BIT_HOLDERS = {
+    "pauli-a": lambda bit: PauliCode(bit, 0),
+    "pauli-b": lambda bit: PauliCode(1, bit),
+    "bell-k": lambda bit: BellLabel(bit, 0, OE),
+    "bell-l": lambda bit: BellLabel(0, bit, PP),
+    "fixed-u": lambda bit: Fixed(bit, 1),
+    "fixed-v": lambda bit: Fixed(0, bit),
+    "config-bob": lambda bit: RoundConfig((bit, 0), (0, 1)),
+    "config-alice": lambda bit: RoundConfig((0, 0), (1, bit)),
+}
+
+
+class TestBits:
+    """Every value that holds bits takes them through one check: a bool, a
+    float or any other non-integer raises TypeError (an integer other than 0
+    and 1 raises ValueError, see ``test_constructor_checks``), and what is
+    stored is the int."""
+
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, "1", None], ids=repr)
+    @pytest.mark.parametrize("build", BIT_HOLDERS.values(), ids=BIT_HOLDERS)
+    def test_a_non_integer_raises_type_error(self, build, bit):
+        with pytest.raises(TypeError, match=f"must be an integer, not {type(bit).__name__}"):
+            build(bit)
+
+    def test_stores_the_int(self):
+        class Index:
+            def __index__(self):
+                return 1
+
+        assert type(PauliCode(Index(), 0).a) is int
+        assert type(Fixed(0, Index()).v) is int
+        assert RoundConfig((Index(), 0), (0, Index())) == RoundConfig((1, 0), (0, 1))
