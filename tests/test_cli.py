@@ -46,6 +46,15 @@ GOLDEN_INVOCATIONS = [
     (("mc", "--attack", "intercept", "--route", "a2b", "--outcome-labels", "pp",
       "--compare", "strict-paper", "--rounds", "2000", "--seed", "5",
       "--control-fraction", "0.5"), "mc_intercept_a2b_pp.json"),
+    (("exact", "--attack", "disturb", "--selection", "uniform4", "--format", "text"),
+     "exact_disturb_uniform4.txt"),
+    (("exact", "--attack", "intercept", "--format", "text"), "exact_intercept.txt"),
+    (("table", "--format", "json"), "table.json"),
+    (("table", "--format", "csv"), "table.csv"),
+    (("mc", "--attack", "disturb", "--selection", "coin-iz", "--rounds", "400",
+      "--seed", "11", "--control-fraction", "0.5", "--format", "text"),
+     "mc_disturb_coiniz.txt"),
+    (("compare", "--format", "text"), "compare.txt"),
 ]
 
 
@@ -410,6 +419,15 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and out == ""
         assert "Eve's branches" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,golden", GOLDEN_INVOCATIONS,
+                         ids=[argv[0] + ":" + name for argv, name in GOLDEN_INVOCATIONS])
+def test_golden_in_process(capsys, argv, golden):
+    """Every golden invocation prints its file byte for byte."""
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    check_golden(golden, out)
 
 
 @pytest.mark.parametrize("argv,golden", GOLDEN_INVOCATIONS,
