@@ -19,14 +19,18 @@ import os
 import sys
 
 from . import __version__
-from .analysis import DetectionReport, compare_claims, enumerate_exact, paper_case_table
+from .analysis import (
+    CaseDescriptor,
+    DetectionReport,
+    compare_claims,
+    enumerate_exact,
+    paper_case_table,
+)
 from .model import (
-    CoinIZ,
     Comparison,
     Convention,
     DisturbPauli,
     EveStrategy,
-    Fixed,
     InterceptMeasure,
     InvariantError,
     Mode,
@@ -34,7 +38,6 @@ from .model import (
     RandomSource,
     Route,
     Selection,
-    UniformAll4,
 )
 from .protocol import RoundConfig, run_round
 from .sampling import run_session
@@ -64,13 +67,20 @@ def _flt(x: float) -> str:
     return f"{x:.6f}"
 
 
+#: each selection rule's class by its ``rule`` name
+_RULES = {rule.rule: rule for rule in Selection.__args__}
+
+
 def _add_attack_flags(p: argparse.ArgumentParser) -> None:
+    # the defaults are the strategies' own; the help only names them
+    disturb = DisturbPauli()
     p.add_argument("--attack", choices=("none", "intercept", "disturb"),
                    default="none")
     p.add_argument("--route", choices=[route.value for route in Route], default=None,
-                   help="tap route (default: b2a for intercept, a2b for disturb)")
-    p.add_argument("--selection", choices=[rule.rule for rule in Selection.__args__],
-                   default=None, help="disturb only (default: uniform4)")
+                   help=f"tap route (default: {InterceptMeasure().route.value} for "
+                        f"intercept, {disturb.route.value} for disturb)")
+    p.add_argument("--selection", choices=list(_RULES), default=None,
+                   help=f"disturb only (default: {disturb.selection.rule})")
     p.add_argument("--uv", metavar="BB", default=None,
                    help="bits for --selection fixed, e.g. 11")
 
@@ -90,6 +100,8 @@ def _add_format_flag(p: argparse.ArgumentParser, choices=("json", "csv", "text")
 
 
 def _build_attack(args: argparse.Namespace) -> EveStrategy:
+    """The strategy of the attack flags; a flag not given is left to the
+    strategy's own default."""
     if args.attack != "disturb" and (args.selection is not None
                                      or args.uv is not None):
         raise UsageError("--selection and --uv need --attack disturb")
@@ -97,18 +109,17 @@ def _build_attack(args: argparse.Namespace) -> EveStrategy:
         if args.route is not None:
             raise UsageError("--route needs --attack intercept or disturb")
         return Passive()
-    route = args.route
+    given = {} if args.route is None else {"route": args.route}
     if args.attack == "intercept":
-        return InterceptMeasure(Route(route or "b2a"))
+        return InterceptMeasure(**given)
     if args.selection == "fixed":
         if args.uv is None or len(args.uv) != 2 or set(args.uv) - set("01"):
             raise UsageError("--selection fixed requires --uv BB with bits 0/1")
-        selection = Fixed(int(args.uv[0]), int(args.uv[1]))
     elif args.uv is not None:
         raise UsageError("--uv needs --selection fixed")
-    else:
-        selection = CoinIZ() if args.selection == "coin-iz" else UniformAll4()
-    return DisturbPauli(Route(route or "a2b"), selection)
+    if args.selection is not None:
+        given["selection"] = _RULES[args.selection](*map(int, args.uv or ""))
+    return DisturbPauli(**given)
 
 
 def _fields(value) -> dict:
@@ -143,19 +154,13 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _report_rows(report: DetectionReport) -> list[dict]:
-    rows = []
-    for case in sorted(report.per_case, key=lambda c: (c.eve_branch, c.m, c.n)):
-        d = report.per_case[case]
-        rows.append({
-            "branch": case.eve_branch,
-            "m": case.m,
-            "n": case.n,
-            "J": case.parity,
-            "case": case.roman(),
-            "d": _frac(d),
-        })
-    return rows
+def _emit(fmt: str, env: dict, text: str) -> None:
+    """Print the envelope ``env`` as JSON, or for ``--format text`` the
+    template ``text`` filled in from the envelope and its payload."""
+    if fmt == "text":
+        print(text.format_map(env | env["payload"]))
+    else:
+        _emit_json(env)
 
 
 def _convention_flags(args: argparse.Namespace) -> tuple[str, str, str]:
@@ -163,10 +168,14 @@ def _convention_flags(args: argparse.Namespace) -> tuple[str, str, str]:
 
 
 def _emit_report(report: DetectionReport, fmt: str, command: str) -> None:
+    rows: list[tuple[CaseDescriptor, Fraction]] = sorted(
+        report.per_case.items(), key=lambda row: (row[0].eve_branch, row[0].m, row[0].n))
     if fmt == "json":
         payload = {
             "attack": _attack_echo(report.attack),
-            "per_case": _report_rows(report),
+            "per_case": [{"branch": case.eve_branch, "m": case.m, "n": case.n,
+                          "J": case.parity, "case": case.roman(), "d": _frac(d)}
+                         for case, d in rows],
             "branch_averages": {
                 br: _frac(v) for br, v in report.branch_averages.items()
             },
@@ -184,12 +193,11 @@ def _emit_report(report: DetectionReport, fmt: str, command: str) -> None:
         import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["branch", "m", "n", "J", "numerator", "denominator"])
-        for row in _report_rows(report):
-            num, den = row["d"].split("/")
-            writer.writerow([row["branch"], row["m"], row["n"], row["J"], num, den])
+        writer.writerows((case.eve_branch, case.m, case.n, case.parity,
+                          d.numerator, d.denominator) for case, d in rows)
     else:
-        for row in _report_rows(report):
-            print(f"({row['branch']},{row['case']}) d = {row['d']}")
+        for case, d in rows:
+            print(f"({case.eve_branch},{case.roman()}) d = {_frac(d)}")
         for br, v in sorted(report.branch_averages.items()):
             print(f"branch {br} average = {_frac(v)}")
         if report.per_selection is not None:
@@ -233,7 +241,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         raise UsageError("--control-fraction must be in [0, 1]")
     attack = _build_attack(args)
     bit_source = _resolve_source(args)
-    seed = bit_source.seed
     stats = run_session(args.rounds, args.control_fraction, bit_source, attack,
                         (args.outcome_labels, args.expected_labels), args.comparison)
     payload = {
@@ -249,14 +256,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "alice_bit_errors": list(stats.alice_bit_errors),
         "bob_bit_errors": list(stats.bob_bit_errors),
     }
-    if args.format == "text":
-        print(f"rounds = {stats.n_rounds} (control {stats.control_rounds}, "
-              f"message {stats.message_rounds})")
-        print(f"detection mean {_flt(stats.detection_rate)}")
-        print(f"survival probability {_flt(stats.survival_probability)}")
-        print(f"seed = {seed} generator = {stats.generator_id}")
-    else:
-        _emit_json(_envelope("mc", payload, _convention_flags(args), seed=seed))
+    _emit(args.format, _envelope("mc", payload, _convention_flags(args), seed=bit_source.seed),
+          "rounds = {rounds} (control {control_rounds}, message {message_rounds})\n"
+          "detection mean {detection_mean}\n"
+          "survival probability {survival_probability}\n"
+          "seed = {seed} generator = {generator_id}")
     return 0
 
 
@@ -282,13 +286,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "alice_bits": [i, j],
         "bob_bits": [k, l],
-        "states": {
-            "after_prepare": _fmt_state(t.after_prepare),
-            "after_bob_encode": _fmt_state(t.after_bob_encode),
-            "after_eve_b2a": _fmt_state(t.after_eve_b2a),
-            "after_alice_encode": _fmt_state(t.after_alice_encode),
-            "after_eve_a2b": _fmt_state(t.after_eve_a2b),
-        },
+        "states": dict(zip(t.STATES, map(_fmt_state, t.snapshots()))),
         "eve_record": record,
         "bell_outcome": {
             "k": t.bell_outcome.k,
@@ -314,15 +312,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "consistent_value": _frac(report.consistent_value),
         "explanation": report.explanation,
     }
-    if args.format == "text":
-        print(f"claimed average (strict bookkeeping): {payload['paper_claim']}")
-        print(f"reported counterclaim:                {payload['cai_claim']}")
-        print(f"strict-paper enumeration:             {payload['strict_paper_average']}")
-        print(f"convention-consistent enumeration:    {payload['consistent_value']}")
-        print()
-        print(report.explanation)
-    else:
-        _emit_json(_envelope("compare", payload))
+    _emit(args.format, _envelope("compare", payload),
+          "claimed average (strict bookkeeping): {paper_claim}\n"
+          "reported counterclaim:                {cai_claim}\n"
+          "strict-paper enumeration:             {strict_paper_average}\n"
+          "convention-consistent enumeration:    {consistent_value}\n"
+          "\n"
+          "{explanation}")
     return 0
 
 

@@ -43,10 +43,11 @@ _B_TO_A, _A_TO_B = Route.B_TO_A, Route.A_TO_B
 
 
 class RoundTranscript(Value):
-    __slots__ = ("config", "after_prepare", "after_bob_encode", "after_eve_b2a",
-                 "after_alice_encode", "after_eve_a2b", "eve_record",
-                 "bell_outcome", "bell_probability", "decoded_alice_bits",
-                 "decoded_bob_bits", "detected")
+    #: the names of the round's five states, in the order it makes them
+    STATES = ("after_prepare", "after_bob_encode", "after_eve_b2a", "after_alice_encode",
+              "after_eve_a2b")
+    __slots__ = ("config", *STATES, "eve_record", "bell_outcome", "bell_probability",
+                 "decoded_alice_bits", "decoded_bob_bits", "detected")
 
     def __init__(
         self,
@@ -77,13 +78,8 @@ class RoundTranscript(Value):
         self.detected = detected
 
     def snapshots(self) -> tuple[TwoQubitState, ...]:
-        return (
-            self.after_prepare,
-            self.after_bob_encode,
-            self.after_eve_b2a,
-            self.after_alice_encode,
-            self.after_eve_a2b,
-        )
+        """The round's five states, in the order of ``STATES``."""
+        return tuple(getattr(self, name) for name in self.STATES)
 
 
 def run_round(
