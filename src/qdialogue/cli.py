@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, _lazy_names
 from .analysis import (
     CaseDescriptor,
     DetectionReport,
@@ -40,7 +40,10 @@ from .model import (
     Selection,
 )
 from .protocol import RoundConfig, run_round
-from .sampling import run_session
+
+# The samplers load on ``mc``'s first call.  ``_cmd_mc`` reads the name from
+# this module at call time, the lookup site bench/tracer.py wraps.
+__getattr__, __dir__ = _lazy_names(globals(), {"run_session": "sampling"})
 
 
 class UsageError(Exception):
@@ -241,8 +244,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         raise UsageError("--control-fraction must be in [0, 1]")
     attack = _build_attack(args)
     bit_source = _resolve_source(args)
-    stats = run_session(args.rounds, args.control_fraction, bit_source, attack,
-                        (args.outcome_labels, args.expected_labels), args.comparison)
+    stats = sys.modules[__name__].run_session(
+        args.rounds, args.control_fraction, bit_source, attack,
+        (args.outcome_labels, args.expected_labels), args.comparison)
     payload = {
         "attack": _attack_echo(attack),
         "rounds": stats.n_rounds,
@@ -322,23 +326,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qdialogue",
-                     description="Quantum dialogue eavesdropping analysis")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("exact", help="exact enumeration of one attack")
+def _exact_flags(p: argparse.ArgumentParser) -> None:
     _add_attack_flags(p)
     _add_convention_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_exact, parser=p)
 
-    p = sub.add_parser("table", help="published intercept-measure case table")
+
+def _table_flags(p: argparse.ArgumentParser) -> None:
     _add_format_flag(p)
     p.set_defaults(func=_cmd_table, format="text", parser=p)
 
-    p = sub.add_parser("mc", help="seeded Monte Carlo session")
+
+def _mc_flags(p: argparse.ArgumentParser) -> None:
     _add_attack_flags(p)
     _add_convention_flags(p)
     _add_format_flag(p, choices=("json", "text"))
@@ -347,7 +347,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--control-fraction", type=float, default=1.0)
     p.set_defaults(func=_cmd_mc, parser=p)
 
-    p = sub.add_parser("round", help="single-round transcript dump")
+
+def _round_flags(p: argparse.ArgumentParser) -> None:
     _add_attack_flags(p)
     _add_convention_flags(p)
     p.add_argument("--bits", required=True, metavar="ijkl",
@@ -357,10 +358,41 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_round, parser=p)
 
-    p = sub.add_parser("compare", help="side-by-side claims report")
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
     _add_format_flag(p, choices=("json", "text"))
     p.set_defaults(func=_cmd_compare, parser=p)
 
+
+#: each subcommand's help and the function that adds its flags
+_SUBCOMMANDS = {
+    "exact": ("exact enumeration of one attack", _exact_flags),
+    "table": ("published intercept-measure case table", _table_flags),
+    "mc": ("seeded Monte Carlo session", _mc_flags),
+    "round": ("single-round transcript dump", _round_flags),
+    "compare": ("side-by-side claims report", _compare_flags),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Adds the chosen subcommand's flags just before its parser runs, so
+    a process builds the flags of one subcommand only."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _, add_flags = _SUBCOMMANDS[values[0]]
+        chosen = self._name_parser_map[values[0]]
+        if chosen.get_default("func") is None:  # not added by an earlier parse
+            add_flags(chosen)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="qdialogue",
+                     description="Quantum dialogue eavesdropping analysis")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True, action=_Subcommands)
+    for name, (summary, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=summary)
     return parser
 
 
