@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 #: each public name's home module
 _HOMES = {
     **dict.fromkeys((
-        "BellLabel", "Convention", "PauliCode", "Phase", "PhasedPauli", "RandomSource",
-        "label_map", "pauli_action_closed_form", "pauli_compose",
+        "BellLabel", "Comparison", "Convention", "PauliCode", "Phase", "PhasedPauli",
+        "RandomSource", "label_map", "pauli_action_closed_form", "pauli_compose",
         "CoinIZ", "DisturbPauli", "Fixed", "InterceptMeasure", "Passive", "Route",
         "UniformAll4", "Mode", "RoundConfig", "expected_outcome",
     ), "model"),

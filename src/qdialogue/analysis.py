@@ -6,8 +6,9 @@ The exact walk and the outcome-tally rows live in :mod:`qdialogue.exactstate`
 :func:`~qdialogue.exactstate._outcome_tallies`).  One exact fold,
 :func:`_detection_fold`, cached per configuration, sums the detected bit
 and the error bits of those rows against the walk's masses in ints, so a
-report only orders and copies it, with ``itemgetter`` lookups in C;
-:func:`message_error_rate` reads the default bookkeeping's fold and
+report only orders and copies it, with ``itemgetter`` lookups in C and
+its ``per_case`` keys, interned :class:`CaseDescriptor` values, hashed by
+identity; :func:`message_error_rate` reads the default bookkeeping's fold and
 :func:`compare_claims` its two averages.  ``Fraction``s are built only at
 that fold's end, by the cached :func:`compare_claims` and by
 :meth:`ExactState.norm_sq`, each importing :mod:`fractions` itself.  The
@@ -39,6 +40,7 @@ from .model import (
     InterceptMeasure,
     Route,
     Value,
+    _bit,
     bookkeeping,
 )
 
@@ -57,22 +59,46 @@ class CaseDescriptor(FrozenValue):
     m = i xor k, n = j xor l, parity = m xor n; eve_branch is 'a'/'b' for
     the two intercept collapses and 'none' when the attack has no
     measurement branch.
+
+    The twelve descriptors are built once, at import, and the constructor
+    returns the one of its fields, so equal descriptors are the same
+    object and hash by identity, in C, like :class:`Convention` members;
+    copies and pickles, rebuilt through the constructor, return it too.
+    An m or n that is no 0/1 int raises as :func:`~qdialogue.model._bit`
+    does, a wrong parity or an unknown branch ``ValueError``, and nothing
+    is built.
     """
 
     __slots__ = ("m", "n", "parity", "eve_branch")
+    __hash__ = object.__hash__
 
-    def __init__(self, m: int, n: int, parity: int, eve_branch: str = "none"):
+    def __new__(cls, m: int, n: int, parity: int, eve_branch: str = "none"):
+        m, n = _bit(m, "case bit m"), _bit(n, "case bit n")
         if parity != m ^ n:
             raise ValueError("parity must equal m xor n")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "eve_branch", eve_branch)
+        try:
+            return _CASES[m, n, eve_branch]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"eve_branch must be 'a', 'b' or 'none', got {eve_branch!r}") from None
 
     ROMAN = {(0, 0): "i", (0, 1): "ii", (1, 0): "iii", (1, 1): "iv"}
 
     def roman(self) -> str:
         return self.ROMAN[(self.m, self.n)]
+
+
+def _case(m: int, n: int, eve_branch: str) -> CaseDescriptor:
+    """One of the twelve, built once, past the constructor that looks it up."""
+    case = object.__new__(CaseDescriptor)
+    for name, value in zip(CaseDescriptor.__slots__, (m, n, m ^ n, eve_branch)):
+        object.__setattr__(case, name, value)
+    return case
+
+
+#: the closed set of descriptors, by (m, n, eve_branch)
+_CASES = {(m, n, branch): _case(m, n, branch)
+          for m in (0, 1) for n in (0, 1) for branch in ("a", "b", "none")}
 
 
 class DetectionReport(Value):

@@ -238,12 +238,27 @@ class Convention(Enum):
         return Convention.OPERATOR_ENCODING
 
 
+#: each convention, by member and by value
+_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
+
+
+def _convention(value) -> Convention:
+    """``value``, a convention member or its string value, as the member;
+    anything else raises the ``ValueError`` of ``Convention``, an
+    unhashable value included."""
+    try:
+        return _CONVENTION[value]
+    except (KeyError, TypeError):
+        return Convention(value)
+
+
 class BellLabel(FrozenValue):
     """A (k, l) Bell-state name tied to the convention it lives in.
 
     Labels are only meaningfully comparable within one convention; callers
     that compare across conventions must convert with :func:`label_map`
-    first.
+    first.  The convention is stored as its member, given as the member or
+    its string value (:func:`_convention`).
     """
 
     __slots__ = ("k", "l", "convention")
@@ -251,7 +266,7 @@ class BellLabel(FrozenValue):
     def __init__(self, k: int, l: int, convention: Convention):
         object.__setattr__(self, "k", _bit(k, "Bell label bit k"))
         object.__setattr__(self, "l", _bit(l, "Bell label bit l"))
-        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "convention", _convention(convention))
 
     def bits(self) -> tuple[int, int]:
         return (self.k, self.l)
@@ -496,8 +511,7 @@ class Comparison(str, Enum):
     CONVERTED = "converted"
 
 
-#: each convention and each comparison, by member and by value
-_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
+#: each comparison, by member and by value
 _COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
 #: the members a round reads, bound once: looking a member up on its enum
 #: costs more than ten reads of a global
@@ -550,6 +564,14 @@ class RoundConfig(FrozenValue):
 
 
 @lru_cache(maxsize=None)
+def _expected_label(i: int, j: int, k: int, l: int, convention: Convention) -> BellLabel:
+    """:func:`expected_outcome` for a convention member, cached."""
+    oe = BellLabel(i ^ k, j ^ l, _OE)
+    if convention is _OE:
+        return oe
+    return label_map(oe)
+
+
 def expected_outcome(
     i: int, j: int, k: int, l: int, convention: Convention
 ) -> BellLabel:
@@ -557,11 +579,16 @@ def expected_outcome(
 
     Under OPERATOR_ENCODING the composition law gives (i xor k, j xor l);
     under PARITY_PHASE the same physical state carries the mapped label.
+    The convention is a member or its string value, made the member
+    (:func:`_convention`) before the cache, so both forms share one entry
+    and anything else raises ``ValueError`` and fills none.
     """
-    oe = BellLabel(i ^ k, j ^ l, _OE)
-    if convention is _OE:
-        return oe
-    return label_map(oe)
+    return _expected_label(i, j, k, l, _convention(convention))
+
+
+# the cache behind expected_outcome, under its public name
+expected_outcome.cache_info = _expected_label.cache_info
+expected_outcome.cache_clear = _expected_label.cache_clear
 
 
 def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
@@ -569,7 +596,8 @@ def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
     configured comparison rule, it differs from the label Bob expects."""
     k, l = config.bob_bits
     i, j = config.alice_bits
-    expected = expected_outcome(i, j, k, l, config.expectation_convention)
+    # a RoundConfig holds the member
+    expected = _expected_label(i, j, k, l, config.expectation_convention)
     if (
         config.comparison is _CONVERTED
         and outcome.convention is not config.expectation_convention

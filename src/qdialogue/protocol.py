@@ -21,6 +21,7 @@ the reports in :mod:`qdialogue.analysis`; none of them loads this module.
 
 from __future__ import annotations
 
+from . import model
 from .attacks import EveRecord, EveStrategy, apply_eve
 # Mode and RoundConfig are also imported from here by tests/test_acceptance.py,
 # and bench/tracer.py counts RoundConfig at this lookup site
@@ -85,8 +86,12 @@ class RoundTranscript(Value):
 def run_round(
     config: RoundConfig, eve: EveStrategy, rand: RandomSource
 ) -> RoundTranscript:
-    """Execute one full round and return its transcript.  ``rand`` is anything
-    with a ``random()`` method; anything else raises ``TypeError``."""
+    """Execute one full round and return its transcript.  ``config`` is a
+    :class:`RoundConfig` and ``rand`` anything with a ``random()`` method;
+    anything else raises ``TypeError``."""
+    # the class from its home: bench/tracer.py wraps this module's name
+    if not isinstance(config, model.RoundConfig):
+        raise TypeError(f"config must be a RoundConfig, not {type(config).__name__}")
     if not callable(getattr(rand, "random", None)):
         raise TypeError(f"rand must be a random source, not {type(rand).__name__}")
     k, l = config.bob_bits

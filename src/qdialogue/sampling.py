@@ -15,7 +15,8 @@ across the chunk.  A sampler process loads this module, the walk and
 reports, nor :mod:`fractions`.  The engines take each convention and
 comparison as a member or its string value, made members by
 :func:`~qdialogue.model.bookkeeping`, one cache entry for both; round
-counts are integers, and a bool count or control fraction raises
+counts are integers, and a bool count, a control fraction that is a bool
+or no real number, or a session's conventions that are no pair raise
 ``TypeError``.
 """
 
@@ -291,16 +292,21 @@ def run_session(
     The stats are the ones a loop of :func:`run_round` calls gives.  The
     draws are taken straight from the Mersenne Twister of ``bit_source``,
     not through :meth:`RandomSource.random`, which returns the same values.
-    Each convention and the comparison may be a member or its string value.
-    ``n_rounds`` is an integer (:func:`_round_count`); a bool
-    ``control_fraction``, or a ``bit_source`` that is not a
-    :class:`RandomSource`, raises ``TypeError`` before any draw.
+    ``conventions`` is a pair, a tuple or a list, and each convention and
+    the comparison may be a member or its string value.  ``n_rounds`` is an
+    integer (:func:`_round_count`); a ``control_fraction`` that is a bool or
+    no real number, a ``bit_source`` that is not a :class:`RandomSource`,
+    or ``conventions`` that are no pair raise ``TypeError`` before any draw.
     """
     n_rounds = _round_count(n_rounds, "n_rounds")
     if not isinstance(bit_source, RandomSource):
         raise TypeError(f"bit_source must be a RandomSource, not {type(bit_source).__name__}")
-    if isinstance(control_fraction, bool):
-        raise TypeError("control_fraction must be a number, not bool")
+    if not isinstance(conventions, (tuple, list)) or len(conventions) != 2:
+        raise TypeError(f"conventions must be a pair of conventions, not {conventions!r}")
+    # a real number converts to float; str, complex and None do not
+    if isinstance(control_fraction, bool) or not hasattr(type(control_fraction), "__float__"):
+        raise TypeError(
+            f"control_fraction must be a real number, not {type(control_fraction).__name__}")
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 

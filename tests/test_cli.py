@@ -535,7 +535,8 @@ def test_fresh_process_loads_only_what_it_uses(program, checked, loaded):
 
 #: the names the package exports
 PUBLIC_NAMES = (
-    "AppliedPauli", "BellLabel", "CaseDescriptor", "ClaimsReport", "CoinIZ", "Convention",
+    "AppliedPauli", "BellLabel", "CaseDescriptor", "ClaimsReport", "CoinIZ", "Comparison",
+    "Convention",
     "DetectionReport", "DisturbPauli", "Fixed", "InterceptMeasure", "McEstimate",
     "MeasuredBranch", "MessageErrorReport", "Mode", "Passive", "PauliCode", "Phase",
     "PhasedPauli", "RandomSource", "RoundConfig", "RoundTranscript", "Route",

@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
@@ -10,7 +11,12 @@ from itertools import accumulate, product
 import pytest
 
 from qdialogue import sampling
-from qdialogue.analysis import _detection_fold, enumerate_exact, message_error_rate
+from qdialogue.analysis import (
+    CaseDescriptor,
+    _detection_fold,
+    enumerate_exact,
+    message_error_rate,
+)
 from qdialogue.attacks import AppliedPauli, MeasuredBranch
 from qdialogue.exactstate import ALL_BIT_TUPLES, _walk
 from qdialogue.model import (
@@ -28,6 +34,7 @@ from qdialogue.model import (
     RoundConfig,
     Route,
     bookkeeping,
+    control_detected,
     expected_outcome,
     label_map,
 )
@@ -111,6 +118,29 @@ class TestExpectedOutcome:
             assert expected_outcome(i, j, k, l, PP) == label_map(
                 expected_outcome(i, j, k, l, OE)
             )
+
+    @pytest.mark.parametrize("convention", list(Convention), ids=repr)
+    def test_value_names_the_member(self, fresh_walk, convention):
+        # both forms share one cache entry per bit tuple
+        for i, j, k, l in ALL_BIT_TUPLES:
+            label = expected_outcome(i, j, k, l, convention)
+            assert label.convention is convention
+            assert expected_outcome(i, j, k, l, convention.value) is label
+        assert expected_outcome.cache_info().misses == 16
+
+    @pytest.mark.parametrize("bad", ["bogus", "OE", None, 1, ["oe"]], ids=repr)
+    def test_rejects_unknown_value(self, fresh_walk, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid Convention$"):
+            expected_outcome(0, 0, 0, 0, bad)
+        assert expected_outcome.cache_info().currsize == 0
+
+    def test_label_built_from_a_value_is_scored(self):
+        # converted, mixed conventions: the outcome is mapped by label_map
+        config = RoundConfig((0, 0), (0, 0), Mode.CONTROL, PP, OE, "converted")
+        for k, l in BELL_LABEL_ORDER:
+            assert control_detected(config, BellLabel(k, l, "pp")) == control_detected(
+                config, BellLabel(k, l, PP))
+        assert not control_detected(config, BellLabel(0, 1, "pp"))
 
 
 class TestNoEveRounds:
@@ -621,6 +651,57 @@ class TestSessionStreams:
             assert source._rng.getstate() == reference._rng.getstate()
 
 
+class TestInterceptIsCoinIZ:
+    """Intercept-measure on a route is the coin-iz disturbance there: a
+    computational-basis measurement whose record is discarded is the
+    dephasing channel, half identity and half sigma_z, which is C_{1,1}.
+    So the two agree exactly under every bookkeeping, on both routes."""
+
+    @staticmethod
+    def case_detection(attack, oc, ec, comp) -> dict:
+        """Detection per (m, n): each Eve branch's per-case value, weighted
+        by that branch's share of the case's mass in the walk."""
+        per_case = enumerate_exact(attack, oc, ec, comp).per_case
+        _exp, groups = _walk(attack, bookkeeping(oc, ec, comp)[0])
+        mass = {}
+        for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
+            for branch, _sel, masses in group:
+                case = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
+                mass[case] = mass.get(case, 0) + sum(masses)
+        assert mass.keys() == per_case.keys()
+        totals = Counter()
+        for case, case_mass in mass.items():
+            totals[case.m, case.n] += case_mass
+        detection = Counter()
+        for case, value in per_case.items():
+            detection[case.m, case.n] += Fraction(mass[case], totals[case.m, case.n]) * value
+        return detection
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS,
+                             ids=lambda value: getattr(value, "value", value))
+    def test_equal_on_every_bookkeeping(self, route, oc, ec, comp):
+        intercept, coin = InterceptMeasure(route), DisturbPauli(route, CoinIZ())
+        assert {case.eve_branch for case in enumerate_exact(intercept, oc, ec, comp).per_case} \
+            == {"a", "b"}
+        assert {case.eve_branch for case in enumerate_exact(coin, oc, ec, comp).per_case} \
+            == {"none"}
+        assert enumerate_exact(intercept, oc, ec, comp).average == (
+            enumerate_exact(coin, oc, ec, comp).average)
+        by_case = self.case_detection(intercept, oc, ec, comp)
+        assert len(by_case) == 4
+        assert by_case == self.case_detection(coin, oc, ec, comp)
+        assert table_expectations(intercept, oc, ec, comp) == (
+            table_expectations(coin, oc, ec, comp))
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    def test_equal_message_errors(self, route):
+        intercept = message_error_rate(InterceptMeasure(route))
+        coin = message_error_rate(DisturbPauli(route, CoinIZ()))
+        assert (intercept.alice_to_bob, intercept.bob_to_alice, intercept.per_bit) == (
+            coin.alice_to_bob, coin.bob_to_alice, coin.per_bit)
+
+
 class TestSessionTableCache:
     def test_comparison_string_shares_the_entry(self):
         attack = DisturbPauli(Route.A_TO_B, CoinIZ())
@@ -666,6 +747,40 @@ class TestValidation:
     def test_bool_bits(self, bob_bits, alice_bits):
         with pytest.raises(TypeError, match="not bool"):
             RoundConfig(bob_bits, alice_bits)
+
+    @pytest.mark.parametrize("config", [None, ((0, 1), (1, 0)), "control"], ids=repr)
+    def test_round_rejects_a_config_that_is_not_a_round_config(self, config):
+        source = RandomSource(0)
+        state = source._rng.getstate()
+        with pytest.raises(TypeError,
+                           match=f"^config must be a RoundConfig, not {type(config).__name__}$"):
+            run_round(config, Passive(), source)
+        assert source._rng.getstate() == state
+
+    @pytest.mark.parametrize("conventions", ["oe", ("oe",), (OE, OE, OE), None, OE], ids=repr)
+    def test_session_rejects_conventions_that_are_no_pair(self, fresh_walk, conventions):
+        source = RandomSource(0)
+        state = source._rng.getstate()
+        with pytest.raises(TypeError, match="^conventions must be a pair of conventions, not "):
+            run_session(5, 0.5, source, InterceptMeasure(), conventions)
+        assert source._rng.getstate() == state
+        assert _session_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, 0.5j, [0.5]], ids=repr)
+    def test_session_rejects_a_fraction_that_is_no_real_number(self, fresh_walk, fraction):
+        source = RandomSource(0)
+        state = source._rng.getstate()
+        with pytest.raises(TypeError, match=f"^control_fraction must be a real number, "
+                                            f"not {type(fraction).__name__}$"):
+            run_session(5, fraction, source, InterceptMeasure())
+        assert source._rng.getstate() == state
+        assert _session_table.cache_info().currsize == 0
+
+    def test_session_takes_a_list_pair_and_a_fraction(self):
+        def session(fraction, conventions):
+            return run_session(300, fraction, RandomSource(5), InterceptMeasure(), conventions)
+
+        assert session(Fraction(1, 2), [PP, OE]) == session(0.5, (PP, OE))
 
     @pytest.mark.parametrize("rand", [None, 3, "random"], ids=repr)
     def test_round_rejects_a_value_that_draws_nothing(self, rand):

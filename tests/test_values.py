@@ -7,20 +7,25 @@ and compare strategies and labels, and reports compare field by field.
 """
 
 import copy
+import gc
 import pickle
+import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from qdialogue import analysis
 from qdialogue.analysis import (
     CaseDescriptor,
     ClaimsReport,
     DetectionReport,
     MessageErrorReport,
+    enumerate_exact,
 )
 from qdialogue.attacks import AppliedPauli, MeasuredBranch
-from qdialogue.exactstate import ExactState
+from qdialogue.exactstate import ALL_BIT_TUPLES, ExactState
 from qdialogue.model import (
     BellLabel,
     CoinIZ,
@@ -38,10 +43,12 @@ from qdialogue.model import (
     RoundConfig,
     Route,
     UniformAll4,
+    label_map,
 )
 from qdialogue.protocol import RoundTranscript
 from qdialogue.qcore import bell_state
 from qdialogue.sampling import McEstimate, SessionStats
+from test_analysis import ALL_COMBOS, ALL_STRATEGIES
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
@@ -150,6 +157,9 @@ VALUES = [
 UNHASHABLE_FIELDS = {"MessageErrorReport"}
 #: mutable classes: assignable and unhashable
 MUTABLE = {"RoundTranscript", "SessionStats", "DetectionReport"}
+#: frozen classes of a closed set of values built once: equal fields are the
+#: same object, hashed by identity
+INTERNED = {"CaseDescriptor"}
 
 params = pytest.mark.parametrize("name,make,text,fields,other", VALUES,
                                  ids=[v[0] for v in VALUES])
@@ -167,7 +177,10 @@ def test_repr(name, make, text, fields, other):
 @params
 def test_equality(name, make, text, fields, other):
     a, b = make(), make()
-    assert a is not b
+    if name in INTERNED:
+        assert a is b
+    else:
+        assert a is not b
     assert a == b and not a != b
     assert a != other and not a == other
     assert a != object() and a != fields
@@ -188,6 +201,9 @@ def test_hash_and_immutability(name, make, text, fields, other):
     if name in UNHASHABLE_FIELDS:
         with pytest.raises(TypeError):
             hash(value)
+    elif name in INTERNED:
+        assert hash(value) == object.__hash__(value)
+        assert hash(value) == hash(make())
     else:
         assert hash(value) == hash(fields)
         assert hash(value) == hash(make())
@@ -211,7 +227,9 @@ def test_copy_and_pickle(name, make, text, fields, other):
         assert type(twin) is type(value)
         assert twin == value
         assert repr(twin) == text
-        if hashable:
+        if name in INTERNED:
+            assert twin is value
+        elif hashable:
             assert hash(twin) == hash(fields)
 
 
@@ -237,6 +255,11 @@ def test_hash_reads_the_fields_once(monkeypatch, name, make, text, fields, other
             with pytest.raises(TypeError):
                 hash(value)
         assert len(reads) == 2 and all(read is value for read in reads)
+        return
+    if name in INTERNED:
+        for _ in range(3):
+            assert hash(value) == object.__hash__(value)
+        assert hash(make()) == hash(value) and reads == []
         return
     for _ in range(3):
         assert hash(value) == hash(fields)
@@ -287,6 +310,69 @@ def test_convention_hashes_by_identity(member):
     assert (key.cache_info().hits, key.cache_info().misses) == (3, 1)
 
 
+def test_case_descriptor_hashes_by_identity():
+    # the twelve descriptors are built once, so a copy is the same lru_cache key
+    assert CaseDescriptor.__hash__ is object.__hash__
+
+    @lru_cache(maxsize=None)
+    def key(case):
+        return case
+
+    case = CaseDescriptor(0, 1, 1, "b")
+    key(case)
+    for same in (CaseDescriptor(0, 1, 1, "b"), copy.copy(case), copy.deepcopy(case),
+                 pickle.loads(pickle.dumps(case))):
+        assert same is case
+        assert key(same) is case
+    assert (key.cache_info().hits, key.cache_info().misses) == (4, 1)
+
+
+def case_instances() -> list:
+    """Every ``CaseDescriptor`` alive in this process."""
+    return [value for value in gc.get_objects() if type(value) is CaseDescriptor]
+
+
+class TestCaseDomain:
+    """``CaseDescriptor`` is a closed set: m, n in {0, 1}, parity m xor n and
+    an Eve branch of 'a', 'b' or 'none', twelve values built at import.
+    Anything else raises and builds nothing."""
+
+    def test_twelve_values(self):
+        cases = list(analysis._CASES.values())
+        assert len(cases) == len(set(map(id, cases))) == 12
+        assert {(c.m, c.n, c.parity, c.eve_branch) for c in cases} == {
+            (m, n, m ^ n, branch)
+            for m in (0, 1) for n in (0, 1) for branch in ("a", "b", "none")}
+        assert all(CaseDescriptor(*c._values(c)) is c for c in cases)
+        assert sorted(map(id, case_instances())) == sorted(map(id, cases))
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((2, 3, 1), ValueError, "case bit m must be 0 or 1, got 2"),
+        ((True, 0, 1), TypeError, "case bit m must be an integer, not bool"),
+        ((0.0, 1, 1), TypeError, "case bit m must be an integer, not float"),
+        ((0, 1, 0), ValueError, "parity must equal m xor n"),
+        ((0, 1, 1, "c"), ValueError, "eve_branch must be 'a', 'b' or 'none', got 'c'"),
+    ], ids=["bits-out-of-range", "bool", "float", "parity", "branch"])
+    def test_outside_the_set_raises_and_builds_nothing(self, args, error, message):
+        before = case_instances()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CaseDescriptor(*args)
+        assert len(analysis._CASES) == 12
+        assert sorted(map(id, case_instances())) == sorted(map(id, before))
+
+    def test_reports_key_the_twelve(self, fresh_walk):
+        # cold and warm, over the whole grid with random case orders
+        cases = set(map(id, analysis._CASES.values()))
+        rng = random.Random(26)
+        for _ in range(2):
+            for attack in ALL_STRATEGIES:
+                for oc, ec, comp in ALL_COMBOS:
+                    report = enumerate_exact(attack, oc, ec, comp,
+                                             case_order=rng.sample(ALL_BIT_TUPLES, 16))
+                    assert set(map(id, report.per_case)) <= cases
+        assert sorted(map(id, case_instances())) == sorted(cases)
+
+
 def test_defaults():
     assert InterceptMeasure() == InterceptMeasure(Route.B_TO_A)
     assert DisturbPauli() == DisturbPauli(Route.A_TO_B, UniformAll4())
@@ -311,6 +397,21 @@ def test_keyword_construction():
     assert ExactState(z=((1, 0),) * 4, half=2) == ExactState(((1, 0),) * 4, 2)
     assert McEstimate(mean=0.5, standard_error=0.0, n=1, seed=0, generator_id="g") \
         == McEstimate(0.5, 0.0, 1, 0, "g")
+
+
+@pytest.mark.parametrize("convention", list(Convention), ids=repr)
+def test_bell_label_stores_the_convention_member(convention):
+    label = BellLabel(0, 1, convention.value)
+    assert label.convention is convention
+    assert label == BellLabel(0, 1, convention)
+    assert hash(label) == hash(BellLabel(0, 1, convention))
+    assert label_map(label) == label_map(BellLabel(0, 1, convention))
+
+
+@pytest.mark.parametrize("bad", ["bogus", "PP", None, 1, ["pp"]], ids=repr)
+def test_bell_label_rejects_an_unknown_convention(bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid Convention$"):
+        BellLabel(0, 1, bad)
 
 
 def test_round_config_coerces_mode_and_comparison():
