@@ -140,26 +140,10 @@ class MessageErrorReport(FrozenValue):
 
     __slots__ = ("attack", "alice_to_bob", "bob_to_alice", "per_bit")
 
-    def __init__(self, attack: EveStrategy, alice_to_bob: Fraction,
-                 bob_to_alice: Fraction, per_bit: dict[str, Fraction]):
-        object.__setattr__(self, "attack", attack)
-        object.__setattr__(self, "alice_to_bob", alice_to_bob)
-        object.__setattr__(self, "bob_to_alice", bob_to_alice)
-        object.__setattr__(self, "per_bit", per_bit)
-
 
 class ClaimsReport(FrozenValue):
     __slots__ = ("paper_claim", "cai_claim", "strict_paper_average",
                  "consistent_value", "explanation")
-
-    def __init__(self, paper_claim: Fraction, cai_claim: Fraction,
-                 strict_paper_average: Fraction, consistent_value: Fraction,
-                 explanation: str):
-        object.__setattr__(self, "paper_claim", paper_claim)
-        object.__setattr__(self, "cai_claim", cai_claim)
-        object.__setattr__(self, "strict_paper_average", strict_paper_average)
-        object.__setattr__(self, "consistent_value", consistent_value)
-        object.__setattr__(self, "explanation", explanation)
 
 
 @lru_cache(maxsize=None)

@@ -48,17 +48,9 @@ class MeasuredBranch(FrozenValue):
 
     __slots__ = ("branch", "t_outcome")
 
-    def __init__(self, branch: str, t_outcome: int):
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "t_outcome", t_outcome)
-
 
 class AppliedPauli(FrozenValue):
     __slots__ = ("u", "v")
-
-    def __init__(self, u: int, v: int):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 EveRecord = MeasuredBranch | AppliedPauli | None

@@ -60,10 +60,6 @@ class ExactState(FrozenValue):
 
     __slots__ = ("z", "half")
 
-    def __init__(self, z: tuple[Gaussian, Gaussian, Gaussian, Gaussian], half: int):
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "half", half)
-
     def norm_sq(self) -> Fraction:
         from fractions import Fraction
         return Fraction(sum(_gabs2(g) for g in self.z), 2 ** self.half)
@@ -165,9 +161,9 @@ def _home_branch(state: ExactState) -> str:
 
 def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[int, list]:
     """Expand every branch through one channel tap.  Branch masses are ints
-    over 2**exp; a selection's weights, which must sum to a power of two, or a
-    measurement's, scaled to the largest exponent, multiply them; returns the
-    new exponent and the new branches."""
+    over 2**exp; a selection's weights, which must each be at least 1 and sum
+    to a power of two, or a measurement's, scaled to the largest exponent,
+    multiply them; returns the new exponent and the new branches."""
     action = attack.tap(route)
     if action is None:
         return exp, branches
@@ -182,6 +178,8 @@ def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[i
     total = sum(weights)
     if total < 1 or total & (total - 1):
         raise InvariantError(f"non-dyadic draw weights {weights}")
+    if min(weights) < 1:
+        raise InvariantError(f"draw weight below 1 in {weights}")
     choices = [(w, _CODES[uv], uv) for w, uv in zip(weights, action.codes)]
     return exp + total.bit_length() - 1, [
         (mass * w, apply_pauli_t_exact(state, code), branch, uv)

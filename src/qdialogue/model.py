@@ -95,15 +95,33 @@ def _field_values(names: tuple[str, ...]):
     return lambda self: ()
 
 
+def _storing_init(cls: type, names: tuple[str, ...]):
+    """An ``__init__`` of ``cls`` with the parameters ``names``, in order and
+    with no defaults, that stores each with ``object.__setattr__`` (by plain
+    assignment, which skips the call, where ``cls`` keeps that method).
+    Built from source, as :mod:`dataclasses` builds one, so it has a real
+    signature and Python's own argument errors, which name ``cls``."""
+    store = "self.{0} = {0}" if cls.__setattr__ is object.__setattr__ else "_set(self, {0!r}, {0})"
+    stores = "".join("\n    " + store.format(name) for name in names)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Value:
     """Base of the package's value classes.  A subclass names its fields in
-    ``__slots__``, in order, and sets them in its own ``__init__``, whose
-    parameters are the fields in that order.
+    ``__slots__``, in order.  Unless it defines ``__init__`` or ``__new__``,
+    to check, convert or default its arguments, it gets an ``__init__``
+    whose parameters are its fields in that order, which stores each
+    (:func:`_storing_init`).
 
     ``repr`` is ``Name(field=value, ...)``, instances are equal only to
     instances of the same class with equal fields, and copies and pickles
-    are rebuilt through ``__init__``.  Instances are mutable and unhashable;
-    :class:`FrozenValue` makes them immutable and hashable.
+    are rebuilt through the constructor, from the fields in order.
+    Instances are mutable and unhashable; :class:`FrozenValue` makes them
+    immutable and hashable.
     """
 
     __slots__ = ()
@@ -111,7 +129,11 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._values = staticmethod(_field_values(cls.__slots__))
+        fields = cls.__slots__
+        cls._values = staticmethod(_field_values(fields))
+        # FrozenValue's one slot holds its hash and is no field
+        if fields and fields != ("_hash",) and not {"__init__", "__new__"} & vars(cls).keys():
+            cls.__init__ = _storing_init(cls, fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -128,8 +150,9 @@ class Value:
 
 
 class FrozenValue(Value):
-    """An immutable :class:`Value`, hashed as the tuple of its fields.  Its
-    ``__init__`` sets each field with ``object.__setattr__``.
+    """An immutable :class:`Value`, hashed as the tuple of its fields.  A
+    constructor of its own sets each field with ``object.__setattr__``, as
+    the derived one does.
 
     The hash is computed at first use and kept in the slot ``_hash``, which
     is not a field: ``repr``, ``==``, copies and pickles never see it, so a
@@ -206,10 +229,6 @@ class PhasedPauli(FrozenValue):
     """A Pauli code together with the exact scalar picked up by composition."""
 
     __slots__ = ("code", "phase")
-
-    def __init__(self, code: PauliCode, phase: Phase):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "phase", phase)
 
 
 class Convention(Enum):
@@ -390,6 +409,20 @@ class Route(Enum):
     A_TO_B = "a2b"
 
 
+#: each route, by member and by value
+_ROUTE = {key: member for member in Route for key in (member, member.value)}
+
+
+def _route(value) -> Route:
+    """``value``, a route member or its string value, as the member;
+    anything else raises the ``ValueError`` of ``Route``, an unhashable
+    value included."""
+    try:
+        return _ROUTE[value]
+    except (KeyError, TypeError):
+        return Route(value)
+
+
 # Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
 # picks from and their integer ``weights``, which sum to a power of two: code
 # x has probability weights[x] / sum(weights), and a draw u picks the first
@@ -449,8 +482,9 @@ TapAction = Measure | Selection | None
 
 
 # Strategies.  A route is stored as its member, given as the member or its
-# string value, so both forms build equal strategies that share every cache;
-# anything else raises the ValueError of ``Route``.
+# string value (``_route``), so both forms build equal strategies that share
+# every cache; ``tap`` takes either form too.  Anything else raises the
+# ValueError of ``Route``.
 
 class Passive(FrozenValue):
     """No tampering."""
@@ -458,6 +492,7 @@ class Passive(FrozenValue):
     __slots__ = ()
 
     def tap(self, route: Route) -> TapAction:
+        _route(route)
         return None
 
 
@@ -468,10 +503,10 @@ class InterceptMeasure(FrozenValue):
     __slots__ = ("route",)
 
     def __init__(self, route: Route = Route.B_TO_A):
-        object.__setattr__(self, "route", Route(route))
+        object.__setattr__(self, "route", _route(route))
 
     def tap(self, route: Route) -> TapAction:
-        return MEASURE if route is self.route else None
+        return MEASURE if _route(route) is self.route else None
 
 
 class DisturbPauli(FrozenValue):
@@ -487,11 +522,11 @@ class DisturbPauli(FrozenValue):
             raise TypeError(f"selection must be a rule instance, not the class {selection!r}")
         if not (hasattr(selection, "codes") and hasattr(selection, "weights")):
             raise TypeError(f"selection must have codes and weights, not {selection!r}")
-        object.__setattr__(self, "route", Route(route))
+        object.__setattr__(self, "route", _route(route))
         object.__setattr__(self, "selection", selection)
 
     def tap(self, route: Route) -> TapAction:
-        return self.selection if route is self.route else None
+        return self.selection if _route(route) is self.route else None
 
 
 EveStrategy = Passive | InterceptMeasure | DisturbPauli

@@ -22,13 +22,12 @@ the reports in :mod:`qdialogue.analysis`; none of them loads this module.
 from __future__ import annotations
 
 from . import model
-from .attacks import EveRecord, EveStrategy, apply_eve
+from .attacks import EveStrategy, apply_eve
 # Mode and RoundConfig are also imported from here by tests/test_acceptance.py,
 # and bench/tracer.py counts RoundConfig at this lookup site
 from .model import (
     _MESSAGE,
     _OE,
-    BellLabel,
     Mode,
     PauliCode,
     RandomSource,
@@ -49,34 +48,6 @@ class RoundTranscript(Value):
               "after_eve_a2b")
     __slots__ = ("config", *STATES, "eve_record", "bell_outcome", "bell_probability",
                  "decoded_alice_bits", "decoded_bob_bits", "detected")
-
-    def __init__(
-        self,
-        config: RoundConfig,
-        after_prepare: TwoQubitState,
-        after_bob_encode: TwoQubitState,
-        after_eve_b2a: TwoQubitState,
-        after_alice_encode: TwoQubitState,
-        after_eve_a2b: TwoQubitState,
-        eve_record: EveRecord,
-        bell_outcome: BellLabel,
-        bell_probability: float,
-        decoded_alice_bits: tuple[int, int] | None = None,
-        decoded_bob_bits: tuple[int, int] | None = None,
-        detected: bool | None = None,
-    ):
-        self.config = config
-        self.after_prepare = after_prepare
-        self.after_bob_encode = after_bob_encode
-        self.after_eve_b2a = after_eve_b2a
-        self.after_alice_encode = after_alice_encode
-        self.after_eve_a2b = after_eve_a2b
-        self.eve_record = eve_record
-        self.bell_outcome = bell_outcome
-        self.bell_probability = bell_probability
-        self.decoded_alice_bits = decoded_alice_bits
-        self.decoded_bob_bits = decoded_bob_bits
-        self.detected = detected
 
     def snapshots(self) -> tuple[TwoQubitState, ...]:
         """The round's five states, in the order of ``STATES``."""

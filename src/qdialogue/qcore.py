@@ -35,6 +35,7 @@ from .model import (
     InvariantError,
     PauliCode,
     RandomSource,
+    _convention,
     pauli_action_closed_form,
     pauli_compose,
 )
@@ -129,17 +130,20 @@ _BELL_CONJ = {
 
 
 def bell_state(convention: Convention, k: int, l: int) -> TwoQubitState:
-    """The Bell state named (k, l) under the given convention."""
-    return _BELL_STATES[(convention, k, l)]
+    """The Bell state named (k, l) under the given convention, a member or
+    its string value (:func:`~qdialogue.model._convention`)."""
+    return _BELL_STATES[(_convention(convention), k, l)]
 
 
 def bell_decompose(
     state: TwoQubitState, convention: Convention
 ) -> dict[BellLabel, complex]:
-    """Inner products <Psi_{k,l}|state> for all four labels of a convention."""
+    """Inner products <Psi_{k,l}|state> for all four labels of a convention,
+    a member or its string value; :func:`measure_bell` takes its convention
+    through here."""
     a = state.amp
     return {label: b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
-            for label, b in _BELL_CONJ[convention]}
+            for label, b in _BELL_CONJ[_convention(convention)]}
 
 
 def recompose(coeffs: dict[BellLabel, complex]) -> TwoQubitState:

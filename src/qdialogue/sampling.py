@@ -49,14 +49,6 @@ MC_CHUNK_ROUNDS = 2048
 class McEstimate(FrozenValue):
     __slots__ = ("mean", "standard_error", "n", "seed", "generator_id")
 
-    def __init__(self, mean: float, standard_error: float, n: int, seed: int,
-                 generator_id: str):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "generator_id", generator_id)
-
 
 class SessionStats(Value):
     """Counts of a session; each bit-error list defaults to a new ``[0, 0]``."""

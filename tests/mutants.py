@@ -1,0 +1,102 @@
+"""Mutation checks that anyone can rerun.
+
+Each mutant names a file, an exact ``old`` text that occurs there once, the
+``new`` text that replaces it, and the tests that must fail once it is
+applied.  Run from anywhere:
+
+    python tests/mutants.py
+
+For each mutant, a fresh temporary copy of ``src/`` and ``tests/`` runs each
+listed test in its own pytest process, first unmutated and then mutated.  A
+test kills its mutant when it passes on the unmutated copy and fails on the
+mutated one; any other outcome (a pass on the mutated copy, or an error
+such as a test that is not found) is reported, and the runner exits 1.
+Nothing is written to the checkout.  ``tests/test_mutants.py`` checks, with
+no subprocess, that every ``old`` text still occurs once and that every
+listed test exists, so a change that moves mutated code updates its mutant
+here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "file old new tests")
+
+MUTANTS = {
+    # the float round picks a code by the selection's weights read in reverse
+    "float-tap-reversed-weights": Mutant(
+        "src/qdialogue/attacks.py",
+        "accumulate(weights)",
+        "accumulate(weights[::-1])",
+        ("tests/test_protocol.py::TestRoundFollowsTree::test_every_leaf",),
+    ),
+    # the exact walk weighs each code by the selection's weights read in reverse
+    "exact-tap-reversed-weights": Mutant(
+        "src/qdialogue/exactstate.py",
+        "zip(weights, action.codes)",
+        "zip(weights[::-1], action.codes)",
+        ("tests/test_law.py::test_detection_is_linear_in_the_weights",
+         "tests/test_analysis.py::TestFractionReference::test_no_rounding_with_a_third"),
+    ),
+}
+
+
+def apply(root: Path, mutant: Mutant) -> None:
+    """Replace the mutant's ``old`` text, which must occur once, in the copy
+    at ``root``."""
+    path = root / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.file}: {mutant.old!r} occurs {text.count(mutant.old)} times")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def pytest_exit_code(root: Path, test: str) -> int:
+    """The exit code of one pytest process that runs ``test`` in the copy at
+    ``root``: 0 when it passes and 1 when it fails."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def verdict(unmutated: int, mutated: int) -> str:
+    if unmutated:
+        return f"ERROR: fails unmutated (pytest exit {unmutated})"
+    if not mutated:
+        return "SURVIVED"
+    if mutated != 1:
+        return f"ERROR: pytest exit {mutated} on the mutated copy"
+    return "killed"
+
+
+def main() -> int:
+    failed = 0
+    for name, mutant in MUTANTS.items():
+        with tempfile.TemporaryDirectory(prefix="qdialogue-mutant-") as tmp:
+            root = Path(tmp)
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            shutil.copy(ROOT / "pyproject.toml", root)
+            unmutated = {test: pytest_exit_code(root, test) for test in mutant.tests}
+            apply(root, mutant)
+            mutated = {test: pytest_exit_code(root, test) for test in mutant.tests}
+        for test in mutant.tests:
+            result = verdict(unmutated[test], mutated[test])
+            failed += result != "killed"
+            print(f"{name}: {test}: {result}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {failed} checks not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -755,6 +755,18 @@ class TestConservation:
         with pytest.raises(InvariantError, match="non-dyadic"):
             enumerate_exact(attack)
 
+    @pytest.mark.parametrize("weights", [(0, 2), (2, 0)], ids=repr)
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    def test_zero_draw_weight_raises(self, route, weights):
+        # a code that is never applied; the samplers walk first, so they
+        # reject it as the exact reports do
+        attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1)), weights))
+        for engine in (enumerate_exact, message_error_rate,
+                       lambda eve: monte_carlo(eve, n=8),
+                       lambda eve: run_session(8, 0.5, RandomSource(0), eve)):
+            with pytest.raises(InvariantError, match=re.escape(f"weight below 1 in {weights}")):
+                engine(attack)
+
 
 class TestWalkCache:
     """The exact walk is made and each exact configuration folded once, and

@@ -11,6 +11,7 @@ from qdialogue.analysis import enumerate_exact, message_error_rate
 from qdialogue.attacks import AppliedPauli, MeasuredBranch, apply_eve
 from qdialogue.exactstate import ExactState
 from qdialogue.model import (
+    MEASURE,
     CoinIZ,
     Convention,
     DisturbPauli,
@@ -245,8 +246,9 @@ class TestRouteValues:
         assert monte_carlo(InterceptMeasure("a2b"), n=1000, seed=4).mean > 0.4
         assert exactstate._walk.cache_info().currsize == 3
 
-    @pytest.mark.parametrize("bad", [None, "B2A", "b2a ", 1, ["b2a"], Convention.PARITY_PHASE],
-                             ids=repr)
+    BAD = [None, "B2A", "b2a ", 1, ["b2a"], Convention.PARITY_PHASE]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_rejects_other_values(self, bad):
         with pytest.raises(ValueError, match="not a valid Route"):
             InterceptMeasure(bad)
@@ -254,6 +256,23 @@ class TestRouteValues:
             DisturbPauli(bad)
         with pytest.raises(ValueError, match="not a valid Route"):
             DisturbPauli(bad, Fixed(0, 1))
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+    def test_tap_takes_the_value(self, route):
+        # the value names its own tap, not the other one
+        other, = set(Route) - {route}
+        intercept, fixed = InterceptMeasure(route), DisturbPauli(route, Fixed(0, 1))
+        assert intercept.tap(route.value) is intercept.tap(route) is MEASURE
+        assert fixed.tap(route.value) == fixed.tap(route) == Fixed(0, 1)
+        for strategy in (intercept, fixed):
+            assert strategy.tap(other.value) is strategy.tap(other) is None
+        assert Passive().tap(route.value) is None
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_tap_rejects_other_values(self, bad):
+        for strategy in (Passive(), InterceptMeasure(), DisturbPauli(selection=Fixed(0, 1))):
+            with pytest.raises(ValueError, match="not a valid Route"):
+                strategy.tap(bad)
 
 
 class TestSelectionValues:

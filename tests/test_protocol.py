@@ -47,7 +47,7 @@ from qdialogue.sampling import (
     monte_carlo,
     run_session,
 )
-from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS
+from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS, StubSelection
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
@@ -364,8 +364,15 @@ class TestRoundFollowsTree:
     walk's weight and Eve's branch: a deterministic check of the float
     simulator against the exact walk."""
 
+    #: draw weights that differ, which no shipped selection has, so that the
+    #: mid-interval draws pick each code by its cumulative weight
+    NON_UNIFORM = [DisturbPauli(route, StubSelection(codes, weights))
+                   for route in Route
+                   for codes, weights in ((((0, 0), (1, 1)), (1, 3)),
+                                          (((0, 0), (0, 1), (1, 0), (1, 1)), (1, 1, 2, 4)))]
+
     @pytest.mark.parametrize("convention", [OE, PP])
-    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES + NON_UNIFORM, ids=repr)
     def test_every_leaf(self, attack, convention):
         _exp, groups = _walk(attack, convention)
         # a group's index is its bit tuple's place in ALL_BIT_TUPLES

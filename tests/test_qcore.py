@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 from itertools import product
 
 import numpy as np
@@ -313,6 +314,31 @@ class TestMeasurement:
             a = s.amp
             p_t = (abs(a[0]) ** 2 + abs(a[2]) ** 2) + (abs(a[1]) ** 2 + abs(a[3]) ** 2)
             assert abs(p_t - 1.0) <= ALG_TOL
+
+
+class TestConventionValues:
+    """The Bell functions take a convention as its member or its string
+    value; anything else raises the ValueError of ``Convention``."""
+
+    STATE = bell_state(OE, 0, 1)
+
+    @pytest.mark.parametrize("conv", [OE, PP], ids=lambda conv: conv.value)
+    def test_value_names_the_member(self, conv):
+        for k, l in BELL_LABEL_ORDER:
+            assert bell_state(conv.value, k, l) is bell_state(conv, k, l)
+        assert bell_decompose(self.STATE, conv.value) == bell_decompose(self.STATE, conv)
+        assert measure_bell(self.STATE, conv.value, RandomSource(3)) == (
+            measure_bell(self.STATE, conv, RandomSource(3)))
+
+    @pytest.mark.parametrize("bad", ["bogus", "PP", None, 1, ["pp"]], ids=repr)
+    def test_rejects_other_values(self, bad):
+        message = f"^{re.escape(repr(bad))} is not a valid Convention$"
+        with pytest.raises(ValueError, match=message):
+            bell_state(bad, 0, 0)
+        with pytest.raises(ValueError, match=message):
+            bell_decompose(self.STATE, bad)
+        with pytest.raises(ValueError, match=message):
+            measure_bell(self.STATE, bad, RandomSource(0))
 
 
 class TestGlobalPhase:

@@ -8,6 +8,7 @@ and compare strategies and labels, and reports compare field by field.
 
 import copy
 import gc
+import inspect
 import pickle
 import random
 import re
@@ -231,6 +232,42 @@ def test_copy_and_pickle(name, make, text, fields, other):
             assert twin is value
         elif hashable:
             assert hash(twin) == hash(fields)
+
+
+#: the classes whose constructor ``Value`` derives from their fields; the
+#: others check, convert or default their arguments, or build themselves
+DERIVED = ("PhasedPauli", "MeasuredBranch", "AppliedPauli", "ExactState",
+           "RoundTranscript", "McEstimate", "MessageErrorReport", "ClaimsReport")
+
+
+@params
+def test_signature_lists_the_fields(name, make, text, fields, other):
+    cls = type(make())
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+
+
+def test_derived_constructors():
+    # a derived constructor is compiled from source built at import
+    for name, make, *_ in VALUES:
+        code = getattr(type(make()).__init__, "__code__", None)
+        assert (code is not None and code.co_filename == "<string>") == (name in DERIVED), name
+
+
+@pytest.mark.parametrize("name,make", [pytest.param(name, make, id=name)
+                                       for name, make, *_ in VALUES if name in DERIVED])
+def test_derived_constructor_names_its_class(name, make):
+    value = make()
+    cls, values = type(value), value._values(value)
+    assert cls(*values) == value
+    # a derived constructor gives no parameter a default
+    assert all(p.default is p.empty for p in inspect.signature(cls).parameters.values())
+    n = len(values)
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required "
+                                        rf"positional argument: '{cls.__slots__[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) takes {n + 1} "
+                                        rf"positional arguments but {n + 2} were given$"):
+        cls(*values, None)
 
 
 frozen_params = pytest.mark.parametrize(
