@@ -31,6 +31,7 @@ from .model import (
     RandomSource,
     Route,
     UniformAll4,
+    _draw_total,
 )
 from .qcore import ALG_TOL, TwoQubitState, apply_pauli_t, measure_t_computational
 
@@ -81,7 +82,8 @@ def apply_eve(
 
     A tap without an action forwards the state untouched with record None.
     Only the branch the draw picks is computed.  A non-strategy raises
-    TypeError.
+    TypeError, and a selection is checked as the exact walk checks it
+    (:func:`~qdialogue.model._draw_total`).
     """
     if not isinstance(strategy, EveStrategy):
         raise TypeError(f"not an Eve strategy: {strategy!r}")
@@ -93,8 +95,8 @@ def apply_eve(
         t_outcome, collapsed, _p = measure_t_computational(state, rand)
         return collapsed, MeasuredBranch(_home_branch(collapsed), t_outcome)
 
-    codes, weights = action.codes, action.weights
-    # the weights sum to a power of two, so u * sum(weights) is exact
-    u, v = codes[bisect_right(list(accumulate(weights)), rand.random() * sum(weights))
+    codes, weights, total = action.codes, action.weights, _draw_total(action)
+    # the weights sum to a power of two, so u * total is exact
+    u, v = codes[bisect_right(list(accumulate(weights)), rand.random() * total)
                  if len(codes) > 1 else 0]
     return apply_pauli_t(state, PauliCode(u, v)), AppliedPauli(u, v)

@@ -2,16 +2,17 @@
 
 Every state reached in the protocol has amplitudes of the form
 z / sqrt(2)**half with z a Gaussian integer, so a state is a 4-tuple of
-(re, im) integer pairs plus one shared square-root-of-two exponent.  Every
-probability is dyadic: :func:`bell_weights_exact` returns a Bell
-measurement's Born weights as integer numerators over 2**(half + 1) and
-:func:`measure_t_branches` a t-measurement's over 2**half.  The exact Bell
-states and their conjugates are read from the table that names the Bell
-states once, :data:`qdialogue.model.BELL_NUMERATORS`.
+(re, im) integer pairs plus one shared square-root-of-two exponent.
+:func:`bell_weights_exact` returns a Bell measurement's Born weights as
+integer numerators over 2**(half + 1), and :func:`measure_t_branches` a
+t-measurement's parts unnormalized, at the same exponent, so no state is
+ever rescaled.  The exact Bell states and their conjugates are read from
+the table that names the Bell states once,
+:data:`qdialogue.model.BELL_NUMERATORS`.
 
 One exact walk yields every leaf of a round's tree: the 16 encoding-bit
 tuples, the branches of Eve's tap action, and the four Bell outcomes, each
-mass an int over a power of two, Eve's draw weights included.
+mass an int over one power of two, Eve's draw weights included.
 :func:`_walk` makes it once per strategy and outcome convention, and
 :func:`_outcome_tallies` applies the rules of :mod:`qdialogue.model` once
 per conventions and comparison: per bit tuple, one tally byte per Bell
@@ -42,6 +43,7 @@ from .model import (
     PauliCode,
     RoundConfig,
     Route,
+    _draw_total,
     control_detected,
     decode_message,
 )
@@ -94,25 +96,17 @@ def apply_pauli_t_exact(state: ExactState, code: PauliCode) -> ExactState:
     return ExactState(tuple(out), state.half)
 
 
-def measure_t_branches(state: ExactState) -> list[tuple[int, ExactState, int]]:
-    """All nonzero branches of a computational t-measurement.
-
-    Returns (weight, collapsed renormalized state, t outcome) triples, each
-    weight an integer numerator over 2**state.half.  Collapse probabilities
-    in this protocol are always powers of 1/2, which keeps renormalization
-    inside the Gaussian-integer ring; any other raises InvariantError.
-    """
-    branches = []
-    for outcome in (0, 1):
-        kept = tuple(g if (x & 1) == outcome else _ZERO for x, g in enumerate(state.z))
-        weight = sum(map(_gabs2, kept))
-        if weight:
-            # weight / 2**state.half must be 1 / 2**(state.half - half)
-            half = weight.bit_length() - 1
-            if weight & (weight - 1) or half > state.half:
-                raise InvariantError(f"non-dyadic collapse probability {weight}/{1 << state.half}")
-            branches.append((weight, ExactState(kept, half), outcome))
-    return branches
+def measure_t_branches(state: ExactState) -> list[tuple[ExactState, int]]:
+    """The nonzero parts P_t psi of ``state`` under a computational
+    t-measurement, each with its outcome t, in t order.  A part is not
+    renormalized: it keeps ``state.half``, so its norm is its outcome's
+    probability times the state's."""
+    parts = []
+    for t in (0, 1):
+        part = tuple(g if (x & 1) == t else _ZERO for x, g in enumerate(state.z))
+        if any(map(_gabs2, part)):
+            parts.append((ExactState(part, state.half), t))
+    return parts
 
 
 #: per convention, each Bell state's conjugated nonzero amplitudes as
@@ -161,25 +155,17 @@ def _home_branch(state: ExactState) -> str:
 
 def _tap(attack: EveStrategy, route: Route, exp: int, branches: list) -> tuple[int, list]:
     """Expand every branch through one channel tap.  Branch masses are ints
-    over 2**exp; a selection's weights, which must each be at least 1 and sum
-    to a power of two, or a measurement's, scaled to the largest exponent,
+    over 2**exp; a measurement forwards each part of a state at its mass,
+    and the weights of a selection, checked by :func:`_draw_total`,
     multiply them; returns the new exponent and the new branches."""
     action = attack.tap(route)
     if action is None:
         return exp, branches
     if action is MEASURE:
-        split = [(mass * w, state.half, collapsed, sel)
-                 for mass, state, _branch, sel in branches
-                 for w, collapsed, _t in measure_t_branches(state)]
-        top = max((half for _, half, _, _ in split), default=0)
-        return exp + top, [(mass << top - half, collapsed, _home_branch(collapsed), sel)
-                           for mass, half, collapsed, sel in split]
-    weights = action.weights
-    total = sum(weights)
-    if total < 1 or total & (total - 1):
-        raise InvariantError(f"non-dyadic draw weights {weights}")
-    if min(weights) < 1:
-        raise InvariantError(f"draw weight below 1 in {weights}")
+        return exp, [(mass, part, _home_branch(part), sel)
+                     for mass, state, _branch, sel in branches
+                     for part, _t in measure_t_branches(state)]
+    weights, total = action.weights, _draw_total(action)
     choices = [(w, _CODES[uv], uv) for w, uv in zip(weights, action.codes)]
     return exp + total.bit_length() - 1, [
         (mass * w, apply_pauli_t_exact(state, code), branch, uv)
@@ -193,18 +179,20 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
 
     Returns (D, groups): per bit tuple, at its place in ``ALL_BIT_TUPLES``,
     the tuple of its leaves, one per Eve branch.  A leaf is (Eve branch
-    tag, applied (u, v) or None, masses): its Eve branch's probability
-    times the Born weight of each Bell outcome under ``convention``, in
-    ``BELL_LABEL_ORDER``, as ints over 2**D.  Everything cached is a tuple,
-    so no caller can change what the next one reads.  The exact primitives
-    are looked up as this module's globals when the walk runs; a test that
-    patches one clears this cache first.  Every engine walks first, so
-    each raises TypeError here for a non-strategy.
+    tag, applied (u, v) or None, masses): its branch's draw mass times the
+    Born weight of each Bell outcome of its unnormalized state under
+    ``convention``, in ``BELL_LABEL_ORDER``, as ints over 2**D, one D for
+    every bit tuple (checked): the selection's exponent + ``half`` + 1.
+    Everything cached is a tuple, so no caller can change what the next one
+    reads.  The exact primitives are looked up as this module's globals
+    when the walk runs; a test that patches one clears this cache first.
+    Every engine walks first, so each raises TypeError here for a
+    non-strategy.
     """
     if not isinstance(attack, EveStrategy):
         raise TypeError(f"not an Eve strategy: {attack!r}")
     start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
-    walked = []  # per bit tuple, its leaves as (exponent, mass, branch, sel, weights)
+    exps, groups = set(), []
     for bits in ALL_BIT_TUPLES:
         i, j, k, l = bits
         exp, branches = 0, [(1, start, "none", None)]
@@ -213,19 +201,20 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
             exp, branches = _tap(attack, route, exp, [
                 (m, apply_pauli_t_exact(s, code), br, sel) for m, s, br, sel in branches
             ])
-        if sum(m for m, *_ in branches) != 1 << exp:
+        exps.add(exp)
+        # a branch's probability is its mass times its state's norm
+        if sum(m * sum(map(_gabs2, s.z)) for m, s, *_ in branches) != 1 << exp + start.half:
             raise InvariantError(f"Eve's branches of bit tuple {bits} do not sum to 1")
-        walked.append(leaves := [])
+        leaves = []
         for mass, state, branch, sel in branches:
             weights = bell_weights_exact(state, convention)
-            if sum(weights) != 2 << state.half:
-                raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to 1")
-            leaves.append((exp + state.half + 1, mass, branch, sel, weights))
-    top = max(e for leaves in walked for e, *_ in leaves)
-    return top, tuple(
-        tuple((branch, sel, tuple(w * (mass << top - e) for w in weights))
-              for e, mass, branch, sel, weights in leaves)
-        for leaves in walked)
+            if sum(weights) != 2 * sum(map(_gabs2, state.z)):
+                raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to its norm")
+            leaves.append((branch, sel, tuple(mass * w for w in weights)))
+        groups.append(tuple(leaves))
+    if len(exps) != 1:
+        raise InvariantError(f"the bit tuples' Eve branches are over exponents {sorted(exps)}")
+    return exp + start.half + 1, tuple(groups)
 
 
 #: the tallies a round adds to a session, one bit each: control and detected

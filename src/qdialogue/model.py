@@ -308,7 +308,10 @@ _ACTION = {
 
 
 def pauli_action_closed_form(code: PauliCode, basis_bit: int) -> tuple[Phase, int]:
-    """Exact action of C_{a,b} on |basis_bit>: returns (phase, result_bit)."""
+    """Exact action of C_{a,b} on |basis_bit>: returns (phase, result_bit).
+    A ``code`` that is no :class:`PauliCode` raises TypeError."""
+    if not isinstance(code, PauliCode):
+        raise TypeError(f"code must be a PauliCode, not {type(code).__name__}")
     if basis_bit not in (0, 1):
         raise ValueError(f"basis bit must be 0/1, got {basis_bit}")
     return _ACTION[(code.a, code.b, basis_bit)]
@@ -357,8 +360,12 @@ def label_map(label: BellLabel) -> BellLabel:
     """The opposite-convention label naming the same physical Bell state.
 
     (k, l) -> (k, 1 xor k xor l); involutive, and the mapped pair of states
-    always has unit overlap magnitude.
+    always has unit overlap magnitude.  A ``label`` that is no
+    :class:`BellLabel` raises TypeError, checked on a cache miss only, and
+    caches nothing.
     """
+    if not isinstance(label, BellLabel):
+        raise TypeError(f"label must be a BellLabel, not {type(label).__name__}")
     return BellLabel(label.k, 1 ^ label.k ^ label.l, label.convention.other())
 
 
@@ -467,6 +474,27 @@ class CoinIZ(FrozenValue):
 
 
 Selection = Fixed | UniformAll4 | CoinIZ
+
+
+def _draw_total(selection) -> int:
+    """The sum of ``selection``'s draw weights, after the one check that
+    both engines' taps make of a selection: each code a (u, v) tuple of two
+    bits (:func:`_bit`), else TypeError or ValueError, and one weight per
+    code, each at least 1, summing to a power of two, else InvariantError."""
+    codes, weights = selection.codes, selection.weights
+    for code in codes:
+        if not isinstance(code, tuple) or len(code) != 2:
+            raise TypeError(f"a selection code must be a (u, v) tuple, not {code!r}")
+        _bit(code[0], "selection code bit u")
+        _bit(code[1], "selection code bit v")
+    if len(weights) != len(codes):
+        raise InvariantError(f"draw weights {weights} are not one per code of {codes}")
+    total = sum(weights)
+    if total < 1 or total & (total - 1):
+        raise InvariantError(f"non-dyadic draw weights {weights}")
+    if min(weights) < 1:
+        raise InvariantError(f"draw weight below 1 in {weights}")
+    return total
 
 
 class Measure(FrozenValue):

@@ -139,8 +139,11 @@ def bell_decompose(
     state: TwoQubitState, convention: Convention
 ) -> dict[BellLabel, complex]:
     """Inner products <Psi_{k,l}|state> for all four labels of a convention,
-    a member or its string value; :func:`measure_bell` takes its convention
-    through here."""
+    a member or its string value; :func:`measure_bell` takes its state and
+    convention through here.  A ``state`` that is no :class:`TwoQubitState`
+    raises TypeError."""
+    if not isinstance(state, TwoQubitState):
+        raise TypeError(f"state must be a TwoQubitState, not {type(state).__name__}")
     a = state.amp
     return {label: b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
             for label, b in _BELL_CONJ[_convention(convention)]}

@@ -45,6 +45,32 @@ MUTANTS = {
         ("tests/test_law.py::test_detection_is_linear_in_the_weights",
          "tests/test_analysis.py::TestFractionReference::test_no_rounding_with_a_third"),
     ),
+    # the walk drops each leaf's draw mass: every code weighs alike, which
+    # no sum check sees, since the branch masses are summed before it
+    "walk-drops-draw-mass": Mutant(
+        "src/qdialogue/exactstate.py",
+        "tuple(mass * w for w in weights)",
+        "weights",
+        ("tests/test_law.py::test_detection_is_linear_in_the_weights",
+         "tests/test_analysis.py::TestEnumerateExact::test_agrees_with_oracle_beyond_its_grid"),
+    ),
+    # Eve's measurement keeps the t = 0 part for both outcomes: the parts
+    # still carry all of the probability, so only the values change
+    "measure-keeps-t0-twice": Mutant(
+        "src/qdialogue/exactstate.py",
+        "(x & 1) == t",
+        "(x & 1) == 0",
+        ("tests/test_analysis.py::TestEnumerateExact::test_agrees_with_brute_force_oracle",
+         "tests/test_analysis.py::TestFractionReference::test_detection_reports_equal_reference",
+         "tests/test_grid.py::test_every_engine_gives_the_committed_grid"),
+    ),
+    # the samplers take Bob's bits k and l from each other's draw
+    "session-bit-keys-swapped": Mutant(
+        "src/qdialogue/sampling.py",
+        "(5, 4, 7, 6)",
+        "(4, 5, 7, 6)",
+        ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",),
+    ),
 }
 
 

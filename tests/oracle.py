@@ -6,7 +6,9 @@ conversion is done by overlap search instead of a formula, expected labels
 come from simulating the undisturbed round, message bits are decoded by
 searching for the undisturbed round that lands on the measured state, and
 probabilities are floats snapped to small rationals at the very end.  Eve's
-strategies are dispatched on their classes, not through their taps.
+strategies are dispatched on their classes, not through their taps, and
+the shipped selection rules' probabilities are written out; any other
+selection is read from its ``codes`` and ``weights``.
 """
 
 from __future__ import annotations
@@ -103,7 +105,10 @@ def _tap_branches(attack, route: Route, branches):
         elif isinstance(attack.selection, CoinIZ):
             choices = [(0.5, 0, 0), (0.5, 1, 1)]
         else:
-            raise TypeError(attack.selection)
+            # any other selection by its own codes and weights
+            codes, weights = attack.selection.codes, attack.selection.weights
+            choices = [(w / sum(weights), u, v)
+                       for w, (u, v) in zip(weights, codes, strict=True)]
         return [
             (p * q, _pauli_t(u, v) @ phi, br, (u, v))
             for p, phi, br, sel in branches

@@ -32,7 +32,6 @@ from qdialogue.analysis import (
 from qdialogue.exactstate import (
     ALL_BIT_TUPLES,
     ExactState,
-    _gabs2,
     apply_pauli_t_exact,
     bell_weights_exact,
     exact_bell,
@@ -88,6 +87,15 @@ ORACLE_STRATEGIES = [
     DisturbPauli(selection=Fixed(1, 0)),
 ]
 ORACLE_STRATEGIES += [s for s in ALL_STRATEGIES if s not in ORACLE_STRATEGIES]
+#: selections that no shipped rule has, each on both routes, which the
+#: oracle reads by their codes and weights: those of
+#: ``TestRoundFollowsTree.NON_UNIFORM`` (test_protocol.py), then the stub
+#: examples of ``test_detection_is_linear_in_the_weights`` (test_law.py)
+STUB_SELECTIONS = [(((0, 0), (1, 1)), (1, 3)),
+                   (((0, 0), (0, 1), (1, 0), (1, 1)), (1, 1, 2, 4)),
+                   (((1, 1), (0, 0)), (3, 1)),
+                   (((0, 1), (0, 0), (1, 0)), (1, 1, 2)),
+                   (((0, 0), (0, 1), (1, 0), (1, 1)), (1, 2, 4, 9))]
 #: the last seed is above 2**32, so all of MT19937's seed words are used
 MC_SEEDS = (0, 7, 2**40 + 3)
 
@@ -131,7 +139,13 @@ def reference_apply_pauli_t(state, code):
     return ExactState(tuple(out), state.half)
 
 
+def reference_norm(state):
+    return Fraction(sum(re * re + im * im for re, im in state.z), 2 ** state.half)
+
+
 def reference_bell_weights(state, convention):
+    """The Born weights of ``state`` renormalized, each a Fraction."""
+    norm = reference_norm(state)
     out = {}
     for k, l in BELL_LABEL_ORDER:
         basis = exact_bell(convention, k, l)
@@ -140,7 +154,7 @@ def reference_bell_weights(state, convention):
             gx, gy = _gmul((basis.z[x][0], -basis.z[x][1]), state.z[x])
             re, im = re + gx, im + gy
         out[BellLabel(k, l, convention)] = Fraction(re * re + im * im,
-                                                    2 ** (state.half + 1))
+                                                    2 ** (state.half + 1)) / norm
     return out
 
 
@@ -150,8 +164,7 @@ def reference_draw_weights(weights):
 
 
 def reference_home_branch(state):
-    home0 = _gabs2(state.z[0]) + _gabs2(state.z[1])
-    home1 = _gabs2(state.z[2]) + _gabs2(state.z[3])
+    home0, home1 = (sum(re * re + im * im for re, im in state.z[h:h + 2]) for h in (0, 2))
     if home1 == 0:
         return "a"
     if home0 == 0:
@@ -164,12 +177,17 @@ def reference_tap(attack, route, branches):
     if action is None:
         return branches
     if action is MEASURE:
-        return [
-            (prob * Fraction(w, 2 ** state.half), collapsed,
-             reference_home_branch(collapsed), sel)
-            for prob, state, _branch, sel in branches
-            for w, collapsed, _t in measure_t_branches(state)
-        ]
+        # the projection onto each t outcome, with its probability; its
+        # Bell weights are renormalized by reference_bell_weights
+        out = []
+        for prob, state, _branch, sel in branches:
+            for t in (0, 1):
+                part = ExactState(tuple(g if x & 1 == t else (0, 0)
+                                        for x, g in enumerate(state.z)), state.half)
+                p_t = reference_norm(part) / reference_norm(state)
+                if p_t:
+                    out.append((prob * p_t, part, reference_home_branch(part), sel))
+        return out
     choices = tuple(zip(reference_draw_weights(action.weights), action.codes))
     return [
         (prob * w, reference_apply_pauli_t(state, PauliCode(u, v)), branch, (u, v))
@@ -311,21 +329,22 @@ class TestExactState:
     def test_measurement_branches_are_half_half(self):
         for k, l in product((0, 1), repeat=2):
             state = exact_bell(OE, k, l)
-            branches = measure_t_branches(state)
-            # integer weights over 2 ** state.half
-            assert [type(w) for w, _, _ in branches] == [int, int]
-            assert [Fraction(w, 2 ** state.half) for w, _, _ in branches] == [HALF, HALF]
-            assert [t for _, _, t in branches] == [0, 1]
-            for _, collapsed, _ in branches:
-                assert collapsed.norm_sq() == 1
+            parts = measure_t_branches(state)
+            # unnormalized parts at the state's exponent, which add up to it
+            assert [t for _, t in parts] == [0, 1]
+            assert [part.half for part, _ in parts] == [state.half] * 2
+            assert [part.norm_sq() for part, _ in parts] == [HALF, HALF]
+            (p0, _), (p1, _) = parts
+            assert tuple((a + c, b + d) for (a, b), (c, d) in zip(p0.z, p1.z)) == state.z
 
-    @pytest.mark.parametrize("z,half", [
-        (((1, 1), (1, 0), (1, 0), (0, 0)), 2),  # t = 0 weighs 3/4
-        (((2, 0), (0, 0), (0, 0), (0, 0)), 1),  # t = 0 weighs 4/2, above 1
-    ], ids=["three-quarters", "above-one"])
-    def test_non_dyadic_measurement_raises(self, z, half):
-        with pytest.raises(InvariantError, match="non-dyadic collapse"):
-            measure_t_branches(ExactState(z, half))
+    def test_measurement_parts_are_never_rescaled(self):
+        # t = 0 weighs 3/4: a part is the projection itself, with no check
+        # that a power of 1/2 renormalizes it
+        state = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
+        parts = measure_t_branches(state)
+        assert parts == [(ExactState(((1, 1), (0, 0), (1, 0), (0, 0)), 2), 0),
+                         (ExactState(((0, 0), (1, 0), (0, 0), (0, 0)), 2), 1)]
+        assert [part.norm_sq() for part, _ in parts] == [Fraction(3, 4), Fraction(1, 4)]
 
     def test_bell_weights_exact_dyadic(self):
         state = apply_pauli_t_exact(exact_bell(OE, 0, 0), PauliCode(0, 1))
@@ -401,6 +420,22 @@ class TestEnumerateExact:
         assert {(c.m, c.n, c.eve_branch): v for c, v in report.per_case.items()} == per_case
         # None exactly when Eve applies no Pauli
         assert report.per_selection == (per_selection or None)
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    @pytest.mark.parametrize("codes,weights", STUB_SELECTIONS, ids=repr)
+    def test_agrees_with_oracle_beyond_its_grid(self, codes, weights, route):
+        attack = DisturbPauli(route, StubSelection(codes, weights))
+        for oc, ec, comp in ALL_COMBOS:
+            report = enumerate_exact(attack, oc, ec, comp)
+            avg, per_case, per_selection = oracle_fold(attack, oc.value, ec.value, comp)
+            assert report.average == avg
+            assert {(c.m, c.n, c.eve_branch): v for c, v in report.per_case.items()} == per_case
+            assert report.per_selection == per_selection
+        want = oracle_message_errors(attack)
+        errors = message_error_rate(attack)
+        assert (errors.alice_to_bob, errors.bob_to_alice) == (
+            want.pop("alice_to_bob"), want.pop("bob_to_alice"))
+        assert errors.per_bit == want
 
     def test_summation_order_independent(self):
         rng = random.Random(5)
@@ -693,9 +728,10 @@ class TestConservation:
 
     @pytest.mark.parametrize("route", list(Route))
     def test_lost_draw_branch_raises(self, route):
-        # two draw weights but one code: the second branch's weight is lost
+        # two draw weights but one code, whose second branch would be lost:
+        # the selection check rejects it before the walk
         attack = DisturbPauli(route, StubSelection(((0, 1),), (1, 1)))
-        with pytest.raises(InvariantError, match="Eve's branches"):
+        with pytest.raises(InvariantError, match="not one per code"):
             enumerate_exact(attack)
 
     @staticmethod
@@ -755,16 +791,40 @@ class TestConservation:
         with pytest.raises(InvariantError, match="non-dyadic"):
             enumerate_exact(attack)
 
+    #: every engine, on one attack; the samplers walk first, and the float
+    #: round checks the selection at its tap as the walk does
+    ENGINES = (enumerate_exact, message_error_rate,
+               lambda eve: monte_carlo(eve, n=8),
+               lambda eve: run_session(8, 0.5, RandomSource(0), eve),
+               lambda eve: run_round(RoundConfig((0, 0), (0, 0), "control"), eve,
+                                     RandomSource(0)))
+
     @pytest.mark.parametrize("weights", [(0, 2), (2, 0)], ids=repr)
     @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
     def test_zero_draw_weight_raises(self, route, weights):
-        # a code that is never applied; the samplers walk first, so they
-        # reject it as the exact reports do
+        # a code that is never applied
         attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1)), weights))
-        for engine in (enumerate_exact, message_error_rate,
-                       lambda eve: monte_carlo(eve, n=8),
-                       lambda eve: run_session(8, 0.5, RandomSource(0), eve)):
+        for engine in self.ENGINES:
             with pytest.raises(InvariantError, match=re.escape(f"weight below 1 in {weights}")):
+                engine(attack)
+
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    def test_weight_per_code_raises(self, route):
+        # a third code with no weight of its own: zip would drop it
+        attack = DisturbPauli(route, StubSelection(((0, 0), (0, 1), (1, 1)), (1, 1)))
+        for engine in self.ENGINES:
+            with pytest.raises(InvariantError, match="not one per code"):
+                engine(attack)
+
+    @pytest.mark.parametrize("code,error", [
+        ((0, 2), ValueError), ((1,), TypeError), ((True, 0), TypeError), (3, TypeError),
+    ], ids=repr)
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    def test_code_that_is_no_bit_pair_raises(self, route, code, error):
+        # raised by the one selection check, before any code is applied
+        attack = DisturbPauli(route, StubSelection(((0, 0), code), (1, 1)))
+        for engine in self.ENGINES:
+            with pytest.raises(error, match="selection code"):
                 engine(attack)
 
 

@@ -310,7 +310,7 @@ class TestHomeQubitInvariant:
         monkeypatch.setattr("qdialogue.attacks.measure_t_computational",
                             lambda state, rand: (0, HOME_UNDETERMINED, 0.5))
         monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
-                            lambda state: [(1 << state.half, mixed, 0)])
+                            lambda state: [(mixed, 0)])
 
     @pytest.mark.usefixtures("broken_collapse")
     @pytest.mark.parametrize("route", list(Route))

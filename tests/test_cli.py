@@ -351,7 +351,7 @@ class TestExitCodes:
         # an intercept branch that leaves both home amplitudes nonzero
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
-                            lambda state: [(1 << state.half, mixed, 0)])
+                            lambda state: [(mixed, 0)])
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
         assert code == 2 and "home qubit" in err and out == ""
 
@@ -361,7 +361,7 @@ class TestExitCodes:
         # every intercept collapse
         mixed = ExactState(((1, 0), (0, 0), (1, 0), (0, 0)), 1)
         monkeypatch.setattr("qdialogue.exactstate.measure_t_branches",
-                            lambda state: [(1 << state.half, mixed, 0)])
+                            lambda state: [(mixed, 0)])
         code, out, err = invoke(capsys, "mc", "--attack", "intercept",
                                 "--rounds", "20", "--seed", "1")
         assert code == 2 and out == ""
@@ -380,12 +380,14 @@ class TestExitCodes:
 
     @pytest.mark.usefixtures("fresh_walk")
     def test_non_dyadic_collapse_exits_two(self, capsys, monkeypatch):
-        # t = 0 carries weight 3/4, which no power of 1/2 renormalizes
-        skewed = ExactState(((1, 1), (1, 0), (1, 0), (0, 0)), 2)
+        # a state of norm 3/4 whose t = 0 part carries 2/3 of it, which no
+        # power of 1/2 renormalizes: the walk forwards its parts as they are,
+        # and the bit tuple's sum check finds that they do not sum to 1
+        skewed = ExactState(((1, 1), (1, 0), (0, 0), (0, 0)), 2)
         monkeypatch.setattr("qdialogue.exactstate.apply_pauli_t_exact",
                             lambda state, code: skewed)
         code, out, err = invoke(capsys, "exact", "--attack", "intercept")
-        assert code == 2 and "non-dyadic" in err and out == ""
+        assert code == 2 and "Eve's branches" in err and out == ""
 
     @pytest.mark.usefixtures("fresh_walk")
     def test_lost_bell_weight_in_exact_exits_two(self, capsys, monkeypatch):

@@ -406,6 +406,30 @@ class TestRandomSource:
                 RandomSource(seed)
 
 
+class TestArgumentTypes:
+    """A value of the wrong type raises a TypeError that names the argument,
+    not an AttributeError from inside."""
+
+    @pytest.mark.parametrize("bad", [None, (0, 1), "oe"], ids=repr)
+    def test_label_map(self, bad):
+        filled = label_map.cache_info().currsize
+        with pytest.raises(TypeError, match="^label must be a BellLabel, not "):
+            label_map(bad)
+        assert label_map.cache_info().currsize == filled
+
+    @pytest.mark.parametrize("bad", [None, (0, 1)], ids=repr)
+    def test_pauli_action_closed_form(self, bad):
+        with pytest.raises(TypeError, match="^code must be a PauliCode, not "):
+            pauli_action_closed_form(bad, 0)
+
+    @pytest.mark.parametrize("bad", [None, bell_state(OE, 0, 0).amp], ids=["None", "amp"])
+    def test_measure_bell(self, bad):
+        with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
+            measure_bell(bad, OE, RandomSource(0))
+        with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
+            bell_decompose(bad, OE)
+
+
 class TestValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvariantError):
