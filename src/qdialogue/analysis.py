@@ -4,8 +4,8 @@ disputed averages.
 The exact walk and the outcome-tally rows live in :mod:`qdialogue.exactstate`
 (:func:`~qdialogue.exactstate._walk`,
 :func:`~qdialogue.exactstate._outcome_tallies`).  One exact fold,
-:func:`_detection_fold`, cached per configuration, sums the detected bit
-and the error bits of those rows against the walk's masses in ints, so a
+:func:`_detection_fold`, cached per configuration, sums the walk's leaf
+masses in ints, by case, branch, selection and tally byte, so a
 report only orders and copies it, with ``itemgetter`` lookups in C and
 its ``per_case`` keys, interned :class:`CaseDescriptor` values, hashed by
 identity; :func:`message_error_rate` reads the default bookkeeping's fold and
@@ -25,10 +25,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import _lazy_names
-from .exactstate import _PLACE, _TALLY_BITS, ALL_BIT_TUPLES, BitTuple, _outcome_tallies, _walk
+from .exactstate import _PLACE, ALL_BIT_TUPLES, BitTuple, _outcome_tallies, _walk
 from .model import (
     _CONVERTED,
     _OE,
@@ -149,8 +149,8 @@ class ClaimsReport(FrozenValue):
 @lru_cache(maxsize=None)
 def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
                     expectation_conv: Convention, comparison: Comparison) -> tuple:
-    """The one exact fold, once per configuration: the tallies of
-    :func:`_outcome_tallies` against the masses of :func:`_walk`, in ints
+    """The one exact fold, once per configuration: group sums over the
+    leaves of :func:`_walk`, a leaf's tallies ``rows[place][outcome]``, in ints
     until the final ``Fraction``s.  Returns, all immutable, (cases, reach,
     branch_averages, average, per_selection, errors): each (m, n, Eve
     branch) case's ``CaseDescriptor`` and detection probability; per bit
@@ -162,35 +162,30 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     converts ``pp`` outcome labels, so every configuration's errors are
     those of :func:`message_error_rate`."""
     from fractions import Fraction
-    exp, groups = _walk(attack, outcome_conv)
+    exp, leaves = _walk(attack, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
-    # (detected mass, total mass) per case, per Eve branch and per applied (u, v)
-    cases, branches, selections = {}, {}, {}
-    for (i, j, k, l), row, group in zip(ALL_BIT_TUPLES, rows, groups):
-        detected = row.translate(_TALLY_BITS[1])
-        for branch, sel, masses in group:
-            hit, mass = sum(map(mul, masses, detected)), sum(masses)
-            det, tot = cases.get((i ^ k, j ^ l, branch), (0, 0))
-            cases[i ^ k, j ^ l, branch] = (det + hit, tot + mass)
-            det, tot = branches.get(branch, (0, 0))
-            branches[branch] = (det + hit, tot + mass)
-            if sel is not None:
-                det, tot = selections.get(sel, (0, 0))
-                selections[sel] = (det + hit, tot + mass)
+    # (detected, total) mass per case, Eve branch and (u, v); mass per tally
+    cases, branches, selections, tallied = {}, {}, {}, {}
+    reach = [{} for _ in ALL_BIT_TUPLES]
+    for place, _b, branch, sel, outcome, mass in leaves:
+        i, j, k, l = ALL_BIT_TUPLES[place]
+        tally = rows[place][outcome]
+        tallied[tally] = tallied.get(tally, 0) + mass
+        hit = mass if tally & 2 else 0
+        case = (i ^ k, j ^ l, branch)
+        reach[place][case] = None
+        for sums, key in ((cases, case), (branches, branch), (selections, sel)):
+            det, tot = sums.get(key, (0, 0))
+            sums[key] = (det + hit, tot + mass)
+    selections.pop(None, None)
     index = {case: c for c, case in enumerate(cases)}
-    # each bit tuple's mass on each Bell outcome, over Eve's branches, and
-    # the outcome's tallies, both in ALL_BIT_TUPLES order
-    masses = [sum(column) for group in groups
-              for column in zip(*(m for _branch, _sel, m in group))]
-    tallies = b"".join(rows)
     # every bit tuple weighs 1 / 16
-    average, *errors = (Fraction(sum(map(mul, masses, tallies.translate(bit))), 16 << exp)
-                        for bit in _TALLY_BITS[1:])
+    average, *errors = (Fraction(sum(m for tally, m in tallied.items() if tally >> t & 1),
+                                 16 << exp) for t in range(1, 8))
     return (
         tuple((CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
               for (m, n, br), sums in cases.items()),
-        tuple(tuple(dict.fromkeys(index[i ^ k, j ^ l, branch] for branch, _sel, _m in group))
-              for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups)),
+        tuple(tuple(map(index.__getitem__, reached)) for reached in reach),
         tuple((br, Fraction(*branches[br])) for br in sorted(branches)),
         average,
         tuple((uv, Fraction(*selections[uv])) for uv in sorted(selections)) or None,

@@ -10,13 +10,13 @@ ever rescaled.  The exact Bell states and their conjugates are read from
 the table that names the Bell states once,
 :data:`qdialogue.model.BELL_NUMERATORS`.
 
-One exact walk yields every leaf of a round's tree: the 16 encoding-bit
-tuples, the branches of Eve's tap action, and the four Bell outcomes, each
-mass an int over one power of two, Eve's draw weights included.
-:func:`_walk` makes it once per strategy and outcome convention, and
-:func:`_outcome_tallies` applies the rules of :mod:`qdialogue.model` once
-per conventions and comparison: per bit tuple, one tally byte per Bell
-outcome (control, detected, pair and bit errors).  The samplers
+One exact walk yields every nonzero leaf of a round's tree, per bit tuple,
+Eve branch and Bell outcome, in one flat tuple, each mass an int over one
+power of two, Eve's draw weights included.  :func:`_walk` makes it once
+per strategy and outcome convention, and :func:`_outcome_tallies` applies
+the rules of :mod:`qdialogue.model` once per conventions and comparison:
+per bit tuple, one tally byte per Bell outcome (control, detected and
+errors), so a leaf's tallies are ``rows[place][outcome]``.  The samplers
 (:mod:`qdialogue.sampling`) and the exact reports (:mod:`qdialogue.analysis`)
 both read these two caches.  Neither a float nor a ``Fraction`` enters this
 path (only :meth:`ExactState.norm_sq` builds one), and the module sits
@@ -177,12 +177,14 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
     """The exact walk, once per strategy and outcome convention: every leaf
     of each encoding-bit tuple's round.
 
-    Returns (D, groups): per bit tuple, at its place in ``ALL_BIT_TUPLES``,
-    the tuple of its leaves, one per Eve branch.  A leaf is (Eve branch
-    tag, applied (u, v) or None, masses): its branch's draw mass times the
-    Born weight of each Bell outcome of its unnormalized state under
-    ``convention``, in ``BELL_LABEL_ORDER``, as ints over 2**D, one D for
-    every bit tuple (checked): the selection's exponent + ``half`` + 1.
+    Returns (D, leaves): every nonzero leaf, in walk order, so sorted by
+    (place, Eve branch index, outcome), as one flat tuple of (place, Eve
+    branch index, Eve branch tag, applied (u, v) or None, outcome, mass):
+    the bit tuple's place in ``ALL_BIT_TUPLES``, the outcome's index in
+    ``BELL_LABEL_ORDER``, and the branch's draw mass times the outcome's
+    Born weight on its unnormalized state under ``convention``, an int over
+    2**D, one D for every bit tuple (checked): the selection's exponent +
+    ``half`` + 1.
     Everything cached is a tuple, so no caller can change what the next one
     reads.  The exact primitives are looked up as this module's globals
     when the walk runs; a test that patches one clears this cache first.
@@ -192,8 +194,8 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
     if not isinstance(attack, EveStrategy):
         raise TypeError(f"not an Eve strategy: {attack!r}")
     start = exact_bell(Convention.OPERATOR_ENCODING, 0, 0)
-    exps, groups = set(), []
-    for bits in ALL_BIT_TUPLES:
+    exps, leaves = set(), []
+    for place, bits in enumerate(ALL_BIT_TUPLES):
         i, j, k, l = bits
         exp, branches = 0, [(1, start, "none", None)]
         # each leg: the sender encodes, then Eve taps it
@@ -205,16 +207,14 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
         # a branch's probability is its mass times its state's norm
         if sum(m * sum(map(_gabs2, s.z)) for m, s, *_ in branches) != 1 << exp + start.half:
             raise InvariantError(f"Eve's branches of bit tuple {bits} do not sum to 1")
-        leaves = []
-        for mass, state, branch, sel in branches:
+        for b, (mass, state, branch, sel) in enumerate(branches):
             weights = bell_weights_exact(state, convention)
             if sum(weights) != 2 * sum(map(_gabs2, state.z)):
                 raise InvariantError(f"Bell weights of bit tuple {bits} do not sum to its norm")
-            leaves.append((branch, sel, tuple(mass * w for w in weights)))
-        groups.append(tuple(leaves))
+            leaves += [(place, b, branch, sel, x, mass * w) for x, w in enumerate(weights) if w]
     if len(exps) != 1:
         raise InvariantError(f"the bit tuples' Eve branches are over exponents {sorted(exps)}")
-    return exp + start.half + 1, tuple(groups)
+    return exp + start.half + 1, tuple(leaves)
 
 
 #: the tallies a round adds to a session, one bit each: control and detected
@@ -222,8 +222,6 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
 #: of Alice's bits i, j and of Bob's bits k, l (of a message round)
 _CONTROL_TALLIES = 0b00000011
 _MESSAGE_TALLIES = 0b11111100
-#: per tally t, the table that maps a tally byte to its bit t
-_TALLY_BITS = tuple((bytes(1 << t) + b"\1" * (1 << t)) * (128 >> t) for t in range(8))
 #: per mode's tallies, the table that keeps only those bits of a tally byte
 _KEEP = {mask: bytes(b & mask for b in range(256))
          for mask in (_CONTROL_TALLIES, _MESSAGE_TALLIES)}
@@ -232,14 +230,14 @@ _KEEP = {mask: bytes(b & mask for b in range(256))
 @lru_cache(maxsize=None)
 def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
                      comparison: Comparison) -> tuple[bytes, ...]:
-    """Per bit tuple (i, j, k, l), in ``ALL_BIT_TUPLES`` order like the
-    groups of :func:`_walk`, the row of tallies of each Bell outcome of its
-    round, in ``BELL_LABEL_ORDER``, one byte each: bit 0 set (a control
-    round), bit 1 whether :func:`control_detected` flags it, and bits 2-7
-    what :func:`decode_message` gets wrong in a message round: Alice's and
-    Bob's pairs, then the bits i, j, k, l.  ``_TALLY_BITS[t]`` reads bit t
-    of a row.  The rows are a tuple of ``bytes``, so no caller can change
-    what the next one reads."""
+    """Per bit tuple (i, j, k, l), in ``ALL_BIT_TUPLES`` order, the row of
+    tallies of each Bell outcome of its round, in ``BELL_LABEL_ORDER``, one
+    byte each, so that a leaf of :func:`_walk` at ``place`` and ``outcome``
+    has the tallies ``rows[place][outcome]``: bit 0 set (a control round),
+    bit 1 whether :func:`control_detected` flags it, and bits 2-7 what
+    :func:`decode_message` gets wrong in a message round: Alice's and
+    Bob's pairs, then the bits i, j, k, l.  The rows are a tuple of
+    ``bytes``, so no caller can change what the next one reads."""
     rows = []
     for i, j, k, l in ALL_BIT_TUPLES:
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,

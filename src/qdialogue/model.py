@@ -309,12 +309,11 @@ _ACTION = {
 
 def pauli_action_closed_form(code: PauliCode, basis_bit: int) -> tuple[Phase, int]:
     """Exact action of C_{a,b} on |basis_bit>: returns (phase, result_bit).
-    A ``code`` that is no :class:`PauliCode` raises TypeError."""
+    A ``code`` that is no :class:`PauliCode` raises TypeError, and a
+    ``basis_bit`` that is no 0/1 int raises as :func:`_bit` does."""
     if not isinstance(code, PauliCode):
         raise TypeError(f"code must be a PauliCode, not {type(code).__name__}")
-    if basis_bit not in (0, 1):
-        raise ValueError(f"basis bit must be 0/1, got {basis_bit}")
-    return _ACTION[(code.a, code.b, basis_bit)]
+    return _ACTION[(code.a, code.b, _bit(basis_bit, "basis bit"))]
 
 
 def pauli_compose(first: PauliCode, second: PauliCode) -> PhasedPauli:
@@ -550,6 +549,11 @@ class DisturbPauli(FrozenValue):
             raise TypeError(f"selection must be a rule instance, not the class {selection!r}")
         if not (hasattr(selection, "codes") and hasattr(selection, "weights")):
             raise TypeError(f"selection must have codes and weights, not {selection!r}")
+        # the exact engines cache per strategy, which hashes its selection
+        try:
+            hash(selection)
+        except TypeError:
+            raise TypeError(f"selection must be hashable, not {selection!r}") from None
         object.__setattr__(self, "route", _route(route))
         object.__setattr__(self, "selection", selection)
 

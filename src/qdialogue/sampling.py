@@ -1,14 +1,14 @@
 """The seeded samplers over the exact walk's tree: :func:`run_session` and
 its control-only view :func:`monte_carlo`.
 
-The one sampler loop, :func:`run_session`, reads the walk and the tally
-rows of :mod:`qdialogue.exactstate`.  It takes its draws from one stream in
-the order a loop of :func:`qdialogue.protocol.run_round` takes them: every
-cumulative mass of the walk is a multiple of 1/4 of its total, so the top
-byte of each draw's first Mersenne Twister word decides it, and whole
-chunks of rounds resolve by ``bytes`` table lookups in C to the tally byte
-of the leaf each round reaches, keyed by its bit tuple's place in
-``ALL_BIT_TUPLES`` like the walk's groups and the tally rows.  The session
+The one sampler loop, :func:`run_session`, reads the walk's leaves and the
+tally rows of :mod:`qdialogue.exactstate`.  It takes its draws from one
+stream in the order a loop of :func:`qdialogue.protocol.run_round` takes
+them: every cumulative mass of the walk is a multiple of 1/4 of its total,
+so the top byte of each draw's first Mersenne Twister word decides it, and
+whole chunks of rounds resolve by ``bytes`` table lookups in C to the
+tally byte of the leaf each round reaches, keyed by its bit tuple's place
+in ``ALL_BIT_TUPLES``, as are the leaves and the tally rows.  The session
 counts each tally the rounds' mode can set by the popcount of its bit
 across the chunk.  A sampler process loads this module, the walk and
 :mod:`qdialogue.model`, and neither the float round simulator nor the exact
@@ -26,7 +26,8 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .exactstate import _CONTROL_TALLIES, _KEEP, _MESSAGE_TALLIES, _outcome_tallies, _walk
 from .model import (
@@ -115,28 +116,29 @@ def _session_table(eve: EveStrategy, outcome_conv: Convention,
                    expectation_conv: Convention,
                    comparison: Comparison) -> tuple[bool, bytes]:
     """What the samplers resolve rounds with, built once per configuration
-    from the integer masses of :func:`_walk` and the rows of
+    from the leaves of :func:`_walk` and the rows of
     :func:`_outcome_tallies`.
 
     Returns whether a round draws Eve's tap, and the tally table: per round
     key, the tallies of the leaf it reaches, as bits: those of its control
     round in ``_CONTROL_TALLIES`` and those of its message round in
-    ``_MESSAGE_TALLIES``.  The key's node is the bit tuple's place in
-    ``ALL_BIT_TUPLES``, the index of its group of leaves and of its row of
-    tallies; its tap quarter picks an Eve branch by the cumulative branch
-    masses, and its Bell quarter an outcome by the branch's cumulative Bell
-    masses (:func:`_quarter_picks`).
+    ``_MESSAGE_TALLIES``.  The key's node is the bit tuple's place, which
+    groups the leaves, then their Eve branch index; its tap quarter picks a
+    branch by the cumulative branch masses, and its Bell quarter a leaf by
+    the branch's cumulative leaf masses (:func:`_quarter_picks`).
     """
-    _top, groups = _walk(eve, outcome_conv)
+    _top, leaves = _walk(eve, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
-    draws_tap = len(groups[0]) > 1
+    draws_tap = any(b for _place, b, *_ in leaves)
     table = bytearray()
-    for group, row in zip(groups, rows):
-        masses = [m for _branch, _sel, m in group]
-        if (len(masses) > 1) != draws_tap:
+    for place, node in groupby(leaves, itemgetter(0)):
+        # per Eve branch, the (outcome, mass) of each of its leaves
+        branches = [[leaf[4:] for leaf in branch] for _b, branch in groupby(node, itemgetter(1))]
+        if (len(branches) > 1) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        for branch in _quarter_picks(map(sum, masses)):
-            table += bytes(row[x] for x in _quarter_picks(masses[branch]))
+        for b in _quarter_picks(sum(m for _x, m in branch) for branch in branches):
+            outcomes, masses = zip(*branches[b])
+            table += bytes(rows[place][outcomes[x]] for x in _quarter_picks(masses))
     return draws_tap, bytes(table)
 
 

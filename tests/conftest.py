@@ -24,7 +24,8 @@ def _clear_caches():
 @pytest.fixture
 def fresh_walk():
     """Empty every cache of every ``qdialogue`` module (the exact walk
-    ``exactstate._walk``, the outcome-tally table
+    ``exactstate._walk``, one flat tuple of leaves per strategy and outcome
+    convention, the outcome-tally table
     ``exactstate._outcome_tallies``, the one exact fold
     ``analysis._detection_fold`` and the sampler's
     ``sampling._session_table`` built on them, among others) before and

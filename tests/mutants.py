@@ -49,8 +49,8 @@ MUTANTS = {
     # no sum check sees, since the branch masses are summed before it
     "walk-drops-draw-mass": Mutant(
         "src/qdialogue/exactstate.py",
-        "tuple(mass * w for w in weights)",
-        "weights",
+        "(place, b, branch, sel, x, mass * w)",
+        "(place, b, branch, sel, x, w)",
         ("tests/test_law.py::test_detection_is_linear_in_the_weights",
          "tests/test_analysis.py::TestEnumerateExact::test_agrees_with_oracle_beyond_its_grid"),
     ),
@@ -63,6 +63,32 @@ MUTANTS = {
         ("tests/test_analysis.py::TestEnumerateExact::test_agrees_with_brute_force_oracle",
          "tests/test_analysis.py::TestFractionReference::test_detection_reports_equal_reference",
          "tests/test_grid.py::test_every_engine_gives_the_committed_grid"),
+    ),
+    # the fold counts a leaf as detected by its control bit, not its
+    # detected bit: every case reads 1, while the average, read from the
+    # tally groups, stays right
+    "fold-hit-on-control-bit": Mutant(
+        "src/qdialogue/analysis.py",
+        "hit = mass if tally & 2 else 0",
+        "hit = mass if tally & 1 else 0",
+        ("tests/test_analysis.py::TestEnumerateExact::test_agrees_with_brute_force_oracle",),
+    ),
+    # the session table takes a picked leaf's tallies by its index among
+    # its branch's nonzero leaves, not by its Bell outcome: the table keeps
+    # its length and its quarters, only its tally bytes change
+    "session-table-tallies-by-leaf-index": Mutant(
+        "src/qdialogue/sampling.py",
+        "rows[place][outcomes[x]]",
+        "rows[place][x]",
+        ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",),
+    ),
+    # a mixed session settles a mode draw equal to the fraction as control;
+    # only draws on the open byte are settled whole, so only they see it
+    "mode-draw-settled-with-le": Mutant(
+        "src/qdialogue/sampling.py",
+        "u < control_fraction",
+        "u <= control_fraction",
+        ("tests/test_protocol.py::TestResolver::test_mode_draws_on_the_open_byte",),
     ),
     # the samplers take Bob's bits k and l from each other's draw
     "session-bit-keys-swapped": Mutant(

@@ -735,16 +735,19 @@ class TestConservation:
             enumerate_exact(attack)
 
     @staticmethod
-    def first_leaf_walk(walk, scale, first_masses):
-        """``walk`` with every mass times ``scale`` and the Bell masses of
-        its first leaf replaced by ``first_masses(their total)``."""
+    def first_branch_walk(walk, scale, first_masses):
+        """``walk`` with every mass times ``scale`` and the leaves of the
+        first Eve branch of bit tuple 0 replaced by the nonzero masses of
+        ``first_masses(their total)``, one per Bell outcome."""
         def patched(attack, convention):
-            top, groups = walk(attack, convention)
-            groups = [[(branch, sel, tuple(scale * m for m in masses))
-                       for branch, sel, masses in group] for group in groups]
-            *head, masses = groups[0][0]
-            groups[0][0] = (*head, first_masses(sum(masses)))
-            return top, groups
+            top, leaves = walk(attack, convention)
+            first = [leaf for leaf in leaves if leaf[:2] == (0, 0)]
+            place, b, branch, sel, _outcome, _mass = first[0]
+            total = scale * sum(leaf[5] for leaf in first)
+            return top, (
+                *((place, b, branch, sel, x, mass)
+                  for x, mass in enumerate(first_masses(total)) if mass),
+                *((*leaf[:5], scale * leaf[5]) for leaf in leaves[len(first):]))
         return patched
 
     def test_non_quarter_threshold_in_samplers_raises(self, fresh_walk, monkeypatch):
@@ -752,7 +755,7 @@ class TestConservation:
         # threshold of 3/8, then a Bell threshold of 1/3 in an intercept walk
         # (scaled by 3, so that its masses split in thirds)
         three_eighths = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (3, 5)))
-        third_bell = self.first_leaf_walk(exactstate._walk, 3,
+        third_bell = self.first_branch_walk(exactstate._walk, 3,
                                           lambda total: (total // 3, total - total // 3, 0, 0))
         for attack in (three_eighths, InterceptMeasure()):
             if attack is not three_eighths:
@@ -765,7 +768,7 @@ class TestConservation:
     def test_near_quarter_threshold_in_samplers_raises(self, fresh_walk, monkeypatch):
         # a Bell threshold of 1/4 + 2**-61, whose float is 1/4: the check is
         # made on the walk's integers, not on floats
-        near_quarter = self.first_leaf_walk(
+        near_quarter = self.first_branch_walk(
             exactstate._walk, 2**60, lambda total: (total // 4 + 1, total - total // 4 - 1, 0, 0))
         monkeypatch.setattr(sampling, "_walk", near_quarter)
         with pytest.raises(InvariantError, match="multiple of 1/4"):
@@ -778,8 +781,9 @@ class TestConservation:
         walk = exactstate._walk
 
         def no_first_tap(attack, convention):
-            top, (first, *groups) = walk(attack, convention)
-            return top, (first[:1], *groups)
+            # bit tuple 0 keeps its first Eve branch only
+            top, leaves = walk(attack, convention)
+            return top, tuple(leaf for leaf in leaves if leaf[:2] != (0, 1))
 
         monkeypatch.setattr(sampling, "_walk", no_first_tap)
         with pytest.raises(InvariantError, match="some bit tuples only"):
@@ -815,6 +819,14 @@ class TestConservation:
         for engine in self.ENGINES:
             with pytest.raises(InvariantError, match="not one per code"):
                 engine(attack)
+
+    @pytest.mark.parametrize("codes,weights", [(([0, 1],), (1,)), (((0, 1),), [1])], ids=repr)
+    @pytest.mark.parametrize("route", list(Route), ids=lambda route: route.value)
+    def test_unhashable_selection_raises(self, route, codes, weights):
+        # every exact engine caches per strategy, so each would raise
+        # "unhashable type" from inside its cache
+        with pytest.raises(TypeError, match="^selection must be hashable, not "):
+            DisturbPauli(route, StubSelection(codes, weights))
 
     @pytest.mark.parametrize("code,error", [
         ((0, 2), ValueError), ((1,), TypeError), ((True, 0), TypeError), (3, TypeError),
@@ -898,6 +910,27 @@ class TestWalkCache:
                 warm = enumerate_exact(attack, oc, ec, comp, case_order=order)
                 assert repr(warm) == repr(cold)
                 assert list(dict.fromkeys((c.m, c.n) for c in warm.per_case)) == cases
+
+    def test_one_flat_list_of_leaves(self):
+        # per bit tuple, each of intercept's 2 collapses reaches 2 outcomes,
+        # and each code of a disturbance, or the passive round, 1
+        counts = {"InterceptMeasure": 64, "uniform4": 64, "coin-iz": 32,
+                  "Passive": 16, "fixed": 16}
+        total = 0
+        for attack, convention in product(ALL_STRATEGIES, (OE, PP)):
+            exp, leaves = exactstate._walk(attack, convention)
+            keys = [(place, b, outcome) for place, b, _br, _sel, outcome, _mass in leaves]
+            assert keys == sorted(set(keys))
+            assert all(leaf[5] > 0 for leaf in leaves)
+            per_place = dict.fromkeys(range(len(ALL_BIT_TUPLES)), 0)
+            for leaf in leaves:
+                per_place[leaf[0]] += leaf[5]
+            assert per_place == dict.fromkeys(per_place, 1 << exp)
+            kind = (attack.selection.rule if isinstance(attack, DisturbPauli)
+                    else type(attack).__name__)
+            assert len(leaves) == counts[kind]
+            total += len(leaves)
+        assert total == 928
 
     @pytest.mark.parametrize("convention", [OE, PP])
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)

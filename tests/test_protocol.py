@@ -6,7 +6,8 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
+from operator import itemgetter
 
 import pytest
 
@@ -374,22 +375,24 @@ class TestRoundFollowsTree:
     @pytest.mark.parametrize("convention", [OE, PP])
     @pytest.mark.parametrize("attack", ALL_STRATEGIES + NON_UNIFORM, ids=repr)
     def test_every_leaf(self, attack, convention):
-        _exp, groups = _walk(attack, convention)
-        # a group's index is its bit tuple's place in ALL_BIT_TUPLES
-        assert len(groups) == len(ALL_BIT_TUPLES)
-        for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
+        _exp, leaves = _walk(attack, convention)
+        # every bit tuple has leaves, at its place in ALL_BIT_TUPLES
+        nodes = groupby(leaves, itemgetter(0))
+        for (place, node), expected in zip(nodes, range(len(ALL_BIT_TUPLES)), strict=True):
+            assert place == expected
+            i, j, k, l = ALL_BIT_TUPLES[place]
             config = RoundConfig((k, l), (i, j), Mode.CONTROL, convention)
-            branch_masses = [sum(masses) for *_, masses in group]
-            for b, (branch, sel, masses) in enumerate(group):
-                for x, mass in enumerate(masses):
-                    if not mass:
-                        continue
+            branches = [tuple(branch) for _b, branch in groupby(node, itemgetter(1))]
+            branch_masses = [sum(leaf[5] for leaf in branch) for branch in branches]
+            for b, branch_leaves in enumerate(branches):
+                masses = [leaf[5] for leaf in branch_leaves]
+                for x, (_place, _b, branch, sel, outcome, mass) in enumerate(branch_leaves):
                     # the tap draw only when the round has Eve branches to pick
-                    source = StubSource([midpoint(branch_masses, b)] * (len(group) > 1)
+                    source = StubSource([midpoint(branch_masses, b)] * (len(branches) > 1)
                                         + [midpoint(masses, x)])
                     transcript = run_round(config, attack, source)
                     assert not source.draws
-                    assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[x],
+                    assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome],
                                                                 convention)
                     assert abs(transcript.bell_probability
                                - mass / sum(masses)) <= ALG_TOL
@@ -669,12 +672,12 @@ class TestInterceptIsCoinIZ:
         """Detection per (m, n): each Eve branch's per-case value, weighted
         by that branch's share of the case's mass in the walk."""
         per_case = enumerate_exact(attack, oc, ec, comp).per_case
-        _exp, groups = _walk(attack, bookkeeping(oc, ec, comp)[0])
+        _exp, leaves = _walk(attack, bookkeeping(oc, ec, comp)[0])
         mass = {}
-        for (i, j, k, l), group in zip(ALL_BIT_TUPLES, groups):
-            for branch, _sel, masses in group:
-                case = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
-                mass[case] = mass.get(case, 0) + sum(masses)
+        for place, _b, branch, _sel, _outcome, leaf_mass in leaves:
+            i, j, k, l = ALL_BIT_TUPLES[place]
+            case = CaseDescriptor(i ^ k, j ^ l, i ^ k ^ j ^ l, branch)
+            mass[case] = mass.get(case, 0) + leaf_mass
         assert mass.keys() == per_case.keys()
         totals = Counter()
         for case, case_mass in mass.items():

@@ -417,10 +417,15 @@ class TestArgumentTypes:
             label_map(bad)
         assert label_map.cache_info().currsize == filled
 
-    @pytest.mark.parametrize("bad", [None, (0, 1)], ids=repr)
-    def test_pauli_action_closed_form(self, bad):
-        with pytest.raises(TypeError, match="^code must be a PauliCode, not "):
-            pauli_action_closed_form(bad, 0)
+    @pytest.mark.parametrize("code,bit,message", [
+        pytest.param(None, 0, "code must be a PauliCode", id="None"),
+        pytest.param((0, 1), 0, "code must be a PauliCode", id="(0, 1)"),
+        *(pytest.param(PauliCode(0, 1), bit, "basis bit must be an integer", id=f"bit {bit!r}")
+          for bit in (True, 1.0, 0.0)),
+    ])
+    def test_pauli_action_closed_form(self, code, bit, message):
+        with pytest.raises(TypeError, match=f"^{message}, not "):
+            pauli_action_closed_form(code, bit)
 
     @pytest.mark.parametrize("bad", [None, bell_state(OE, 0, 0).amp], ids=["None", "amp"])
     def test_measure_bell(self, bad):
