@@ -64,9 +64,9 @@ class CaseDescriptor(FrozenValue):
     returns the one of its fields, so equal descriptors are the same
     object and hash by identity, in C, like :class:`Convention` members;
     copies and pickles, rebuilt through the constructor, return it too.
-    An m or n that is no 0/1 int raises as :func:`~qdialogue.model._bit`
-    does, a wrong parity or an unknown branch ``ValueError``, and nothing
-    is built.
+    An m, n or parity that is no 0/1 int raises as
+    :func:`~qdialogue.model._bit` does, a wrong parity or an unknown branch
+    ``ValueError``, and nothing is built.
     """
 
     __slots__ = ("m", "n", "parity", "eve_branch")
@@ -74,7 +74,7 @@ class CaseDescriptor(FrozenValue):
 
     def __new__(cls, m: int, n: int, parity: int, eve_branch: str = "none"):
         m, n = _bit(m, "case bit m"), _bit(n, "case bit n")
-        if parity != m ^ n:
+        if _bit(parity, "case parity") != m ^ n:
             raise ValueError("parity must equal m xor n")
         try:
             return _CASES[m, n, eve_branch]
@@ -102,33 +102,15 @@ _CASES = {(m, n, branch): _case(m, n, branch)
 
 
 class DetectionReport(Value):
-    """Exact per-case and average detection probabilities.  ``per_case`` and
-    ``branch_averages`` each default to a new empty dict, and ``average`` to
-    the int 0, which equals ``Fraction(0)`` and loads no :mod:`fractions`."""
+    """Exact detection probabilities of one attack under one bookkeeping: by
+    :class:`CaseDescriptor` (``per_case``) and by Eve branch, dicts of
+    ``Fraction``s; the average; and by (u, v) a dict, or None when the attack
+    applies no selection.  The constructor, derived by
+    :class:`~qdialogue.model.Value`, takes all eight fields, in order."""
 
     __slots__ = ("attack", "outcome_convention", "expectation_convention",
                  "comparison", "per_case", "branch_averages", "average",
                  "per_selection")
-
-    def __init__(
-        self,
-        attack: EveStrategy,
-        outcome_convention: Convention,
-        expectation_convention: Convention,
-        comparison: Comparison,
-        per_case: dict[CaseDescriptor, Fraction] | None = None,
-        branch_averages: dict[str, Fraction] | None = None,
-        average: Fraction | int = 0,
-        per_selection: dict[tuple[int, int], Fraction] | None = None,
-    ):
-        self.attack = attack
-        self.outcome_convention = outcome_convention
-        self.expectation_convention = expectation_convention
-        self.comparison = comparison
-        self.per_case = {} if per_case is None else per_case
-        self.branch_averages = {} if branch_averages is None else branch_averages
-        self.average = average
-        self.per_selection = per_selection
 
 
 class MessageErrorReport(FrozenValue):

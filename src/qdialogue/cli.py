@@ -308,14 +308,9 @@ def _cmd_round(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare_claims()
-    payload = {
-        "paper_claim": _frac(report.paper_claim),
-        "cai_claim": _frac(report.cai_claim),
-        "strict_paper_average": _frac(report.strict_paper_average),
-        "consistent_value": _frac(report.consistent_value),
-        "explanation": report.explanation,
-    }
+    # each field of the report is a Fraction but the explanation
+    payload = {name: value if isinstance(value, str) else _frac(value)
+               for name, value in _fields(compare_claims()).items()}
     _emit(args.format, _envelope("compare", payload),
           "claimed average (strict bookkeeping): {paper_claim}\n"
           "reported counterclaim:                {cai_claim}\n"

@@ -307,18 +307,27 @@ _ACTION = {
 }
 
 
-def pauli_action_closed_form(code: PauliCode, basis_bit: int) -> tuple[Phase, int]:
-    """Exact action of C_{a,b} on |basis_bit>: returns (phase, result_bit).
-    A ``code`` that is no :class:`PauliCode` raises TypeError, and a
-    ``basis_bit`` that is no 0/1 int raises as :func:`_bit` does."""
+def _pauli_code(code) -> PauliCode:
+    """``code``, the one check of a Pauli code argument: anything but a
+    :class:`PauliCode` raises TypeError."""
     if not isinstance(code, PauliCode):
         raise TypeError(f"code must be a PauliCode, not {type(code).__name__}")
+    return code
+
+
+def pauli_action_closed_form(code: PauliCode, basis_bit: int) -> tuple[Phase, int]:
+    """Exact action of C_{a,b} on |basis_bit>: returns (phase, result_bit).
+    A ``code`` that is no :class:`PauliCode` raises TypeError
+    (:func:`_pauli_code`), and a ``basis_bit`` that is no 0/1 int raises as
+    :func:`_bit` does."""
+    code = _pauli_code(code)
     return _ACTION[(code.a, code.b, _bit(basis_bit, "basis bit"))]
 
 
 def pauli_compose(first: PauliCode, second: PauliCode) -> PhasedPauli:
-    """C_first . C_second = phase * C_{first xor second}, with exact phase."""
-    code = first ^ second
+    """C_first . C_second = phase * C_{first xor second}, with exact phase.
+    Each factor is a :class:`PauliCode`, else TypeError (:func:`_pauli_code`)."""
+    code = _pauli_code(first) ^ _pauli_code(second)
     # The product has one nonzero entry per column; track |0> through both
     # factors and compare against the composed operator's action.
     p2, b2 = _ACTION[(second.a, second.b, 0)]
@@ -648,9 +657,13 @@ def expected_outcome(
     under PARITY_PHASE the same physical state carries the mapped label.
     The convention is a member or its string value, made the member
     (:func:`_convention`) before the cache, so both forms share one entry
-    and anything else raises ``ValueError`` and fills none.
+    and anything else raises ``ValueError`` and fills none.  Each bit is
+    checked before the cache too, as :func:`_bit` does, since a bool or a
+    float hashes like the int it equals.
     """
-    return _expected_label(i, j, k, l, _convention(convention))
+    return _expected_label(_bit(i, "encoding bit i"), _bit(j, "encoding bit j"),
+                           _bit(k, "encoding bit k"), _bit(l, "encoding bit l"),
+                           _convention(convention))
 
 
 # the cache behind expected_outcome, under its public name

@@ -35,7 +35,9 @@ from .model import (
     InvariantError,
     PauliCode,
     RandomSource,
+    _bit,
     _convention,
+    _pauli_code,
     pauli_action_closed_form,
     pauli_compose,
 )
@@ -79,7 +81,9 @@ class TwoQubitState(FrozenValue):
 
 
 def pauli_matrix(code: PauliCode) -> np.ndarray:
-    """2x2 matrix of C_{a,b}; column c holds the image of |c>."""
+    """2x2 matrix of C_{a,b}; column c holds the image of |c>.  A ``code``
+    that is no :class:`PauliCode` raises TypeError."""
+    code = _pauli_code(code)
     import numpy as np
 
     m = np.zeros((2, 2), dtype=complex)
@@ -131,8 +135,20 @@ _BELL_CONJ = {
 
 def bell_state(convention: Convention, k: int, l: int) -> TwoQubitState:
     """The Bell state named (k, l) under the given convention, a member or
-    its string value (:func:`~qdialogue.model._convention`)."""
+    its string value (:func:`~qdialogue.model._convention`).  A bit that is
+    no 0/1 int raises as :func:`~qdialogue.model._bit` does."""
+    # the 0/1 ints a round passes skip the full check
+    if type(k) is not int or type(l) is not int or k not in (0, 1) or l not in (0, 1):
+        k, l = _bit(k, "Bell label bit k"), _bit(l, "Bell label bit l")
     return _BELL_STATES[(_convention(convention), k, l)]
+
+
+def _amplitudes(state: TwoQubitState) -> tuple[complex, ...]:
+    """The amplitudes of ``state``, the one check of a state argument:
+    anything but a :class:`TwoQubitState` raises TypeError."""
+    if not isinstance(state, TwoQubitState):
+        raise TypeError(f"state must be a TwoQubitState, not {type(state).__name__}")
+    return state.amp
 
 
 def bell_decompose(
@@ -141,10 +157,8 @@ def bell_decompose(
     """Inner products <Psi_{k,l}|state> for all four labels of a convention,
     a member or its string value; :func:`measure_bell` takes its state and
     convention through here.  A ``state`` that is no :class:`TwoQubitState`
-    raises TypeError."""
-    if not isinstance(state, TwoQubitState):
-        raise TypeError(f"state must be a TwoQubitState, not {type(state).__name__}")
-    a = state.amp
+    raises TypeError (:func:`_amplitudes`)."""
+    a = _amplitudes(state)
     return {label: b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
             for label, b in _BELL_CONJ[_convention(convention)]}
 
@@ -204,6 +218,8 @@ def equal_up_to_global_phase(s1: TwoQubitState, s2: TwoQubitState) -> bool:
 
     Each state is canonicalized so its first amplitude of magnitude above the
     canonicalization threshold is real positive, then compared entrywise.
+    A state that is no :class:`TwoQubitState` raises TypeError
+    (:func:`_amplitudes`).
     """
 
     def canon(amp):
@@ -214,5 +230,5 @@ def equal_up_to_global_phase(s1: TwoQubitState, s2: TwoQubitState) -> bool:
                 return tuple(c * x for x in amp)
         return amp
 
-    c1, c2 = canon(s1.amp), canon(s2.amp)
+    c1, c2 = canon(_amplitudes(s1)), canon(_amplitudes(s2))
     return max(abs(x - y) for x, y in zip(c1, c2)) <= ALG_TOL

@@ -52,40 +52,15 @@ class McEstimate(FrozenValue):
 
 
 class SessionStats(Value):
-    """Counts of a session; each bit-error list defaults to a new ``[0, 0]``."""
+    """Counts of a session, each party's bit errors a list of two, with its
+    detection rate, Eve's chance to survive every control round, and its bit
+    source's seed and generator.  The constructor, derived by
+    :class:`~qdialogue.model.Value`, takes all twelve fields, in order."""
 
     __slots__ = ("n_rounds", "control_rounds", "message_rounds", "detections",
                  "alice_pair_errors", "bob_pair_errors", "alice_bit_errors",
                  "bob_bit_errors", "detection_rate", "survival_probability",
                  "bit_seed", "generator_id")
-
-    def __init__(
-        self,
-        n_rounds: int,
-        control_rounds: int = 0,
-        message_rounds: int = 0,
-        detections: int = 0,
-        alice_pair_errors: int = 0,
-        bob_pair_errors: int = 0,
-        alice_bit_errors: list[int] | None = None,
-        bob_bit_errors: list[int] | None = None,
-        detection_rate: float = 0.0,
-        survival_probability: float = 1.0,
-        bit_seed: int = 0,
-        generator_id: str = RandomSource.GENERATOR_ID,
-    ):
-        self.n_rounds = n_rounds
-        self.control_rounds = control_rounds
-        self.message_rounds = message_rounds
-        self.detections = detections
-        self.alice_pair_errors = alice_pair_errors
-        self.bob_pair_errors = bob_pair_errors
-        self.alice_bit_errors = [0, 0] if alice_bit_errors is None else alice_bit_errors
-        self.bob_bit_errors = [0, 0] if bob_bit_errors is None else bob_bit_errors
-        self.detection_rate = detection_rate
-        self.survival_probability = survival_probability
-        self.bit_seed = bit_seed
-        self.generator_id = generator_id
 
 
 #: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
@@ -328,4 +303,5 @@ def run_session(
         detection_rate=rate,
         survival_probability=(1.0 - rate) ** control_rounds,
         bit_seed=bit_source.seed,
+        generator_id=RandomSource.GENERATOR_ID,
     )

@@ -6,8 +6,9 @@ applied.  Run from anywhere:
 
     python tests/mutants.py
 
-For each mutant, a fresh temporary copy of ``src/`` and ``tests/`` runs each
-listed test in its own pytest process, first unmutated and then mutated.  A
+For each mutant, a fresh temporary copy of ``src/`` and ``tests/`` (and of
+``bench/``, whose tracer a test loads) runs each listed test in its own
+pytest process, first unmutated and then mutated.  A
 test kills its mutant when it passes on the unmutated copy and fails on the
 mutated one; any other outcome (a pass on the mutated copy, or an error
 such as a test that is not found) is reported, and the runner exits 1.
@@ -97,6 +98,22 @@ MUTANTS = {
         "(4, 5, 7, 6)",
         ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",),
     ),
+    # the CLI imports the sampler itself, past the module attribute that
+    # the benchmark's tracer wraps: the output stays the same
+    "cli-mc-imports-the-sampler": Mutant(
+        "src/qdialogue/cli.py",
+        "stats = sys.modules[__name__].run_session(",
+        "from .sampling import run_session; stats = run_session(",
+        ("tests/test_tracer_cli.py::test_tracer_counts_the_session_of_a_cli_mc_call",),
+    ),
+    # a session's survival probability raised to every round, not to the
+    # control rounds: the same at fraction 1, where the two counts agree
+    "survival-over-every-round": Mutant(
+        "src/qdialogue/sampling.py",
+        "(1.0 - rate) ** control_rounds",
+        "(1.0 - rate) ** n_rounds",
+        ("tests/test_protocol.py::TestSessionTable::test_explicit_comparison",),
+    ),
 }
 
 
@@ -135,7 +152,7 @@ def main() -> int:
     for name, mutant in MUTANTS.items():
         with tempfile.TemporaryDirectory(prefix="qdialogue-mutant-") as tmp:
             root = Path(tmp)
-            for part in ("src", "tests"):
+            for part in ("src", "tests", "bench"):
                 shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns(
                     "__pycache__", ".hypothesis", ".pytest_cache"))
             shutil.copy(ROOT / "pyproject.toml", root)

@@ -238,7 +238,10 @@ def reference_enumerate_exact(attack, outcome_convention=OE,
         outcome_convention=outcome_convention,
         expectation_convention=expectation_convention,
         comparison=config.comparison,
+        per_case={},
+        branch_averages={},
         average=sum(det_mass.values()),
+        per_selection=None,
     )
     report.per_case = {key: det_mass[key] / tot_mass[key] for key in det_mass}
     for br in sorted({key.eve_branch for key in det_mass}):

@@ -61,7 +61,8 @@ def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
     bits and, at a fraction strictly between 0 and 1, the mode drawn from
     the same stream."""
     outcome_conv, expectation_conv = conventions
-    stats = SessionStats(n_rounds=0, bit_seed=bit_source.seed)
+    stats = SessionStats(0, 0, 0, 0, 0, 0, [0, 0], [0, 0], 0.0, 1.0, bit_source.seed,
+                         RandomSource.GENERATOR_ID)
     snapshots = []
     configs = {}
     for r in range(max(ns)):
@@ -133,6 +134,18 @@ class TestExpectedOutcome:
     def test_rejects_unknown_value(self, fresh_walk, bad):
         with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid Convention$"):
             expected_outcome(0, 0, 0, 0, bad)
+        assert expected_outcome.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad,error", [(True, TypeError), (1.0, TypeError),
+                                           (2, ValueError), (None, TypeError)],
+                             ids=["True", "1.0", "2", "None"])
+    def test_bits_are_checked_before_the_cache(self, fresh_walk, bad, error):
+        # a bool or a float hashes like the int it equals
+        for position in range(4):
+            bits = [0, 0, 0, 0]
+            bits[position] = bad
+            with pytest.raises(error, match=f"^encoding bit {'ijkl'[position]} must be "):
+                expected_outcome(*bits, OE)
         assert expected_outcome.cache_info().currsize == 0
 
     def test_label_built_from_a_value_is_scored(self):

@@ -13,6 +13,7 @@ from qdialogue.model import (
     BELL_LABEL_ORDER,
     BellLabel,
     Convention,
+    Fixed,
     InvariantError,
     PauliCode,
     Phase,
@@ -433,6 +434,39 @@ class TestArgumentTypes:
             measure_bell(bad, OE, RandomSource(0))
         with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
             bell_decompose(bad, OE)
+
+    @pytest.mark.parametrize("bad", [None, (0, 1), Fixed(0, 1)], ids=repr)
+    def test_pauli_matrix_and_compose(self, bad):
+        message = f"^code must be a PauliCode, not {type(bad).__name__}$"
+        for call in (lambda: pauli_matrix(bad), lambda: pauli_compose(PauliCode(0, 1), bad),
+                     lambda: pauli_compose(bad, PauliCode(0, 1))):
+            with pytest.raises(TypeError, match=message):
+                call()
+
+    @pytest.mark.parametrize("bad", [None, bell_state(OE, 0, 0).amp], ids=["None", "amp"])
+    def test_equal_up_to_global_phase(self, bad):
+        state = bell_state(OE, 0, 0)
+        for pair in ((bad, state), (state, bad)):
+            with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
+                equal_up_to_global_phase(*pair)
+
+    @pytest.mark.parametrize("k,l,error,message", [
+        (2, 0, ValueError, "Bell label bit k must be 0 or 1, got 2"),
+        (0, -1, ValueError, "Bell label bit l must be 0 or 1, got -1"),
+        (True, 0, TypeError, "Bell label bit k must be an integer, not bool"),
+        (1.0, 0, TypeError, "Bell label bit k must be an integer, not float"),
+        (0, None, TypeError, "Bell label bit l must be an integer, not NoneType"),
+    ], ids=["2", "-1", "True", "1.0", "None"])
+    def test_bell_state_bits(self, k, l, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bell_state("oe", k, l)
+
+    def test_bell_state_takes_an_index(self):
+        class Index:
+            def __index__(self):
+                return 1
+
+        assert bell_state(PP, Index(), 0) is bell_state(PP, 1, 0)
 
 
 class TestValidation:

@@ -41,6 +41,7 @@ from qdialogue.model import (
     PauliCode,
     Phase,
     PhasedPauli,
+    RandomSource,
     RoundConfig,
     Route,
     UniformAll4,
@@ -60,6 +61,13 @@ def transcript(outcome_k=0, detected=None):
     return RoundTranscript(RoundConfig((0, 1), (1, 0)), STATE, STATE, STATE,
                            STATE, STATE, AppliedPauli(1, 1),
                            BellLabel(outcome_k, 1, OE), 0.5, (1, 0), None, detected)
+
+
+def session_stats(bit_seed):
+    """Stats of three rounds with every count zero, from a bit source seeded
+    ``bit_seed``."""
+    return SessionStats(3, 0, 0, 0, 0, 0, [0, 0], [0, 0], 0.0, 1.0, bit_seed,
+                        RandomSource.GENERATOR_ID)
 
 
 #: (name, make, repr, field values or None when mutable, an unequal value):
@@ -113,26 +121,26 @@ VALUES = [
      f"bell_probability=0.5, decoded_alice_bits=(1, 0), decoded_bob_bits=None, "
      f"detected=None)",
      None, transcript(outcome_k=1)),
-    ("SessionStats", lambda: SessionStats(3, bit_seed=7),
+    ("SessionStats", lambda: session_stats(7),
      "SessionStats(n_rounds=3, control_rounds=0, message_rounds=0, detections=0, "
      "alice_pair_errors=0, bob_pair_errors=0, alice_bit_errors=[0, 0], "
      "bob_bit_errors=[0, 0], detection_rate=0.0, survival_probability=1.0, "
      "bit_seed=7, generator_id='mt19937:python-random:single-stream')",
-     None, SessionStats(3, bit_seed=8)),
+     None, session_stats(8)),
     ("CaseDescriptor", lambda: CaseDescriptor(1, 0, 1, "a"),
      "CaseDescriptor(m=1, n=0, parity=1, eve_branch='a')", (1, 0, 1, "a"),
      CaseDescriptor(1, 0, 1)),
     ("DetectionReport",
      lambda: DetectionReport(Passive(), PP, OE, Comparison.STRICT_PAPER,
-                             {CaseDescriptor(0, 0, 0): Fraction(1, 2)},
-                             average=Fraction(1, 4)),
+                             {CaseDescriptor(0, 0, 0): Fraction(1, 2)}, {},
+                             Fraction(1, 4), None),
      "DetectionReport(attack=Passive(), "
      "outcome_convention=<Convention.PARITY_PHASE: 'pp'>, "
      "expectation_convention=<Convention.OPERATOR_ENCODING: 'oe'>, "
      "comparison=<Comparison.STRICT_PAPER: 'strict-paper'>, "
      "per_case={CaseDescriptor(m=0, n=0, parity=0, eve_branch='none'): Fraction(1, 2)}, "
      "branch_averages={}, average=Fraction(1, 4), per_selection=None)",
-     None, DetectionReport(Passive(), PP, OE, Comparison.STRICT_PAPER)),
+     None, DetectionReport(Passive(), PP, OE, Comparison.STRICT_PAPER, {}, {}, 0, None)),
     ("McEstimate", lambda: McEstimate(0.25, 0.125, 100, 9, "g"),
      "McEstimate(mean=0.25, standard_error=0.125, n=100, seed=9, generator_id='g')",
      (0.25, 0.125, 100, 9, "g"), McEstimate(0.25, 0.125, 100, 10, "g")),
@@ -237,7 +245,8 @@ def test_copy_and_pickle(name, make, text, fields, other):
 #: the classes whose constructor ``Value`` derives from their fields; the
 #: others check, convert or default their arguments, or build themselves
 DERIVED = ("PhasedPauli", "MeasuredBranch", "AppliedPauli", "ExactState",
-           "RoundTranscript", "McEstimate", "MessageErrorReport", "ClaimsReport")
+           "RoundTranscript", "McEstimate", "MessageErrorReport", "ClaimsReport",
+           "DetectionReport", "SessionStats")
 
 
 @params
@@ -388,8 +397,11 @@ class TestCaseDomain:
         ((True, 0, 1), TypeError, "case bit m must be an integer, not bool"),
         ((0.0, 1, 1), TypeError, "case bit m must be an integer, not float"),
         ((0, 1, 0), ValueError, "parity must equal m xor n"),
+        ((1, 0, True), TypeError, "case parity must be an integer, not bool"),
+        ((1, 0, 1.0), TypeError, "case parity must be an integer, not float"),
         ((0, 1, 1, "c"), ValueError, "eve_branch must be 'a', 'b' or 'none', got 'c'"),
-    ], ids=["bits-out-of-range", "bool", "float", "parity", "branch"])
+    ], ids=["bits-out-of-range", "bool", "float", "parity", "parity-bool", "parity-float",
+            "branch"])
     def test_outside_the_set_raises_and_builds_nothing(self, args, error, message):
         before = case_instances()
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -417,12 +429,6 @@ def test_defaults():
     config = RoundConfig((1, 1), (0, 0))
     assert (config.mode, config.outcome_convention, config.expectation_convention,
             config.comparison) == (Mode.MESSAGE, OE, OE, Comparison.CONVERTED)
-    report = DetectionReport(Passive(), OE, OE, Comparison.CONVERTED)
-    assert (report.per_case, report.branch_averages, report.average,
-            report.per_selection) == ({}, {}, Fraction(0), None)
-    other = DetectionReport(Passive(), OE, OE, Comparison.CONVERTED)
-    assert report.per_case is not other.per_case
-    assert report.branch_averages is not other.branch_averages
 
 
 def test_keyword_construction():
@@ -469,13 +475,12 @@ def test_round_config_stores_bit_tuples():
     assert hash(config) == hash(RoundConfig((0, 1), (1, 0)))
 
 
-def test_session_stats_lists_are_per_instance_and_deep_copied():
-    a, b = SessionStats(1), SessionStats(1)
-    a.alice_bit_errors[0] += 1
-    a.bob_bit_errors[1] += 1
-    assert b.alice_bit_errors == b.bob_bit_errors == [0, 0]
-    snapshot = copy.deepcopy(a)
-    a.alice_bit_errors[1] += 5
+def test_session_stats_lists_are_deep_copied():
+    stats = session_stats(1)
+    stats.alice_bit_errors[0] += 1
+    stats.bob_bit_errors[1] += 1
+    snapshot = copy.deepcopy(stats)
+    stats.alice_bit_errors[1] += 5
     assert snapshot.alice_bit_errors == [1, 0]
     assert snapshot.bob_bit_errors == [0, 1]
 
