@@ -40,6 +40,8 @@ from .model import (
 from .qcore import TwoQubitState, apply_pauli_t, bell_state, measure_bell
 
 _B_TO_A, _A_TO_B = Route.B_TO_A, Route.A_TO_B
+#: the (0,0) Bell pair Bob prepares each round, built once
+_PREPARED = bell_state(_OE, 0, 0)
 
 
 class RoundTranscript(Value):
@@ -68,7 +70,7 @@ def run_round(
     k, l = config.bob_bits
     i, j = config.alice_bits
 
-    s0 = bell_state(_OE, 0, 0)
+    s0 = _PREPARED
     s1 = apply_pauli_t(s0, PauliCode(k, l))
     s2, rec_b2a = apply_eve(eve, _B_TO_A, s1, rand)
     s3 = apply_pauli_t(s2, PauliCode(i, j))

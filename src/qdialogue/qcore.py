@@ -137,10 +137,9 @@ def bell_state(convention: Convention, k: int, l: int) -> TwoQubitState:
     """The Bell state named (k, l) under the given convention, a member or
     its string value (:func:`~qdialogue.model._convention`).  A bit that is
     no 0/1 int raises as :func:`~qdialogue.model._bit` does."""
-    # the 0/1 ints a round passes skip the full check
-    if type(k) is not int or type(l) is not int or k not in (0, 1) or l not in (0, 1):
-        k, l = _bit(k, "Bell label bit k"), _bit(l, "Bell label bit l")
-    return _BELL_STATES[(_convention(convention), k, l)]
+    return _BELL_STATES[
+        (_convention(convention), _bit(k, "Bell label bit k"), _bit(l, "Bell label bit l"))
+    ]
 
 
 def _amplitudes(state: TwoQubitState) -> tuple[complex, ...]:

@@ -42,13 +42,13 @@ from qdialogue.model import (
 from qdialogue.protocol import run_round
 from qdialogue.qcore import ALG_TOL
 from qdialogue.sampling import (
-    SessionStats,
     _session_table,
     _tallies,
     monte_carlo,
     run_session,
 )
 from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS, StubSelection
+from test_values import empty_session_stats
 
 OE = Convention.OPERATOR_ENCODING
 PP = Convention.PARITY_PHASE
@@ -61,8 +61,7 @@ def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
     bits and, at a fraction strictly between 0 and 1, the mode drawn from
     the same stream."""
     outcome_conv, expectation_conv = conventions
-    stats = SessionStats(0, 0, 0, 0, 0, 0, [0, 0], [0, 0], 0.0, 1.0, bit_source.seed,
-                         RandomSource.GENERATOR_ID)
+    stats = empty_session_stats(0, bit_source.seed)
     snapshots = []
     configs = {}
     for r in range(max(ns)):

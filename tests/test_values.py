@@ -63,10 +63,10 @@ def transcript(outcome_k=0, detected=None):
                            BellLabel(outcome_k, 1, OE), 0.5, (1, 0), None, detected)
 
 
-def session_stats(bit_seed):
-    """Stats of three rounds with every count zero, from a bit source seeded
-    ``bit_seed``."""
-    return SessionStats(3, 0, 0, 0, 0, 0, [0, 0], [0, 0], 0.0, 1.0, bit_seed,
+def empty_session_stats(n_rounds, bit_seed):
+    """Stats of ``n_rounds`` rounds with every count zero and fresh lists,
+    from a bit source seeded ``bit_seed``."""
+    return SessionStats(n_rounds, 0, 0, 0, 0, 0, [0, 0], [0, 0], 0.0, 1.0, bit_seed,
                         RandomSource.GENERATOR_ID)
 
 
@@ -121,12 +121,12 @@ VALUES = [
      f"bell_probability=0.5, decoded_alice_bits=(1, 0), decoded_bob_bits=None, "
      f"detected=None)",
      None, transcript(outcome_k=1)),
-    ("SessionStats", lambda: session_stats(7),
+    ("SessionStats", lambda: empty_session_stats(3, 7),
      "SessionStats(n_rounds=3, control_rounds=0, message_rounds=0, detections=0, "
      "alice_pair_errors=0, bob_pair_errors=0, alice_bit_errors=[0, 0], "
      "bob_bit_errors=[0, 0], detection_rate=0.0, survival_probability=1.0, "
      "bit_seed=7, generator_id='mt19937:python-random:single-stream')",
-     None, session_stats(8)),
+     None, empty_session_stats(3, 8)),
     ("CaseDescriptor", lambda: CaseDescriptor(1, 0, 1, "a"),
      "CaseDescriptor(m=1, n=0, parity=1, eve_branch='a')", (1, 0, 1, "a"),
      CaseDescriptor(1, 0, 1)),
@@ -476,7 +476,7 @@ def test_round_config_stores_bit_tuples():
 
 
 def test_session_stats_lists_are_deep_copied():
-    stats = session_stats(1)
+    stats = empty_session_stats(3, 1)
     stats.alice_bit_errors[0] += 1
     stats.bob_bit_errors[1] += 1
     snapshot = copy.deepcopy(stats)
