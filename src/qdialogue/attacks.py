@@ -33,7 +33,7 @@ from .model import (
     UniformAll4,
     _draw_total,
 )
-from .qcore import ALG_TOL, TwoQubitState, apply_pauli_t, measure_t_computational
+from .qcore import ALG_TOL, TwoQubitState, _amplitudes, apply_pauli_t, measure_t_computational
 
 
 # Records of what Eve did in a round.
@@ -81,12 +81,14 @@ def apply_eve(
     """Eve's action at a tap.  Returns the forwarded state and her record.
 
     A tap without an action forwards the state untouched with record None.
-    Only the branch the draw picks is computed.  A non-strategy raises
-    TypeError, and a selection is checked as the exact walk checks it
+    Only the branch the draw picks is computed.  A non-strategy or a
+    ``state`` that is no :class:`TwoQubitState` raises TypeError, and a
+    selection is checked as the exact walk checks it
     (:func:`~qdialogue.model._draw_total`).
     """
     if not isinstance(strategy, EveStrategy):
         raise TypeError(f"not an Eve strategy: {strategy!r}")
+    _amplitudes(state)
     action = strategy.tap(route)
     if action is None:
         return state, None

@@ -84,6 +84,21 @@ def _bit(value, name: str) -> int:
     return value
 
 
+def _members(enum: type[Enum]):
+    """The dict from each member of ``enum`` and its value to the member,
+    and the function that looks a value up in it: anything else raises the
+    ``ValueError`` of ``enum``, an unhashable value included."""
+    table = {key: member for member in enum for key in (member, member.value)}
+
+    def lookup(value):
+        try:
+            return table[value]
+        except (KeyError, TypeError):
+            return enum(value)
+
+    return table, lookup
+
+
 def _field_values(names: tuple[str, ...]):
     """The function that maps an instance to the tuple of its fields
     ``names``: one C call when there are two or more."""
@@ -257,18 +272,7 @@ class Convention(Enum):
         return Convention.OPERATOR_ENCODING
 
 
-#: each convention, by member and by value
-_CONVENTION = {key: member for member in Convention for key in (member, member.value)}
-
-
-def _convention(value) -> Convention:
-    """``value``, a convention member or its string value, as the member;
-    anything else raises the ``ValueError`` of ``Convention``, an
-    unhashable value included."""
-    try:
-        return _CONVENTION[value]
-    except (KeyError, TypeError):
-        return Convention(value)
+_CONVENTION, _convention = _members(Convention)
 
 
 class BellLabel(FrozenValue):
@@ -424,18 +428,7 @@ class Route(Enum):
     A_TO_B = "a2b"
 
 
-#: each route, by member and by value
-_ROUTE = {key: member for member in Route for key in (member, member.value)}
-
-
-def _route(value) -> Route:
-    """``value``, a route member or its string value, as the member;
-    anything else raises the ``ValueError`` of ``Route``, an unhashable
-    value included."""
-    try:
-        return _ROUTE[value]
-    except (KeyError, TypeError):
-        return Route(value)
+_ROUTE, _route = _members(Route)
 
 
 # Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
@@ -587,8 +580,7 @@ class Comparison(str, Enum):
     CONVERTED = "converted"
 
 
-#: each comparison, by member and by value
-_COMPARISON = {key: member for member in Comparison for key in (member, member.value)}
+_COMPARISON, _comparison = _members(Comparison)
 #: the members a round reads, bound once: looking a member up on its enum
 #: costs more than ten reads of a global
 _OE, _PP = Convention.OPERATOR_ENCODING, Convention.PARITY_PHASE
@@ -605,8 +597,8 @@ def bookkeeping(outcome_convention, expectation_convention,
                 _COMPARISON[comparison])
     except (KeyError, TypeError):
         # raises the ValueError of the first value that names no member
-        return (Convention(outcome_convention), Convention(expectation_convention),
-                Comparison(comparison))
+        return (_convention(outcome_convention), _convention(expectation_convention),
+                _comparison(comparison))
 
 
 class RoundConfig(FrozenValue):

@@ -60,7 +60,12 @@ class TwoQubitState(FrozenValue):
     __slots__ = ("amp",)
 
     def __init__(self, amp):
-        amp = tuple(complex(a) for a in amp)
+        amp = tuple(amp)
+        for a in amp:
+            # complex() parses strings, so "1" would pass for an amplitude
+            if isinstance(a, str):
+                raise TypeError("an amplitude must be a number, not str")
+        amp = tuple(map(complex, amp))
         if len(amp) != 4:
             raise ValueError("TwoQubitState needs exactly 4 amplitudes")
         n = sum(abs(a) ** 2 for a in amp)
@@ -107,9 +112,12 @@ _ACTION_C = {
 
 
 def apply_pauli_t(state: TwoQubitState, code: PauliCode) -> TwoQubitState:
-    """Apply C_{a,b} to the travel qubit: (I tensor C) |state>."""
+    """Apply C_{a,b} to the travel qubit: (I tensor C) |state>.  A ``state``
+    that is no :class:`TwoQubitState` or a ``code`` that is no
+    :class:`PauliCode` raises TypeError."""
+    a0, a1, a2, a3 = _amplitudes(state)
+    code = _pauli_code(code)
     flips, c0, c1 = _ACTION_C[(code.a, code.b)]
-    a0, a1, a2, a3 = state.amp
     if flips:
         amp = (c1 * a1, c0 * a0, c1 * a3, c0 * a2)
     else:
@@ -160,16 +168,6 @@ def bell_decompose(
     a = _amplitudes(state)
     return {label: b[0] * a[0] + b[1] * a[1] + b[2] * a[2] + b[3] * a[3]
             for label, b in _BELL_CONJ[_convention(convention)]}
-
-
-def recompose(coeffs: dict[BellLabel, complex]) -> TwoQubitState:
-    """Rebuild a state from its Bell coefficients (inverse of bell_decompose)."""
-    amp = [0j, 0j, 0j, 0j]
-    for label, c in coeffs.items():
-        b = _BELL_STATES[(label.convention, label.k, label.l)].amp
-        for x in range(4):
-            amp[x] += c * b[x]
-    return TwoQubitState(amp)
 
 
 def measure_t_computational(

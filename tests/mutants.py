@@ -114,6 +114,22 @@ MUTANTS = {
         "(1.0 - rate) ** n_rounds",
         ("tests/test_protocol.py::TestSessionTable::test_explicit_comparison",),
     ),
+    # a string amplitude reaches complex(), which parses it: "1000" is |00>
+    "state-takes-string-amplitudes": Mutant(
+        "src/qdialogue/qcore.py",
+        "if isinstance(a, str):",
+        "if False:",
+        ("tests/test_qcore.py::TestArgumentTypes::test_two_qubit_state_amplitudes",
+         "tests/test_boundary_fuzz.py::test_returns_the_member_form_or_raises_value_or_type_error"),
+    ),
+    # Eve's tap checks no state: where she does nothing it is forwarded as
+    # it came, None included
+    "eve-forwards-any-state": Mutant(
+        "src/qdialogue/attacks.py",
+        "    _amplitudes(state)\n",
+        "",
+        ("tests/test_attacks.py::TestNotAState::test_raises_type_error",),
+    ),
 }
 
 

@@ -220,6 +220,19 @@ class TestNotAStrategy:
         assert exactstate._walk.cache_info().currsize == 0
 
 
+class TestNotAState:
+    """``apply_eve`` raises a TypeError that names the state, whether Eve
+    acts at the tap or not."""
+
+    @pytest.mark.parametrize("route", Route)
+    @pytest.mark.parametrize("eve", [Passive(), InterceptMeasure(), DisturbPauli()],
+                             ids=lambda eve: type(eve).__name__)
+    @pytest.mark.parametrize("bad", [None, bell_state(OE, 0, 0).amp], ids=["None", "amp"])
+    def test_raises_type_error(self, bad, eve, route):
+        with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
+            apply_eve(eve, route, bad, RandomSource(0))
+
+
 class TestRouteValues:
     """A strategy takes its route as a member or as its string value, which
     build equal strategies with one cache entry; anything else raises the

@@ -62,9 +62,9 @@ ANY = (
     "message", "a", "b", "none",
     # near misses
     "OE", "Pp", " oe", "b2a ", "B_TO_A", "strict_paper", "Control", "c",
-    "", "1", "00",
+    "", "1", "00", "1000",
     None, True, False, 0.0, 1.0, 0.5, float("nan"), 0, 1, 2, -1,
-    [], [0, 1], [1, 0, 1], ["oe"], (0, 1),
+    [], [0, 1], [1, 0, 1], ["oe"], ["1", "0", "0", "0"], (0, 1),
     # instances of the value classes
     CODE, OTHER_CODE, LABEL, OTHER_LABEL, Fixed(1, 1), UniformAll4(),
     CoinIZ(), MEASURE, Passive(), InterceptMeasure(), DisturbPauli(),

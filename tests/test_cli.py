@@ -6,6 +6,7 @@ Regenerate golden files with ``QDLG_UPDATE_GOLDEN=1 pytest tests/test_cli.py``.
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from qdialogue.qcore import SQRT_HALF, TwoQubitState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
+README = Path(__file__).parent.parent / "README.md"
 
 #: every subcommand's invocation with a golden file, and that file
 GOLDEN_INVOCATIONS = [
@@ -453,6 +455,57 @@ def test_console_script(argv, golden):
     proc = subprocess.run([script, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / golden).read_text()
+
+
+def readme_cli_section() -> str:
+    """The ``## CLI`` section of README.md, up to the next heading."""
+    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each line of the first shell block of README's CLI
+    section, ``\\`` continuations joined and ``#`` comments dropped; every
+    line must be a ``qdialogue`` command."""
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [words for line in block.replace("\\\n", " ").splitlines()
+                if (words := shlex.split(line, comments=True))]
+    assert all(words[0] == "qdialogue" for words in commands), commands
+    return [words[1:] for words in commands]
+
+
+def test_readme_cli_examples_exit_zero(capsys):
+    """Each command of README's CLI block runs, in process."""
+    examples = readme_cli_examples()
+    assert examples
+    for argv in examples:
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_console_script_runs_the_readme_examples():
+    """Each command of README's CLI block runs as a user types it, through
+    the installed ``qdialogue`` console script; skipped when no such
+    script is on ``PATH``."""
+    script = shutil.which("qdialogue")
+    if script is None:
+        pytest.skip("no qdialogue console script installed")
+    for argv in readme_cli_examples():
+        proc = subprocess.run([script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_readme_flag_table_lists_each_subcommands_flags():
+    """README's table of each subcommand's flags names the flags its
+    parser takes, the attack and bookkeeping flags as groups."""
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", readme_cli_section(), re.MULTILINE)
+    listed = {}
+    for subcommand, flags in rows:
+        listed[subcommand] = set(re.findall(r"--[\w-]+", flags))
+        if "attack flags" in flags:
+            listed[subcommand] |= ATTACK_FLAGS
+        if "bookkeeping flags" in flags:
+            listed[subcommand] |= BOOKKEEPING_FLAGS
+    assert listed == SUBCOMMAND_FLAGS
 
 
 #: every submodule of the package

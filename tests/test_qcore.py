@@ -32,7 +32,6 @@ from qdialogue.qcore import (
     measure_bell,
     measure_t_computational,
     pauli_matrix,
-    recompose,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -48,6 +47,17 @@ def unchecked_state(amp) -> TwoQubitState:
     state = object.__new__(TwoQubitState)
     object.__setattr__(state, "amp", tuple(amp))
     return state
+
+
+def recompose(coeffs: dict[BellLabel, complex]) -> TwoQubitState:
+    """Rebuild a state from its Bell coefficients, the inverse of
+    :func:`bell_decompose`."""
+    amp = [0j, 0j, 0j, 0j]
+    for label, c in coeffs.items():
+        b = bell_state(label.convention, label.k, label.l).amp
+        for x in range(4):
+            amp[x] += c * b[x]
+    return TwoQubitState(amp)
 
 
 def random_states(n, seed=0):
@@ -434,6 +444,23 @@ class TestArgumentTypes:
             measure_bell(bad, OE, RandomSource(0))
         with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
             bell_decompose(bad, OE)
+
+    @pytest.mark.parametrize("state,code,message", [
+        pytest.param(None, PauliCode(0, 1), "state must be a TwoQubitState", id="state None"),
+        pytest.param(bell_state(OE, 0, 0).amp, PauliCode(0, 1), "state must be a TwoQubitState",
+                     id="state amp"),
+        pytest.param(bell_state(OE, 0, 0), None, "code must be a PauliCode", id="code None"),
+        pytest.param(bell_state(OE, 0, 0), (0, 1), "code must be a PauliCode", id="code (0, 1)"),
+    ])
+    def test_apply_pauli_t(self, state, code, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}, not "):
+            apply_pauli_t(state, code)
+
+    @pytest.mark.parametrize("amp", ["1000", ["1", "0", "0", "0"], (1, 0, 0, "0")], ids=repr)
+    def test_two_qubit_state_amplitudes(self, amp):
+        # complex() parses strings, which would build |00>
+        with pytest.raises(TypeError, match="^an amplitude must be a number, not str$"):
+            TwoQubitState(amp)
 
     @pytest.mark.parametrize("bad", [None, (0, 1), Fixed(0, 1)], ids=repr)
     def test_pauli_matrix_and_compose(self, bad):
