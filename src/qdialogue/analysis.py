@@ -132,9 +132,9 @@ class ClaimsReport(FrozenValue):
 def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
                     expectation_conv: Convention, comparison: Comparison) -> tuple:
     """The one exact fold, once per configuration: group sums over the
-    leaves of :func:`_walk`, a leaf's tallies ``rows[place][outcome]``, in ints
-    until the final ``Fraction``s.  Returns, all immutable, (cases, reach,
-    branch_averages, average, per_selection, errors): each (m, n, Eve
+    leaves of :func:`_walk`, with tallies ``rows[place << 2 | outcome]``,
+    in ints until the final ``Fraction``s.  Returns, all immutable, (cases,
+    reach, branch_averages, average, per_selection, errors): each (m, n, Eve
     branch) case's ``CaseDescriptor`` and detection probability; per bit
     tuple, in ``ALL_BIT_TUPLES`` order, the indices in ``cases`` of the cases
     its leaves reach, in leaf order; the sorted (branch, average) pairs; the
@@ -151,7 +151,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     reach = [{} for _ in ALL_BIT_TUPLES]
     for place, _b, branch, sel, outcome, mass in leaves:
         i, j, k, l = ALL_BIT_TUPLES[place]
-        tally = rows[place][outcome]
+        tally = rows[place << 2 | outcome]
         tallied[tally] = tallied.get(tally, 0) + mass
         hit = mass if tally & 2 else 0
         case = (i ^ k, j ^ l, branch)

@@ -15,8 +15,8 @@ Eve branch and Bell outcome, in one flat tuple, each mass an int over one
 power of two, Eve's draw weights included.  :func:`_walk` makes it once
 per strategy and outcome convention, and :func:`_outcome_tallies` applies
 the rules of :mod:`qdialogue.model` once per conventions and comparison:
-per bit tuple, one tally byte per Bell outcome (control, detected and
-errors), so a leaf's tallies are ``rows[place][outcome]``.  The samplers
+one tally byte per bit tuple and Bell outcome (control, detected and
+errors): a leaf's tallies are ``rows[place << 2 | outcome]``.  The samplers
 (:mod:`qdialogue.sampling`) and the exact reports (:mod:`qdialogue.analysis`)
 both read these two caches.  Neither a float nor a ``Fraction`` enters this
 path (only :meth:`ExactState.norm_sq` builds one), and the module sits
@@ -229,26 +229,24 @@ _KEEP = {mask: bytes(b & mask for b in range(256))
 
 @lru_cache(maxsize=None)
 def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
-                     comparison: Comparison) -> tuple[bytes, ...]:
-    """Per bit tuple (i, j, k, l), in ``ALL_BIT_TUPLES`` order, the row of
-    tallies of each Bell outcome of its round, in ``BELL_LABEL_ORDER``, one
-    byte each, so that a leaf of :func:`_walk` at ``place`` and ``outcome``
-    has the tallies ``rows[place][outcome]``: bit 0 set (a control round),
-    bit 1 whether :func:`control_detected` flags it, and bits 2-7 what
-    :func:`decode_message` gets wrong in a message round: Alice's and
-    Bob's pairs, then the bits i, j, k, l.  The rows are a tuple of
-    ``bytes``, so no caller can change what the next one reads."""
-    rows = []
+                     comparison: Comparison) -> bytes:
+    """The tallies of each Bell outcome of each bit tuple's round, one byte
+    each, in one ``bytes.translate`` table that no caller can change: a
+    leaf of :func:`_walk` at ``place`` and ``outcome`` has the tallies
+    ``rows[place << 2 | outcome]``, and the 192 bytes past the 64 leaves'
+    are 0.  Bit 0 is set (a control round), bit 1 is whether
+    :func:`control_detected` flags it, and bits 2-7 are what
+    :func:`decode_message` gets wrong in a message round: Alice's and Bob's
+    pairs, then the bits i, j, k, l."""
+    rows = bytearray()
     for i, j, k, l in ALL_BIT_TUPLES:
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,
                              expectation_conv, comparison)
-        row = bytearray()
         for kl in BELL_LABEL_ORDER:
             label = BellLabel(*kl, outcome_conv)
             alice, bob = decode_message(config, label)
             wrong = (alice != (i, j), bob != (k, l),
                      alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
-            row.append(1 | control_detected(config, label) << 1
-                       | sum(flag << t for t, flag in enumerate(wrong, 2)))
-        rows.append(bytes(row))
-    return tuple(rows)
+            rows.append(1 | control_detected(config, label) << 1
+                        | sum(flag << t for t, flag in enumerate(wrong, 2)))
+    return bytes(rows.ljust(256, b"\0"))

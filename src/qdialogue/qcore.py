@@ -176,9 +176,10 @@ def measure_t_computational(
     """Born-rule measurement of the travel qubit in the computational basis.
 
     Returns (outcome bit, collapsed renormalized state, outcome probability).
-    The outcome is 0 iff the draw lies below the probability of t = 0.
+    The outcome is 0 iff the draw lies below the probability of t = 0.  A
+    ``state`` that is no :class:`TwoQubitState` raises TypeError first.
     """
-    a0, a1, a2, a3 = state.amp
+    a0, a1, a2, a3 = _amplitudes(state)
     p0 = (a0.real * a0.real + a0.imag * a0.imag
           + a2.real * a2.real + a2.imag * a2.imag)
     if rand.random() < p0:
@@ -194,11 +195,13 @@ def measure_bell(
 ) -> tuple[BellLabel, float]:
     """Bell measurement under a convention: draws a label by its Born weight,
     the last nonzero one when rounding leaves the draw above every cumulative
-    weight.  Weights that sum below ``1 - ALG_TOL`` raise InvariantError."""
+    weight.  Weights that sum below ``1 - ALG_TOL`` raise InvariantError, and
+    a bad state or convention as in :func:`bell_decompose`, before any draw."""
+    amplitudes = bell_decompose(state, convention)
     u = rand.random()
     acc = 0.0
     entries = []  # (cumulative weight, label, Born weight) of nonzero labels
-    for label, c in bell_decompose(state, convention).items():
+    for label, c in amplitudes.items():
         w = c.real * c.real + c.imag * c.imag
         if w > 0.0:
             acc += w

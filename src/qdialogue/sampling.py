@@ -2,13 +2,14 @@
 its control-only view :func:`monte_carlo`.
 
 The one sampler loop, :func:`run_session`, reads the walk's leaves and the
-tally rows of :mod:`qdialogue.exactstate`.  It takes its draws from one
+tally table of :mod:`qdialogue.exactstate`.  It takes its draws from one
 stream in the order a loop of :func:`qdialogue.protocol.run_round` takes
 them: every cumulative mass of the walk is a multiple of 1/4 of its total,
-so the top byte of each draw's first Mersenne Twister word decides it, and
-whole chunks of rounds resolve by ``bytes`` table lookups in C to the
-tally byte of the leaf each round reaches, keyed by its bit tuple's place
-in ``ALL_BIT_TUPLES``, as are the leaves and the tally rows.  The session
+so the top byte of each draw's first Mersenne Twister word decides it.  A
+round's key, from those bytes, picks the leaf it reaches in one table per
+walk, :func:`_round_leaves`, which every bookkeeping of the walk shares; a
+bookkeeping enters only through the leaves' tally bytes.  Whole chunks of
+rounds resolve by ``bytes`` table lookups in C to those bytes.  The session
 counts each tally the rounds' mode can set by the popcount of its bit
 across the chunk.  A sampler process loads this module, the walk and
 :mod:`qdialogue.model`, and neither the float round simulator nor the exact
@@ -27,7 +28,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate, groupby
-from operator import itemgetter
 
 from .exactstate import _CONTROL_TALLIES, _KEEP, _MESSAGE_TALLIES, _outcome_tallies, _walk
 from .model import (
@@ -87,34 +87,29 @@ def _quarter_picks(masses: Iterable[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _session_table(eve: EveStrategy, outcome_conv: Convention,
-                   expectation_conv: Convention,
-                   comparison: Comparison) -> tuple[bool, bytes]:
-    """What the samplers resolve rounds with, built once per configuration
-    from the leaves of :func:`_walk` and the rows of
-    :func:`_outcome_tallies`.
+def _round_leaves(eve: EveStrategy, outcome_conv: Convention) -> tuple[bool, bytes, bytes]:
+    """Which leaf of :func:`_walk` each round key reaches, once per walk.
 
-    Returns whether a round draws Eve's tap, and the tally table: per round
-    key, the tallies of the leaf it reaches, as bits: those of its control
-    round in ``_CONTROL_TALLIES`` and those of its message round in
-    ``_MESSAGE_TALLIES``.  The key's node is the bit tuple's place, which
-    groups the leaves, then their Eve branch index; its tap quarter picks a
-    branch by the cumulative branch masses, and its Bell quarter a leaf by
-    the branch's cumulative leaf masses (:func:`_quarter_picks`).
+    Returns whether a round draws Eve's tap; per round key, the index in the
+    walk's leaves of the leaf it reaches; and per key, that leaf's
+    ``place << 2 | outcome``, the index of its tallies in every table of
+    :func:`_outcome_tallies`.  The key's node is the bit tuple's place,
+    which groups the leaves, then their Eve branch index; its tap quarter
+    picks a branch by the cumulative branch masses, and its Bell quarter a
+    leaf by the branch's cumulative leaf masses (:func:`_quarter_picks`).
     """
     _top, leaves = _walk(eve, outcome_conv)
-    rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
     draws_tap = any(b for _place, b, *_ in leaves)
     table = bytearray()
-    for place, node in groupby(leaves, itemgetter(0)):
-        # per Eve branch, the (outcome, mass) of each of its leaves
-        branches = [[leaf[4:] for leaf in branch] for _b, branch in groupby(node, itemgetter(1))]
+    for _place, node in groupby(range(len(leaves)), lambda n: leaves[n][0]):
+        # per Eve branch, the indices of its leaves
+        branches = [list(branch) for _b, branch in groupby(node, lambda n: leaves[n][1])]
         if (len(branches) > 1) != draws_tap:
             raise InvariantError("Eve's tap draws on some bit tuples only")
-        for b in _quarter_picks(sum(m for _x, m in branch) for branch in branches):
-            outcomes, masses = zip(*branches[b])
-            table += bytes(rows[place][outcomes[x]] for x in _quarter_picks(masses))
-    return draws_tap, bytes(table)
+        for b in _quarter_picks(sum(leaves[n][5] for n in branch) for branch in branches):
+            branch = branches[b]
+            table += bytes(branch[x] for x in _quarter_picks(leaves[n][5] for n in branch))
+    return draws_tap, bytes(table), bytes(leaves[n][0] << 2 | leaves[n][4] for n in table)
 
 
 def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
@@ -130,24 +125,26 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     ``random()`` builds a draw from two Mersenne Twister words a, b as
     ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
     m / 4 exactly when ``a >> 30 < m``.  Every threshold of the walk is a
-    multiple of 1/4, as :func:`_session_table` checks on its integers, so
+    multiple of 1/4, as :func:`_round_leaves` checks on its integers, so
     the top byte of each draw's first word decides the draw: a bit is 1
     when that byte is below 128, and the tap and Bell draws go by their
     quarter of [0, 1).  ``getrandbits`` returns the words first word least
     significant, so that byte is byte 3 of the draw's 8 little-endian
-    bytes.  Per draw position a table maps it to its bits of
-    the round's key: the node 8i + 4j + 2k + l, the bit tuple's place in
+    bytes.  Per draw position a table maps it to its bits of the round's
+    key: the node 8i + 4j + 2k + l, the bit tuple's place in
     ``ALL_BIT_TUPLES``, in bits 4-7, the tap quarter in bits 2-3 and the
-    Bell quarter in bits 0-1.  The table of
-    :func:`_session_table` maps the key to the round's tallies, and the
-    round's mode masks them: at fraction 0 or 1 the table is masked once,
-    and a mixed session masks each chunk.  A mode draw at a mixed fraction
-    f is control when its top byte is below 256 f and message when above
-    it; on the byte 256 f rounds down to, unless f is a multiple of 1/256,
-    the whole draw settles it.  All of a chunk's work but that settling runs
-    in C.
+    Bell quarter in bits 0-1.  One table, made per call from the key's leaf
+    (:func:`_round_leaves`) and the leaf's tallies (:func:`_outcome_tallies`),
+    maps the key to the round's tallies, and the round's mode masks them:
+    at fraction 0 or 1 the table is masked once, and a mixed session masks
+    each chunk.  A mode draw at a mixed fraction f is control when its top
+    byte is below 256 f and message when above it; on the byte 256 f rounds
+    down to, unless f is a multiple of 1/256, the whole draw settles it.
+    All of a chunk's work but that settling runs in C.
     """
-    draws_tap, table = _session_table(eve, *bookkeeping(*conventions, comparison))
+    outcome_conv, *rules = bookkeeping(*conventions, comparison)
+    draws_tap, _leaf, tally_index = _round_leaves(eve, outcome_conv)
+    table = tally_index.translate(_outcome_tallies(outcome_conv, *rules))
     mixed = 0.0 < control_fraction < 1.0
     draws = 5 + mixed + draws_tap
     keyed = tuple(zip((0, 1, 2, 3, *range(4 + mixed, draws)),

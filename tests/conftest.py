@@ -25,13 +25,12 @@ def _clear_caches():
 def fresh_walk():
     """Empty every cache of every ``qdialogue`` module (the exact walk
     ``exactstate._walk``, one flat tuple of leaves per strategy and outcome
-    convention, the outcome-tally table
-    ``exactstate._outcome_tallies``, the one exact fold
-    ``analysis._detection_fold`` and the sampler's
-    ``sampling._session_table`` built on them, among others) before and
-    after a test, so that a test which patches a walk primitive or the walk
-    walks and folds again under its patch and leaves nothing patched
-    behind.  The fixture's value empties them again when called."""
+    convention, the samplers' key-to-leaf table ``sampling._round_leaves``
+    built on it, also per walk, the tally table
+    ``exactstate._outcome_tallies``, per bookkeeping, and the one exact fold
+    ``analysis._detection_fold``, among others) before and after a test,
+    so that a test which patches a walk primitive or the walk walks and
+    folds again under its patch and leaves nothing patched behind.  The fixture's value empties them again when called."""
     _clear_caches()
     yield _clear_caches
     _clear_caches()

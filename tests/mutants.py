@@ -74,14 +74,23 @@ MUTANTS = {
         "hit = mass if tally & 1 else 0",
         ("tests/test_analysis.py::TestEnumerateExact::test_agrees_with_brute_force_oracle",),
     ),
-    # the session table takes a picked leaf's tallies by its index among
-    # its branch's nonzero leaves, not by its Bell outcome: the table keeps
-    # its length and its quarters, only its tally bytes change
-    "session-table-tallies-by-leaf-index": Mutant(
+    # the samplers take a picked leaf's tallies by its Eve branch index,
+    # not by its Bell outcome: the key-to-leaf table is right, and only the
+    # tally bytes change
+    "leaf-tallies-by-branch-index": Mutant(
         "src/qdialogue/sampling.py",
-        "rows[place][outcomes[x]]",
-        "rows[place][x]",
-        ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",),
+        "leaves[n][0] << 2 | leaves[n][4]",
+        "leaves[n][0] << 2 | leaves[n][1]",
+        ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",
+         "tests/test_protocol.py::TestResolver::test_every_key_is_its_round"),
+    ),
+    # the key-to-leaf table off by one leaf: a Bell quarter picks the leaf
+    # before its own in its branch, which only intercept's branches have
+    "key-to-leaf-off-by-one": Mutant(
+        "src/qdialogue/sampling.py",
+        "bytes(branch[x] for x",
+        "bytes(branch[x - 1] for x",
+        ("tests/test_protocol.py::TestResolver::test_every_key_is_its_round",),
     ),
     # a mixed session settles a mode draw equal to the fraction as control;
     # only draws on the open byte are settled whole, so only they see it
@@ -121,6 +130,22 @@ MUTANTS = {
         "if False:",
         ("tests/test_qcore.py::TestArgumentTypes::test_two_qubit_state_amplitudes",
          "tests/test_boundary_fuzz.py::test_returns_the_member_form_or_raises_value_or_type_error"),
+    ),
+    # a Bell measurement draws before it checks its state and convention,
+    # so a rejected call advances the stream; valid calls draw the same
+    "bell-draws-before-its-check": Mutant(
+        "src/qdialogue/qcore.py",
+        "    amplitudes = bell_decompose(state, convention)\n    u = rand.random()\n",
+        "    u = rand.random()\n    amplitudes = bell_decompose(state, convention)\n",
+        ("tests/test_qcore.py::TestArgumentTypes::test_rejected_bell_measurement_draws_nothing",),
+    ),
+    # Eve's measurement reads the amplitudes past the state check: None
+    # raises AttributeError
+    "t-measurement-checks-no-state": Mutant(
+        "src/qdialogue/qcore.py",
+        "a0, a1, a2, a3 = _amplitudes(state)\n    p0",
+        "a0, a1, a2, a3 = state.amp\n    p0",
+        ("tests/test_qcore.py::TestArgumentTypes::test_measure_t_computational",),
     ),
     # Eve's tap checks no state: where she does nothing it is forwarded as
     # it came, None included

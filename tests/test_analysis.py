@@ -893,7 +893,7 @@ class TestWalkCache:
                         for d in node.decorator_list):
                     caches[f"{path.stem}.{node.name}"] = getattr(module, node.name)
         assert {"exactstate._walk", "exactstate._outcome_tallies", "analysis._detection_fold",
-                "sampling._session_table", "model.label_map"} <= set(caches)
+                "sampling._round_leaves", "model.label_map"} <= set(caches)
         sum(1 for _ in self.exact_grid_reports())
         monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
         assert all(cache.cache_info().currsize for cache in caches.values())
@@ -976,8 +976,14 @@ class TestWalkCache:
         for oc, ec, comp in ALL_COMBOS:
             check(analysis._detection_fold(attack, oc, ec, Comparison(comp)))
             rows = exactstate._outcome_tallies(oc, ec, Comparison(comp))
-            assert len(rows) == len(ALL_BIT_TUPLES)
+            # one tally byte per bit tuple and Bell outcome, then 0s: a
+            # translate table
+            assert len(rows) == 256 and rows[4 * len(ALL_BIT_TUPLES):] == bytes(192)
             check(rows)
+        for oc in (OE, PP):
+            draws_tap, leaf, tally_index = sampling._round_leaves(attack, oc)
+            assert type(draws_tap) is bool
+            assert type(leaf) is type(tally_index) is bytes
 
     def test_changing_results_changes_no_cache(self):
         attack = InterceptMeasure(Route.A_TO_B)
@@ -1028,37 +1034,39 @@ class TestWalkCache:
 
 class TestConventionValues:
     """Each engine takes a convention and a comparison as a member or as its
-    string value, with one cache entry for both, and rejects anything else
-    with the ValueError of its enum before any cache is filled."""
+    string value, with one entry per cache for both, and rejects anything
+    else with the ValueError of its enum before any cache is filled."""
 
+    #: the samplers' caches: the walk's key-to-leaf table and the
+    #: bookkeeping's tally table
+    SAMPLER_CACHES = (sampling._round_leaves, exactstate._outcome_tallies)
     ENGINES = {
         "enumerate_exact": (
             lambda oc, ec, comp: enumerate_exact(InterceptMeasure(), oc, ec, comp),
-            analysis._detection_fold),
+            (analysis._detection_fold, exactstate._outcome_tallies)),
         "monte_carlo": (
             lambda oc, ec, comp: monte_carlo(InterceptMeasure(), oc, ec, comp,
                                              n=300, seed=2),
-            sampling._session_table),
+            SAMPLER_CACHES),
         "run_session": (
             lambda oc, ec, comp: run_session(300, 0.5, RandomSource(2), InterceptMeasure(),
                                              (oc, ec), comp),
-            sampling._session_table),
+            SAMPLER_CACHES),
         "run_round": (
             lambda oc, ec, comp: run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL,
                                                        oc, ec, comp),
                                            InterceptMeasure(), RandomSource(2)),
-            expected_outcome),
+            (expected_outcome,)),
     }
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("oc,ec", list(product((OE, PP), repeat=2)))
     def test_value_shares_the_member_entry(self, fresh_walk, engine, oc, ec):
-        run, cache = self.ENGINES[engine]
-        cache.cache_clear()
+        run, caches = self.ENGINES[engine]
         by_member = run(oc, ec, Comparison.STRICT_PAPER)
         by_value = run(oc.value, ec.value, "strict-paper")
         assert repr(by_value) == repr(by_member)
-        assert cache.cache_info().misses == 1
+        assert [cache.cache_info().misses for cache in caches] == [1] * len(caches)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("oc,ec,comp,enum,bad", [
@@ -1075,11 +1083,10 @@ class TestConventionValues:
     ], ids=["outcome", "expectation", "name", "unhashable", "none", "int",
             "comparison", "comparison-unhashable", "comparison-none", "comparison-int"])
     def test_rejects_unknown_value(self, fresh_walk, engine, oc, ec, comp, enum, bad):
-        run, cache = self.ENGINES[engine]
-        cache.cache_clear()
+        run, caches = self.ENGINES[engine]
         with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid {enum}$"):
             run(oc, ec, comp)
-        assert cache.cache_info().misses == 0
+        assert [cache.cache_info().misses for cache in caches] == [0] * len(caches)
 
     def test_report_carries_the_member(self):
         report = enumerate_exact(Passive(), "pp", "oe")

@@ -1,14 +1,18 @@
 """Boundary fuzz of the library: the exact model's constructors and
-functions, and the float names kept beside them, called with members,
-their string values, near-miss strings, None, bools, floats, ints, lists
-and instances of the other value classes, in any argument position.
+functions, the float names kept beside them, and the engines
+(``enumerate_exact``, ``message_error_rate``, ``monte_carlo``,
+``run_session``, ``run_round`` and each strategy's ``tap``), called with
+members, their string values, near-miss strings, None, bools, floats, ints,
+lists and instances of the other value classes, in any argument position.
 
 Each call either returns what the call with every argument in its member
 form returns, or raises ``ValueError`` or ``TypeError``: never an
 ``AttributeError``, ``KeyError`` or ``IndexError`` from inside.  A rejected
-call fills no cache.  The float primitives of the round simulator
-(``apply_pauli_t``, the two measurements, ``apply_eve``) are not fuzzed
-here.
+call fills no cache of any ``qdialogue`` module, and a call in another form
+fills no entry that its member form does not share.  Each call draws from a
+copy of a random source it is given.  The float primitives of the round
+simulator (``apply_pauli_t``, the two measurements, ``apply_eve``) are not
+fuzzed here.
 """
 
 import numpy as np
@@ -16,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdialogue.analysis import CaseDescriptor
+from conftest import _CACHES
+from qdialogue.analysis import CaseDescriptor, enumerate_exact, message_error_rate
+from qdialogue.exactstate import ALL_BIT_TUPLES
 from qdialogue.model import (
     MEASURE,
     BellLabel,
@@ -39,6 +45,7 @@ from qdialogue.model import (
     pauli_action_closed_form,
     pauli_compose,
 )
+from qdialogue.protocol import run_round
 from qdialogue.qcore import (
     TwoQubitState,
     bell_decompose,
@@ -46,6 +53,7 @@ from qdialogue.qcore import (
     equal_up_to_global_phase,
     pauli_matrix,
 )
+from qdialogue.sampling import monte_carlo, run_session
 
 OE, PP = Convention.OPERATOR_ENCODING, Convention.PARITY_PHASE
 STATE, OTHER_STATE = bell_state(OE, 0, 1), bell_state(PP, 1, 1)
@@ -69,7 +77,7 @@ ANY = (
     CODE, OTHER_CODE, LABEL, OTHER_LABEL, Fixed(1, 1), UniformAll4(),
     CoinIZ(), MEASURE, Passive(), InterceptMeasure(), DisturbPauli(),
     RoundConfig((0, 1), (1, 0)), CaseDescriptor(0, 1, 1, "a"),
-    RandomSource(5), STATE,
+    SOURCE := RandomSource(5), STATE,
 )
 
 
@@ -97,6 +105,18 @@ CODES = forms(CODE, OTHER_CODE, PauliCode(0, 0))
 LABELS = forms(LABEL, OTHER_LABEL)
 STATES = forms(STATE, OTHER_STATE)
 AMPLITUDES = forms(STATE.amp) + ((list(STATE.amp), STATE.amp),)
+#: the engines' arguments: every strategy of ``ANY``, and round counts and
+#: control fractions that hold every valid int and float of ``ANY``
+ATTACK = forms(Passive(), InterceptMeasure(), DisturbPauli(),
+               InterceptMeasure(Route.A_TO_B), DisturbPauli(Route.B_TO_A, CoinIZ()))
+COUNT = forms(1, 2, 5)
+FRACTION = forms(0.0, 0.5, 1.0) + ((0, 0.0), (1, 1.0))
+SOURCES = forms(SOURCE, RandomSource(0))
+CONVENTION_PAIR = forms((OE, OE), (PP, OE)) + ((("pp", "oe"), (PP, OE)), ([PP, OE], (PP, OE)),
+                                               (["oe", "oe"], (OE, OE)))
+CASE_ORDER = forms(None, ALL_BIT_TUPLES) + ((list(ALL_BIT_TUPLES[::-1]), ALL_BIT_TUPLES[::-1]),)
+CONFIG = forms(RoundConfig((0, 1), (1, 0)),
+               RoundConfig((1, 1), (0, 1), Mode.MESSAGE, PP, OE, "strict-paper"))
 
 #: each public name and the forms of each of its positional arguments
 CALLS = {
@@ -119,9 +139,19 @@ CALLS = {
     "pauli_action_closed_form": (pauli_action_closed_form, (CODES, BIT)),
     "equal_up_to_global_phase": (equal_up_to_global_phase, (STATES, STATES)),
 }
-
-#: the caches the fuzzed names fill
-CACHES = (label_map, expected_outcome)
+#: each engine and the forms of each of its positional arguments
+ENGINES = {
+    "enumerate_exact": (enumerate_exact, (ATTACK, CONVENTION, CONVENTION, COMPARISON,
+                                          CASE_ORDER)),
+    "message_error_rate": (message_error_rate, (ATTACK,)),
+    "monte_carlo": (monte_carlo, (ATTACK, CONVENTION, CONVENTION, COMPARISON, COUNT, SEED)),
+    "run_session": (run_session, (COUNT, FRACTION, SOURCES, ATTACK, CONVENTION_PAIR,
+                                  COMPARISON)),
+    "run_round": (run_round, (CONFIG, ATTACK, SOURCES)),
+    "Passive.tap": (Passive().tap, (ROUTE,)),
+    "InterceptMeasure.tap": (InterceptMeasure(Route.A_TO_B).tap, (ROUTE,)),
+    "DisturbPauli.tap": (DisturbPauli(Route.B_TO_A, CoinIZ()).tap, (ROUTE,)),
+}
 
 
 def member_form(value, pairs):
@@ -134,12 +164,23 @@ def member_form(value, pairs):
     raise LookupError(value)
 
 
+def unspent(arg):
+    """``arg``, or a copy of it when it is a random source: a new source of
+    its seed, at its state."""
+    if not isinstance(arg, RandomSource):
+        return arg
+    source = RandomSource(arg.seed)
+    source._rng.setstate(arg._rng.getstate())
+    return source
+
+
 def outcome(function, args):
     """What ``function(*args)`` gives, comparable with ``==``: its result,
     or the type of the ``ValueError`` or ``TypeError`` it raises; any other
-    exception propagates."""
+    exception propagates.  A random source is passed as a copy, so that
+    every call draws the same."""
     try:
-        result = function(*args)
+        result = function(*map(unspent, args))
     except (ValueError, TypeError) as exc:
         return type(exc)
     if isinstance(result, np.ndarray):
@@ -149,24 +190,47 @@ def outcome(function, args):
     return result
 
 
-@pytest.mark.parametrize("name,position", [
-    pytest.param(name, position, id=f"{name}-{position}")
-    for name, (_, positions) in CALLS.items() for position in range(len(positions))])
-@settings(derandomize=True, database=None, deadline=None, max_examples=10)
-@given(data=st.data())
-def test_returns_the_member_form_or_raises_value_or_type_error(name, position, data):
-    function, positions = CALLS[name]
+def cache_sizes() -> list[int]:
+    """The number of entries of every cache of every ``qdialogue`` module."""
+    return [cache.cache_info().currsize for cache in _CACHES]
+
+
+def positions_of(calls) -> list:
+    """A test parameter per name of ``calls`` and position of its arguments."""
+    return [pytest.param(name, position, id=f"{name}-{position}")
+            for name, (_, positions) in calls.items() for position in range(len(positions))]
+
+
+def check_position(function, positions, position, data):
+    """Call ``function`` with each of ``ANY`` and of its own forms at
+    ``position``, and drawn forms elsewhere, and check the three rules."""
     # every other argument one of its forms; this one each of ANY and its forms
     args = [data.draw(st.sampled_from([form for form, _ in pairs])) for pairs in positions]
     for value in ANY + tuple(form for form, _ in positions[position]):
         args[position] = value
-        sizes = [cache.cache_info().currsize for cache in CACHES]
+        sizes = cache_sizes()
         result = outcome(function, args)
+        filled = cache_sizes()
         try:
             members = [member_form(arg, pairs) for arg, pairs in zip(args, positions)]
         except LookupError:
             assert result in (ValueError, TypeError), (args, result)
         else:
             assert result == outcome(function, members), (args, members)
+            assert cache_sizes() == filled, args
         if result in (ValueError, TypeError):
-            assert [cache.cache_info().currsize for cache in CACHES] == sizes, args
+            assert filled == sizes, args
+
+
+@pytest.mark.parametrize("name,position", positions_of(CALLS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_returns_the_member_form_or_raises_value_or_type_error(name, position, data):
+    check_position(*CALLS[name], position, data)
+
+
+@pytest.mark.parametrize("name,position", positions_of(ENGINES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(data=st.data())
+def test_engine_returns_the_member_form_or_raises_value_or_type_error(name, position, data):
+    check_position(*ENGINES[name], position, data)

@@ -19,7 +19,7 @@ from qdialogue.analysis import (
     message_error_rate,
 )
 from qdialogue.attacks import AppliedPauli, MeasuredBranch
-from qdialogue.exactstate import ALL_BIT_TUPLES, _walk
+from qdialogue.exactstate import ALL_BIT_TUPLES, _outcome_tallies, _walk
 from qdialogue.model import (
     BELL_LABEL_ORDER,
     BellLabel,
@@ -42,7 +42,7 @@ from qdialogue.model import (
 from qdialogue.protocol import run_round
 from qdialogue.qcore import ALG_TOL
 from qdialogue.sampling import (
-    _session_table,
+    _round_leaves,
     _tallies,
     monte_carlo,
     run_session,
@@ -295,7 +295,8 @@ class TestSession:
     def test_rejects_a_source_that_is_not_a_random_source(self, fresh_walk, source):
         with pytest.raises(TypeError, match="bit_source must be a RandomSource"):
             run_session(10, 0.5, source, InterceptMeasure())
-        assert _session_table.cache_info().currsize == 0
+        assert _round_leaves.cache_info().currsize == 0
+        assert _outcome_tallies.cache_info().currsize == 0
 
     def test_integer_fractions_are_accepted(self):
         assert run_session(5, 1, RandomSource(0), Passive()) == (
@@ -421,10 +422,12 @@ class TestRoundFollowsTree:
 def table_expectations(attack, oc, ec, comp):
     """The expectation of each of the eight tallies of a round, as a
     ``Fraction``: the mean of its bit over the 256 keys of the samplers'
-    table, each as likely as the next (16 nodes, 4 tap quarters, 4 Bell
-    quarters), with the control and the message tallies both kept."""
-    _draws_tap, table = _session_table(attack, *bookkeeping(oc, ec, comp))
-    assert len(table) == 256
+    key-to-leaf table, each as likely as the next (16 nodes, 4 tap quarters,
+    4 Bell quarters), with the control and the message tallies both kept."""
+    oc, ec, comp = bookkeeping(oc, ec, comp)
+    _draws_tap, leaf, tally_index = _round_leaves(attack, oc)
+    assert len(leaf) == len(tally_index) == 256
+    table = tally_index.translate(_outcome_tallies(oc, ec, comp))
     return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(8)]
 
 
@@ -523,7 +526,7 @@ def quarter_words(quarter):
 
 class TestResolver:
     """The chunk resolver decides each draw by the top byte of its first
-    word, through the per-configuration table of ``_session_table``."""
+    word, through the per-walk key-to-leaf table of ``_round_leaves``."""
 
     def test_word_stream_is_the_twister(self):
         source = random.Random(5)
@@ -536,9 +539,14 @@ class TestResolver:
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_key_is_its_round(self, attack):
         # one round per key, each draw in the middle of the quarter the key
-        # gives it: a bit 1 below 1/2, a bit 0 above
+        # gives it: a bit 1 below 1/2, a bit 0 above; the round reaches the
+        # leaf the table names, with its tallies
         for oc, ec, comp in ALL_COMBOS:
-            draws_tap, _table = _session_table(attack, oc, ec, Comparison(comp))
+            draws_tap, leaf_of_key, tally_index = _round_leaves(attack, oc)
+            _exp, leaves = _walk(attack, oc)
+            branch_masses = Counter()
+            for place, b, *_, mass in leaves:
+                branch_masses[place, b] += mass
             words = []
             for key in range(256):
                 i, j, k, l = ALL_BIT_TUPLES[key >> 4]
@@ -560,6 +568,20 @@ class TestResolver:
                     config = RoundConfig((k, l), (i, j), mode, oc, ec, comp)
                     transcript = run_round(config, attack, source)
                     assert not source.draws
+                    place, b, branch, sel, outcome, mass = leaves[leaf_of_key[key]]
+                    assert place == key >> 4
+                    assert tally_index[key] == place << 2 | outcome
+                    assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome], oc)
+                    record = transcript.eve_record
+                    if branch != "none":
+                        assert isinstance(record, MeasuredBranch)
+                        assert record.branch == branch, (key, mode)
+                    elif sel is not None:
+                        assert record == AppliedPauli(*sel), (key, mode)
+                    else:
+                        assert record is None
+                    assert abs(transcript.bell_probability
+                               - mass / branch_masses[place, b]) <= ALG_TOL
                     if control:
                         want = 1 | bool(transcript.detected) << 1
                     else:
@@ -724,14 +746,23 @@ class TestInterceptIsCoinIZ:
             coin.alice_to_bob, coin.bob_to_alice, coin.per_bit)
 
 
-class TestSessionTableCache:
-    def test_comparison_string_shares_the_entry(self):
+class TestRoundLeavesCache:
+    def test_comparison_string_shares_the_entry(self, fresh_walk):
         attack = DisturbPauli(Route.A_TO_B, CoinIZ())
-        _session_table.cache_clear()
         run_session(20, 0.5, RandomSource(1), attack, comparison="converted")
         run_session(20, 0.5, RandomSource(1), attack,
                     comparison=Comparison.CONVERTED)
-        assert _session_table.cache_info().currsize == 1
+        assert _round_leaves.cache_info().currsize == 1
+        assert _outcome_tallies.cache_info().currsize == 1
+
+    def test_bookkeepings_of_a_walk_share_its_leaves(self, fresh_walk):
+        # one key-to-leaf table per strategy and outcome convention; a
+        # bookkeeping adds only its tally table
+        attack = InterceptMeasure(Route.A_TO_B)
+        for oc, ec, comp in ALL_COMBOS:
+            run_session(20, 0.5, RandomSource(1), attack, (oc, ec), comp)
+        assert _round_leaves.cache_info().currsize == 2
+        assert _outcome_tallies.cache_info().currsize == len(ALL_COMBOS) == 8
 
 
 class TestValidation:
@@ -786,7 +817,8 @@ class TestValidation:
         with pytest.raises(TypeError, match="^conventions must be a pair of conventions, not "):
             run_session(5, 0.5, source, InterceptMeasure(), conventions)
         assert source._rng.getstate() == state
-        assert _session_table.cache_info().currsize == 0
+        assert _round_leaves.cache_info().currsize == 0
+        assert _outcome_tallies.cache_info().currsize == 0
 
     @pytest.mark.parametrize("fraction", ["0.5", None, 0.5j, [0.5]], ids=repr)
     def test_session_rejects_a_fraction_that_is_no_real_number(self, fresh_walk, fraction):
@@ -796,7 +828,8 @@ class TestValidation:
                                             f"not {type(fraction).__name__}$"):
             run_session(5, fraction, source, InterceptMeasure())
         assert source._rng.getstate() == state
-        assert _session_table.cache_info().currsize == 0
+        assert _round_leaves.cache_info().currsize == 0
+        assert _outcome_tallies.cache_info().currsize == 0
 
     def test_session_takes_a_list_pair_and_a_fraction(self):
         def session(fraction, conventions):

@@ -445,6 +445,27 @@ class TestArgumentTypes:
         with pytest.raises(TypeError, match="^state must be a TwoQubitState, not "):
             bell_decompose(bad, OE)
 
+    @pytest.mark.parametrize("state,convention,error", [
+        (None, OE, TypeError),
+        (bell_state(OE, 0, 0).amp, OE, TypeError),
+        (bell_state(OE, 0, 0), "bogus", ValueError),
+    ], ids=["None", "amp", "convention"])
+    def test_rejected_bell_measurement_draws_nothing(self, state, convention, error):
+        source = RandomSource(0)
+        kept = source._rng.getstate()
+        with pytest.raises(error):
+            measure_bell(state, convention, source)
+        assert source._rng.getstate() == kept
+
+    @pytest.mark.parametrize("bad", [None, bell_state(OE, 0, 0).amp], ids=["None", "amp"])
+    def test_measure_t_computational(self, bad):
+        source = RandomSource(0)
+        kept = source._rng.getstate()
+        with pytest.raises(TypeError, match=f"^state must be a TwoQubitState, "
+                                            f"not {type(bad).__name__}$"):
+            measure_t_computational(bad, source)
+        assert source._rng.getstate() == kept
+
     @pytest.mark.parametrize("state,code,message", [
         pytest.param(None, PauliCode(0, 1), "state must be a TwoQubitState", id="state None"),
         pytest.param(bell_state(OE, 0, 0).amp, PauliCode(0, 1), "state must be a TwoQubitState",
