@@ -5,16 +5,16 @@ The exact walk and the outcome-tally rows live in :mod:`qdialogue.exactstate`
 (:func:`~qdialogue.exactstate._walk`,
 :func:`~qdialogue.exactstate._outcome_tallies`).  One exact fold,
 :func:`_detection_fold`, cached per configuration, sums the walk's leaf
-masses in ints, by case, branch, selection and tally byte, so a
-report only orders and copies it, with ``itemgetter`` lookups in C and
-its ``per_case`` keys, interned :class:`CaseDescriptor` values, hashed by
-identity; :func:`message_error_rate` reads the default bookkeeping's fold and
-:func:`compare_claims` its two averages.  ``Fraction``s are built only at
-that fold's end, by the cached :func:`compare_claims` and by
-:meth:`ExactState.norm_sq`, each importing :mod:`fractions` itself.  The
-reports take each convention and comparison as a member or its string
-value, made members by :func:`~qdialogue.model.bookkeeping`, one cache
-entry for both.
+masses in ints, by case, branch, selection and tally byte, and keeps each
+case as one (:class:`CaseDescriptor`, value) pair: a report's ``per_case``
+is one ``dict``, built in C, over the pairs each bit tuple reaches, keyed by
+interned descriptors hashed by identity; :func:`message_error_rate` reads the
+default bookkeeping's fold and :func:`compare_claims` its two averages.
+``Fraction``s are built only at that fold's end, by the cached
+:func:`compare_claims` and by :meth:`ExactState.norm_sq`, each importing
+:mod:`fractions` itself.  The reports take each convention and comparison
+as a member or its string value, made members by
+:func:`~qdialogue.model.bookkeeping`, one cache entry for both.
 
 The seeded samplers live in :mod:`qdialogue.sampling`, and an exact report
 loads only this module, :mod:`qdialogue.exactstate` and :mod:`qdialogue.model`.
@@ -133,16 +133,17 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
                     expectation_conv: Convention, comparison: Comparison) -> tuple:
     """The one exact fold, once per configuration: group sums over the
     leaves of :func:`_walk`, with tallies ``rows[place << 2 | outcome]``,
-    in ints until the final ``Fraction``s.  Returns, all immutable, (cases,
+    in ints until the final ``Fraction``s.  Returns, all immutable, (pairs,
     reach, branch_averages, average, per_selection, errors): each (m, n, Eve
-    branch) case's ``CaseDescriptor`` and detection probability; per bit
-    tuple, in ``ALL_BIT_TUPLES`` order, the indices in ``cases`` of the cases
-    its leaves reach, in leaf order; the sorted (branch, average) pairs; the
-    average; the sorted ((u, v), average) pairs, or None; and the message
-    round's error probabilities, of Alice's and Bob's pairs, then of i, j,
-    k, l.  Decoding reads neither the expected labels nor the comparison and
-    converts ``pp`` outcome labels, so every configuration's errors are
-    those of :func:`message_error_rate`."""
+    branch) case's (``CaseDescriptor``, detection probability) pair, in the
+    order the leaves first reach it; per bit tuple, in ``ALL_BIT_TUPLES``
+    order, those same pair objects for the cases its leaves reach, in leaf
+    order; the sorted (branch, average) pairs; the average; the sorted
+    ((u, v), average) pairs, or None; and the message round's error
+    probabilities, of Alice's and Bob's pairs, then of i, j, k, l.  Decoding
+    reads neither the expected labels nor the comparison and converts ``pp``
+    outcome labels, so every configuration's errors are those of
+    :func:`message_error_rate`."""
     from fractions import Fraction
     exp, leaves = _walk(attack, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
@@ -160,14 +161,14 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
             det, tot = sums.get(key, (0, 0))
             sums[key] = (det + hit, tot + mass)
     selections.pop(None, None)
-    index = {case: c for c, case in enumerate(cases)}
+    pairs = {(m, n, br): (CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
+             for (m, n, br), sums in cases.items()}
     # every bit tuple weighs 1 / 16
     average, *errors = (Fraction(sum(m for tally, m in tallied.items() if tally >> t & 1),
                                  16 << exp) for t in range(1, 8))
     return (
-        tuple((CaseDescriptor(m, n, m ^ n, br), Fraction(*sums))
-              for (m, n, br), sums in cases.items()),
-        tuple(tuple(map(index.__getitem__, reached)) for reached in reach),
+        tuple(pairs.values()),
+        tuple(tuple(map(pairs.__getitem__, reached)) for reached in reach),
         tuple((br, Fraction(*branches[br])) for br in sorted(branches)),
         average,
         tuple((uv, Fraction(*selections[uv])) for uv in sorted(selections)) or None,
@@ -214,21 +215,19 @@ def enumerate_exact(
     tuple is looked up to its place in ``ALL_BIT_TUPLES``, and
     ``case_order`` is a permutation when it gives 16 distinct places.  When
     it is not, it raises ``TypeError`` if its elements cannot be sorted and
-    ``ValueError`` otherwise.  The places then pick, in C, the cases each
-    bit tuple reaches.  The report and its dicts are new on every call, so
-    changing them changes no cache.
+    ``ValueError`` otherwise.  The places pick, in C, the fold's (case,
+    value) pairs each bit tuple reaches; one ``dict`` over them keeps each
+    case where it first comes.  The report and its dicts are new on every
+    call, so changing them changes no cache.
     """
     places = None if case_order is None else _places(case_order)
     outcome_convention, expectation_convention, comparison = bookkeeping(
         outcome_convention, expectation_convention, comparison)
-    cases, reach, branch_averages, average, per_selection, _errors = _detection_fold(
+    _pairs, reach, branch_averages, average, per_selection, _errors = _detection_fold(
         attack, outcome_convention, expectation_convention, comparison)
-    if places is not None:
-        reach = itemgetter(*places)(reach)
-    reached = dict.fromkeys(chain.from_iterable(reach))
-    return DetectionReport(attack, outcome_convention, expectation_convention, comparison,
-                           dict(map(cases.__getitem__, reached)), dict(branch_averages),
-                           average, per_selection and dict(per_selection))
+    cases = dict(chain.from_iterable(reach if places is None else itemgetter(*places)(reach)))
+    return DetectionReport(attack, outcome_convention, expectation_convention, comparison, cases,
+                           dict(branch_averages), average, per_selection and dict(per_selection))
 
 
 #: the published attack: intercept-measure on the outbound route, built once

@@ -165,9 +165,10 @@ class Value:
 
 
 class FrozenValue(Value):
-    """An immutable :class:`Value`, hashed as the tuple of its fields.  A
-    constructor of its own sets each field with ``object.__setattr__``, as
-    the derived one does.
+    """An immutable :class:`Value`, hashed as its class with the tuple of its
+    fields, so values of two classes with equal fields, none included, hash
+    apart.  A constructor of its own sets each field with
+    ``object.__setattr__``, as the derived one does.
 
     The hash is computed at first use and kept in the slot ``_hash``, which
     is not a field: ``repr``, ``==``, copies and pickles never see it, so a
@@ -183,7 +184,7 @@ class FrozenValue(Value):
         try:
             return self._hash
         except AttributeError:
-            value = hash(self._values(self))
+            value = hash((type(self), self._values(self)))
             object.__setattr__(self, "_hash", value)
             return value
 

@@ -74,6 +74,23 @@ MUTANTS = {
         "hit = mass if tally & 1 else 0",
         ("tests/test_analysis.py::TestEnumerateExact::test_agrees_with_brute_force_oracle",),
     ),
+    # a report chains the bit tuples' (case, value) pairs in reverse order:
+    # every value holds, and only the order of per_case's keys changes
+    "per-case-chained-in-reverse": Mutant(
+        "src/qdialogue/analysis.py",
+        "itemgetter(*places)(reach)",
+        "itemgetter(*places[::-1])(reach)",
+        ("tests/test_analysis.py::TestWalkCache::test_warm_report_takes_its_own_order",),
+    ),
+    # a frozen value hashes its fields without its class: values of two
+    # classes with equal fields, such as two with none, share a hash, which
+    # costs every cache lookup an __eq__ call but changes no result
+    "hash-without-its-class": Mutant(
+        "src/qdialogue/model.py",
+        "hash((type(self), self._values(self)))",
+        "hash(self._values(self))",
+        ("tests/test_values.py::test_grid_strategies_and_selections_hash_apart",),
+    ),
     # the samplers take a picked leaf's tallies by its Eve branch index,
     # not by its Bell outcome: the key-to-leaf table is right, and only the
     # tally bytes change

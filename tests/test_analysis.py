@@ -963,6 +963,21 @@ class TestWalkCache:
                 assert repr(warm) == repr(cold)
                 assert list(dict.fromkeys((c.m, c.n) for c in warm.per_case)) == cases
 
+    def test_default_order_is_the_bit_tuple_order(self):
+        for attack in ALL_STRATEGIES:
+            for oc, ec, comp in ALL_COMBOS:
+                reports = [enumerate_exact(attack, oc, ec, comp, case_order=order)
+                           for order in (None, None, ALL_BIT_TUPLES, ALL_BIT_TUPLES)]
+                # repr shows the order of per_case's keys
+                assert len({repr(report) for report in reports}) == 1
+                # the fold keeps its pairs in the order the default report takes
+                pairs = analysis._detection_fold(attack, oc, ec, Comparison(comp))[0]
+                assert tuple(reports[0].per_case.items()) == pairs
+                # each warm report builds its own dict
+                assert len({id(report.per_case) for report in reports}) == 4
+        table = enumerate_exact(InterceptMeasure(Route.B_TO_A), PP, OE, "strict-paper")
+        assert paper_case_table() == table and repr(paper_case_table()) == repr(table)
+
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_folds_hold_only_immutable_values(self, attack):
         def check(value):

@@ -28,6 +28,7 @@ from qdialogue.analysis import (
 from qdialogue.attacks import AppliedPauli, MeasuredBranch
 from qdialogue.exactstate import ALL_BIT_TUPLES, ExactState
 from qdialogue.model import (
+    MEASURE,
     BellLabel,
     CoinIZ,
     Comparison,
@@ -214,7 +215,7 @@ def test_hash_and_immutability(name, make, text, fields, other):
         assert hash(value) == object.__hash__(value)
         assert hash(value) == hash(make())
     else:
-        assert hash(value) == hash(fields)
+        assert hash(value) == hash((type(value), fields))
         assert hash(value) == hash(make())
     attributes = [field] if field else []
     for attr in attributes + ["not_a_field"]:
@@ -239,7 +240,7 @@ def test_copy_and_pickle(name, make, text, fields, other):
         if name in INTERNED:
             assert twin is value
         elif hashable:
-            assert hash(twin) == hash(fields)
+            assert hash(twin) == hash((type(value), fields))
 
 
 #: the classes whose constructor ``Value`` derives from their fields; the
@@ -308,7 +309,7 @@ def test_hash_reads_the_fields_once(monkeypatch, name, make, text, fields, other
         assert hash(make()) == hash(value) and reads == []
         return
     for _ in range(3):
-        assert hash(value) == hash(fields)
+        assert hash(value) == hash((type(value), fields))
     assert len(reads) == 1 and reads[0] is value
     assert hash(make()) == hash(value) and len(reads) == 2
 
@@ -337,6 +338,13 @@ def test_equal_fields_of_different_classes_are_unequal(a, b):
     assert a != b and b != a
     assert not a == b
     assert len({a, b}) == 2
+
+
+def test_grid_strategies_and_selections_hash_apart():
+    # two cache keys that share a hash are told apart by __eq__, in Python
+    selections = [Fixed(0, 0), Fixed(0, 1), Fixed(1, 0), Fixed(1, 1), UniformAll4(), CoinIZ()]
+    values = ALL_STRATEGIES + selections + [MEASURE]
+    assert len({hash(value) for value in values}) == len(values) == 22
 
 
 @pytest.mark.parametrize("member", list(Convention), ids=repr)
