@@ -18,9 +18,11 @@ the rules of :mod:`qdialogue.model` once per conventions and comparison:
 one tally byte per bit tuple and Bell outcome (control, detected and
 errors): a leaf's tallies are ``rows[place << 2 | outcome]``.  The samplers
 (:mod:`qdialogue.sampling`) and the exact reports (:mod:`qdialogue.analysis`)
-both read these two caches.  Neither a float nor a ``Fraction`` enters this
-path (only :meth:`ExactState.norm_sq` builds one), and the module sits
-below the float round simulator, so the samplers walk without loading it.
+read both caches, and the float round (:func:`qdialogue.protocol.run_round`)
+reads its round's tally byte, so no engine applies the rules on its own.
+Neither a float nor a ``Fraction`` enters this path (only
+:meth:`ExactState.norm_sq` builds one), and the module sits below the float
+round simulator, so the samplers walk without loading it.
 """
 
 from __future__ import annotations
@@ -239,11 +241,11 @@ def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
     :func:`decode_message` gets wrong in a message round: Alice's and Bob's
     pairs, then the bits i, j, k, l."""
     rows = bytearray()
+    labels = [BellLabel(k, l, outcome_conv) for k, l in BELL_LABEL_ORDER]
     for i, j, k, l in ALL_BIT_TUPLES:
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,
                              expectation_conv, comparison)
-        for kl in BELL_LABEL_ORDER:
-            label = BellLabel(*kl, outcome_conv)
+        for label in labels:
             alice, bob = decode_message(config, label)
             wrong = (alice != (i, j), bob != (k, l),
                      alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)

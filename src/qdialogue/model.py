@@ -49,7 +49,9 @@ its two conventions and its comparison, becomes members in one place,
 :func:`bookkeeping`, which :class:`RoundConfig` and every engine call, so an
 unknown value raises ValueError wherever it enters.
 :func:`control_detected` and :func:`decode_message` are the one detection
-rule and the one decoder of every engine.
+rule and the one decoder.  They are applied once per bookkeeping, into the
+tally table of :func:`qdialogue.exactstate._outcome_tallies`, which every
+engine reads.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from __future__ import annotations
 import operator
 import random
 from enum import Enum
-from functools import lru_cache
 
 
 class InvariantError(Exception):
@@ -368,14 +369,12 @@ BELL_NUMERATORS = {
 }
 
 
-@lru_cache(maxsize=None)
 def label_map(label: BellLabel) -> BellLabel:
     """The opposite-convention label naming the same physical Bell state.
 
     (k, l) -> (k, 1 xor k xor l); involutive, and the mapped pair of states
     always has unit overlap magnitude.  A ``label`` that is no
-    :class:`BellLabel` raises TypeError, checked on a cache miss only, and
-    caches nothing.
+    :class:`BellLabel` raises TypeError.
     """
     if not isinstance(label, BellLabel):
         raise TypeError(f"label must be a BellLabel, not {type(label).__name__}")
@@ -632,15 +631,6 @@ class RoundConfig(FrozenValue):
         object.__setattr__(self, "comparison", comparison)
 
 
-@lru_cache(maxsize=None)
-def _expected_label(i: int, j: int, k: int, l: int, convention: Convention) -> BellLabel:
-    """:func:`expected_outcome` for a convention member, cached."""
-    oe = BellLabel(i ^ k, j ^ l, _OE)
-    if convention is _OE:
-        return oe
-    return label_map(oe)
-
-
 def expected_outcome(
     i: int, j: int, k: int, l: int, convention: Convention
 ) -> BellLabel:
@@ -648,20 +638,14 @@ def expected_outcome(
 
     Under OPERATOR_ENCODING the composition law gives (i xor k, j xor l);
     under PARITY_PHASE the same physical state carries the mapped label.
-    The convention is a member or its string value, made the member
-    (:func:`_convention`) before the cache, so both forms share one entry
-    and anything else raises ``ValueError`` and fills none.  Each bit is
-    checked before the cache too, as :func:`_bit` does, since a bool or a
-    float hashes like the int it equals.
+    Each bit is checked as :func:`_bit` does, and then the convention, a
+    member or its string value (:func:`_convention`); anything else raises
+    ``ValueError``.
     """
-    return _expected_label(_bit(i, "encoding bit i"), _bit(j, "encoding bit j"),
-                           _bit(k, "encoding bit k"), _bit(l, "encoding bit l"),
-                           _convention(convention))
-
-
-# the cache behind expected_outcome, under its public name
-expected_outcome.cache_info = _expected_label.cache_info
-expected_outcome.cache_clear = _expected_label.cache_clear
+    i, j, k, l = (_bit(i, "encoding bit i"), _bit(j, "encoding bit j"),
+                  _bit(k, "encoding bit k"), _bit(l, "encoding bit l"))
+    label = BellLabel(i ^ k, j ^ l, _OE)
+    return label if _convention(convention) is _OE else label_map(label)
 
 
 def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
@@ -669,8 +653,7 @@ def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
     configured comparison rule, it differs from the label Bob expects."""
     k, l = config.bob_bits
     i, j = config.alice_bits
-    # a RoundConfig holds the member
-    expected = _expected_label(i, j, k, l, config.expectation_convention)
+    expected = expected_outcome(i, j, k, l, config.expectation_convention)
     if (
         config.comparison is _CONVERTED
         and outcome.convention is not config.expectation_convention

@@ -10,19 +10,21 @@ absence.  Eve cannot tell the two modes apart: the quantum evolution is
 identical, only post-measurement bookkeeping differs.
 
 :func:`run_round` simulates one round in floats and records every state.
-The rules it applies, :class:`RoundConfig`, :func:`control_detected` and
-:func:`decode_message`, are the one set of every engine and live in
-:mod:`qdialogue.model`, with :func:`~qdialogue.model.bookkeeping`, the one
-place where conventions and comparisons given as string values become
-members.  The engines over the round's whole tree are the exact walk in
-:mod:`qdialogue.exactstate`, the samplers in :mod:`qdialogue.sampling` and
-the reports in :mod:`qdialogue.analysis`; none of them loads this module.
+Its bookkeeping, :class:`RoundConfig`, is made members in one place,
+:func:`~qdialogue.model.bookkeeping`, and it applies no rule of its own:
+it reads its round's tally byte from
+:func:`qdialogue.exactstate._outcome_tallies`, the one table of what
+:func:`~qdialogue.model.control_detected` and
+:func:`~qdialogue.model.decode_message` give, which the exact reports in
+:mod:`qdialogue.analysis` and the samplers in :mod:`qdialogue.sampling`
+read too.  None of those engines loads this module.
 """
 
 from __future__ import annotations
 
 from . import model
 from .attacks import EveStrategy, apply_eve
+from .exactstate import _PLACE, _outcome_tallies
 # Mode and RoundConfig are also imported from here by tests/test_acceptance.py,
 # and bench/tracer.py counts RoundConfig at this lookup site
 from .model import (
@@ -34,8 +36,6 @@ from .model import (
     RoundConfig,
     Route,
     Value,
-    control_detected,
-    decode_message,
 )
 from .qcore import TwoQubitState, apply_pauli_t, bell_state, measure_bell
 
@@ -61,7 +61,10 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round and return its transcript.  ``config`` is a
     :class:`RoundConfig` and ``rand`` anything with a ``random()`` method;
-    anything else raises ``TypeError``."""
+    anything else raises ``TypeError``.  The decoded bits and ``detected``
+    are read from the round's tally byte (bit 1 detected, bits 4-7 the
+    errors of i, j, k, l), one per bit tuple and Bell outcome of the
+    bookkeeping's :func:`~qdialogue.exactstate._outcome_tallies`."""
     # the class from its home: bench/tracer.py wraps this module's name
     if not isinstance(config, model.RoundConfig):
         raise TypeError(f"config must be a RoundConfig, not {type(config).__name__}")
@@ -79,12 +82,16 @@ def run_round(
 
     outcome, prob = measure_bell(s4, config.outcome_convention, rand)
 
+    tallies = _outcome_tallies(config.outcome_convention, config.expectation_convention,
+                               config.comparison)
+    tally = tallies[_PLACE[i, j, k, l] << 2 | outcome.k << 1 | outcome.l]
     decoded_alice = decoded_bob = None
     detected = None
     if config.mode is _MESSAGE:
-        decoded_alice, decoded_bob = decode_message(config, outcome)
+        decoded_alice = (i ^ (tally >> 4 & 1), j ^ (tally >> 5 & 1))
+        decoded_bob = (k ^ (tally >> 6 & 1), l ^ (tally >> 7 & 1))
     else:
-        detected = control_detected(config, outcome)
+        detected = bool(tally & 2)
 
     return RoundTranscript(
         config=config,

@@ -91,6 +91,33 @@ MUTANTS = {
         "hash(self._values(self))",
         ("tests/test_values.py::test_grid_strategies_and_selections_hash_apart",),
     ),
+    # the tally table scores Bob's decoded l against k: one tally bit of
+    # every message outcome with k != l is wrong
+    "tally-bit-l-against-k": Mutant(
+        "src/qdialogue/exactstate.py",
+        "bob[1] != l",
+        "bob[1] != k",
+        ("tests/test_protocol.py::TestOutcomeTallies::test_each_byte_is_the_rules",),
+    ),
+    # the float round reads the errors of Alice's bits i and j from each
+    # other's tally bit.  (Reading Alice's bits 4-5 for Bob's 6-7 would
+    # change nothing: each party's decode is wrong in the same bits, where
+    # the outcome differs from (i xor k, j xor l).)
+    "round-reads-i-and-j-errors-swapped": Mutant(
+        "src/qdialogue/protocol.py",
+        "(i ^ (tally >> 4 & 1), j ^ (tally >> 5 & 1))",
+        "(i ^ (tally >> 5 & 1), j ^ (tally >> 4 & 1))",
+        ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",
+         "tests/test_protocol.py::TestSessionTable::test_equals_reference_loop"),
+    ),
+    # the float round takes detected from the control bit: every control
+    # round flags Eve
+    "round-detected-from-control-bit": Mutant(
+        "src/qdialogue/protocol.py",
+        "bool(tally & 2)",
+        "bool(tally & 1)",
+        ("tests/test_protocol.py::TestNoEveRounds::test_control_never_detects",),
+    ),
     # the samplers take a picked leaf's tallies by its Eve branch index,
     # not by its Bell outcome: the key-to-leaf table is right, and only the
     # tally bytes change

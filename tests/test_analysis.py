@@ -58,7 +58,6 @@ from qdialogue.model import (
     UniformAll4,
     control_detected,
     decode_message,
-    expected_outcome,
 )
 from qdialogue.protocol import run_round
 from qdialogue.qcore import bell_state
@@ -893,7 +892,7 @@ class TestWalkCache:
                         for d in node.decorator_list):
                     caches[f"{path.stem}.{node.name}"] = getattr(module, node.name)
         assert {"exactstate._walk", "exactstate._outcome_tallies", "analysis._detection_fold",
-                "sampling._round_leaves", "model.label_map"} <= set(caches)
+                "sampling._round_leaves"} <= set(caches)
         sum(1 for _ in self.exact_grid_reports())
         monte_carlo(DisturbPauli(Route.A_TO_B, UniformAll4()), n=10)
         assert all(cache.cache_info().currsize for cache in caches.values())
@@ -1071,7 +1070,7 @@ class TestConventionValues:
             lambda oc, ec, comp: run_round(RoundConfig((0, 1), (1, 0), Mode.CONTROL,
                                                        oc, ec, comp),
                                            InterceptMeasure(), RandomSource(2)),
-            (expected_outcome,)),
+            (exactstate._outcome_tallies,)),
     }
 
     @pytest.mark.parametrize("engine", ENGINES)

@@ -5,10 +5,12 @@ import math
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, groupby, product
 from operator import itemgetter
 
+import numpy as np
 import pytest
 
 from qdialogue import sampling
@@ -36,6 +38,7 @@ from qdialogue.model import (
     Route,
     bookkeeping,
     control_detected,
+    decode_message,
     expected_outcome,
     label_map,
 )
@@ -121,31 +124,27 @@ class TestExpectedOutcome:
             )
 
     @pytest.mark.parametrize("convention", list(Convention), ids=repr)
-    def test_value_names_the_member(self, fresh_walk, convention):
-        # both forms share one cache entry per bit tuple
+    def test_value_names_the_member(self, convention):
         for i, j, k, l in ALL_BIT_TUPLES:
             label = expected_outcome(i, j, k, l, convention)
             assert label.convention is convention
-            assert expected_outcome(i, j, k, l, convention.value) is label
-        assert expected_outcome.cache_info().misses == 16
+            assert expected_outcome(i, j, k, l, convention.value) == label
 
     @pytest.mark.parametrize("bad", ["bogus", "OE", None, 1, ["oe"]], ids=repr)
-    def test_rejects_unknown_value(self, fresh_walk, bad):
+    def test_rejects_unknown_value(self, bad):
         with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not a valid Convention$"):
             expected_outcome(0, 0, 0, 0, bad)
-        assert expected_outcome.cache_info().currsize == 0
 
     @pytest.mark.parametrize("bad,error", [(True, TypeError), (1.0, TypeError),
                                            (2, ValueError), (None, TypeError)],
                              ids=["True", "1.0", "2", "None"])
-    def test_bits_are_checked_before_the_cache(self, fresh_walk, bad, error):
-        # a bool or a float hashes like the int it equals
+    def test_bits_are_checked(self, bad, error):
+        # a bool or a float equals the int it would be taken for
         for position in range(4):
             bits = [0, 0, 0, 0]
             bits[position] = bad
             with pytest.raises(error, match=f"^encoding bit {'ijkl'[position]} must be "):
                 expected_outcome(*bits, OE)
-        assert expected_outcome.cache_info().currsize == 0
 
     def test_label_built_from_a_value_is_scored(self):
         # converted, mixed conventions: the outcome is mapped by label_map
@@ -285,7 +284,8 @@ class TestSession:
             run_session(10, 1.5, RandomSource(0), Passive())
 
     @pytest.mark.parametrize("n_rounds,fraction", [(True, 0.5), (False, 0.5), (5.0, 0.5),
-                                                   (5, True), (5, False)], ids=repr)
+                                                   (5, True), (5, False),
+                                                   (5, np.True_), (5, np.False_)], ids=repr)
     def test_rejects_bools_and_non_integer_rounds(self, n_rounds, fraction):
         with pytest.raises(TypeError):
             run_session(n_rounds, fraction, RandomSource(0), Passive())
@@ -746,6 +746,32 @@ class TestInterceptIsCoinIZ:
             coin.alice_to_bob, coin.bob_to_alice, coin.per_bit)
 
 
+class TestOutcomeTallies:
+    """The one rule table, which every engine reads, ``run_round`` included,
+    checked against the rules themselves: each of its bytes holds what
+    :func:`control_detected` and :func:`decode_message` give."""
+
+    @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS,
+                             ids=lambda value: getattr(value, "value", value))
+    def test_each_byte_is_the_rules(self, oc, ec, comp):
+        oc, ec, comp = bookkeeping(oc, ec, comp)
+        rows = _outcome_tallies(oc, ec, comp)
+        assert len(rows) == 256
+        for place, (i, j, k, l) in enumerate(ALL_BIT_TUPLES):
+            config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc, ec, comp)
+            for outcome, kl in enumerate(BELL_LABEL_ORDER):
+                label = BellLabel(*kl, oc)
+                alice, bob = decode_message(config, label)
+                wrong = [alice != (i, j), bob != (k, l),
+                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l]
+                byte = rows[place << 2 | outcome]
+                assert byte & 1 == 1
+                assert byte >> 1 & 1 == control_detected(config, label)
+                assert [byte >> t & 1 for t in range(2, 8)] == wrong
+        # the 192 bytes past the 64 leaves' are 0
+        assert rows[64:] == bytes(192)
+
+
 class TestRoundLeavesCache:
     def test_comparison_string_shares_the_entry(self, fresh_walk):
         attack = DisturbPauli(Route.A_TO_B, CoinIZ())
@@ -836,6 +862,9 @@ class TestValidation:
             return run_session(300, fraction, RandomSource(5), InterceptMeasure(), conventions)
 
         assert session(Fraction(1, 2), [PP, OE]) == session(0.5, (PP, OE))
+        # a real number that is no bool, numpy's or the standard library's
+        for fraction in (Decimal("0.5"), np.float64(0.5), np.float32(0.5)):
+            assert session(fraction, (PP, OE)) == session(0.5, (PP, OE))
 
     @pytest.mark.parametrize("rand", [None, 3, "random"], ids=repr)
     def test_round_rejects_a_value_that_draws_nothing(self, rand):
