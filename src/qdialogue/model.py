@@ -384,6 +384,10 @@ def label_map(label: BellLabel) -> BellLabel:
 class RandomSource:
     """Seedable uniform-[0,1) stream (Mersenne Twister via random.Random).
 
+    A draw is one 32-bit Mersenne Twister word a, as ``a / 2**32``: MT19937's
+    reference ``genrand_real2``, which a double holds exactly.  So a draw is
+    below a dyadic threshold m / 2**k, for any k <= 32, exactly when
+    ``a >> (32 - k) < m``, and the samplers decide from the words alone.
     Identical seeds give bit-identical streams.  Every engine draws from one
     such stream in sequence, so a result depends on the order of its draws:
     :func:`qdialogue.sampling.run_session` and
@@ -395,7 +399,7 @@ class RandomSource:
     than being truncated.
     """
 
-    GENERATOR_ID = "mt19937:python-random:single-stream"
+    GENERATOR_ID = "mt19937:python-random:word32"
 
     __slots__ = ("seed", "_rng")
 
@@ -407,7 +411,7 @@ class RandomSource:
         self._rng = random.Random(seed)
 
     def random(self) -> float:
-        return self._rng.random()
+        return self._rng.getrandbits(32) * 2.0**-32
 
     def child_seed(self, index: int) -> int:
         """The seed of child stream ``index``: the first 8 bytes, big-endian,

@@ -4,16 +4,18 @@ its control-only view :func:`monte_carlo`.
 The one sampler loop, :func:`run_session`, reads the walk's leaves and the
 tally table of :mod:`qdialogue.exactstate`.  It takes its draws from one
 stream in the order a loop of :func:`qdialogue.protocol.run_round` takes
-them: every cumulative mass of the walk is a multiple of 1/4 of its total,
-so the top byte of each draw's first Mersenne Twister word decides it.  A
-round's key, from those bytes, picks the leaf it reaches in one table per
-walk, :func:`_round_leaves`, which every bookkeeping of the walk shares; a
-bookkeeping enters only through the leaves' tally bytes.  Whole chunks of
-rounds resolve by ``bytes`` table lookups in C to those bytes.  The session
-counts each tally the rounds' mode can set by the popcount of its bit
-across the chunk.  A sampler process loads this module, the walk and
-:mod:`qdialogue.model`, and neither the float round simulator nor the exact
-reports, nor :mod:`fractions`.  The engines take each convention and
+them, one Mersenne Twister word a draw
+(:class:`~qdialogue.model.RandomSource`): every cumulative mass of the walk
+is a multiple of 1/4 of its total, so the top byte of each draw's word
+decides it.  A round's key, from those bytes, picks the leaf it reaches in
+one table per walk, :func:`_round_leaves`, which every bookkeeping of the
+walk shares; a bookkeeping enters only through the leaves' tally bytes.
+Whole chunks of rounds resolve by ``bytes`` table lookups in C to those
+bytes.  The session counts each tally the rounds' mode can set by the
+popcount of its bit across the chunk, Alice's errors only, since Bob's
+equal hers in every tally table.  A sampler process loads this module, the
+walk and :mod:`qdialogue.model`, and neither the float round simulator nor
+the exact reports, nor :mod:`fractions`.  The engines take each convention and
 comparison as a member or its string value, made members by
 :func:`~qdialogue.model.bookkeeping`, one cache entry for both; round
 counts are integers, and a bool count, a control fraction that is a bool
@@ -64,7 +66,7 @@ class SessionStats(Value):
 
 
 #: per bit draw k, l, i, j, and for the tap and Bell draws, the bits of a
-#: round's key that the top byte of the draw's first word gives (see
+#: round's key that the top byte of the draw's word gives (see
 #: :func:`_tallies`): a bit set below 128, a quarter per 64 values.  The
 #: bits i, j, k, l go to key bits 7, 6, 5, 4, so that ``key >> 4`` is the bit
 #: tuple's place in ``ALL_BIT_TUPLES``, 8i + 4j + 2k + l
@@ -122,33 +124,36 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     ``tallies >> t`` at bit 0 of a byte.  The conventions and the comparison
     may each be a member or its string value (:func:`bookkeeping`).
 
-    ``random()`` builds a draw from two Mersenne Twister words a, b as
-    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so it is below a threshold
-    m / 4 exactly when ``a >> 30 < m``.  Every threshold of the walk is a
-    multiple of 1/4, as :func:`_round_leaves` checks on its integers, so
-    the top byte of each draw's first word decides the draw: a bit is 1
-    when that byte is below 128, and the tap and Bell draws go by their
-    quarter of [0, 1).  ``getrandbits`` returns the words first word least
-    significant, so that byte is byte 3 of the draw's 8 little-endian
-    bytes.  Per draw position a table maps it to its bits of the round's
-    key: the node 8i + 4j + 2k + l, the bit tuple's place in
-    ``ALL_BIT_TUPLES``, in bits 4-7, the tap quarter in bits 2-3 and the
-    Bell quarter in bits 0-1.  One table, made per call from the key's leaf
-    (:func:`_round_leaves`) and the leaf's tallies (:func:`_outcome_tallies`),
-    maps the key to the round's tallies, and the round's mode masks them:
-    at fraction 0 or 1 the table is masked once, and a mixed session masks
-    each chunk.  A mode draw at a mixed fraction f is control when its top
+    A draw is one Mersenne Twister word a, as ``a / 2**32``
+    (:meth:`RandomSource.random`), so it is below a threshold m / 4 exactly
+    when ``a >> 30 < m``.  Every threshold of the walk is a multiple of 1/4,
+    as :func:`_round_leaves` checks on its integers, so the top byte of
+    each draw's word decides the draw: a bit is 1 when that byte is below
+    128, and the tap and Bell draws go by their quarter of [0, 1).
+    ``getrandbits`` returns the words first word least significant, so the
+    top byte of a round's draw p is byte 4p + 3 of the round's little-endian
+    bytes, 4 a draw, read for the whole chunk as one stepped slice.  Per
+    draw position a table maps that byte to its bits of the round's key:
+    the node 8i + 4j + 2k + l, the bit tuple's place in ``ALL_BIT_TUPLES``,
+    in bits 4-7, the tap quarter in bits 2-3 and the Bell quarter in bits
+    0-1.  One table, made per call from the key's leaf (:func:`_round_leaves`)
+    and the leaf's tallies (:func:`_outcome_tallies`), maps the key to the
+    round's tallies, and the round's mode masks them: at fraction 0 or 1 the
+    table is masked once, and a mixed session masks each chunk.  A mode draw at a mixed fraction f is control when its top
     byte is below 256 f and message when above it; on the byte 256 f rounds
-    down to, unless f is a multiple of 1/256, the whole draw settles it.
-    All of a chunk's work but that settling runs in C.
+    down to, unless f is a multiple of 1/256, the whole word settles it, as
+    ``a / 2**32 < f``, the comparison :func:`run_round`'s loop makes.  All
+    of a chunk's work but that settling runs in C.
     """
     outcome_conv, *rules = bookkeeping(*conventions, comparison)
     draws_tap, _leaf, tally_index = _round_leaves(eve, outcome_conv)
     table = tally_index.translate(_outcome_tallies(outcome_conv, *rules))
     mixed = 0.0 < control_fraction < 1.0
     draws = 5 + mixed + draws_tap
-    keyed = tuple(zip((0, 1, 2, 3, *range(4 + mixed, draws)),
-                      (*_BIT_KEYS, *(_TAP_KEY,) * draws_tap, _BELL_KEY)))
+    stride = 4 * draws
+    keyed = tuple((4 * position + 3, key_bits) for position, key_bits in zip(
+        (0, 1, 2, 3, *range(4 + mixed, draws)),
+        (*_BIT_KEYS, *(_TAP_KEY,) * draws_tap, _BELL_KEY)))
     if mixed:
         below = int(256 * control_fraction)
         # the top byte 256 f rounds down to: 0, for the draws left to settle,
@@ -163,19 +168,19 @@ def _tallies(eve: EveStrategy, conventions: tuple[Convention, Convention],
     chunk = MC_CHUNK_ROUNDS
     for start in range(0, n, chunk):
         rounds = min(chunk, n - start)
-        raw = getrandbits(64 * draws * rounds).to_bytes(8 * draws * rounds, "little")
-        tops = raw[3::8]
+        raw = getrandbits(32 * draws * rounds).to_bytes(stride * rounds, "little")
         key = 0
-        for position, key_bits in keyed:
-            key |= int.from_bytes(tops[position::draws].translate(key_bits), "little")
+        for top, key_bits in keyed:
+            key |= int.from_bytes(raw[top::stride].translate(key_bits), "little")
         tallies = int.from_bytes(key.to_bytes(rounds, "little").translate(table), "little")
         if mixed:
-            masks = bytearray(tops[4::draws].translate(mode_masks))
-            # each open mode draw, whole, as random() builds it
+            # the mode draw is the fifth: its top byte is byte 19 of a round
+            masks = bytearray(raw[19::stride].translate(mode_masks))
+            # each open mode draw, whole, as random() gives it
             r = masks.find(0)
             while r >= 0:
-                word = int.from_bytes(raw[8 * (r * draws + 4):8 * (r * draws + 5)], "little")
-                u = ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) / 2**53
+                w = r * stride + 16
+                u = int.from_bytes(raw[w:w + 4], "little") * 2.0**-32
                 masks[r] = _CONTROL_TALLIES if u < control_fraction else _MESSAGE_TALLIES
                 r = masks.find(0, r + 1)
             tallies &= int.from_bytes(masks, "little")
@@ -209,12 +214,14 @@ def monte_carlo(
     (intercept, uniform4, coin-iz); and one for the Bell measurement.
     That is 5 draws a round for passive and fixed-Pauli strategies, 6 for
     the rest, exactly as :func:`run_round` consumes them, so the estimate
-    is the one the round-by-round loop gives.  Its mean is the detection
-    rate of a control-only :func:`run_session` on ``RandomSource(seed)``,
-    which resolves the rounds ``MC_CHUNK_ROUNDS`` at a time from the top
-    bytes of their draws, so memory is bounded by the chunk, whatever n is.
-    Each convention and the comparison may be a member or its string value.
-    ``n`` is an integer (:func:`_round_count`).
+    is the one the round-by-round loop gives.  A draw is one 32-bit
+    Mersenne Twister word (:meth:`RandomSource.random`), so a round takes 5
+    or 6 words.  Its mean is the detection rate of a control-only
+    :func:`run_session` on ``RandomSource(seed)``, which resolves the rounds
+    ``MC_CHUNK_ROUNDS`` at a time from the top bytes of their draws' words,
+    so memory is bounded by the chunk, whatever n is.  Each convention and
+    the comparison may be a member or its string value.  ``n`` is an
+    integer (:func:`_round_count`).
     """
     n = _round_count(n, "n")
     mean = run_session(n, 1.0, RandomSource(seed), attack,
@@ -242,8 +249,9 @@ def run_session(
     """Run a session of rounds with uniform random bits and random mode draws.
 
     Every draw comes from the one sequential stream ``bit_source``, round
-    after round.  A round takes the bits k, l, i, j, each 1 when its draw is
-    below 1/2; then, only when ``0 < control_fraction < 1``, the mode draw,
+    after round, one 32-bit Mersenne Twister word a draw
+    (:meth:`RandomSource.random`).  A round takes the bits k, l, i, j, each
+    1 when its draw is below 1/2; then, only when ``0 < control_fraction < 1``, the mode draw,
     control when it is below ``control_fraction`` (fraction 0 is always
     message, 1 always control); then Eve's tap draw when her strategy draws;
     then the Bell draw.  The last two are taken as :func:`run_round`
@@ -252,12 +260,15 @@ def run_session(
     :func:`monte_carlo`.  Deterministic for a fixed seed.
 
     The rounds are not simulated one by one: :func:`_tallies` resolves them
-    in chunks from the top bytes of their draws, each to the tallies of the
-    leaf it reaches, which hold what :func:`control_detected` and
+    in chunks from the top bytes of their draws' words, each to the tallies
+    of the leaf it reaches, which hold what :func:`control_detected` and
     :func:`decode_message` give for it, and the session counts each tally.
-    The stats are the ones a loop of :func:`run_round` calls gives.  The
-    draws are taken straight from the Mersenne Twister of ``bit_source``,
-    not through :meth:`RandomSource.random`, which returns the same values.
+    In every tally table Bob's errors are Alice's (both decodes are wrong
+    exactly where the outcome differs from (i xor k, j xor l)), so it counts
+    Alice's and fills Bob's fields from them.  The stats are the ones a loop
+    of :func:`run_round` calls gives.  The draws are taken straight from the
+    Mersenne Twister of ``bit_source``, not through
+    :meth:`RandomSource.random`, which returns the same values.
     ``conventions`` is a pair, a tuple or a list, and each convention and
     the comparison may be a member or its string value.  ``n_rounds`` is an
     integer (:func:`_round_count`); a ``control_fraction`` that is a bool,
@@ -280,27 +291,29 @@ def run_session(
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    # only the tallies the mode can set: detections at fraction 1, errors at 0
+    # only the tallies the mode can set: detections at fraction 1, errors at
+    # 0; of the errors only Alice's, bits 2, 4 and 5, which Bob's bits 3, 6
+    # and 7 equal, so totals[3] stays 0
     every_control = control_fraction == 1.0
-    totals = [n_rounds if every_control else 0] + [0] * 7
-    counted = (1,) if every_control else range(0 if control_fraction else 2, 8)
+    totals = [n_rounds if every_control else 0] + [0] * 5
+    counted = (1,) if every_control else (0, 1, 2, 4, 5) if control_fraction else (2, 4, 5)
     for rounds, tallies in _tallies(eve, conventions, comparison, n_rounds,
                                     control_fraction, bit_source):
         # bit 0 of each of the chunk's tally bytes
         lanes = int.from_bytes(b"\1" * rounds, "little")
         for t in counted:
             totals[t] += (tallies >> t & lanes).bit_count()
-    control_rounds, detections, alice_pair, bob_pair, *bit_errors = totals
+    control_rounds, detections, pair_errors = totals[:3]
     rate = detections / control_rounds if control_rounds else 0.0
     return SessionStats(
         n_rounds=n_rounds,
         control_rounds=control_rounds,
         message_rounds=n_rounds - control_rounds,
         detections=detections,
-        alice_pair_errors=alice_pair,
-        bob_pair_errors=bob_pair,
-        alice_bit_errors=bit_errors[:2],
-        bob_bit_errors=bit_errors[2:],
+        alice_pair_errors=pair_errors,
+        bob_pair_errors=pair_errors,
+        alice_bit_errors=totals[4:],
+        bob_bit_errors=totals[4:],
         detection_rate=rate,
         survival_probability=(1.0 - rate) ** control_rounds,
         bit_seed=bit_source.seed,

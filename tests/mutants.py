@@ -144,6 +144,15 @@ MUTANTS = {
         "u <= control_fraction",
         ("tests/test_protocol.py::TestResolver::test_mode_draws_on_the_open_byte",),
     ),
+    # the samplers read each draw's key bits from the byte below its word's
+    # top byte: the stream and its layout stay, and only the decisions move
+    "key-read-one-byte-low": Mutant(
+        "src/qdialogue/sampling.py",
+        "4 * position + 3",
+        "4 * position + 2",
+        ("tests/test_protocol.py::TestResolver::test_every_key_is_its_round",
+         "tests/test_grid.py::test_every_engine_gives_the_committed_grid"),
+    ),
     # the samplers take Bob's bits k and l from each other's draw
     "session-bit-keys-swapped": Mutant(
         "src/qdialogue/sampling.py",

@@ -492,8 +492,9 @@ class TestSessionTable:
 class WordStream:
     """Stands in for the Mersenne Twister of a ``RandomSource`` and returns
     the given 32-bit words in order, the way ``random.Random`` returns its
-    own: ``random()`` from the next two words, ``getrandbits`` as the next
-    words, first word least significant."""
+    own: ``getrandbits`` as the next words, first word least significant.
+    Its ``random()`` is a ``RandomSource`` draw, the next word over
+    2**32."""
 
     def __init__(self, words):
         self.words, self.at = list(words), 0
@@ -504,8 +505,8 @@ class WordStream:
         return self.words[self.at - count:self.at]
 
     def random(self):
-        a, b = self._take(2)
-        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+        a, = self._take(1)
+        return a / 4294967296.0
 
     def getrandbits(self, k):
         assert k % 32 == 0
@@ -520,21 +521,21 @@ def word_source(words):
 
 
 def quarter_words(quarter):
-    """The two words of a draw in the middle of quarter ``quarter`` of [0, 1)."""
-    return [quarter << 30 | 1 << 29, 0]
+    """The word of a draw in the middle of quarter ``quarter`` of [0, 1)."""
+    return [quarter << 30 | 1 << 29]
 
 
 class TestResolver:
-    """The chunk resolver decides each draw by the top byte of its first
-    word, through the per-walk key-to-leaf table of ``_round_leaves``."""
+    """The chunk resolver decides each draw by the top byte of its word,
+    through the per-walk key-to-leaf table of ``_round_leaves``."""
 
     def test_word_stream_is_the_twister(self):
         source = random.Random(5)
-        stream = WordStream(source.getrandbits(32) for _ in range(400))
-        twister = random.Random(5)
+        stream = WordStream(source.getrandbits(32) for _ in range(300))
+        twister = RandomSource(5)
         assert [stream.random() for _ in range(100)] == [
             twister.random() for _ in range(100)]
-        assert stream.getrandbits(64 * 100) == twister.getrandbits(64 * 100)
+        assert stream.getrandbits(64 * 100) == twister._rng.getrandbits(64 * 100)
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_key_is_its_round(self, attack):
@@ -592,27 +593,26 @@ class TestResolver:
                                 | (db[0] != k) << 6 | (db[1] != l) << 7)
                     assert got == want, (key, mode)
 
-    @pytest.mark.parametrize("fraction", [0.3, 0.1 + 0.2])
+    @pytest.mark.parametrize("fraction", [0.3, 1288490189 / 2**32])
     @pytest.mark.parametrize("attack", [
         InterceptMeasure(Route.A_TO_B),
         DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
     ], ids=repr)
     def test_mode_draws_on_the_open_byte(self, attack, fraction):
         # every mode draw has the top byte 256 f rounds down to, so the whole
-        # draw settles it; the draws just below, at or across, and just above
-        # f come first (0.1 + 0.2 is a value random() returns)
+        # word settles it; the draws just below, at or across, and just above
+        # f come first (1288490189 / 2**32, next above 0.3, is a value
+        # random() returns)
         rng = random.Random(11)
-        mantissa, top = math.floor(fraction * 2**53), math.floor(256 * fraction)
-        assert (mantissa - 1) >> 45 == (mantissa + 1) >> 45 == top
+        word, top = math.floor(fraction * 2**32), math.floor(256 * fraction)
+        assert (word - 1) >> 24 == (word + 1) >> 24 == top
         rounds = 300
         draws = 6 + isinstance(attack, InterceptMeasure)
         words = []
         for r in range(rounds):
-            m = mantissa + r - 1 if r < 3 else top << 45 | rng.getrandbits(45)
-            round_words = [rng.getrandbits(32) for _ in range(2 * draws)]
-            # the mode draw is the fifth: m / 2**53 from its two words
-            round_words[8:10] = [m >> 26 << 5 | rng.getrandbits(5),
-                                 (m & (1 << 26) - 1) << 6 | rng.getrandbits(6)]
+            round_words = [rng.getrandbits(32) for _ in range(draws)]
+            # the mode draw is the fifth
+            round_words[4] = word + r - 1 if r < 3 else top << 24 | rng.getrandbits(24)
             words += round_words
         source, reference = word_source(words), word_source(words)
         want, = reference_sessions((rounds,), fraction, reference, attack, (PP, OE))
@@ -695,6 +695,34 @@ class TestSessionStreams:
             assert source._rng.getstate() == reference._rng.getstate()
 
 
+class TestStreamLayout:
+    """The stream layout, pinned against ``random.Random`` itself rather
+    than against another engine: a draw is one 32-bit Mersenne Twister word
+    over 2**32, and a session takes 5 words a round, one more for a mode
+    draw at a mixed fraction and one more for Eve's tap."""
+
+    @pytest.mark.parametrize("seed", MC_SEEDS)
+    def test_a_draw_is_one_word(self, seed):
+        source, twister = RandomSource(seed), random.Random(seed)
+        assert [source.random() for _ in range(100)] == [
+            twister.getrandbits(32) / 2**32 for _ in range(100)]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("attack,taps", [
+        (InterceptMeasure(Route.A_TO_B), True),
+        (DisturbPauli(Route.B_TO_A, Fixed(1, 0)), False),
+    ], ids=repr)
+    def test_session_takes_its_words(self, attack, taps, fraction):
+        # across a chunk boundary
+        n = sampling.MC_CHUNK_ROUNDS + 5
+        words = 5 + (0.0 < fraction < 1.0) + taps
+        for seed in MC_SEEDS:
+            source, twister = RandomSource(seed), random.Random(seed)
+            run_session(n, fraction, source, attack, (PP, OE))
+            twister.getrandbits(32 * words * n)
+            assert source._rng.getstate() == twister.getstate()
+
+
 class TestInterceptIsCoinIZ:
     """Intercept-measure on a route is the coin-iz disturbance there: a
     computational-basis measurement whose record is discarded is the
@@ -770,6 +798,18 @@ class TestOutcomeTallies:
                 assert [byte >> t & 1 for t in range(2, 8)] == wrong
         # the 192 bytes past the 64 leaves' are 0
         assert rows[64:] == bytes(192)
+
+    @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS,
+                             ids=lambda value: getattr(value, "value", value))
+    def test_bobs_errors_are_alices(self, oc, ec, comp):
+        # run_session counts Alice's error bits only and gives Bob her
+        # counts: each party's decode is wrong where the outcome differs
+        # from (i xor k, j xor l), so a table that broke this must fail here
+        rows = _outcome_tallies(*bookkeeping(oc, ec, comp))
+        for place, outcome in product(range(16), range(4)):
+            byte = rows[place << 2 | outcome]
+            assert byte >> 3 & 1 == byte >> 2 & 1, (place, outcome)
+            assert byte >> 6 & 3 == byte >> 4 & 3, (place, outcome)
 
 
 class TestRoundLeavesCache:

@@ -126,7 +126,7 @@ VALUES = [
      "SessionStats(n_rounds=3, control_rounds=0, message_rounds=0, detections=0, "
      "alice_pair_errors=0, bob_pair_errors=0, alice_bit_errors=[0, 0], "
      "bob_bit_errors=[0, 0], detection_rate=0.0, survival_probability=1.0, "
-     "bit_seed=7, generator_id='mt19937:python-random:single-stream')",
+     "bit_seed=7, generator_id='mt19937:python-random:word32')",
      None, empty_session_stats(3, 8)),
     ("CaseDescriptor", lambda: CaseDescriptor(1, 0, 1, "a"),
      "CaseDescriptor(m=1, n=0, parity=1, eve_branch='a')", (1, 0, 1, "a"),
