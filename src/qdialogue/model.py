@@ -388,10 +388,13 @@ class RandomSource:
     reference ``genrand_real2``, which a double holds exactly.  So a draw is
     below a dyadic threshold m / 2**k, for any k <= 32, exactly when
     ``a >> (32 - k) < m``, and the samplers decide from the words alone.
+    A round of every engine is one word, whose top byte is its round key
+    (:mod:`qdialogue.sampling`), after a mode word in a mixed session.
     Identical seeds give bit-identical streams.  Every engine draws from one
     such stream in sequence, so a result depends on the order of its draws:
-    :func:`qdialogue.sampling.run_session` and
-    :func:`qdialogue.sampling.monte_carlo` document theirs.  :meth:`child`
+    :func:`qdialogue.sampling.run_session`,
+    :func:`qdialogue.sampling.monte_carlo` and
+    :func:`qdialogue.protocol.run_round` document theirs.  :meth:`child`
     gives an independent stream ``index``, Mersenne Twister seeded with
     :meth:`child_seed`, derived from SHA-256 of ``"seed:index"``; no engine
     uses it.  Seeds are integers in [0, 2**64), the width of a child seed:
@@ -399,7 +402,7 @@ class RandomSource:
     than being truncated.
     """
 
-    GENERATOR_ID = "mt19937:python-random:word32"
+    GENERATOR_ID = "mt19937:python-random:round-word32"
 
     __slots__ = ("seed", "_rng")
 

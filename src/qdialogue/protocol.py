@@ -9,8 +9,11 @@ control rounds compare the outcome against the label expected in Eve's
 absence.  Eve cannot tell the two modes apart: the quantum evolution is
 identical, only post-measurement bookkeeping differs.
 
-:func:`run_round` simulates one round in floats and records every state.
-Its bookkeeping, :class:`RoundConfig`, is made members in one place,
+:func:`run_round` simulates one round in floats and records every state,
+from one 32-bit word of its random source: the word's top byte is the
+round key of the samplers in :mod:`qdialogue.sampling`, and given the same
+word the round reaches the leaf that their key names.  Its bookkeeping,
+:class:`RoundConfig`, is made members in one place,
 :func:`~qdialogue.model.bookkeeping`, and it applies no rule of its own:
 it reads its round's tally byte from
 :func:`qdialogue.exactstate._outcome_tallies`, the one table of what
@@ -30,18 +33,36 @@ from .exactstate import _PLACE, _outcome_tallies
 from .model import (
     _MESSAGE,
     _OE,
+    MEASURE,
+    InvariantError,
     Mode,
     PauliCode,
     RandomSource,
     RoundConfig,
     Route,
     Value,
+    _draw_total,
 )
 from .qcore import TwoQubitState, apply_pauli_t, bell_state, measure_bell
 
 _B_TO_A, _A_TO_B = Route.B_TO_A, Route.A_TO_B
 #: the (0,0) Bell pair Bob prepares each round, built once
 _PREPARED = bell_state(_OE, 0, 0)
+#: the largest selection total that a round's 26 tap bits settle exactly
+_TAP_GRAIN = 1 << 26
+
+
+class _Draw:
+    """A source of one draw, derived from a round's word, for a float
+    primitive that takes its draw from ``random()``."""
+
+    __slots__ = ("u",)
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
 
 
 class RoundTranscript(Value):
@@ -61,26 +82,46 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round and return its transcript.  ``config`` is a
     :class:`RoundConfig` and ``rand`` anything with a ``random()`` method;
-    anything else raises ``TypeError``.  The decoded bits and ``detected``
-    are read from the round's tally byte (bit 1 detected, bits 4-7 the
-    errors of i, j, k, l), one per bit tuple and Bell outcome of the
-    bookkeeping's :func:`~qdialogue.exactstate._outcome_tallies`."""
+    anything else raises ``TypeError``, as an ``eve`` that is no strategy
+    does.
+
+    The round takes exactly one draw u from ``rand``, a word w as
+    ``w / 2**32`` (:meth:`RandomSource.random`), and reads it in the
+    samplers' layout.  Its bits 31-28, the bit tuple, are ignored: the bits
+    come from ``config``.  Eve's tap draw is the middle of the 2**-26 granule
+    of bits 27-26 then 23-0, and the Bell draw the middle of the quarter of
+    bits 25-24.  So no draw sits within 2**-27 of a threshold of 2**-26 or
+    coarser, and the float comparisons pick the leaf of the exact walk;
+    a selection whose weights sum above 2**26 raises InvariantError before
+    the draw.  The decoded bits and ``detected`` are read from the round's
+    tally byte (bit 1 detected, bits 4-7 the errors of i, j, k, l), one per
+    bit tuple and Bell outcome of the bookkeeping's
+    :func:`~qdialogue.exactstate._outcome_tallies`."""
     # the class from its home: bench/tracer.py wraps this module's name
     if not isinstance(config, model.RoundConfig):
         raise TypeError(f"config must be a RoundConfig, not {type(config).__name__}")
     if not callable(getattr(rand, "random", None)):
         raise TypeError(f"rand must be a random source, not {type(rand).__name__}")
+    if not isinstance(eve, EveStrategy):
+        raise TypeError(f"not an Eve strategy: {eve!r}")
+    for action in map(eve.tap, Route):
+        if action is not None and action is not MEASURE and _draw_total(action) > _TAP_GRAIN:
+            raise InvariantError(f"draw weights {action.weights} finer than a round "
+                                 f"word's 2**-26")
     k, l = config.bob_bits
     i, j = config.alice_bits
 
+    w = int(rand.random() * 2**32)
+    tap = _Draw((((w >> 26 & 3) << 24 | w & 0xFFFFFF) * 2 + 1) / 2**27)
+    bell = _Draw(((w >> 24 & 3) * 2 + 1) / 8)
     s0 = _PREPARED
     s1 = apply_pauli_t(s0, PauliCode(k, l))
-    s2, rec_b2a = apply_eve(eve, _B_TO_A, s1, rand)
+    s2, rec_b2a = apply_eve(eve, _B_TO_A, s1, tap)
     s3 = apply_pauli_t(s2, PauliCode(i, j))
-    s4, rec_a2b = apply_eve(eve, _A_TO_B, s3, rand)
+    s4, rec_a2b = apply_eve(eve, _A_TO_B, s3, tap)
     eve_record = rec_b2a if rec_b2a is not None else rec_a2b
 
-    outcome, prob = measure_bell(s4, config.outcome_convention, rand)
+    outcome, prob = measure_bell(s4, config.outcome_convention, bell)
 
     tallies = _outcome_tallies(config.outcome_convention, config.expectation_convention,
                                config.comparison)

@@ -6,16 +6,16 @@ applied.  Run from anywhere:
 
     python tests/mutants.py
 
-For each mutant, a fresh temporary copy of ``src/`` and ``tests/`` (and of
-``bench/``, whose tracer a test loads) runs each listed test in its own
-pytest process, first unmutated and then mutated.  A
-test kills its mutant when it passes on the unmutated copy and fails on the
-mutated one; any other outcome (a pass on the mutated copy, or an error
-such as a test that is not found) is reported, and the runner exits 1.
-Nothing is written to the checkout.  ``tests/test_mutants.py`` checks, with
-no subprocess, that every ``old`` text still occurs once and that every
-listed test exists, so a change that moves mutated code updates its mutant
-here.
+A fresh temporary copy of ``src/`` and ``tests/`` (and of ``bench/``, whose
+tracer a test loads) runs every listed test once, unmutated, in one pytest
+process.  Then, for each mutant, a fresh copy with the mutant applied runs
+each of its tests in its own pytest process.  A test kills its mutant when
+it passes on the unmutated copy and fails on the mutated one; any other
+outcome (a pass on the mutated copy, or an error such as a test that is not
+found) is reported, and the runner exits 1.  Nothing is written to the
+checkout.  ``tests/test_mutants.py`` checks, with no subprocess, that every
+``old`` text still occurs once and that every listed test exists, so a
+change that moves mutated code updates its mutant here.
 """
 
 import os
@@ -136,29 +136,48 @@ MUTANTS = {
         "bytes(branch[x - 1] for x",
         ("tests/test_protocol.py::TestResolver::test_every_key_is_its_round",),
     ),
-    # a mixed session settles a mode draw equal to the fraction as control;
-    # only draws on the open byte are settled whole, so only they see it
+    # a mixed session settles a mode word equal to the fraction as control;
+    # only words on the open byte are settled whole, so only they see it
     "mode-draw-settled-with-le": Mutant(
         "src/qdialogue/sampling.py",
         "u < control_fraction",
         "u <= control_fraction",
         ("tests/test_protocol.py::TestResolver::test_mode_draws_on_the_open_byte",),
     ),
-    # the samplers read each draw's key bits from the byte below its word's
-    # top byte: the stream and its layout stay, and only the decisions move
+    # the samplers read each round's key from the byte below its word's top
+    # byte: the stream and its layout stay, and only the decisions move
     "key-read-one-byte-low": Mutant(
         "src/qdialogue/sampling.py",
-        "4 * position + 3",
-        "4 * position + 2",
+        "raw[stride - 1::stride]",
+        "raw[stride - 2::stride]",
         ("tests/test_protocol.py::TestResolver::test_every_key_is_its_round",
          "tests/test_grid.py::test_every_engine_gives_the_committed_grid"),
     ),
-    # the samplers take Bob's bits k and l from each other's draw
+    # the samplers take Bob's bits k and l from each other's bit of the
+    # round key, bits 5 and 4 of its word's top byte
     "session-bit-keys-swapped": Mutant(
         "src/qdialogue/sampling.py",
-        "(5, 4, 7, 6)",
-        "(4, 5, 7, 6)",
+        "raw[stride - 1::stride].translate(table)",
+        "raw[stride - 1::stride].translate(bytes(table[x ^ ((x >> 5 ^ x >> 4) & 1) * 0x30]"
+        " for x in range(256)))",
         ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",),
+    ),
+    # the float round's tap draw drops the word's low 24 bits, so it keeps
+    # only the tap quarter: selections with thresholds finer than a quarter
+    # pick the wrong code
+    "round-word-tap-ignores-low-bits": Mutant(
+        "src/qdialogue/protocol.py",
+        "<< 24 | w & 0xFFFFFF)",
+        "<< 24)",
+        ("tests/test_protocol.py::TestRoundFollowsTree::test_every_leaf",),
+    ),
+    # the float round reads its tap quarter from the key's Bell field and its
+    # Bell quarter from the tap field
+    "key-tap-and-bell-fields-swapped": Mutant(
+        "src/qdialogue/protocol.py",
+        "(w >> 26 & 3) << 24 | w & 0xFFFFFF) * 2 + 1) / 2**27)\n    bell = _Draw(((w >> 24 & 3)",
+        "(w >> 24 & 3) << 24 | w & 0xFFFFFF) * 2 + 1) / 2**27)\n    bell = _Draw(((w >> 26 & 3)",
+        ("tests/test_protocol.py::TestRoundWord::test_oracle_word_leaf",),
     ),
     # the CLI imports the sampler itself, past the module attribute that
     # the benchmark's tracer wraps: the output stays the same
@@ -221,14 +240,37 @@ def apply(root: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def pytest_exit_code(root: Path, test: str) -> int:
-    """The exit code of one pytest process that runs ``test`` in the copy at
-    ``root``: 0 when it passes and 1 when it fails."""
+def copy_checkout(root: Path) -> None:
+    """Copy what the tests read into ``root``."""
+    for part in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns(
+            "__pycache__", ".hypothesis", ".pytest_cache"))
+    shutil.copy(ROOT / "pyproject.toml", root)
+
+
+def run_pytest(root: Path, tests, **kwargs) -> subprocess.CompletedProcess:
+    """One pytest process that runs ``tests`` in the copy at ``root``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root, env=env, stderr=subprocess.DEVNULL, **kwargs)
+
+
+def unmutated_exit_codes(root: Path, tests) -> dict[str, int]:
+    """Per test, the exit code its own pytest process would give in the copy
+    at ``root`` (0 when every case passes, 1 when one fails), from one
+    pytest process that runs them all and reports each case (``-rA``); a
+    test with no case reported gets that process's exit code."""
+    proc = run_pytest(root, ["-rA", *tests], stdout=subprocess.PIPE, text=True)
+    outcomes = {test: set() for test in tests}
+    for line in proc.stdout.splitlines():
+        outcome, _, node = line.partition(" ")
+        if outcome in ("PASSED", "FAILED", "ERROR"):
+            test = node.split(" - ")[0].split("[")[0]
+            if test in outcomes:
+                outcomes[test].add(outcome)
+    return {test: (proc.returncode or 1) if not seen else 0 if seen == {"PASSED"} else 1
+            for test, seen in outcomes.items()}
 
 
 def verdict(unmutated: int, mutated: int) -> str:
@@ -242,17 +284,18 @@ def verdict(unmutated: int, mutated: int) -> str:
 
 
 def main() -> int:
+    tests = list(dict.fromkeys(test for mutant in MUTANTS.values() for test in mutant.tests))
+    with tempfile.TemporaryDirectory(prefix="qdialogue-mutant-") as tmp:
+        copy_checkout(Path(tmp))
+        unmutated = unmutated_exit_codes(Path(tmp), tests)
     failed = 0
     for name, mutant in MUTANTS.items():
         with tempfile.TemporaryDirectory(prefix="qdialogue-mutant-") as tmp:
             root = Path(tmp)
-            for part in ("src", "tests", "bench"):
-                shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns(
-                    "__pycache__", ".hypothesis", ".pytest_cache"))
-            shutil.copy(ROOT / "pyproject.toml", root)
-            unmutated = {test: pytest_exit_code(root, test) for test in mutant.tests}
+            copy_checkout(root)
             apply(root, mutant)
-            mutated = {test: pytest_exit_code(root, test) for test in mutant.tests}
+            mutated = {test: run_pytest(root, [test], stdout=subprocess.DEVNULL).returncode
+                       for test in mutant.tests}
         for test in mutant.tests:
             result = verdict(unmutated[test], mutated[test])
             failed += result != "killed"

@@ -14,6 +14,7 @@ selection is read from its ``codes`` and ``weights``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -136,6 +137,45 @@ def _walk(attack, i: int, j: int, k: int, l: int):
     branches = _tap_branches(attack, Route.B_TO_A, branches)
     branches = [(p, _pauli_t(i, j) @ phi, br, sel) for p, phi, br, sel in branches]
     return _tap_branches(attack, Route.A_TO_B, branches)
+
+
+@lru_cache(maxsize=None)
+def _round_branches(attack, conv: str, bits):
+    """Per Eve branch of the round with bits (i, j, k, l), in the order the
+    oracle's walk makes them: its probability, its tag, the applied (u, v)
+    or None, and its Bell outcomes' labels and probabilities under
+    ``conv``, each probability an exact small rational."""
+    out = []
+    for p, phi, br, sel in _walk(attack, *bits):
+        outcomes = [(kl, _snap(abs(np.vdot(v, phi)) ** 2 / abs(np.vdot(phi, phi))))
+                    for kl, v in bell_basis(conv).items()]
+        out.append((_snap(p), br, sel, [(kl, w) for kl, w in outcomes if w]))
+    return out
+
+
+def _pick(items, draw: Fraction):
+    """The first item whose cumulative probability is above ``draw``, of
+    (probability, item) pairs whose probabilities sum to 1."""
+    cumulative = Fraction(0)
+    for probability, item in items:
+        cumulative += probability
+        if draw < cumulative:
+            return item
+    raise AssertionError(f"draw {draw} at or above every cumulative probability")
+
+
+def oracle_word_leaf(attack, conv: str, bits, w: int):
+    """The leaf that a round's 32-bit word ``w`` picks, read from its fields
+    against the oracle's own branch probabilities: Eve's branch by the tap
+    value, bits 27-26 then 23-0 of w over 2**26, and the Bell outcome by
+    the Bell quarter, bits 25-24.  The round's bits (i, j, k, l) are
+    ``bits``, not w's top four.  Returns (Eve's branch tag, the applied
+    (u, v) or None, the outcome label (k, l) under ``conv``)."""
+    tap = Fraction((w >> 26 & 3) << 24 | w & 0xFFFFFF, 2**26)
+    branches = _round_branches(attack, conv, tuple(bits))
+    _p, br, sel, outcomes = _pick(((b[0], b) for b in branches), tap)
+    kl = _pick(((prob, kl) for kl, prob in outcomes), Fraction(w >> 24 & 3, 4))
+    return br, sel, kl
 
 
 def oracle_fold(attack, outcome_conv: str, expected_conv: str, comparison: str):

@@ -100,14 +100,19 @@ MC_SEEDS = (0, 7, 2**40 + 3)
 
 
 def scalar_detections(attack, oc, ec, comparison, n, seed):
-    """Running detection counts of the reference loop: one ``run_round``
-    per control round on one stream, bits drawn first."""
+    """Running detection counts of the reference loop: per control round,
+    one word w drawn from one stream, whose bits 31-28 are i, j, k, l, and
+    one ``run_round`` that takes w as its one draw."""
     rng = RandomSource(seed)
     counts, detections = [], 0
     for _ in range(n):
-        k, l, i, j = (int(rng.random() < 0.5) for _ in range(4))
+        u = rng.random()
+        w = int(u * 2**32)
+        i, j, k, l = w >> 31 & 1, w >> 30 & 1, w >> 29 & 1, w >> 28 & 1
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc, ec, comparison)
-        detections += run_round(config, attack, rng).detected
+        word = StubSource([u])
+        detections += run_round(config, attack, word).detected
+        assert not word.draws
         counts.append(detections)
     return counts
 
@@ -302,6 +307,17 @@ class StubSelection:
     weights: tuple
 
     rule: ClassVar[str] = "stub"
+
+
+class StubSource:
+    """Hands out the given draws in order, and fails on one more."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        assert self.draws, "drew more than the tree has draws"
+        return self.draws.pop(0)
 
 
 class TestExactState:
@@ -778,19 +794,6 @@ class TestConservation:
         with pytest.raises(InvariantError, match="multiple of 1/4"):
             run_session(10, 0.5, RandomSource(0), InterceptMeasure())
 
-    def test_tap_draw_on_some_bit_tuples_raises(self, fresh_walk, monkeypatch):
-        # the samplers take the same draws every round
-        walk = exactstate._walk
-
-        def no_first_tap(attack, convention):
-            # bit tuple 0 keeps its first Eve branch only
-            top, leaves = walk(attack, convention)
-            return top, tuple(leaf for leaf in leaves if leaf[:2] != (0, 1))
-
-        monkeypatch.setattr(sampling, "_walk", no_first_tap)
-        with pytest.raises(InvariantError, match="some bit tuples only"):
-            monte_carlo(InterceptMeasure(), n=10)
-
     def test_non_dyadic_threshold_raises(self):
         # draw weights that sum to 3
         attack = DisturbPauli(selection=StubSelection(((0, 0), (0, 1)), (1, 2)))
@@ -995,8 +998,7 @@ class TestWalkCache:
             assert len(rows) == 256 and rows[4 * len(ALL_BIT_TUPLES):] == bytes(192)
             check(rows)
         for oc in (OE, PP):
-            draws_tap, leaf, tally_index = sampling._round_leaves(attack, oc)
-            assert type(draws_tap) is bool
+            leaf, tally_index = sampling._round_leaves(attack, oc)
             assert type(leaf) is type(tally_index) is bytes
 
     def test_changing_results_changes_no_cache(self):

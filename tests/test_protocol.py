@@ -31,6 +31,7 @@ from qdialogue.model import (
     DisturbPauli,
     Fixed,
     InterceptMeasure,
+    InvariantError,
     Mode,
     Passive,
     RandomSource,
@@ -50,7 +51,8 @@ from qdialogue.sampling import (
     monte_carlo,
     run_session,
 )
-from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS, StubSelection
+from oracle import oracle_word_leaf
+from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS, StubSelection, StubSource
 from test_values import empty_session_stats
 
 OE = Convention.OPERATOR_ENCODING
@@ -60,29 +62,31 @@ PP = Convention.PARITY_PHASE
 def reference_sessions(ns, control_fraction, bit_source, eve, conventions,
                        comparison=Comparison.CONVERTED):
     """The SessionStats of the first n rounds, for each n in ``ns``, from the
-    reference loop: one ``run_round`` per round on ``bit_source``, after the
-    bits and, at a fraction strictly between 0 and 1, the mode drawn from
-    the same stream."""
+    reference loop: per round, at a fraction strictly between 0 and 1, the
+    mode drawn from ``bit_source``, then the round's word w drawn from it,
+    whose bits 31-28 are i, j, k, l, and one ``run_round`` that takes w as
+    its one draw."""
     outcome_conv, expectation_conv = conventions
     stats = empty_session_stats(0, bit_source.seed)
     snapshots = []
     configs = {}
     for r in range(max(ns)):
-        k = int(bit_source.random() < 0.5)
-        l = int(bit_source.random() < 0.5)
-        i = int(bit_source.random() < 0.5)
-        j = int(bit_source.random() < 0.5)
         if 0.0 < control_fraction < 1.0:
             control = bit_source.random() < control_fraction
         else:
             control = control_fraction == 1.0
+        u = bit_source.random()
+        w = int(u * 2**32)
+        i, j, k, l = w >> 31 & 1, w >> 30 & 1, w >> 29 & 1, w >> 28 & 1
         mode = Mode.CONTROL if control else Mode.MESSAGE
         config = configs.get((k, l, i, j, mode))
         if config is None:
             config = configs[k, l, i, j, mode] = RoundConfig(
                 (k, l), (i, j), mode, outcome_conv, expectation_conv, comparison
             )
-        transcript = run_round(config, eve, bit_source)
+        word = StubSource([u])
+        transcript = run_round(config, eve, word)
+        assert not word.draws
         if mode is Mode.CONTROL:
             stats.control_rounds += 1
             stats.detections += bool(transcript.detected)
@@ -353,17 +357,6 @@ class TestSessionDecoding:
             assert abs(count / m - p) <= 5.0 * se, name
 
 
-class StubSource:
-    """Hands out the given draws in order, and fails on one more."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self):
-        assert self.draws, "drew more than the tree has draws"
-        return self.draws.pop(0)
-
-
 def midpoint(masses, index):
     """The middle of the interval of a uniform draw that picks branch
     ``index`` of branches with these integer masses."""
@@ -373,13 +366,15 @@ def midpoint(masses, index):
 
 class TestRoundFollowsTree:
     """``run_round``, forced down each branch and Bell outcome of the tree
-    the samplers read by draws in the middle of their intervals, which come
-    from the walk's cumulative masses, lands on that outcome with the exact
-    walk's weight and Eve's branch: a deterministic check of the float
-    simulator against the exact walk."""
+    the samplers read by a word whose tap bits and Bell quarter sit in the
+    middle of their intervals, which come from the walk's cumulative
+    masses, lands on that outcome with the exact walk's weight and Eve's
+    branch: a deterministic check of the float simulator against the exact
+    walk."""
 
     #: draw weights that differ, which no shipped selection has, so that the
-    #: mid-interval draws pick each code by its cumulative weight
+    #: mid-interval words pick each code by its cumulative weight; the 1/8
+    #: weights need the word's low 24 bits, since a quarter holds two codes
     NON_UNIFORM = [DisturbPauli(route, StubSelection(codes, weights))
                    for route in Route
                    for codes, weights in ((((0, 0), (1, 1)), (1, 3)),
@@ -399,10 +394,12 @@ class TestRoundFollowsTree:
             branch_masses = [sum(leaf[5] for leaf in branch) for branch in branches]
             for b, branch_leaves in enumerate(branches):
                 masses = [leaf[5] for leaf in branch_leaves]
+                # the tap draw's 26 bits: bits 27-26 of the word, then 23-0
+                tap = int(midpoint(branch_masses, b) * 2**26)
                 for x, (_place, _b, branch, sel, outcome, mass) in enumerate(branch_leaves):
-                    # the tap draw only when the round has Eve branches to pick
-                    source = StubSource([midpoint(branch_masses, b)] * (len(branches) > 1)
-                                        + [midpoint(masses, x)])
+                    word = (place << 28 | (tap >> 24) << 26
+                            | int(midpoint(masses, x) * 4) << 24 | tap & 0xFFFFFF)
+                    source = StubSource([word / 2**32])
                     transcript = run_round(config, attack, source)
                     assert not source.draws
                     assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome],
@@ -419,13 +416,98 @@ class TestRoundFollowsTree:
                         assert record is None
 
 
+def round_leaf(transcript):
+    """A transcript's leaf as ``oracle_word_leaf`` gives one: Eve's branch
+    tag, the applied (u, v) or None, and the outcome label's bits."""
+    record = transcript.eve_record
+    if isinstance(record, MeasuredBranch):
+        eve = record.branch, None
+    else:
+        eve = "none", None if record is None else (record.u, record.v)
+    return (*eve, (transcript.bell_outcome.k, transcript.bell_outcome.l))
+
+
+def walk_leaf(leaves, place, tap, bell_quarter):
+    """The leaf of the exact walk's ``leaves`` at ``place`` that a tap
+    value ``tap`` over 2**26 and a Bell quarter pick, from the integer
+    masses: the first branch whose cumulative mass is above the tap value,
+    then its first leaf whose cumulative mass is above the quarter."""
+    node = [leaf for leaf in leaves if leaf[0] == place]
+    branches = [list(branch) for _b, branch in groupby(node, itemgetter(1))]
+    total = sum(leaf[5] for leaf in node)
+    bounds = list(accumulate(sum(leaf[5] for leaf in branch) for branch in branches))
+    branch = branches[next(b for b, c in enumerate(bounds) if c * 2**26 > tap * total)]
+    bounds = list(accumulate(leaf[5] for leaf in branch))
+    return branch[next(x for x, c in enumerate(bounds) if 4 * c > bell_quarter * bounds[-1])]
+
+
+class TestRoundWord:
+    """A round's word decides its leaf by its fields alone: the oracle's
+    own branch probabilities, ``run_round`` and the samplers' key-to-leaf
+    table agree on every key, whatever the low 24 bits, and a word on a
+    threshold or just below it reaches the exact walk's leaf."""
+
+    #: low 24 bits of a word: none, all, and a mixed pattern
+    LOW_BITS = (0, 0xFFFFFF, 0x5A5A5A)
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_oracle_word_leaf(self, attack):
+        for conv in (OE, PP):
+            leaf_of_key, _tally_index = _round_leaves(attack, conv)
+            _exp, leaves = _walk(attack, conv)
+            for key, low in product(range(256), self.LOW_BITS):
+                bits = key_bits(key)
+                i, j, k, l = bits
+                w = key << 24 | low
+                want = oracle_word_leaf(attack, conv.value, bits, w)
+                source = StubSource([w / 2**32])
+                transcript = run_round(RoundConfig((k, l), (i, j), Mode.CONTROL, conv),
+                                       attack, source)
+                assert round_leaf(transcript) == want, (conv, hex(w))
+                _place, _b, branch, sel, outcome, _mass = leaves[leaf_of_key[key]]
+                assert (branch, sel, BELL_LABEL_ORDER[outcome]) == want, (conv, hex(w))
+
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_on_threshold_words(self, attack):
+        # tap values on each quarter (low bits 0) and one below the next
+        # (low bits all ones), with every Bell quarter
+        for conv, (place, bits) in product((OE, PP), enumerate(ALL_BIT_TUPLES)):
+            i, j, k, l = bits
+            config = RoundConfig((k, l), (i, j), Mode.CONTROL, conv)
+            _exp, leaves = _walk(attack, conv)
+            for tap_quarter, bell_quarter, low in product(range(4), range(4), (0, 0xFFFFFF)):
+                w = place << 28 | tap_quarter << 26 | bell_quarter << 24 | low
+                transcript = run_round(config, attack, StubSource([w / 2**32]))
+                _place, _b, branch, sel, outcome, _mass = walk_leaf(
+                    leaves, place, tap_quarter << 24 | low, bell_quarter)
+                assert round_leaf(transcript) == (branch, sel, BELL_LABEL_ORDER[outcome]), (
+                    conv, hex(w))
+
+    def test_tap_domain_edge(self):
+        # a threshold of 2**-26 is the finest the tap's 26 bits settle: the
+        # tap value 0 picks the first code, 1 and above the second
+        fine = DisturbPauli(Route.A_TO_B, StubSelection(((0, 0), (1, 1)), (1, 2**26 - 1)))
+        config = RoundConfig((0, 1), (1, 0), Mode.CONTROL)
+        for tap, code in ((0, (0, 0)), (1, (1, 1)), (2**24, (1, 1)), (2**26 - 1, (1, 1))):
+            w = 0xA << 28 | (tap >> 24) << 26 | 2 << 24 | tap & 0xFFFFFF
+            record = run_round(config, fine, StubSource([w / 2**32])).eve_record
+            assert record == AppliedPauli(*code), tap
+        # 2**-27 is finer: raised before the round draws
+        finer = DisturbPauli(Route.A_TO_B, StubSelection(((0, 0), (1, 1)), (1, 2**27 - 1)))
+        source = RandomSource(0)
+        state = source._rng.getstate()
+        with pytest.raises(InvariantError, match="finer than a round word's 2"):
+            run_round(config, finer, source)
+        assert source._rng.getstate() == state
+
+
 def table_expectations(attack, oc, ec, comp):
     """The expectation of each of the eight tallies of a round, as a
     ``Fraction``: the mean of its bit over the 256 keys of the samplers'
     key-to-leaf table, each as likely as the next (16 nodes, 4 tap quarters,
     4 Bell quarters), with the control and the message tallies both kept."""
     oc, ec, comp = bookkeeping(oc, ec, comp)
-    _draws_tap, leaf, tally_index = _round_leaves(attack, oc)
+    leaf, tally_index = _round_leaves(attack, oc)
     assert len(leaf) == len(tally_index) == 256
     table = tally_index.translate(_outcome_tallies(oc, ec, comp))
     return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(8)]
@@ -520,13 +602,19 @@ def word_source(words):
     return source
 
 
-def quarter_words(quarter):
-    """The word of a draw in the middle of quarter ``quarter`` of [0, 1)."""
-    return [quarter << 30 | 1 << 29]
+def key_word(key):
+    """A round's word whose top byte is ``key``, with its low 24 bits in the
+    middle of their range."""
+    return key << 24 | 1 << 23
+
+
+def key_bits(key):
+    """The bits i, j, k, l of a round key: its bits 7, 6, 5 and 4."""
+    return key >> 7 & 1, key >> 6 & 1, key >> 5 & 1, key >> 4 & 1
 
 
 class TestResolver:
-    """The chunk resolver decides each draw by the top byte of its word,
+    """The chunk resolver decides each round by the top byte of its word,
     through the per-walk key-to-leaf table of ``_round_leaves``."""
 
     def test_word_stream_is_the_twister(self):
@@ -539,23 +627,15 @@ class TestResolver:
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_key_is_its_round(self, attack):
-        # one round per key, each draw in the middle of the quarter the key
-        # gives it: a bit 1 below 1/2, a bit 0 above; the round reaches the
-        # leaf the table names, with its tallies
+        # one round per key, one word each, whose top byte is the key; the
+        # round reaches the leaf the table names, with its tallies
         for oc, ec, comp in ALL_COMBOS:
-            draws_tap, leaf_of_key, tally_index = _round_leaves(attack, oc)
+            leaf_of_key, tally_index = _round_leaves(attack, oc)
             _exp, leaves = _walk(attack, oc)
             branch_masses = Counter()
             for place, b, *_, mass in leaves:
                 branch_masses[place, b] += mass
-            words = []
-            for key in range(256):
-                i, j, k, l = ALL_BIT_TUPLES[key >> 4]
-                for bit in (k, l, i, j):
-                    words += quarter_words(2 - bit)
-                if draws_tap:
-                    words += quarter_words(key >> 2 & 3)
-                words += quarter_words(key & 3)
+            words = [key_word(key) for key in range(256)]
             for mode in Mode:
                 control = mode is Mode.CONTROL
                 tallies = b"".join(
@@ -563,14 +643,13 @@ class TestResolver:
                     for rounds, chunk in _tallies(attack, (oc, ec), comp, 256,
                                                   float(control), word_source(words)))
                 for key, got in enumerate(tallies):
-                    i, j, k, l = ALL_BIT_TUPLES[key >> 4]
-                    source = StubSource([(key >> 2 & 3) / 4 + 1 / 8] * draws_tap
-                                        + [(key & 3) / 4 + 1 / 8])
+                    i, j, k, l = key_bits(key)
+                    source = StubSource([key_word(key) / 2**32])
                     config = RoundConfig((k, l), (i, j), mode, oc, ec, comp)
                     transcript = run_round(config, attack, source)
                     assert not source.draws
                     place, b, branch, sel, outcome, mass = leaves[leaf_of_key[key]]
-                    assert place == key >> 4
+                    assert ALL_BIT_TUPLES[place] == (i, j, k, l)
                     assert tally_index[key] == place << 2 | outcome
                     assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome], oc)
                     record = transcript.eve_record
@@ -599,21 +678,18 @@ class TestResolver:
         DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
     ], ids=repr)
     def test_mode_draws_on_the_open_byte(self, attack, fraction):
-        # every mode draw has the top byte 256 f rounds down to, so the whole
-        # word settles it; the draws just below, at or across, and just above
+        # every mode word has the top byte 256 f rounds down to, so the whole
+        # word settles it; the words just below, at or across, and just above
         # f come first (1288490189 / 2**32, next above 0.3, is a value
-        # random() returns)
+        # random() returns).  Each round's mode word comes before its round word
         rng = random.Random(11)
         word, top = math.floor(fraction * 2**32), math.floor(256 * fraction)
         assert (word - 1) >> 24 == (word + 1) >> 24 == top
         rounds = 300
-        draws = 6 + isinstance(attack, InterceptMeasure)
         words = []
         for r in range(rounds):
-            round_words = [rng.getrandbits(32) for _ in range(draws)]
-            # the mode draw is the fifth
-            round_words[4] = word + r - 1 if r < 3 else top << 24 | rng.getrandbits(24)
-            words += round_words
+            mode_word = word + r - 1 if r < 3 else top << 24 | rng.getrandbits(24)
+            words += [mode_word, rng.getrandbits(32)]
         source, reference = word_source(words), word_source(words)
         want, = reference_sessions((rounds,), fraction, reference, attack, (PP, OE))
         got = run_session(rounds, fraction, source, attack, (PP, OE))
@@ -698,8 +774,8 @@ class TestSessionStreams:
 class TestStreamLayout:
     """The stream layout, pinned against ``random.Random`` itself rather
     than against another engine: a draw is one 32-bit Mersenne Twister word
-    over 2**32, and a session takes 5 words a round, one more for a mode
-    draw at a mixed fraction and one more for Eve's tap."""
+    over 2**32, and a session takes one word a round, whatever Eve does,
+    and one more for a mode word at a mixed fraction."""
 
     @pytest.mark.parametrize("seed", MC_SEEDS)
     def test_a_draw_is_one_word(self, seed):
@@ -708,14 +784,15 @@ class TestStreamLayout:
             twister.getrandbits(32) / 2**32 for _ in range(100)]
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("attack,taps", [
-        (InterceptMeasure(Route.A_TO_B), True),
-        (DisturbPauli(Route.B_TO_A, Fixed(1, 0)), False),
+    @pytest.mark.parametrize("attack", [
+        InterceptMeasure(Route.A_TO_B),
+        DisturbPauli(Route.B_TO_A, Fixed(1, 0)),
+        Passive(),
     ], ids=repr)
-    def test_session_takes_its_words(self, attack, taps, fraction):
+    def test_session_takes_its_words(self, attack, fraction):
         # across a chunk boundary
         n = sampling.MC_CHUNK_ROUNDS + 5
-        words = 5 + (0.0 < fraction < 1.0) + taps
+        words = 1 + (0.0 < fraction < 1.0)
         for seed in MC_SEEDS:
             source, twister = RandomSource(seed), random.Random(seed)
             run_session(n, fraction, source, attack, (PP, OE))
