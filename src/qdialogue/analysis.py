@@ -139,11 +139,11 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
     order the leaves first reach it; per bit tuple, in ``ALL_BIT_TUPLES``
     order, those same pair objects for the cases its leaves reach, in leaf
     order; the sorted (branch, average) pairs; the average; the sorted
-    ((u, v), average) pairs, or None; and the message round's error
-    probabilities, of Alice's and Bob's pairs, then of i, j, k, l.  Decoding
-    reads neither the expected labels nor the comparison and converts ``pp``
-    outcome labels, so every configuration's errors are those of
-    :func:`message_error_rate`."""
+    ((u, v), average) pairs, or None; and the probabilities of the message
+    round's one error (:func:`~qdialogue.model.message_error`): a pair
+    error, then m and n.  Decoding reads neither the expected labels nor the
+    comparison and converts ``pp`` outcome labels, so every configuration's
+    errors are those of :func:`message_error_rate`."""
     from fractions import Fraction
     exp, leaves = _walk(attack, outcome_conv)
     rows = _outcome_tallies(outcome_conv, expectation_conv, comparison)
@@ -165,7 +165,7 @@ def _detection_fold(attack: EveStrategy, outcome_conv: Convention,
              for (m, n, br), sums in cases.items()}
     # every bit tuple weighs 1 / 16
     average, *errors = (Fraction(sum(m for tally, m in tallied.items() if tally >> t & 1),
-                                 16 << exp) for t in range(1, 8))
+                                 16 << exp) for t in range(1, 5))
     return (
         tuple(pairs.values()),
         tuple(tuple(map(pairs.__getitem__, reached)) for reached in reach),
@@ -249,11 +249,12 @@ def paper_case_table() -> DetectionReport:
 def message_error_rate(attack: EveStrategy) -> MessageErrorReport:
     """Exact decode-error probabilities in message mode (operator-encoding
     labels), read from the :func:`_detection_fold` of the default
-    bookkeeping, the cache entry of ``enumerate_exact(attack)``; the report
-    and its ``per_bit`` dict are new on every call."""
-    alice_to_bob, bob_to_alice, *per_bit = _detection_fold(attack, _OE, _OE, _CONVERTED)[5]
-    return MessageErrorReport(attack, alice_to_bob, bob_to_alice, dict(
-        zip(("alice_bit0", "alice_bit1", "bob_bit0", "bob_bit1"), per_bit)))
+    bookkeeping, the cache entry of ``enumerate_exact(attack)``: both
+    parties miss by its one error (m, n); the report and its ``per_bit``
+    dict are new on every call."""
+    pair, m, n = _detection_fold(attack, _OE, _OE, _CONVERTED)[5]
+    return MessageErrorReport(attack, pair, pair, {
+        "alice_bit0": m, "alice_bit1": n, "bob_bit0": m, "bob_bit1": n})
 
 
 _CLAIMS_EXPLANATION = (

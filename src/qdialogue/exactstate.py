@@ -15,14 +15,15 @@ Eve branch and Bell outcome, in one flat tuple, each mass an int over one
 power of two, Eve's draw weights included.  :func:`_walk` makes it once
 per strategy and outcome convention, and :func:`_outcome_tallies` applies
 the rules of :mod:`qdialogue.model` once per conventions and comparison:
-one tally byte per bit tuple and Bell outcome (control, detected and
-errors): a leaf's tallies are ``rows[place << 2 | outcome]``.  The samplers
-(:mod:`qdialogue.sampling`) and the exact reports (:mod:`qdialogue.analysis`)
-read both caches, and the float round (:func:`qdialogue.protocol.run_round`)
-reads its round's tally byte, so no engine applies the rules on its own.
-Neither a float nor a ``Fraction`` enters this path (only
-:meth:`ExactState.norm_sq` builds one), and the module sits below the float
-round simulator, so the samplers walk without loading it.
+one tally byte per bit tuple and Bell outcome (control, detected and the
+one error of a message round): a leaf's tallies are
+``rows[place << 2 | outcome]``.  The samplers (:mod:`qdialogue.sampling`)
+and the exact reports (:mod:`qdialogue.analysis`) read both caches, and the
+float round (:func:`qdialogue.protocol.run_round`) reads its round's tally
+byte, so no engine applies the rules on its own.  Neither a float nor a
+``Fraction`` enters this path (only :meth:`ExactState.norm_sq` builds one),
+and the module sits below the float round simulator, so the samplers walk
+without loading it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .model import (
     Route,
     _draw_total,
     control_detected,
-    decode_message,
+    message_error,
 )
 
 Gaussian = tuple[int, int]
@@ -220,10 +221,10 @@ def _walk(attack: EveStrategy, convention: Convention) -> tuple[int, tuple]:
 
 
 #: the tallies a round adds to a session, one bit each: control and detected
-#: (of a control round), then Alice's and Bob's pair errors and the bit errors
-#: of Alice's bits i, j and of Bob's bits k, l (of a message round)
-_CONTROL_TALLIES = 0b00000011
-_MESSAGE_TALLIES = 0b11111100
+#: (of a control round), then the pair error and the Pauli (m, n) of the one
+#: error of a message round, which both parties' decodes share
+_CONTROL_TALLIES = 0b00011
+_MESSAGE_TALLIES = 0b11100
 #: per mode's tallies, the table that keeps only those bits of a tally byte
 _KEEP = {mask: bytes(b & mask for b in range(256))
          for mask in (_CONTROL_TALLIES, _MESSAGE_TALLIES)}
@@ -237,18 +238,17 @@ def _outcome_tallies(outcome_conv: Convention, expectation_conv: Convention,
     leaf of :func:`_walk` at ``place`` and ``outcome`` has the tallies
     ``rows[place << 2 | outcome]``, and the 192 bytes past the 64 leaves'
     are 0.  Bit 0 is set (a control round), bit 1 is whether
-    :func:`control_detected` flags it, and bits 2-7 are what
-    :func:`decode_message` gets wrong in a message round: Alice's and Bob's
-    pairs, then the bits i, j, k, l."""
+    :func:`control_detected` flags it, and bits 3 and 4 are the error
+    (m, n) of :func:`message_error`, by which Bob's decode of (i, j) and
+    Alice's of (k, l) both miss; bit 2, a pair error, is m or n.  Bits 5-7
+    are 0."""
     rows = bytearray()
     labels = [BellLabel(k, l, outcome_conv) for k, l in BELL_LABEL_ORDER]
     for i, j, k, l in ALL_BIT_TUPLES:
         config = RoundConfig((k, l), (i, j), Mode.CONTROL, outcome_conv,
                              expectation_conv, comparison)
         for label in labels:
-            alice, bob = decode_message(config, label)
-            wrong = (alice != (i, j), bob != (k, l),
-                     alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
+            m, n = message_error(config, label)
             rows.append(1 | control_detected(config, label) << 1
-                        | sum(flag << t for t, flag in enumerate(wrong, 2)))
+                        | (m | n) << 2 | m << 3 | n << 4)
     return bytes(rows.ljust(256, b"\0"))

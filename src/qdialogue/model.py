@@ -48,10 +48,10 @@ string values (``"strict-paper"``, ``"b2a"``).  The bookkeeping of a round,
 its two conventions and its comparison, becomes members in one place,
 :func:`bookkeeping`, which :class:`RoundConfig` and every engine call, so an
 unknown value raises ValueError wherever it enters.
-:func:`control_detected` and :func:`decode_message` are the one detection
-rule and the one decoder.  They are applied once per bookkeeping, into the
-tally table of :func:`qdialogue.exactstate._outcome_tallies`, which every
-engine reads.
+:func:`control_detected` is the one detection rule and :func:`message_error`
+the one decode error, which both parties share.  They are applied once per
+bookkeeping, into the tally table of
+:func:`qdialogue.exactstate._outcome_tallies`, which every engine reads.
 """
 
 from __future__ import annotations
@@ -435,7 +435,7 @@ class Route(Enum):
     A_TO_B = "a2b"
 
 
-_ROUTE, _route = _members(Route)
+_route = _members(Route)[1]
 
 
 # Disturbance-operator selection rules.  Each names the (u, v) ``codes`` it
@@ -669,18 +669,14 @@ def control_detected(config: RoundConfig, outcome: BellLabel) -> bool:
     return outcome.k != expected.k or outcome.l != expected.l
 
 
-def decode_message(
-    config: RoundConfig, outcome: BellLabel
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(Alice's bits as Bob decodes them, Bob's bits as Alice decodes them)
-    from a message-round outcome.
-
-    The XOR composition law holds for operator-encoding labels only, so a
-    parity-phase outcome is converted first; the expectation convention
-    plays no part in decoding.
-    """
+def message_error(config: RoundConfig, outcome: BellLabel) -> tuple[int, int]:
+    """The one error (m, n) of a message round: the Pauli by which the
+    outcome's operator-encoding label differs from (i xor k, j xor l).  By
+    the XOR law each party's decode is its true bits xor (m, n): Bob's of
+    Alice's (i ^ m, j ^ n), Alice's of Bob's (k ^ m, l ^ n).  A parity-phase
+    outcome is converted first; the expectation convention plays no part."""
     if outcome.convention is _PP:
         outcome = label_map(outcome)
     k, l = config.bob_bits
     i, j = config.alice_bits
-    return (outcome.k ^ k, outcome.l ^ l), (outcome.k ^ i, outcome.l ^ j)
+    return outcome.k ^ i ^ k, outcome.l ^ j ^ l

@@ -18,7 +18,7 @@ word the round reaches the leaf that their key names.  Its bookkeeping,
 it reads its round's tally byte from
 :func:`qdialogue.exactstate._outcome_tallies`, the one table of what
 :func:`~qdialogue.model.control_detected` and
-:func:`~qdialogue.model.decode_message` give, which the exact reports in
+:func:`~qdialogue.model.message_error` give, which the exact reports in
 :mod:`qdialogue.analysis` and the samplers in :mod:`qdialogue.sampling`
 read too.  None of those engines loads this module.
 """
@@ -93,10 +93,10 @@ def run_round(
     bits 25-24.  So no draw sits within 2**-27 of a threshold of 2**-26 or
     coarser, and the float comparisons pick the leaf of the exact walk;
     a selection whose weights sum above 2**26 raises InvariantError before
-    the draw.  The decoded bits and ``detected`` are read from the round's
-    tally byte (bit 1 detected, bits 4-7 the errors of i, j, k, l), one per
-    bit tuple and Bell outcome of the bookkeeping's
-    :func:`~qdialogue.exactstate._outcome_tallies`."""
+    the draw.  ``detected`` (bit 1) and the one error (m, n) (bits 3 and 4)
+    are read from the round's tally byte in the bookkeeping's
+    :func:`~qdialogue.exactstate._outcome_tallies`: Bob decodes
+    (i ^ m, j ^ n) and Alice (k ^ m, l ^ n)."""
     # the class from its home: bench/tracer.py wraps this module's name
     if not isinstance(config, model.RoundConfig):
         raise TypeError(f"config must be a RoundConfig, not {type(config).__name__}")
@@ -129,8 +129,8 @@ def run_round(
     decoded_alice = decoded_bob = None
     detected = None
     if config.mode is _MESSAGE:
-        decoded_alice = (i ^ (tally >> 4 & 1), j ^ (tally >> 5 & 1))
-        decoded_bob = (k ^ (tally >> 6 & 1), l ^ (tally >> 7 & 1))
+        m, n = tally >> 3 & 1, tally >> 4 & 1
+        decoded_alice, decoded_bob = (i ^ m, j ^ n), (k ^ m, l ^ n)
     else:
         detected = bool(tally & 2)
 

@@ -13,16 +13,15 @@ bookkeeping of the walk shares; a bookkeeping enters only through the
 leaves' tally bytes.  :func:`qdialogue.protocol.run_round`, given the same
 word, reaches the same leaf.  Whole chunks of rounds resolve by one
 ``bytes`` table lookup in C to those bytes.  The session counts each tally
-the rounds' mode can set by the popcount of its bit across the chunk,
-Alice's errors only, since Bob's equal hers in every tally table.  A
-sampler process loads this module, the walk and :mod:`qdialogue.model`,
-and neither the float round simulator nor the exact reports, nor
-:mod:`fractions`.  The engines take each convention and comparison as a
-member or its string value, made members by
-:func:`~qdialogue.model.bookkeeping`, one cache entry for both; round
-counts are integers, and a bool count, a control fraction that is a bool
-(numpy's included) or no real number, or a session's conventions that are
-no pair raise ``TypeError``.
+the rounds' mode can set by the popcount of its bit across the chunk; a
+message round has one error, which both parties' decodes share.  A sampler
+process loads this module, the walk and :mod:`qdialogue.model`, and neither
+the float round simulator nor the exact reports, nor :mod:`fractions`.  The
+engines take each convention and comparison as a member or its string
+value, made members by :func:`~qdialogue.model.bookkeeping`, one cache
+entry for both; round counts are integers, and a bool count, a control
+fraction that is a bool (numpy's included) or no real number, or a
+session's conventions that are no pair raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -238,15 +237,15 @@ def run_session(
     Deterministic for a fixed seed.
 
     The rounds are not simulated one by one: :func:`_tallies` resolves them
-    in chunks from the top bytes of their words, each to the tallies
-    of the leaf it reaches, which hold what :func:`control_detected` and
-    :func:`decode_message` give for it, and the session counts each tally.
-    In every tally table Bob's errors are Alice's (both decodes are wrong
-    exactly where the outcome differs from (i xor k, j xor l)), so it counts
-    Alice's and fills Bob's fields from them.  The stats are the ones a loop
-    of :func:`run_round` calls gives.  The draws are taken straight from the
-    Mersenne Twister of ``bit_source``, not through
-    :meth:`RandomSource.random`, which returns the same values.
+    in chunks from the top bytes of their words, each to the tallies of the
+    leaf it reaches, which hold what :func:`control_detected` and
+    :func:`message_error` give for it, and the session counts each tally.
+    A message round has one error (m, n), by which Bob's decode of (i, j)
+    and Alice's of (k, l) both miss, so both parties' pair and bit errors
+    are counted once, from the pair-error bit and the bits m and n.  The
+    stats are the ones a loop of :func:`run_round` calls gives.  The draws
+    are taken straight from the Mersenne Twister of ``bit_source``, not
+    through :meth:`RandomSource.random`, which returns the same values.
     ``conventions`` is a pair, a tuple or a list, and each convention and
     the comparison may be a member or its string value.  ``n_rounds`` is an
     integer (:func:`_round_count`); a ``control_fraction`` that is a bool,
@@ -269,12 +268,11 @@ def run_session(
     if not 0.0 <= control_fraction <= 1.0:
         raise ValueError("control_fraction must be in [0, 1]")
 
-    # only the tallies the mode can set: detections at fraction 1, errors at
-    # 0; of the errors only Alice's, bits 2, 4 and 5, which Bob's bits 3, 6
-    # and 7 equal, so totals[3] stays 0
+    # only the tallies the mode can set: detections at fraction 1, the pair
+    # error and the error bits m and n at 0
     every_control = control_fraction == 1.0
-    totals = [n_rounds if every_control else 0] + [0] * 5
-    counted = (1,) if every_control else (0, 1, 2, 4, 5) if control_fraction else (2, 4, 5)
+    totals = [n_rounds if every_control else 0] + [0] * 4
+    counted = (1,) if every_control else (0, 1, 2, 3, 4) if control_fraction else (2, 3, 4)
     for rounds, tallies in _tallies(eve, conventions, comparison, n_rounds,
                                     control_fraction, bit_source):
         # bit 0 of each of the chunk's tally bytes
@@ -290,8 +288,8 @@ def run_session(
         detections=detections,
         alice_pair_errors=pair_errors,
         bob_pair_errors=pair_errors,
-        alice_bit_errors=totals[4:],
-        bob_bit_errors=totals[4:],
+        alice_bit_errors=totals[3:],
+        bob_bit_errors=totals[3:],
         detection_rate=rate,
         survival_probability=(1.0 - rate) ** control_rounds,
         bit_seed=bit_source.seed,

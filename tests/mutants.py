@@ -91,24 +91,30 @@ MUTANTS = {
         "hash(self._values(self))",
         ("tests/test_values.py::test_grid_strategies_and_selections_hash_apart",),
     ),
-    # the tally table scores Bob's decoded l against k: one tally bit of
-    # every message outcome with k != l is wrong
+    # the one error scores the outcome's l against Bob's k, not l: the
+    # tally bits n and the pair error of every outcome with k != l are wrong
     "tally-bit-l-against-k": Mutant(
-        "src/qdialogue/exactstate.py",
-        "bob[1] != l",
-        "bob[1] != k",
+        "src/qdialogue/model.py",
+        "outcome.l ^ j ^ l",
+        "outcome.l ^ j ^ k",
         ("tests/test_protocol.py::TestOutcomeTallies::test_each_byte_is_the_rules",),
     ),
-    # the float round reads the errors of Alice's bits i and j from each
-    # other's tally bit.  (Reading Alice's bits 4-5 for Bob's 6-7 would
-    # change nothing: each party's decode is wrong in the same bits, where
-    # the outcome differs from (i xor k, j xor l).)
+    # the float round decodes Alice's bits i and j with each other's error
+    # bit, m and n swapped
     "round-reads-i-and-j-errors-swapped": Mutant(
         "src/qdialogue/protocol.py",
-        "(i ^ (tally >> 4 & 1), j ^ (tally >> 5 & 1))",
-        "(i ^ (tally >> 5 & 1), j ^ (tally >> 4 & 1))",
+        "= (i ^ m, j ^ n),",
+        "= (i ^ n, j ^ m),",
         ("tests/test_grid.py::test_every_engine_gives_the_committed_grid",
          "tests/test_protocol.py::TestSessionTable::test_equals_reference_loop"),
+    ),
+    # the float round decodes Bob's bits k and l with m and n swapped: the
+    # two parties' decodes no longer miss by one error
+    "round-decodes-bob-by-a-swapped-error": Mutant(
+        "src/qdialogue/protocol.py",
+        "), (k ^ m, l ^ n)",
+        "), (k ^ n, l ^ m)",
+        ("tests/test_protocol.py::TestSessionTable::test_equals_reference_loop",),
     ),
     # the float round takes detected from the control bit: every control
     # round flags Eve

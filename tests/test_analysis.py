@@ -57,7 +57,6 @@ from qdialogue.model import (
     Route,
     UniformAll4,
     control_detected,
-    decode_message,
 )
 from qdialogue.protocol import run_round
 from qdialogue.qcore import bell_state
@@ -266,14 +265,17 @@ def reference_message_error_rate(attack):
     case_weight = Fraction(1, 16)
     for bits in ALL_BIT_TUPLES:
         i, j, k, l = bits
-        config = RoundConfig(bob_bits=(k, l), alice_bits=(i, j))
         for prob, _branch, _sel, weights in reference_leaves(attack, bits, OE):
             mass = case_weight * prob
             for outcome, w in weights.items():
                 if not w:
                     continue
                 leaf = mass * w
-                alice, bob = decode_message(config, outcome)
+                # the XOR law on the operator-encoding label: Bob decodes
+                # Alice's bits as outcome xor (k, l), Alice Bob's as
+                # outcome xor (i, j)
+                alice = (outcome.k ^ k, outcome.l ^ l)
+                bob = (outcome.k ^ i, outcome.l ^ j)
                 wrong = (alice != (i, j), bob != (k, l),
                          alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l)
                 for name, flag in zip(names, wrong):

@@ -108,8 +108,11 @@ def test_detection_is_linear_in_the_weights(attack):
     total = sum(weights)
     if all(4 * c % total == 0 for c in accumulate(weights)):
         for oc, ec, comp in ALL_COMBOS:
+            # the table's error tallies: the pair, then m and n, which are
+            # the errors of the bits i and j
             control, detected, *message = table_expectations(attack, oc, ec, comp)
-            assert (control, detected, tuple(message)) == (1, averages[oc, ec, comp], errors)
+            assert (control, detected, *message) == (1, averages[oc, ec, comp],
+                                                     errors[0], *errors[2:4])
     else:
         with pytest.raises(InvariantError, match="multiple of 1/4"):
             monte_carlo(attack, n=8)

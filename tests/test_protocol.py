@@ -39,9 +39,9 @@ from qdialogue.model import (
     Route,
     bookkeeping,
     control_detected,
-    decode_message,
     expected_outcome,
     label_map,
+    message_error,
 )
 from qdialogue.protocol import run_round
 from qdialogue.qcore import ALG_TOL
@@ -51,7 +51,7 @@ from qdialogue.sampling import (
     monte_carlo,
     run_session,
 )
-from oracle import oracle_word_leaf
+from oracle import oracle_message_errors, oracle_word_leaf
 from test_analysis import ALL_COMBOS, ALL_STRATEGIES, MC_SEEDS, StubSelection, StubSource
 from test_values import empty_session_stats
 
@@ -502,7 +502,7 @@ class TestRoundWord:
 
 
 def table_expectations(attack, oc, ec, comp):
-    """The expectation of each of the eight tallies of a round, as a
+    """The expectation of each of the five tallies of a round, as a
     ``Fraction``: the mean of its bit over the 256 keys of the samplers'
     key-to-leaf table, each as likely as the next (16 nodes, 4 tap quarters,
     4 Bell quarters), with the control and the message tallies both kept."""
@@ -510,7 +510,7 @@ def table_expectations(attack, oc, ec, comp):
     leaf, tally_index = _round_leaves(attack, oc)
     assert len(leaf) == len(tally_index) == 256
     table = tally_index.translate(_outcome_tallies(oc, ec, comp))
-    return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(8)]
+    return [Fraction(sum(byte >> t & 1 for byte in table), 256) for t in range(5)]
 
 
 class TestSessionTable:
@@ -521,10 +521,11 @@ class TestSessionTable:
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_table_means_are_the_exact_folds(self, attack):
         # exactly, under every bookkeeping: the control bit is always set,
-        # the detected bit is the fold's average and the six error bits are
-        # the fold's errors, which no bookkeeping changes
+        # the detected bit is the fold's average and the three error bits
+        # (pair, m, n) are the fold's errors, which no bookkeeping changes
         errors = message_error_rate(attack)
-        error_rates = [errors.alice_to_bob, errors.bob_to_alice, *errors.per_bit.values()]
+        error_rates = [errors.alice_to_bob, errors.per_bit["alice_bit0"],
+                       errors.per_bit["alice_bit1"]]
         for oc, ec, comp in ALL_COMBOS:
             _cases, _reach, _branches, average, _selections, fold_errors = _detection_fold(
                 attack, *bookkeeping(oc, ec, comp))
@@ -627,50 +628,56 @@ class TestResolver:
 
     @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
     def test_every_key_is_its_round(self, attack):
-        # one round per key, one word each, whose top byte is the key; the
-        # round reaches the leaf the table names, with its tallies
-        for oc, ec, comp in ALL_COMBOS:
+        # the leaf a key reaches depends on the key and the outcome
+        # convention only: one round per key and convention, one word each,
+        # whose top byte is the key, reaches the leaf the table names.  Then,
+        # under every bookkeeping and in both modes, the samplers' tally byte
+        # of each key is the rules applied to that leaf's outcome
+        words = [key_word(key) for key in range(256)]
+        for oc in (OE, PP):
             leaf_of_key, tally_index = _round_leaves(attack, oc)
             _exp, leaves = _walk(attack, oc)
             branch_masses = Counter()
             for place, b, *_, mass in leaves:
                 branch_masses[place, b] += mass
-            words = [key_word(key) for key in range(256)]
-            for mode in Mode:
-                control = mode is Mode.CONTROL
-                tallies = b"".join(
-                    chunk.to_bytes(rounds, "little")
-                    for rounds, chunk in _tallies(attack, (oc, ec), comp, 256,
-                                                  float(control), word_source(words)))
-                for key, got in enumerate(tallies):
+            outcomes = []
+            for key in range(256):
+                i, j, k, l = key_bits(key)
+                source = StubSource([key_word(key) / 2**32])
+                config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc)
+                transcript = run_round(config, attack, source)
+                assert not source.draws
+                place, b, branch, sel, outcome, mass = leaves[leaf_of_key[key]]
+                assert ALL_BIT_TUPLES[place] == (i, j, k, l)
+                assert tally_index[key] == place << 2 | outcome
+                assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome], oc)
+                record = transcript.eve_record
+                if branch != "none":
+                    assert isinstance(record, MeasuredBranch)
+                    assert record.branch == branch, key
+                elif sel is not None:
+                    assert record == AppliedPauli(*sel), key
+                else:
+                    assert record is None
+                assert abs(transcript.bell_probability
+                           - mass / branch_masses[place, b]) <= ALG_TOL
+                outcomes.append(transcript.bell_outcome)
+            for _oc, ec, comp in (combo for combo in ALL_COMBOS if combo[0] is oc):
+                # the rules read no mode: one control config a key serves both
+                want = {Mode.CONTROL: bytearray(), Mode.MESSAGE: bytearray()}
+                for key, outcome in enumerate(outcomes):
                     i, j, k, l = key_bits(key)
-                    source = StubSource([key_word(key) / 2**32])
-                    config = RoundConfig((k, l), (i, j), mode, oc, ec, comp)
-                    transcript = run_round(config, attack, source)
-                    assert not source.draws
-                    place, b, branch, sel, outcome, mass = leaves[leaf_of_key[key]]
-                    assert ALL_BIT_TUPLES[place] == (i, j, k, l)
-                    assert tally_index[key] == place << 2 | outcome
-                    assert transcript.bell_outcome == BellLabel(*BELL_LABEL_ORDER[outcome], oc)
-                    record = transcript.eve_record
-                    if branch != "none":
-                        assert isinstance(record, MeasuredBranch)
-                        assert record.branch == branch, (key, mode)
-                    elif sel is not None:
-                        assert record == AppliedPauli(*sel), (key, mode)
-                    else:
-                        assert record is None
-                    assert abs(transcript.bell_probability
-                               - mass / branch_masses[place, b]) <= ALG_TOL
-                    if control:
-                        want = 1 | bool(transcript.detected) << 1
-                    else:
-                        da = transcript.decoded_alice_bits
-                        db = transcript.decoded_bob_bits
-                        want = ((da != (i, j)) << 2 | (db != (k, l)) << 3
-                                | (da[0] != i) << 4 | (da[1] != j) << 5
-                                | (db[0] != k) << 6 | (db[1] != l) << 7)
-                    assert got == want, (key, mode)
+                    config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc, ec, comp)
+                    m, n = message_error(config, outcome)
+                    want[Mode.CONTROL].append(1 | control_detected(config, outcome) << 1)
+                    want[Mode.MESSAGE].append((m | n) << 2 | m << 3 | n << 4)
+                for mode, wanted in want.items():
+                    tallies = b"".join(
+                        chunk.to_bytes(rounds, "little")
+                        for rounds, chunk in _tallies(attack, (oc, ec), comp, 256,
+                                                      float(mode is Mode.CONTROL),
+                                                      word_source(words)))
+                    assert tallies == wanted, (oc, ec, comp, mode)
 
     @pytest.mark.parametrize("fraction", [0.3, 1288490189 / 2**32])
     @pytest.mark.parametrize("attack", [
@@ -854,7 +861,7 @@ class TestInterceptIsCoinIZ:
 class TestOutcomeTallies:
     """The one rule table, which every engine reads, ``run_round`` included,
     checked against the rules themselves: each of its bytes holds what
-    :func:`control_detected` and :func:`decode_message` give."""
+    :func:`control_detected` and :func:`message_error` give."""
 
     @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS,
                              ids=lambda value: getattr(value, "value", value))
@@ -866,27 +873,32 @@ class TestOutcomeTallies:
             config = RoundConfig((k, l), (i, j), Mode.CONTROL, oc, ec, comp)
             for outcome, kl in enumerate(BELL_LABEL_ORDER):
                 label = BellLabel(*kl, oc)
-                alice, bob = decode_message(config, label)
-                wrong = [alice != (i, j), bob != (k, l),
-                         alice[0] != i, alice[1] != j, bob[0] != k, bob[1] != l]
+                m, n = message_error(config, label)
+                # the XOR law, on the operator-encoding label: Bob decodes
+                # Alice's bits as outcome xor (k, l), Alice Bob's as
+                # outcome xor (i, j), and each misses by (m, n)
+                seen = label if oc is OE else label_map(label)
+                assert (seen.k ^ k, seen.l ^ l) == (i ^ m, j ^ n)
+                assert (seen.k ^ i, seen.l ^ j) == (k ^ m, l ^ n)
                 byte = rows[place << 2 | outcome]
                 assert byte & 1 == 1
                 assert byte >> 1 & 1 == control_detected(config, label)
-                assert [byte >> t & 1 for t in range(2, 8)] == wrong
+                assert (byte >> 3 & 1, byte >> 4 & 1) == (m, n)
+                # the pair error is m or n, and bits 5-7 are 0
+                assert byte >> 2 & 1 == (byte >> 3 | byte >> 4) & 1
+                assert byte >> 5 == 0
         # the 192 bytes past the 64 leaves' are 0
         assert rows[64:] == bytes(192)
 
-    @pytest.mark.parametrize("oc,ec,comp", ALL_COMBOS,
-                             ids=lambda value: getattr(value, "value", value))
-    def test_bobs_errors_are_alices(self, oc, ec, comp):
-        # run_session counts Alice's error bits only and gives Bob her
-        # counts: each party's decode is wrong where the outcome differs
-        # from (i xor k, j xor l), so a table that broke this must fail here
-        rows = _outcome_tallies(*bookkeeping(oc, ec, comp))
-        for place, outcome in product(range(16), range(4)):
-            byte = rows[place << 2 | outcome]
-            assert byte >> 3 & 1 == byte >> 2 & 1, (place, outcome)
-            assert byte >> 6 & 3 == byte >> 4 & 3, (place, outcome)
+    @pytest.mark.parametrize("attack", ALL_STRATEGIES, ids=repr)
+    def test_both_decodes_miss_alike(self, attack):
+        # the table holds one error a message round for both parties; the
+        # oracle decodes each party by its own overlap search, and finds
+        # the two parties' pair and bit errors equally likely
+        errors = oracle_message_errors(attack)
+        assert errors["alice_to_bob"] == errors["bob_to_alice"]
+        assert errors["alice_bit0"] == errors["bob_bit0"]
+        assert errors["alice_bit1"] == errors["bob_bit1"]
 
 
 class TestRoundLeavesCache:
